@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     ap.add_argument("--ns", default="100,250,1000")
     ap.add_argument("--samples", type=int, default=4000)
     ap.add_argument("--seed", type=int, default=2026)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/spectrum_study.csv")
     args = ap.parse_args(argv)
 
@@ -52,8 +51,7 @@ def main(argv=None) -> int:
     for name, kernel in kernels.items():
         estimates = []
         for n in ns:
-            est = spectrum_samples(kernel, uniform, n, args.samples,
-                                   args.seed, threads=args.threads)
+            est = spectrum_samples(kernel, uniform, n, args.samples, args.seed)
             estimates.append(est)
             qs = [est.quantile(q) for q in QUANTILES]
             rows.append((name, n, est.mean(), est.std(), *qs))

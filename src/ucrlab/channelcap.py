@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionError,
@@ -25,12 +24,16 @@ from .errors import (
 )
 from .probspace import ConditionalPmf, Pmf, as_rng, subseed
 
-_LN2 = math.log(2.0)
 _SPECTRUM_KEY = 11
+_SPECTRUM_BATCH_SYMBOLS = 2 ** 16
 
 
 class ChannelKernel(ABC):
-    """A block channel: sample outputs and score block likelihoods."""
+    """A block channel: sample outputs and score block likelihoods.
+
+    Blocks run along the last axis: every method takes one (n,) block or a
+    (B, n) batch of blocks, and scores a block as a scalar, a batch as (B,).
+    """
 
     n_in: int
     n_out: int
@@ -40,22 +43,21 @@ class ChannelKernel(ABC):
         """Draw z^n given the input block t^n."""
 
     @abstractmethod
-    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float:
+    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         """log2 P(z^n | t^n); -inf when the block is impossible."""
 
     @abstractmethod
-    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float:
+    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
         """log2 P(z^n) under an i.i.d. input with the given single-letter pmf."""
 
-    def block_likelihood(self, t: np.ndarray, z: np.ndarray) -> float:
-        ll = self.log2_likelihood(t, z)
-        return 0.0 if ll == -np.inf else float(2.0 ** ll)
+    def block_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return np.exp2(self.log2_likelihood(t, z))
 
 
 def _check_block(seq: np.ndarray, alphabet: int, what: str) -> np.ndarray:
     seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 1 or seq.size == 0:
-        raise DimensionError(f"{what} block must be a nonempty 1-D array")
+    if seq.ndim not in (1, 2) or seq.size == 0:
+        raise DimensionError(f"{what} block must be a nonempty 1-D block or 2-D batch")
     if seq.min() < 0 or seq.max() >= alphabet:
         raise ValidationError(f"{what} block has symbols outside 0..{alphabet - 1}")
     return seq
@@ -80,28 +82,23 @@ class DmcProduct(ChannelKernel):
         rng = as_rng(seed)
         cum = np.cumsum(self.kernel.rows, axis=1)
         cum[:, -1] = 1.0
-        u = rng.random(t.size)
-        return (u[:, None] > cum[t]).sum(axis=1).astype(np.int64)
+        u = rng.random(t.shape)
+        return (u[..., None] > cum[t]).sum(axis=-1).astype(np.int64)
 
-    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float:
+    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         t = _check_block(t, self.n_in, "input")
         z = _check_block(z, self.n_out, "output")
-        if t.size != z.size:
-            raise DimensionError("input and output blocks differ in length")
-        probs = self.kernel.rows[t, z]
-        if np.any(probs == 0.0):
-            return -np.inf
-        return float(np.sum(np.log2(probs)))
+        if t.shape != z.shape:
+            raise DimensionError("input and output blocks differ in shape")
+        with np.errstate(divide="ignore"):
+            return np.log2(self.kernel.rows)[t, z].sum(axis=-1)
 
-    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float:
+    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
         if input_pmf.size != self.n_in:
             raise DimensionError("input pmf does not match the channel input alphabet")
         z = _check_block(z, self.n_out, "output")
-        qz = input_pmf.probs @ self.kernel.rows
-        probs = qz[z]
-        if np.any(probs == 0.0):
-            return -np.inf
-        return float(np.sum(np.log2(probs)))
+        with np.errstate(divide="ignore"):
+            return np.log2(input_pmf.probs @ self.kernel.rows)[z].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -135,34 +132,26 @@ class MixedChannel(ChannelKernel):
         return self.components[0][1].n_out
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
+        t = _check_block(t, self.n_in, "input")
         rng = as_rng(seed)
         weights = np.array([w for w, _ in self.components])
-        branch = int(rng.choice(len(self.components), p=weights / weights.sum()))
-        return self.components[branch][1].sample_output(t, rng)
+        batch = t.reshape(-1, t.shape[-1])
+        branch = rng.choice(len(self.components), size=batch.shape[0],
+                            p=weights / weights.sum())
+        z = np.empty_like(batch)
+        for k, (_, kernel) in enumerate(self.components):
+            rows = branch == k
+            if rows.any():
+                z[rows] = kernel.sample_output(batch[rows], rng)
+        return z.reshape(t.shape)
 
-    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float:
-        terms = []
-        for w, k in self.components:
-            if w == 0.0:
-                continue
-            ll = k.log2_likelihood(t, z)
-            if ll > -np.inf:
-                terms.append(math.log(w) + ll * _LN2)
-        if not terms:
-            return -np.inf
-        return float(logsumexp(terms) / _LN2)
+    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return np.logaddexp2.reduce([math.log2(w) + k.log2_likelihood(t, z)
+                                     for w, k in self.components if w > 0.0])
 
-    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float:
-        terms = []
-        for w, k in self.components:
-            if w == 0.0:
-                continue
-            lp = k.log2_output_prob(input_pmf, z)
-            if lp > -np.inf:
-                terms.append(math.log(w) + lp * _LN2)
-        if not terms:
-            return -np.inf
-        return float(logsumexp(terms) / _LN2)
+    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
+        return np.logaddexp2.reduce([math.log2(w) + k.log2_output_prob(input_pmf, z)
+                                     for w, k in self.components if w > 0.0])
 
 
 @dataclass(frozen=True)
@@ -209,26 +198,21 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
         f"(current bracket {upper - lower:.3e})")
 
 
-@dataclass(frozen=True)
-class InfoDensitySample:
-    """One normalized block information density observation."""
-
-    value_bits: float
-    n: int
-
-
 def information_density(kernel: ChannelKernel, input_pmf: Pmf,
-                        t: np.ndarray, z: np.ndarray) -> float:
-    """(1/n) log2 [ P(z^n|t^n) / P(z^n) ] in bits per symbol."""
+                        t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+    """(1/n) log2 [ P(z^n|t^n) / P(z^n) ] in bits per symbol.
+
+    A scalar for one (n,) block, shape (B,) for a (B, n) batch.
+    """
     t = _check_block(t, kernel.n_in, "input")
     z = _check_block(z, kernel.n_out, "output")
-    if t.size != z.size:
-        raise DimensionError("input and output blocks differ in length")
+    if t.shape != z.shape:
+        raise DimensionError("input and output blocks differ in shape")
     ll = kernel.log2_likelihood(t, z)
     lo = kernel.log2_output_prob(input_pmf, z)
-    if ll == -np.inf or lo == -np.inf:
+    if np.any(ll == -np.inf) or np.any(lo == -np.inf):
         raise UndefinedDensityError("zero likelihood or output mass at this block")
-    return (ll - lo) / t.size
+    return (ll - lo) / t.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -266,33 +250,32 @@ class SpectrumEstimate:
 
 
 def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
-                     num_samples: int, seed: int, threads: int = 1) -> SpectrumEstimate:
+                     num_samples: int, seed: int) -> SpectrumEstimate:
     """Monte Carlo spectrum of the normalized information density.
 
-    Every sample owns a named sub-seed derived from (seed, n, index), so the
-    result is identical for any batching or thread count.
+    Blocks are drawn in batches of B = max(1, 2**16 // n), the last batch
+    holding the remainder. Batch b owns the named sub-seed
+    (seed, _SPECTRUM_KEY, n, b): it draws its inputs as one (B, n) array,
+    then the channel outputs. The result therefore depends only on
+    (seed, n, num_samples), and per-batch arrays stay small at any n.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
+    if n < 1:
+        raise ValidationError(f"block length must be >= 1, got {n}")
     if input_pmf.size != kernel.n_in:
         raise DimensionError("input pmf does not match the channel input alphabet")
     cum = np.cumsum(input_pmf.probs)
     cum[-1] = 1.0
-
-    def one(idx: int) -> float:
-        rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, idx))
-        t = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+    per_batch = max(1, _SPECTRUM_BATCH_SYMBOLS // n)
+    values = []
+    for b, start in enumerate(range(0, num_samples, per_batch)):
+        rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, b))
+        size = min(per_batch, num_samples - start)
+        t = np.searchsorted(cum, rng.random((size, n)), side="right").astype(np.int64)
         z = kernel.sample_output(t, rng)
-        return information_density(kernel, input_pmf, t, z)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(num_samples)))
-    else:
-        values = [one(i) for i in range(num_samples)]
-    return SpectrumEstimate(np.array(values), n)
+        values.append(information_density(kernel, input_pmf, t, z))
+    return SpectrumEstimate(np.concatenate(values), n)
 
 
 @dataclass(frozen=True)

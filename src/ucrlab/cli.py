@@ -311,7 +311,7 @@ def _exec_spectrum(config: dict, out_dir: Path, threads: int, fmt: str | None) -
     rows = []
     per_n = []
     for n in ns:
-        est = spectrum_samples(kernel, input_pmf, n, samples, seed, threads=threads)
+        est = spectrum_samples(kernel, input_pmf, n, samples, seed)
         estimates.append(est)
         rows.extend((n, i, v) for i, v in enumerate(est.values_bits))
         per_n.append({
@@ -545,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="additionally echo the result document to stdout")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallel internals (results identical)")
+                        help="worker threads for simulate's Monte Carlo trials; other "
+                             "commands ignore it (results never depend on it)")
 
     parser = argparse.ArgumentParser(
         prog="ucrlab",

@@ -103,20 +103,6 @@ class JointPmf:
     def marginal_y(self) -> Pmf:
         return Pmf(self.probs.sum(axis=0))
 
-    def swapped(self) -> "JointPmf":
-        return JointPmf(self.probs.T.copy(), self.labels_y, self.labels_x)
-
-    def cond_x_given_y(self) -> "ConditionalPmf":
-        """Rows indexed by y; y values of zero mass get a uniform placeholder row."""
-        py = self.probs.sum(axis=0)
-        rows = np.empty((self.ny, self.nx))
-        for y in range(self.ny):
-            if py[y] > 0.0:
-                rows[y] = self.probs[:, y] / py[y]
-            else:
-                rows[y] = 1.0 / self.nx
-        return ConditionalPmf(rows)
-
 
 @dataclass(frozen=True)
 class ConditionalPmf:

@@ -230,9 +230,6 @@ class Codebook:
     def word(self, i: int, j: int) -> np.ndarray:
         return self.words[i - 1, j - 1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.words[i - 1]
-
 
 def _pair_counts(words_2d: np.ndarray, seq: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Per-word joint symbol counts of (word, seq): shape (W, n_a * n_b)."""
@@ -332,7 +329,15 @@ def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
         raise ValidationError(f"theta must be in [0, 1), got {theta}")
     if not (1 <= i_star <= n1 + 1):
         raise ValidationError(f"index {i_star} outside 1..{n1 + 1}")
-    rng = as_rng(seed)
+    return _draw_index(as_rng(seed), i_star, n1, theta)
+
+
+def _draw_index(rng: np.random.Generator, i_star: int, n1: int, theta: float) -> int:
+    """One use of the index channel: the flip draw, then the alternative index.
+
+    Every Monte Carlo engine draws through here, so all of them consume a
+    trial's stream in the same order.
+    """
     u = rng.random()
     alt = _uniform_int(rng, n1)
     if alt >= i_star:
@@ -419,7 +424,6 @@ class MonteCarloResult:
     seed: int
     engine: str
     outcomes: tuple | None
-    entropy_l_bits: float | None = None
 
 
 def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
@@ -434,11 +438,7 @@ def _materialized_trial(cb: Codebook, cfg: ProtocolConfig, t: int):
     rng = as_rng(subseed(cfg.seed, _TRIAL_KEY, t))
     x, y = sample_iid(cfg.source, cfg.n, rng)
     k_word, k_idx, i_star = _encode_detail(cb, x, cfg.eps_typ)
-    u = rng.random()
-    alt = _uniform_int(rng, cfg.n1)
-    if alt >= i_star:
-        alt += 1
-    i_tilde = i_star if u >= cfg.theta else alt
+    i_tilde = _draw_index(rng, i_star, cfg.n1, cfg.theta)
     l_word, l_idx, distinct = _decode_detail(cb, y, i_tilde, cfg.eps_typ)
     return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
 
@@ -556,12 +556,7 @@ class _StatisticalEngine:
             if k_idx is not None:
                 k_word = u_seq
         i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
-
-        u = rng.random()
-        alt = _uniform_int(rng, cfg.n1)
-        if alt >= i_star:
-            alt += 1
-        i_tilde = i_star if u >= cfg.theta else alt
+        i_tilde = _draw_index(rng, i_star, cfg.n1, cfg.theta)
 
         if i_tilde == cfg.n1 + 1:
             return t, k_word, k_idx, i_star, i_tilde, self.fallback, None, 0
@@ -687,7 +682,6 @@ class ExactResult:
     theta: float
     seed: int
     joint_ky: np.ndarray | None
-    trials: None = None
 
     @property
     def p_err(self) -> float:

@@ -487,15 +487,8 @@ def ucr_capacity_solve(source: JointPmf, c_bits: float, u_card: int | None = Non
     upper concave envelope evaluated at c_bits. The collected point set does
     not depend on c_bits, so the result is monotone in C.
     """
-    x_card, u_card, px = _common_inputs(source, c_bits, u_card)
-    h_x = entropy_bits(px)
-    h_x_given_y = conditional_entropy_x_given_y(source)
-    if u_card >= x_card and c_bits >= h_x_given_y - 1e-12:
-        return UcrSolution(h_x, AuxiliaryChannel.identity(x_card, u_card),
-                           c_bits - h_x_given_y, "envelope")
-    cloud = _collect_points(source, u_card, seed, _slope_grid(slope_count),
-                            restarts_per_slope, steps)
-    return _evaluate_envelope(cloud, c_bits, "envelope")
+    return ucr_curve(source, [c_bits], u_card, seed=seed, slope_count=slope_count,
+                     restarts_per_slope=restarts_per_slope, steps=steps)[0][1]
 
 
 def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,

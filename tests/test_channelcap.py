@@ -107,6 +107,16 @@ class TestBlockKernels:
         assert z.shape == (4,)
         assert set(z.tolist()) <= {0, 1, 2}
 
+    def test_mixed_sample_output_matches_alphabet(self):
+        # a single block leaves one branch with no rows; these seeds draw both
+        k = MixedChannel(((0.5, DmcProduct(bec(0.3))),
+                          (0.5, DmcProduct(bec(0.6)))))
+        for seed in range(6):
+            for t in (np.array([0, 1, 0, 1]), np.array([[0, 1, 0], [1, 1, 0]])):
+                z = k.sample_output(t, seed=seed)
+                assert z.shape == t.shape and z.dtype == np.int64
+                assert set(z.ravel().tolist()) <= {0, 1, 2}
+
 
 class TestInformationDensity:
     def test_identity_channel_is_one_bit(self):
@@ -136,6 +146,19 @@ class TestInformationDensity:
             information_density(IDENTITY2, UNIFORM2, np.array([0, 1]),
                                 np.array([0]))
 
+    @pytest.mark.parametrize("kernel", [
+        DmcProduct(bsc(0.2)),
+        MixedChannel(((0.3, DmcProduct(bsc(0.1))), (0.7, DmcProduct(bsc(0.4))))),
+    ])
+    def test_batch_matches_single_blocks(self, kernel):
+        rng = np.random.default_rng(9)
+        t = rng.integers(0, 2, size=(5, 12))
+        z = rng.integers(0, 2, size=(5, 12))
+        batch = information_density(kernel, UNIFORM2, t, z)
+        single = [information_density(kernel, UNIFORM2, t[b], z[b]) for b in range(5)]
+        assert batch.shape == (5,)
+        assert np.array_equal(batch, np.array(single))
+
     def test_mean_matches_mutual_information(self):
         # sample mean within 3 standard errors of I(input; W)
         k = DmcProduct(bsc(0.2))
@@ -150,15 +173,21 @@ class TestSpectrum:
         est = spectrum_samples(IDENTITY2, UNIFORM2, 16, 64, seed=0)
         assert np.all(est.values_bits == 1.0)
 
-    def test_seed_determinism_and_thread_invariance(self):
+    def test_seed_determinism_across_batches(self):
+        # at n = 2**14 a batch holds 4 blocks: 6 samples span two batches
         k = DmcProduct(bsc(0.15))
-        a = spectrum_samples(k, UNIFORM2, 32, 80, seed=21, threads=1)
-        b = spectrum_samples(k, UNIFORM2, 32, 80, seed=21, threads=4)
+        a = spectrum_samples(k, UNIFORM2, 2 ** 14, 6, seed=21)
+        b = spectrum_samples(k, UNIFORM2, 2 ** 14, 6, seed=21)
+        assert a.num_samples == 6 and a.n == 2 ** 14
         assert np.array_equal(a.values_bits, b.values_bits)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValidationError):
             spectrum_samples(IDENTITY2, UNIFORM2, 8, 0, seed=0)
+
+    def test_block_length_validation(self):
+        with pytest.raises(ValidationError):
+            spectrum_samples(IDENTITY2, UNIFORM2, 0, 4, seed=0)
 
     def test_input_alphabet_validation(self):
         with pytest.raises(DimensionError):

@@ -536,6 +536,17 @@ def cmd_replay(args) -> None:
     _run(manifest.command, manifest.config, seed=manifest.seed, args=args)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
@@ -544,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for result files and the manifest")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="additionally echo the result document to stdout")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for simulate's Monte Carlo trials; other "
                              "commands ignore it (results never depend on it)")
 
@@ -574,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="brute-force grid reference instead of the fast solver")
     p.add_argument("--grid-step", type=float, default=0.02,
-                   help="simplex grid step for --oracle")
+                   help="simplex grid step for --oracle, 1/m for an integer m")
     p.add_argument("--grid", default=None,
                    help="comma-separated budgets for a CSV curve")
     p.set_defaults(func=cmd_ucr)

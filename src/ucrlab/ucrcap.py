@@ -40,6 +40,10 @@ from .probspace import (
 FEAS_TOL = 1e-9
 ORACLE_GUARD = 10 ** 8
 _COARSE_BUDGET = 60_000
+# _upper_hull thins clouds of at least this many points with a sub-hull
+# through the highest point of each of this many gap bins
+_PREFILTER_MIN = 1024
+_PREFILTER_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,14 @@ class _PointCloud:
             self.add(g, v, m)
 
 
-def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
-    """Indices of the upper concave hull of the cloud, sorted by gap."""
+def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
+    """Indices of the upper concave hull of the cloud, sorted by gap.
+
+    The one exact scan: sort by gap (highest value first within equal gaps),
+    keep the first point of every run of gaps within 1e-15 of the last kept
+    gap, then a monotone-chain pass that also drops collinear middle points.
+    `_upper_hull` returns the same list; this loop is its reference.
+    """
     order = np.lexsort((-values, gaps))
     # one point per distinct gap: the highest
     dedup: list[int] = []
@@ -256,6 +266,63 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
                 break
         hull.append(idx)
     return hull
+
+
+def _run_tops(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of the entries equal to the maximum of their run; runs begin at starts."""
+    sizes = np.diff(np.append(starts, values.size))
+    return values == np.repeat(np.maximum.reduceat(values, starts), sizes)
+
+
+def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
+    """Indices of the upper concave hull of the cloud, sorted by gap.
+
+    Returns exactly `_hull_scan(gaps, values)`. A large finite cloud is
+    thinned in numpy first: after the scan's own sort and gap dedup, the
+    highest point of each gap bin plus both end points give a sub-hull.
+    Every sub-hull vertex is a cloud point, so the sub-hull never lies above
+    the true hull, and a point more than 1e-12 below it is no hull vertex.
+    Only the points left go through the scan.
+    """
+    n = gaps.size
+    if n < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
+        return _hull_scan(gaps, values)
+    order = np.argsort(gaps)
+    gs = gaps[order]
+    vs = values[order]
+    # one point per gap: the scan's lexsort heads a group of equal gaps with
+    # its highest value, and equal values with the lowest index
+    start = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
+    idx = np.minimum.reduceat(np.where(_run_tops(vs, start), order, n), start)
+    # the scan's 1e-15 dedup: a gap more than 1e-15 above its predecessor
+    # heads a run; only a run spanning more than 1e-15 can keep a second
+    # point, and there the sequential rule is replayed
+    g = gaps[idx]
+    keep = np.r_[True, g[1:] > g[:-1] + 1e-15]
+    heads = np.flatnonzero(keep)
+    ends = np.append(heads[1:], g.size) - 1
+    wide = g[ends] > g[heads] + 1e-15
+    for h, e in zip(heads[wide].tolist(), ends[wide].tolist()):
+        last = g[h]
+        for k in range(h + 1, e + 1):
+            if g[k] > last + 1e-15:
+                keep[k] = True
+                last = g[k]
+    idx = idx[keep]
+    if idx.size < 3:  # one or two points are their own hull
+        return idx.tolist()
+    g = gaps[idx]
+    v = values[idx]
+    bins = np.minimum(((g - g[0]) * (_PREFILTER_BINS / (g[-1] - g[0]))).astype(np.int64),
+                      _PREFILTER_BINS - 1)
+    sub = _run_tops(v, np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]]))
+    sub[0] = sub[-1] = True
+    sub = np.flatnonzero(sub)
+    sub = sub[_hull_scan(g[sub], v[sub])]
+    # survivors keep the deduped gap order, so the scan's own sort and dedup
+    # drop none of them
+    live = np.flatnonzero(v >= np.interp(g, g[sub], v[sub]) - 1e-12)
+    return idx[live[_hull_scan(g[live], v[live])]].tolist()
 
 
 def _evaluate_envelope(cloud: _PointCloud, c_bits: float,
@@ -308,11 +375,15 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     grid of the given step, together with all deterministic maps and a batch
     of Dirichlet draws, then takes the upper concave envelope of the whole
     cloud (two-point time-sharing between enumerated achievers) at c_bits.
+    grid_step must be the reciprocal of an integer to within 1e-9.
     """
     x_card, u_card, px = _common_inputs(source, c_bits, u_card)
     if not (0.0 < grid_step <= 0.5):
         raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step}")
     m = int(round(1.0 / grid_step))
+    if abs(1.0 / grid_step - m) > 1e-9:
+        raise ValidationError(
+            f"grid_step must be 1/m for an integer m, got {grid_step} (1/{1.0 / grid_step:.6g})")
     row_pts = _simplex_grid(m, u_card)
     n_rows = row_pts.shape[0]
     total = n_rows ** x_card

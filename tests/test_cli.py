@@ -67,6 +67,12 @@ class TestUcrCommand:
                      "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_GUARD
 
+    def test_oracle_grid_step_off_a_reciprocal_is_rejected(self, tmp_path):
+        code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2",
+                     "--oracle", "--grid-step", "0.03",
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+
 
 class TestSimulateCommand:
     def test_exact_mode_reproduces_the_reference_triple(self, tmp_path):
@@ -140,6 +146,22 @@ class TestLemmasCommand:
         assert doc["telescoping"]["max_gap"] <= 1e-10
         assert any(not e["applicable"] for e in doc["variance"])
         assert doc["set_bounds"]["l_holds"] and doc["set_bounds"]["d_holds"]
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "mixed_half.json", "--n", "8", "--samples", "8"],
+        ["simulate", "protocol_small.json", "--exact"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_non_positive_thread_counts_exit_2(self, tmp_path, capsys, argv, threads):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], str(CONFIGS / argv[1])] + argv[2:]
+                 + ["--threads", threads, "--out-dir", str(out)])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReplay:

@@ -9,8 +9,11 @@ from support import diagonal_source, dsbs, h2, independent_source, random_joint
 from ucrlab.errors import GuardError, ValidationError
 from ucrlab.probspace import as_rng, conditional_entropy_x_given_y, entropy
 from ucrlab.ucrcap import (
+    _PREFILTER_MIN,
     AuxiliaryChannel,
     TimeSharedAux,
+    _hull_scan,
+    _upper_hull,
     ucr_capacity_oracle,
     ucr_capacity_solve,
     ucr_curve,
@@ -30,6 +33,60 @@ def achieved_point(source, achiever) -> tuple[float, float]:
         w = achiever.weight
         return w * v1 + (1 - w) * v2, w * g1 + (1 - w) * g2
     return ucr_objective(source, achiever)
+
+
+def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
+               collinear: bool, single_gap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(gaps, values) above the hull prefilter's size threshold.
+
+    Points scatter below a concave ridge, some within a few ulps of it. The
+    flags add the degeneracies the exact scan has to settle: exact-zero
+    gaps, exact duplicate points, runs of gaps whose neighbours differ by
+    less than 1e-15 (some runs spanning more than 1e-15), points exactly on
+    two straight hull pieces, and a cloud with one distinct gap.
+    """
+    rng = as_rng(seed)
+    n = _PREFILTER_MIN + int(rng.integers(0, 2048))
+    gaps = rng.random(n)
+    if collinear:
+        gaps[: n // 2] = rng.integers(0, 65, n // 2) / 64.0
+    if zeros:
+        gaps[rng.random(n) < 0.3] = 0.0
+    if jitter:
+        k = n // 2
+        heads = rng.choice(gaps, size=32)
+        gaps[:k] = rng.choice(heads, size=k) + rng.random(k) * rng.choice([5e-16, 3e-15])
+    if collinear:
+        ridge = np.minimum(0.2 + 2.0 * gaps, 0.6 + 0.5 * gaps)
+    else:
+        ridge = np.sqrt(gaps)
+    noise = rng.exponential(10.0 ** rng.uniform(-14, -1), size=n)
+    noise[rng.random(n) < 0.3] = 0.0
+    values = ridge - noise
+    if duplicates:
+        src, dst = rng.integers(0, n, size=(2, n // 4))
+        gaps[dst] = gaps[src]
+        values[dst] = values[src]
+    if single_gap:
+        gaps[:] = gaps[0]
+    return gaps, values
+
+
+class TestHull:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150)
+    def test_prefilter_returns_the_exact_scan(self, seed, zeros, duplicates, jitter,
+                                              collinear, single_gap):
+        gaps, values = hull_cloud(seed, zeros, duplicates, jitter, collinear, single_gap)
+        assert gaps.size >= _PREFILTER_MIN
+        assert _upper_hull(gaps, values) == _hull_scan(gaps, values)
+
+    def test_small_and_nonfinite_clouds_take_the_scan(self):
+        gaps, values = hull_cloud(5, True, True, True, False, False)
+        assert _upper_hull(gaps[:100], values[:100]) == _hull_scan(gaps[:100], values[:100])
+        values[7] = np.nan
+        assert _upper_hull(gaps, values) == _hull_scan(gaps, values)
 
 
 class TestObjective:
@@ -70,6 +127,11 @@ class TestObjective:
         assert value <= entropy(src.marginal_x()) + 1e-9
 
 
+@pytest.fixture(scope="module")
+def g1_oracle():
+    return ucr_capacity_oracle(dsbs(0.1), 0.2, u_card=3, grid_step=0.02)
+
+
 class TestOracle:
     def test_identical_source_reaches_full_entropy(self):
         sol = ucr_capacity_oracle(diagonal_source(), 0.0, u_card=2,
@@ -81,11 +143,21 @@ class TestOracle:
         sol = ucr_capacity_oracle(src, 0.3, u_card=2, grid_step=0.05)
         assert sol.value_bits == pytest.approx(0.3, abs=5e-3)
 
-    def test_reference_value_is_frozen(self):
-        sol = ucr_capacity_oracle(dsbs(0.1), 0.2, u_card=3, grid_step=0.02)
+    def test_reference_value_is_frozen(self, g1_oracle):
+        sol = g1_oracle
         assert sol.value_bits == pytest.approx(G1_ORACLE, abs=1e-9)
         assert sol.method == "oracle"
         assert sol.constraint_slack >= -1e-9
+
+    def test_reference_output_is_pinned(self, g1_oracle):
+        # every bit of the reference output, achiever included
+        sol = g1_oracle
+        assert sol.value_bits == 0.5059245194168638
+        assert sol.constraint_slack == 0.0
+        assert isinstance(sol.achiever, TimeSharedAux)
+        assert sol.achiever.first.cond.rows.tolist() == [[0.1, 0.6, 0.3], [0.88, 0.08, 0.04]]
+        assert sol.achiever.second.cond.rows.tolist() == [[0.1, 0.18, 0.72], [0.9, 0.02, 0.08]]
+        assert sol.achiever.weight == 0.8230687289329593
 
     def test_grid_guard(self):
         src = random_joint(as_rng(0), 3, 3)
@@ -97,6 +169,16 @@ class TestOracle:
             ucr_capacity_oracle(dsbs(0.1), -0.1)
         with pytest.raises(ValidationError):
             ucr_capacity_oracle(dsbs(0.1), 0.1, grid_step=0.7)
+
+    @pytest.mark.parametrize("step", [0.03, 0.3, 0.015, 0.0021])
+    def test_grid_step_must_be_a_reciprocal(self, step):
+        with pytest.raises(ValidationError, match="1/m"):
+            ucr_capacity_oracle(dsbs(0.1), 0.1, u_card=1, grid_step=step)
+
+    @pytest.mark.parametrize("step", [0.002, 0.02, 0.05, 0.1, 0.5])
+    def test_reciprocal_grid_steps_are_accepted(self, step):
+        sol = ucr_capacity_oracle(dsbs(0.1), 0.1, u_card=1, grid_step=step)
+        assert sol.value_bits == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSolver:

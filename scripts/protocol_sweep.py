@@ -34,7 +34,6 @@ def main(argv=None) -> int:
     ap.add_argument("--eps-typ", type=float, default=0.15)
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/protocol_sweep.csv")
     args = ap.parse_args(argv)
 
@@ -48,8 +47,7 @@ def main(argv=None) -> int:
                              eps_typ=args.eps_typ, aux=aux, source=source,
                              seed=args.seed)
         t0 = time.perf_counter()
-        mc = run_monte_carlo(cfg, args.trials, threads=args.threads,
-                             keep_outcomes=False)
+        mc = run_monte_carlo(cfg, args.trials, keep_outcomes=False)
         dt = time.perf_counter() - t0
         rate = mc.entropy_k_bits / n
         rows.append((n, mc.p_disagree, rate, mc.log2_k_cardinality,

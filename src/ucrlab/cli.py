@@ -3,7 +3,8 @@
 Subcommands: capacity, ucr, simulate, spectrum, lemmas, replay. Every run
 writes its result files plus a manifest.json holding the fully resolved
 configuration and seed; `replay` re-executes a manifest and reproduces the
-result files byte-for-byte, independent of thread count.
+result files byte-for-byte. --threads is accepted and validated but has no
+effect: every command runs on one thread.
 
 Exit codes: 0 success, 2 validation error, 3 guard/infeasibility,
 4 internal invariant violation.
@@ -100,7 +101,7 @@ def _single_letter_kernel(spec: dict, what: str):
 # replay calls these directly with a stored config.
 
 
-def _exec_capacity(config: dict, out_dir: Path, threads: int, fmt: str | None) -> dict:
+def _exec_capacity(config: dict, out_dir: Path, fmt: str | None) -> dict:
     kernel = _single_letter_kernel(config["channel"], "capacity")
     res = dmc_capacity(kernel, tol=float(config["tol"]))
     payload = {
@@ -121,7 +122,7 @@ def _exec_capacity(config: dict, out_dir: Path, threads: int, fmt: str | None) -
     return {"capacity": "capacity.json"}
 
 
-def _exec_ucr(config: dict, out_dir: Path, threads: int, fmt: str | None) -> dict:
+def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
     source = source_from_dict(config["source"])
     seed = int(config["seed"])
     u_card = config.get("u_card")
@@ -204,7 +205,7 @@ def _report_to_dict(report) -> dict:
     return out
 
 
-def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -> dict:
+def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
     desc = config["descriptor"]
     source = source_from_dict(desc["source"])
     aux = aux_from_dict(desc["aux"], source.nx)
@@ -231,6 +232,9 @@ def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -
         "seed": cfg.seed,
     }
     outputs = {"summary": "simulate.json"}
+    # why the key came out as it did: its rate against the target, and for
+    # Monte Carlo how often the encoder fell back to the reserved word
+    diagnostics: dict = {}
 
     if config.get("exact"):
         res = exact_analyze(cfg)
@@ -246,7 +250,7 @@ def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -
               f"H(K|Y^n) = {res.entropy_k_given_y_bits:.6f} bits")
     else:
         trials = int(config["trials"])
-        res = run_monte_carlo(cfg, trials, threads=threads)
+        res = run_monte_carlo(cfg, trials)
         summary["mode"] = "monte_carlo"
         summary["engine"] = res.engine
         summary["trials"] = trials
@@ -256,6 +260,8 @@ def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -
         summary["entropy_k_plugin_bits"] = float(res.entropy_k_plugin_bits)
         summary["distinct_k"] = int(res.distinct_k)
         summary["uniformity_gap_bits"] = float(res.uniformity_gap_bits)
+        diagnostics["encoder_fallback_fraction"] = (
+            res.event_counts["encoder_fallback"] / trials)
         write_csv(out_dir / "trials.csv",
                   ["trial", "i_sent", "i_received", "k_is_fallback", "agreed"],
                   [(o.trial, o.index_sent, o.index_received,
@@ -267,6 +273,9 @@ def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -
         if fmt == "csv":
             print((out_dir / "trials.csv").read_text(encoding="utf-8"), end="")
 
+    diagnostics["rate_bits"] = float(res.entropy_k_bits / cfg.n)
+    diagnostics["target_rate_bits"] = float(cfg.i_ux)
+    summary["diagnostics"] = diagnostics
     report = check_achievability_conditions(res, params)
     summary["conditions"] = _report_to_dict(report)
 
@@ -293,7 +302,7 @@ def _exec_simulate(config: dict, out_dir: Path, threads: int, fmt: str | None) -
     return outputs
 
 
-def _exec_spectrum(config: dict, out_dir: Path, threads: int, fmt: str | None) -> dict:
+def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
     kernel = channel_from_dict(config["channel"])
     if not isinstance(kernel, MixedChannel):
         kernel = DmcProduct(kernel)
@@ -352,7 +361,7 @@ def _exec_spectrum(config: dict, out_dir: Path, threads: int, fmt: str | None) -
     return {"samples": "spectrum.csv", "summary": "spectrum.json"}
 
 
-def _exec_lemmas(config: dict, out_dir: Path, threads: int, fmt: str | None) -> dict:
+def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
     seed = int(config["seed"])
     interval_target = int(config["interval_draws"])
     telescope_target = int(config["telescoping_instances"])
@@ -459,7 +468,7 @@ def _run(command: str, config: dict, seed: int, args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    outputs = _EXECUTORS[command](config, out_dir, args.threads, args.format)
+    outputs = _EXECUTORS[command](config, out_dir, args.format)
     manifest = RunManifest(
         command=command,
         config=config,
@@ -556,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="additionally echo the result document to stdout")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for simulate's Monte Carlo trials; other "
-                             "commands ignore it (results never depend on it)")
+                        help="kept for compatibility; no effect, every command runs "
+                             "on one thread")
 
     parser = argparse.ArgumentParser(
         prog="ucrlab",

@@ -24,9 +24,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -227,31 +226,110 @@ class Codebook:
     def n(self) -> int:
         return self.words.shape[2]
 
+    @property
+    def u_card(self) -> int:
+        return self.pair_ux.shape[0] - 1
+
+    @property
+    def scans(self) -> bool:
+        """Whether the encoder scans the codebook rather than looking its word up."""
+        return self.det_map is None or self.first_index is None
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Indicator blocks of the whole codebook, built on first use."""
+        return _indicator_blocks(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
+
+    def row_blocks(self, i: int) -> np.ndarray:
+        """Indicator blocks of row i (1-based).
+
+        A codebook the encoder scans slices its full blocks; one whose
+        encoder looks words up never builds them, since the decoder
+        reads a single row per trial.
+        """
+        if self.scans:
+            return self.blocks[:, :, (i - 1) * self.n2:i * self.n2]
+        return _indicator_blocks(self.words[i - 1], self.u_card)
+
     def word(self, i: int, j: int) -> np.ndarray:
         return self.words[i - 1, j - 1]
 
 
-def _pair_counts(words_2d: np.ndarray, seq: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """Per-word joint symbol counts of (word, seq): shape (W, n_a * n_b)."""
-    cells = words_2d.astype(np.int64) * n_b + seq[None, :]
-    out = np.empty((words_2d.shape[0], n_a * n_b), dtype=np.int64)
-    for c in range(n_a * n_b):
-        out[:, c] = (cells == c).sum(axis=1)
+_F32_EXACT = 2 ** 24            # float32 holds every integer count below this
+_SCAN_CELLS = 2 ** 18           # word x sequence cells per kernel step
+
+
+def _indicator_blocks(words_2d: np.ndarray, u_card: int) -> np.ndarray:
+    """0/1 float32 blocks (u_card - 1, n, W): block a marks symbol a in each word.
+
+    The last real symbol needs no block, since its counts are the
+    complement of the others; the reserved symbol never occurs in a
+    codebook word, so it needs none either.
+    """
+    symbols = np.arange(u_card - 1, dtype=words_2d.dtype)[:, None, None]
+    return (words_2d.T[None, :, :] == symbols).astype(np.float32, order="C")
+
+
+@lru_cache(maxsize=64)
+def _cached_pass_table(ref_bytes: bytes, shape: tuple, eps: float, n: int) -> np.ndarray:
+    p = np.frombuffer(ref_bytes, dtype=np.float64).reshape(shape)[:, :, None]
+    c = np.arange(n + 1)
+    table = np.abs(c - n * p) <= eps * n * p
+    if not table[-1, :, 0].all():
+        raise InternalInvariantError("reserved symbol has positive reference mass")
+    table = table[:-1].ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _pass_table(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """Flat bool table: entry (a * n_b + b) * (n + 1) + c says whether count
+    c of cell (a, b) is robustly typical, for every real symbol a.
+
+    Built from the typicality test itself, |c - n p| <= eps n p, so a
+    lookup decides every count exactly as the test does. The last row of
+    ref is the reserved symbol, of zero mass: it passes at count 0 only.
+    """
+    ref = np.ascontiguousarray(ref, dtype=np.float64)
+    return _cached_pass_table(ref.tobytes(), ref.shape, float(eps), int(n))
+
+
+def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
+                  eps: float) -> np.ndarray:
+    """Robust joint typicality of every word against every sequence: bool (S, W).
+
+    blocks holds the words' _indicator_blocks; seqs is (S, n) over the
+    columns of ref. The joint counts #(u=a, x=b) are one matmul of 0/1
+    float32 indicators, exact for n < 2**24; the last real symbol's
+    count is #(x=b) minus the others, and the reserved symbol's is 0,
+    which passes, since no codebook word holds it.
+    """
+    n_s, n = seqs.shape
+    if n >= _F32_EXACT:
+        raise GuardError(f"block length {n} is too long to count joint types exactly")
+    n_a, n_w = blocks.shape[0], blocks.shape[2]
+    n_b = ref.shape[1]
+    table = _pass_table(ref, eps, n)
+    offsets = (np.arange((n_a + 1) * n_b) * (n + 1)).reshape(n_a + 1, n_b, 1, 1)
+    out = np.empty((n_s, n_w), dtype=bool)
+    step = max(1, _SCAN_CELLS // max(n_w, 1))
+    for lo in range(0, n_s, step):
+        part = seqs[lo:lo + step]
+        s = part.shape[0]
+        ind = (part[None, :, :] == np.arange(n_b)[:, None, None]).astype(np.float32)
+        counts = np.matmul(ind.reshape(n_b * s, n), blocks).reshape(n_a, n_b, s, n_w)
+        idx = np.empty((n_a + 1, n_b, s, n_w), dtype=np.intp)
+        idx[:n_a] = counts
+        idx[n_a] = ind.sum(axis=2)[:, :, None] - counts.sum(axis=0)
+        idx += offsets
+        out[lo:lo + s] = table[idx].all(axis=(0, 1))
     return out
-
-
-def _batch_pair_typical(words_2d: np.ndarray, seq: np.ndarray, ref: np.ndarray,
-                        eps: float) -> np.ndarray:
-    """Robust joint typicality of each word against one sequence."""
-    n = seq.shape[0]
-    p = ref.ravel()
-    counts = _pair_counts(words_2d, seq, ref.shape[0], ref.shape[1])
-    return np.all(np.abs(counts - n * p[None, :]) <= eps * n * p[None, :], axis=1)
 
 
 def _pair_typical_single(u_seq: np.ndarray, seq: np.ndarray, ref: np.ndarray,
                          eps: float) -> bool:
-    return bool(_batch_pair_typical(u_seq[None, :], seq, ref, eps)[0])
+    blocks = _indicator_blocks(u_seq[None, :], ref.shape[0] - 1)
+    return bool(_typical_mask(blocks, seq[None, :], ref, eps)[0, 0])
 
 
 def build_codebook(cfg: ProtocolConfig) -> Codebook:
@@ -290,7 +368,7 @@ def _encode_detail(cb: Codebook, x: np.ndarray, eps: float):
     """Returns (word_value, (i, j) or FALLBACK, i_star)."""
     if x.shape[0] != cb.n:
         raise ValidationError(f"sequence length {x.shape[0]} != block length {cb.n}")
-    if cb.det_map is not None and cb.first_index is not None:
+    if not cb.scans:
         u_seq = cb.det_map[x]
         if _pair_typical_single(u_seq, x, cb.pair_ux, eps):
             hit = cb.first_index.get(u_seq.tobytes())
@@ -298,9 +376,10 @@ def _encode_detail(cb: Codebook, x: np.ndarray, eps: float):
                 return u_seq, hit, hit[0]
         return cb.fallback, FALLBACK, cb.n1 + 1
     flat = cb.words.reshape(cb.n1 * cb.n2, cb.n)
+    blocks = cb.blocks
     chunk = 65536
     for start in range(0, flat.shape[0], chunk):
-        mask = _batch_pair_typical(flat[start:start + chunk], x, cb.pair_ux, eps)
+        mask = _typical_mask(blocks[:, :, start:start + chunk], x[None, :], cb.pair_ux, eps)[0]
         if mask.any():
             w = start + int(np.argmax(mask))
             i, j = w // cb.n2 + 1, w % cb.n2 + 1
@@ -354,7 +433,7 @@ def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
     if i_tilde == cb.n1 + 1:
         return cb.fallback, FALLBACK, 0
     row = cb.words[i_tilde - 1]
-    mask = _batch_pair_typical(row, y, cb.pair_uy, eps)
+    mask = _typical_mask(cb.row_blocks(i_tilde), y[None, :], cb.pair_uy, eps)[0]
     hits = np.flatnonzero(mask)
     if hits.size == 0:
         return cb.fallback, FALLBACK, 0
@@ -592,33 +671,24 @@ class _StatisticalEngine:
         return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
 
 
-def run_monte_carlo(cfg: ProtocolConfig, trials: int, threads: int = 1,
+def run_monte_carlo(cfg: ProtocolConfig, trials: int,
                     keep_outcomes: bool = True) -> MonteCarloResult:
     """Fixed-codebook Monte Carlo over fresh source blocks.
 
     The codebook is drawn once per run from the seed's codebook child;
-    each trial owns a seed child indexed by trial number, so results are
-    identical for any thread count.
+    each trial owns a seed child indexed by trial number, so a seed
+    names one result. Trials run in order on the calling thread.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     if cfg.codebook_symbols <= MEMORY_GUARD:
         cb = build_codebook(cfg)
         engine = "materialized"
-        runner = lambda t: _materialized_trial(cb, cfg, t)
+        raw = [_materialized_trial(cb, cfg, t) for t in range(trials)]
     else:
         stat = _StatisticalEngine(cfg)
         engine = "statistical"
-        runner = stat.trial
-
-    if threads == 1:
-        raw = [runner(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(runner, range(trials)))
-        raw.sort(key=lambda r: r[0])
+        raw = [stat.trial(t) for t in range(trials)]
 
     events = {name: 0 for name in _EVENT_NAMES}
     counter: dict[bytes, int] = {}
@@ -710,13 +780,13 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     if pairs > EXACT_PAIR_GUARD:
         raise GuardError(
             f"exact analysis would enumerate {pairs:.3e} sequence pairs; lower n")
-    cb = build_codebook(cfg)
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     n_words = n1 * n2
     n_x = 2 ** n
     if n_words * n_x > EXACT_SCAN_GUARD:
         raise GuardError(
             f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; lower n")
+    cb = build_codebook(cfg)
     if cb.first_index is None:
         raise InternalInvariantError("exact-path codebook lost its value index")
 
@@ -735,37 +805,21 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     u0_cls = len(class_of)
     n_cls = u0_cls + 1
 
-    eps = cfg.eps_typ
-
-    def typical_matrix(ref: np.ndarray) -> np.ndarray:
-        """bool (n_words, n_x): word w jointly typical with sequence s."""
-        u_card = ref.shape[0] - 1
-        out = np.ones((n_words, n_x), dtype=bool)
-        for a in range(u_card):
-            for b in range(2):
-                cnt = ((flat == a)[:, None, :] & (xs == b)[None, :, :]).sum(axis=2)
-                out &= np.abs(cnt - n * ref[a, b]) <= eps * n * ref[a, b]
-        return out
-
-    t_ux = typical_matrix(cb.pair_ux)
-    any_hit = t_ux.any(axis=0)
-    first_w = np.where(any_hit, np.argmax(t_ux, axis=0), -1)
+    # bool (n_x, n_words): word w jointly typical with sequence s
+    t_ux = _typical_mask(cb.blocks, xs, cb.pair_ux, cfg.eps_typ)
+    any_hit = t_ux.any(axis=1)
+    first_w = np.where(any_hit, np.argmax(t_ux, axis=1), -1)
     k_cls = np.where(any_hit, word_cls[np.clip(first_w, 0, None)], u0_cls)
     i_star = np.where(any_hit, first_w // n2 + 1, n1 + 1)
 
-    t_uy = typical_matrix(cb.pair_uy)
-    # decoded class per (row, y): unique typical distinct value or fallback
+    # decoded class per (row, y): the class shared by every typical word of
+    # the row, or the fallback when none is typical or two classes are
+    t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)
+    row_cls = word_cls.reshape(1, n1, n2)
+    lead = np.take_along_axis(row_cls, np.argmax(t_uy, axis=2)[:, :, None], axis=2)
+    lone = t_uy.any(axis=2) & ~(t_uy & (row_cls != lead)).any(axis=2)
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)
-    onehot = np.zeros((n2, n_cls))
-    for r in range(n1):
-        rows_cls = word_cls[r * n2:(r + 1) * n2]
-        onehot[:] = 0.0
-        onehot[np.arange(n2), rows_cls] = 1.0
-        sums = t_uy[r * n2:(r + 1) * n2].T @ onehot  # (n_x, n_cls)
-        present = sums > 0.0
-        n_distinct = present.sum(axis=1)
-        lone = n_distinct == 1
-        l_tab[r, lone] = np.argmax(present[lone], axis=1)
+    l_tab[:n1] = np.where(lone, lead[:, :, 0], u0_cls).T
 
     p_joint = _kron_power(cfg.source.probs, n)  # (n_x, n_x), x rows
     p_x = p_joint.sum(axis=1)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ucrlab import protocol
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
 from ucrlab.serialize import load_json
 
@@ -98,6 +99,34 @@ class TestSimulateCommand:
         table = (out / "trials.csv").read_bytes()
         assert table.startswith(b"trial,i_sent,i_received,k_is_fallback,agreed\r\n")
         assert len(table.strip().splitlines()) == 201
+
+    def test_diagnostics_put_the_key_rate_against_its_target(self, tmp_path):
+        for args, keys in ((["--exact"], {"rate_bits", "target_rate_bits"}),
+                           (["--trials", "200"], {"rate_bits", "target_rate_bits",
+                                                  "encoder_fallback_fraction"})):
+            out = tmp_path / args[0]
+            assert main(["simulate", str(CONFIGS / "protocol_small.json"), *args,
+                         "--out-dir", str(out)]) == EXIT_OK
+            doc = read_json(out / "simulate.json")
+            diag = doc["diagnostics"]
+            assert set(diag) == keys
+            assert diag["rate_bits"] == doc["entropy_k_bits"] / doc["n"]
+            assert diag["target_rate_bits"] == pytest.approx(1.0, abs=1e-12)
+        assert diag["encoder_fallback_fraction"] == (
+            doc["event_counts"]["encoder_fallback"] / 200)
+
+    def test_exact_scan_guard_exits_3_without_drawing_a_codebook(
+            self, tmp_path, monkeypatch, capsys):
+        def no_codebook(cfg):
+            raise AssertionError("build_codebook called")
+        monkeypatch.setattr(protocol, "build_codebook", no_codebook)
+        desc = read_json(CONFIGS / "protocol_small.json")
+        desc.update(n=10, mu=0.5)
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(desc), encoding="utf-8")
+        code = main(["simulate", str(path), "--exact", "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_GUARD
+        assert "word/sequence cells" in capsys.readouterr().err
 
     def test_missing_descriptor_file(self, tmp_path):
         code = main(["simulate", str(tmp_path / "nope.json"), "--exact",

@@ -1,12 +1,23 @@
 """Typed codebooks, encoder/decoder, Monte Carlo runs, and the exact analyzer."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from support import diagonal_source, dsbs, h2
+from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
-from ucrlab.probspace import Pmf, TypicalityParams, as_rng, subseed, type_counts
+from ucrlab.probspace import JointPmf, Pmf, as_rng, sample_iid, subseed, type_counts
 from ucrlab.protocol import (
+    _decode_detail,
+    _encode_detail,
+    _indicator_blocks,
+    _pair_typical_single,
+    _typical_mask,
     AchievabilityParams,
     ProtocolConfig,
     build_codebook,
@@ -25,6 +36,7 @@ from ucrlab.ucrcap import AuxiliaryChannel
 IDENTITY_AUX = AuxiliaryChannel.identity(2)
 TERNARY_AUX = AuxiliaryChannel.from_matrix(
     np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+BSC_AUX = AuxiliaryChannel.from_matrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
 
 
 def small_exact_config(seed: int = 0) -> ProtocolConfig:
@@ -36,6 +48,89 @@ def small_exact_config(seed: int = 0) -> ProtocolConfig:
 def ternary_config(seed: int = 2) -> ProtocolConfig:
     return ProtocolConfig(n=8, mu=0.3, theta=0.0, eps_typ=0.6,
                           aux=TERNARY_AUX, source=dsbs(0.1), seed=seed,
+                          allow_degenerate_rate=True)
+
+
+# Reference typicality: the per-cell count loop and the nested broadcast
+# the type-count kernel replaced, kept verbatim as the tests' arbiter.
+
+def ref_pair_counts(words_2d, seq, n_a, n_b):
+    cells = words_2d.astype(np.int64) * n_b + seq[None, :]
+    out = np.empty((words_2d.shape[0], n_a * n_b), dtype=np.int64)
+    for c in range(n_a * n_b):
+        out[:, c] = (cells == c).sum(axis=1)
+    return out
+
+
+def ref_batch_pair_typical(words_2d, seq, ref, eps):
+    n = seq.shape[0]
+    p = ref.ravel()
+    counts = ref_pair_counts(words_2d, seq, ref.shape[0], ref.shape[1])
+    return np.all(np.abs(counts - n * p[None, :]) <= eps * n * p[None, :], axis=1)
+
+
+def ref_encode(cb, x, eps):
+    if cb.det_map is not None and cb.first_index is not None:
+        u_seq = cb.det_map[x]
+        if ref_batch_pair_typical(u_seq[None, :], x, cb.pair_ux, eps)[0]:
+            hit = cb.first_index.get(u_seq.tobytes())
+            if hit is not None:
+                return u_seq, hit, hit[0]
+        return cb.fallback, None, cb.n1 + 1
+    flat = cb.words.reshape(cb.n1 * cb.n2, cb.n)
+    mask = ref_batch_pair_typical(flat, x, cb.pair_ux, eps)
+    if mask.any():
+        w = int(np.argmax(mask))
+        return flat[w], (w // cb.n2 + 1, w % cb.n2 + 1), w // cb.n2 + 1
+    return cb.fallback, None, cb.n1 + 1
+
+
+def ref_decode(cb, y, i_tilde, eps):
+    if i_tilde == cb.n1 + 1:
+        return cb.fallback, None, 0
+    row = cb.words[i_tilde - 1]
+    hits = np.flatnonzero(ref_batch_pair_typical(row, y, cb.pair_uy, eps))
+    if hits.size == 0:
+        return cb.fallback, None, 0
+    values = np.unique(row[hits], axis=0)
+    if values.shape[0] != 1:
+        return cb.fallback, None, int(values.shape[0])
+    return row[hits[0]], (i_tilde, int(hits[0]) + 1), 1
+
+
+def ref_typical_matrix(flat, xs, ref, eps, n):
+    u_card = ref.shape[0] - 1
+    out = np.ones((flat.shape[0], xs.shape[0]), dtype=bool)
+    for a in range(u_card):
+        for b in range(2):
+            cnt = ((flat == a)[:, None, :] & (xs == b)[None, :, :]).sum(axis=2)
+            out &= np.abs(cnt - n * ref[a, b]) <= eps * n * ref[a, b]
+    return out
+
+
+def same_detail(got, want) -> bool:
+    return (np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            and got[1:] == want[1:])
+
+
+# sixteenths times eps in eighths put n p (1 +- eps) on integers for many n
+DYADIC = st.integers(0, 16).map(lambda k: k / 16.0)
+EPS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75]),
+                st.floats(0.01, 0.99, allow_nan=False))
+
+
+def random_config(rng, kind: int, n: int, mu: float, eps: float) -> ProtocolConfig:
+    if kind == 0:
+        aux = IDENTITY_AUX
+    elif kind == 1:
+        a = float(rng.uniform(0.02, 0.3))
+        aux = AuxiliaryChannel.from_matrix(np.array([[1 - a, a], [a, 1 - a]]))
+    else:
+        aux = AuxiliaryChannel.from_matrix(rng.dirichlet(np.ones(3), size=2))
+    source = (dsbs(float(rng.choice([0.1, 0.25]))) if rng.random() < 0.5
+              else JointPmf(rng.dirichlet(np.full(4, 2.0)).reshape(2, 2)))
+    return ProtocolConfig(n=n, mu=mu, theta=0.0, eps_typ=eps, aux=aux, source=source,
+                          seed=int(rng.integers(0, 2 ** 31)),
                           allow_degenerate_rate=True)
 
 
@@ -133,6 +228,117 @@ class TestEncodeDecode:
             decode_psi(cb, np.zeros(8, dtype=np.int64), cb.n1 + 2)
 
 
+class TestTypeCountKernel:
+    """The matmul type-count kernel decides exactly as the reference loops."""
+
+    @settings(max_examples=200)
+    @given(u_card=st.integers(1, 3), n_b=st.integers(2, 3), n=st.integers(1, 24),
+           n_words=st.integers(1, 30), n_seqs=st.integers(1, 5),
+           cells=st.lists(DYADIC, min_size=9, max_size=9), eps=EPS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(u_card=2, n_b=2, n=8, n_words=30, n_seqs=5, cells=[0.25] * 9, eps=0.5,
+             seed=0)
+    def test_masks_match_the_reference(self, u_card, n_b, n, n_words, n_seqs, cells,
+                                       eps, seed):
+        rng = np.random.default_rng(seed)
+        ref = np.zeros((u_card + 1, n_b))          # last row: the reserved symbol
+        ref[:u_card] = np.array(cells[:u_card * n_b]).reshape(u_card, n_b)
+        words = rng.integers(0, u_card, size=(n_words, n)).astype(np.int8)
+        seqs = rng.integers(0, n_b, size=(n_seqs, n))
+        got = _typical_mask(_indicator_blocks(words, u_card), seqs, ref, eps)
+        want = np.stack([ref_batch_pair_typical(words, s, ref, eps) for s in seqs])
+        assert np.array_equal(got, want)
+        for w in words[:3]:
+            for s in seqs:
+                assert _pair_typical_single(w, s, ref, eps) == bool(
+                    ref_batch_pair_typical(w[None, :], s, ref, eps)[0])
+
+    def test_counts_on_the_tolerance_edge_are_typical(self):
+        # n p = 2 and eps n p = 1: counts 1 and 3 sit exactly on the edge
+        ref = np.vstack([np.full((2, 2), 0.25), np.zeros((1, 2))])
+        words = np.array(list(itertools.product(range(2), repeat=8)), dtype=np.int8)
+        seq = np.array([0, 1] * 4)
+        counts = ref_pair_counts(words, seq, 3, 2)
+        assert (counts[:, :4] == 1).any() and (counts[:, :4] == 3).any()
+        want = ref_batch_pair_typical(words, seq, ref, 0.5)
+        got = _typical_mask(_indicator_blocks(words, 2), seq[None, :], ref, 0.5)[0]
+        assert np.array_equal(got, want) and want.any() and not want.all()
+
+    @settings(max_examples=60)
+    @given(kind=st.integers(0, 2), n=st.integers(4, 12), mu=st.floats(0.05, 0.5),
+           eps=EPS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_encoder_and_decoder_match_the_reference(self, kind, n, mu, eps, seed):
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng, kind, n, mu, eps)
+        if cfg.codebook_symbols > 2 * 10 ** 5:
+            return
+        cb = build_codebook(cfg)
+        for t in range(6):
+            x, y = sample_iid(cfg.source, n, as_rng(subseed(seed, t)))
+            enc = _encode_detail(cb, x, eps)
+            assert same_detail(enc, ref_encode(cb, x, eps))
+            for i in {1, enc[2], int(rng.integers(1, cb.n1 + 1)), cb.n1 + 1}:
+                assert same_detail(_decode_detail(cb, y, i, eps), ref_decode(cb, y, i, eps))
+
+    @pytest.mark.parametrize("cfg, outcomes", [
+        (ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
+                        source=dsbs(0.1), seed=3), {0, 1, 2}),
+        (ProtocolConfig(n=16, mu=0.05, theta=0.0, eps_typ=0.5, aux=BSC_AUX,
+                        source=dsbs(0.05), seed=3, allow_degenerate_rate=True), {0, 1, 2}),
+        (ternary_config(), {0, 1}),
+    ], ids=["identity", "bsc", "ternary"])
+    def test_protocol_trials_match_the_reference(self, cfg, outcomes):
+        cb = build_codebook(cfg)
+        eps = cfg.eps_typ
+        seen_hit, seen_distinct = set(), set()
+        for t in range(300):
+            x, y = sample_iid(cfg.source, cfg.n, as_rng(subseed(7, t)))
+            enc = _encode_detail(cb, x, eps)
+            assert same_detail(enc, ref_encode(cb, x, eps))
+            seen_hit.add(enc[1] is not None)
+            for i in (enc[2], t % cb.n1 + 1):
+                dec = _decode_detail(cb, y, i, eps)
+                assert same_detail(dec, ref_decode(cb, y, i, eps))
+                seen_distinct.add(min(dec[2], 2))
+        assert seen_hit == {True, False}
+        assert seen_distinct == outcomes
+
+    @settings(max_examples=30)
+    @given(kind=st.integers(0, 2), n=st.integers(4, 9), mu=st.floats(0.05, 0.5),
+           eps=EPS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_typical_matrices_match_the_reference(self, kind, n, mu, eps, seed):
+        cfg = random_config(np.random.default_rng(seed), kind, n, mu, eps)
+        if cfg.n1 * cfg.n2 > 4000:
+            return
+        cb = build_codebook(cfg)
+        flat = cb.words.reshape(-1, n)
+        xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
+        for ref in (cb.pair_ux, cb.pair_uy):
+            got = _typical_mask(cb.blocks, xs, ref, eps).T
+            assert np.array_equal(got, ref_typical_matrix(flat, xs, ref, eps, n))
+
+    def test_deterministic_codebooks_never_build_full_blocks(self):
+        cfg = ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2,
+                             aux=IDENTITY_AUX, source=diagonal_source(),
+                             seed=13, allow_degenerate_rate=True)
+        cb = build_codebook(cfg)
+        assert not cb.scans
+        run = protocol._materialized_trial
+        for t in range(200):
+            run(cb, cfg, t)
+        assert "blocks" not in vars(cb)
+        scanning = build_codebook(ternary_config())
+        assert scanning.scans and "blocks" not in vars(scanning)
+        encode_phi(scanning, np.zeros(8, dtype=np.int64))
+        assert vars(scanning)["blocks"].shape == (2, 8, scanning.n1 * scanning.n2)
+
+    def test_block_length_past_float32_counts_is_refused(self):
+        seqs = np.zeros((1, 2 ** 24), dtype=np.int8)
+        blocks = np.zeros((1, 2 ** 24, 0), dtype=np.float32)
+        with pytest.raises(GuardError):
+            _typical_mask(blocks, seqs, np.zeros((3, 2)), 0.1)
+
+
 class TestGenieChannel:
     def test_noiseless_theta_is_identity(self):
         assert transmit_index(4, 10, 0.0, seed=0) == 4
@@ -189,6 +395,31 @@ class TestExactAnalyzer:
         with pytest.raises(GuardError):
             exact_analyze(cfg)
 
+    @pytest.mark.parametrize("aux, p, n, eps, values", [
+        (IDENTITY_AUX, 0.2, 8, 0.6, (0.23752863911599964, 2.487229437503953,
+                                     1.881576508731218, 0.5266140101545941)),
+        (BSC_AUX, 0.1, 9, 0.8, (0.0041992187499995115, 0.0, 0.0, 0.05808566793597205)),
+    ], ids=["identity", "bsc"])
+    def test_rows_with_ambiguous_decodes_reference_run(self, aux, p, n, eps, values):
+        # n2 > 1, so some rows hold two typical words of different values
+        cfg = ProtocolConfig(n=n, mu=0.05, theta=0.05, eps_typ=eps, aux=aux,
+                             source=dsbs(p), seed=4, allow_degenerate_rate=True)
+        res = exact_analyze(cfg, include_joint=False)
+        assert cfg.n2 > 1
+        got = (res.p_disagree, res.entropy_k_bits, res.entropy_k_given_y_bits,
+               res.entropy_l_bits)
+        assert got == pytest.approx(values, abs=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_scan_guard_fires_before_the_codebook_is_drawn(self, monkeypatch, mu):
+        def no_codebook(cfg):
+            raise AssertionError("build_codebook called")
+        monkeypatch.setattr(protocol, "build_codebook", no_codebook)
+        cfg = ProtocolConfig(n=10, mu=mu, theta=0.0, eps_typ=0.15, aux=IDENTITY_AUX,
+                             source=dsbs(0.1), seed=0, allow_degenerate_rate=True)
+        with pytest.raises(GuardError, match="word/sequence cells"):
+            exact_analyze(cfg)
+
     def test_joint_law_is_a_distribution(self):
         res = exact_analyze(small_exact_config())
         assert res.joint_ky.sum() == pytest.approx(1.0, abs=1e-9)
@@ -204,14 +435,15 @@ class TestMonteCarlo:
         assert abs(mc.p_disagree - exact.p_disagree) <= 3.0 * se
         assert mc.engine == "materialized"
 
-    def test_thread_count_never_changes_the_result(self):
+    def test_same_seed_gives_the_same_run(self):
         cfg = ternary_config()
-        a = run_monte_carlo(cfg, 500, threads=1)
-        b = run_monte_carlo(cfg, 500, threads=4)
+        a = run_monte_carlo(cfg, 500)
+        b = run_monte_carlo(cfg, 500)
+        assert a == b
         assert a.p_disagree == b.p_disagree
         assert a.event_counts == b.event_counts
         assert a.entropy_k_bits == b.entropy_k_bits
-        assert a.outcomes == b.outcomes
+        assert a.outcomes == b.outcomes and len(a.outcomes) == 500
 
     def test_identical_source_with_noisy_index_reference_run(self):
         cfg = ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2,
@@ -244,13 +476,37 @@ class TestMonteCarlo:
         assert mc.event_counts["decoder_miss"] == 31
         assert mc.log2_k_cardinality == pytest.approx(1100.0, abs=1e-9)
 
-    def test_statistical_engine_thread_invariance(self):
+    def test_statistical_engine_same_seed_gives_the_same_run(self):
         cfg = ProtocolConfig(n=1000, mu=0.1, theta=0.01, eps_typ=0.15,
                              aux=IDENTITY_AUX, source=dsbs(0.05), seed=11)
-        a = run_monte_carlo(cfg, 400, threads=1, keep_outcomes=False)
-        b = run_monte_carlo(cfg, 400, threads=4, keep_outcomes=False)
+        a = run_monte_carlo(cfg, 400)
+        b = run_monte_carlo(cfg, 400)
+        assert a.engine == b.engine == "statistical"
         assert a.p_disagree == b.p_disagree
         assert a.event_counts == b.event_counts
+        assert a.entropy_k_bits == b.entropy_k_bits
+        assert a.outcomes == b.outcomes and len(a.outcomes) == 400
+
+    @pytest.mark.parametrize("p, n, mu, theta, eps", [
+        (0.05, 16, 0.1, 0.05, 0.15),
+        (0.1, 16, 0.05, 0.05, 0.5),
+        (0.1, 14, 0.05, 0.1, 0.8),
+    ])
+    def test_statistical_engine_agrees_with_the_materialized_one(
+            self, monkeypatch, p, n, mu, theta, eps):
+        trials = 4000
+        cfg = ProtocolConfig(n=n, mu=mu, theta=theta, eps_typ=eps,
+                             aux=IDENTITY_AUX, source=dsbs(p), seed=3)
+        full = run_monte_carlo(cfg, trials, keep_outcomes=False)
+        monkeypatch.setattr(protocol, "MEMORY_GUARD", 0)
+        stat = run_monte_carlo(cfg, trials, keep_outcomes=False)
+        assert (full.engine, stat.engine) == ("materialized", "statistical")
+        rates = [(full.p_disagree * trials, stat.p_disagree * trials)]
+        rates += [(full.event_counts[k], stat.event_counts[k]) for k in full.event_counts]
+        for a, b in rates:
+            pooled = (a + b) / (2 * trials)
+            se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials)
+            assert abs(a - b) / trials <= 3.0 * se + 1e-12
 
     def test_very_noisy_encoder_statistics_reference_run(self):
         cfg = ProtocolConfig(n=400, mu=0.05, theta=0.0, eps_typ=0.2,

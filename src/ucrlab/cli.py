@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 guard/infeasibility,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -56,13 +55,14 @@ from .serialize import (
     RunManifest,
     aux_from_dict,
     channel_from_dict,
+    json_text,
     load_json,
     pmf_from_dict,
     source_from_dict,
     write_csv,
     write_json,
 )
-from .ucrcap import TimeSharedAux, ucr_capacity_oracle, ucr_capacity_solve, ucr_curve
+from .ucrcap import TimeSharedAux, ucr_capacity_oracle, ucr_curve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -118,7 +118,7 @@ def _exec_capacity(config: dict, out_dir: Path, fmt: str | None) -> dict:
           f"{res.iterations} iterations)")
     print("optimal input: " + ", ".join(f"{v:.6f}" for v in res.input_pmf.probs))
     if fmt == "json":
-        print(_json_text(payload), end="")
+        print(json_text(payload), end="")
     return {"capacity": "capacity.json"}
 
 
@@ -135,11 +135,15 @@ def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
     else:
         c_bits = float(config["c_bits"])
 
+    # the budget and the curve's budgets off one search
+    grid = [float(g) for g in config.get("grid") or []]
     if config.get("oracle"):
-        sol = ucr_capacity_oracle(source, c_bits, u_card,
-                                  grid_step=float(config["grid_step"]), seed=seed)
+        points = [(c, ucr_capacity_oracle(source, c, u_card,
+                                          grid_step=float(config["grid_step"]), seed=seed))
+                  for c in [c_bits] + grid]
     else:
-        sol = ucr_capacity_solve(source, c_bits, u_card, seed=seed)
+        points = ucr_curve(source, [c_bits] + grid, u_card, seed=seed)
+    sol = points[0][1]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "c_bits": c_bits,
@@ -153,25 +157,17 @@ def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
     print(f"UCR capacity at C = {c_bits:.6f}: {sol.value_bits:.9f} bits "
           f"({sol.method}, slack {sol.constraint_slack:.3e})")
 
-    grid = config.get("grid")
     if grid:
-        grid = [float(g) for g in grid]
-        if config.get("oracle"):
-            points = [(g, ucr_capacity_oracle(
-                source, g, u_card, grid_step=float(config["grid_step"]),
-                seed=seed)) for g in grid]
-        else:
-            points = ucr_curve(source, grid, u_card, seed=seed)
         write_csv(out_dir / "ucr_curve.csv",
                   ["c_bits", "value_bits", "constraint_slack", "method"],
                   [(g, s.value_bits, s.constraint_slack, s.method)
-                   for g, s in points])
+                   for g, s in points[1:]])
         outputs["curve"] = "ucr_curve.csv"
         print(f"curve with {len(grid)} budgets -> ucr_curve.csv")
         if fmt == "csv":
             print((out_dir / "ucr_curve.csv").read_text(encoding="utf-8"), end="")
     if fmt == "json":
-        print(_json_text(payload), end="")
+        print(json_text(payload), end="")
     return outputs
 
 
@@ -298,7 +294,7 @@ def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
     print(f"conditions: {verdict} "
           f"({sum(c.holds for c in report.conditions)}/4 hold)")
     if fmt == "json":
-        print(_json_text(summary), end="")
+        print(json_text(summary), end="")
     return outputs
 
 
@@ -357,7 +353,7 @@ def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
     if fmt == "csv":
         print((out_dir / "spectrum.csv").read_text(encoding="utf-8"), end="")
     if fmt == "json":
-        print(_json_text(payload), end="")
+        print(json_text(payload), end="")
     return {"samples": "spectrum.csv", "summary": "spectrum.json"}
 
 
@@ -375,8 +371,13 @@ def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
         if attempts > 100 * interval_target:
             raise InternalInvariantError(
                 "parameter sampler failed to hit the valid region")
-        p = derive_params(alpha=float(rng.uniform(1e-6, 1.0 - 1e-6)),
-                          beta=float(rng.uniform(1e-9, 0.5)),
+        # The box holds the whole valid region. With r = sqrt(mu)(1 - sqrt(alpha)),
+        # kappa < 1/2 forces (1 - r)^2 > alpha + 1/2, so alpha < 1/2 and
+        # sqrt(mu) < (1 - sqrt(alpha + 1/2)) / (1 - sqrt(alpha)) <= 1/3 (the
+        # maximum is at alpha = 1/16); beta < mu < 1/9. Draws stay uniform
+        # over the valid region, and far fewer are rejected.
+        p = derive_params(alpha=float(rng.uniform(1e-6, 0.5)),
+                          beta=float(rng.uniform(1e-9, 1.0 / 9.0)),
                           c=float(rng.uniform(0.0, 4.0)))
         if not p.constraints_hold:
             continue
@@ -444,7 +445,7 @@ def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
         f"{e['case']}={'n/a' if e['holds'] is None else e['holds']}"
         for e in variance_entries))
     if fmt == "json":
-        print(_json_text(payload), end="")
+        print(json_text(payload), end="")
     return {"report": "lemmas.json"}
 
 
@@ -455,10 +456,6 @@ _EXECUTORS = {
     "spectrum": _exec_spectrum,
     "lemmas": _exec_lemmas,
 }
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- dispatch

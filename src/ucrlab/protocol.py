@@ -828,31 +828,27 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     theta = cfg.theta
     l_at_star = l_tab[i_star - 1]                      # (n_x_x, n_x_y)
     eq_star = (l_at_star == k_cls[:, None]).astype(float)
-    cnt_all = np.zeros((n_cls, n_x))
-    np.add.at(cnt_all, (l_tab.ravel(),
-                        np.tile(np.arange(n_x), n1 + 1)), 1.0)
+    cnt_all = np.bincount((l_tab * n_x + np.arange(n_x)).ravel(),
+                          minlength=n_cls * n_x).reshape(n_cls, n_x).astype(float)
     eq_elsewhere = cnt_all[k_cls, :] - eq_star
     p_agree_xy = (1.0 - theta) * eq_star + (theta / float(n1)) * eq_elsewhere
     p_disagree = min(max(float(1.0 - (p_joint * p_agree_xy).sum()), 0.0), 1.0)
 
-    p_k = np.zeros(n_cls)
-    np.add.at(p_k, k_cls, p_x)
-    joint_ky = np.zeros((n_cls, n_x))
-    np.add.at(joint_ky, k_cls, p_joint)
+    p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
+    joint_ky = np.bincount((k_cls[:, None] * n_x + np.arange(n_x)).ravel(),
+                           weights=p_joint.ravel(),
+                           minlength=n_cls * n_x).reshape(n_cls, n_x)
     h_k = entropy_bits(p_k)
     h_ky = entropy_bits(joint_ky.ravel())
     h_y = entropy_bits(p_y)
     h_k_given_y = max(h_ky - h_y, 0.0)
 
-    p_l = np.zeros(n_cls)
     w_star = p_joint * (1.0 - theta)
-    np.add.at(p_l, l_at_star.ravel(), w_star.ravel())
+    p_l = np.bincount(l_at_star.ravel(), weights=w_star.ravel(), minlength=n_cls)
     w_other = (p_joint.sum(axis=0) * (theta / float(n1)))
     p_l += cnt_all @ w_other
-    star_mass = np.zeros(n_cls)
-    np.add.at(star_mass, l_at_star.ravel(),
-              (p_joint * (theta / float(n1))).ravel())
-    p_l -= star_mass
+    p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
+                       minlength=n_cls)
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))

@@ -27,6 +27,7 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "load_json",
+    "json_text",
     "write_json",
     "write_csv",
     "source_from_dict",
@@ -55,11 +56,14 @@ def load_json(path) -> dict:
     return data
 
 
+def json_text(obj) -> str:
+    """Deterministic JSON text: sorted keys, two-space indent, trailing \\n."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path, obj) -> None:
-    """Deterministic JSON dump: sorted keys, two-space indent, trailing \\n."""
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8")
+    """Write json_text(obj) to path as UTF-8."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def _cell(v) -> str:

@@ -14,8 +14,9 @@ Two independent paths are provided: a brute-force oracle that enumerates
 row-stochastic matrices on a fine simplex grid, and a fast solver built from
 deterministic maps, a budgeted coarse-grid skeleton, batched multi-level
 local search, and an upper concave envelope over every point it discovered.
-The oracle is the arbiter; the solver is validated against it, never
-trusted alone.
+Both build their point cloud once, as (gaps, values, mats) arrays. The
+oracle is the arbiter; the solver is validated against it, never trusted
+alone.
 """
 from __future__ import annotations
 
@@ -203,38 +204,14 @@ def _grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.n
     return row_pts[rows_idx].transpose(0, 2, 1)
 
 
-def _deterministic_maps(x_card: int, u_card: int) -> list[np.ndarray]:
+def _deterministic_maps(x_card: int, u_card: int) -> np.ndarray:
+    """Every map X -> U as a 0/1 matrix stack shaped (u_card ** x_card, u, x)."""
     mats = []
     for assignment in itertools.product(range(u_card), repeat=x_card):
         rows = np.zeros((u_card, x_card))
         rows[list(assignment), np.arange(x_card)] = 1.0
         mats.append(rows)
-    return mats
-
-
-class _PointCloud:
-    """Accumulates (gap, value) points with their achiever matrices.
-
-    Matrices are stored in the (u, x) layout used by the batch evaluator;
-    aux() converts back to the x-indexed AuxiliaryChannel convention.
-    """
-
-    def __init__(self):
-        self.gaps: list[float] = []
-        self.values: list[float] = []
-        self.mats: list[np.ndarray] = []
-
-    def add(self, gap: float, value: float, mat: np.ndarray):
-        self.gaps.append(float(gap))
-        self.values.append(float(value))
-        self.mats.append(np.asarray(mat, dtype=float))
-
-    def aux(self, idx: int) -> AuxiliaryChannel:
-        return AuxiliaryChannel.from_matrix(self.mats[idx].T)
-
-    def add_batch(self, gaps: np.ndarray, values: np.ndarray, mats: np.ndarray):
-        for g, v, m in zip(gaps, values, mats):
-            self.add(g, v, m)
+    return np.stack(mats)
 
 
 def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
@@ -325,10 +302,30 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     return idx[live[_hull_scan(g[live], v[live])]].tolist()
 
 
-def _evaluate_envelope(cloud: _PointCloud, c_bits: float,
-                       method: str) -> UcrSolution:
-    gaps = np.array(cloud.gaps)
-    values = np.array(cloud.values)
+def _hull_points(gaps: np.ndarray, values: np.ndarray, mats: np.ndarray, also=()):
+    """The batch's upper-hull vertices, plus the indices in also, as
+    (gaps, values, mats) in index order."""
+    keep = np.unique(_upper_hull(gaps, values) + list(also))
+    return gaps[keep], values[keep], mats[keep]
+
+
+def _stack(parts):
+    """Concatenate (gaps, values, mats) parts into one point cloud."""
+    gaps, values, mats = zip(*parts)
+    return np.concatenate(gaps), np.concatenate(values), np.concatenate(mats)
+
+
+def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
+    """Upper concave envelope of the (gaps, values, mats) cloud at c_bits.
+
+    mats are in the (u, x) layout of the batch evaluator; achievers are
+    built in the x-indexed AuxiliaryChannel convention.
+    """
+    gaps, values, mats = cloud
+
+    def aux(i: int) -> AuxiliaryChannel:
+        return AuxiliaryChannel.from_matrix(mats[i].T)
+
     hull = _upper_hull(gaps, values)
     hg = gaps[hull]
     hv = values[hull]
@@ -342,15 +339,15 @@ def _evaluate_envelope(cloud: _PointCloud, c_bits: float,
         if feasible.size == 0:
             raise InternalInvariantError("no feasible point; the constant map is missing")
         best = int(feasible[np.argmax(values[feasible])])
-        return UcrSolution(values[best], cloud.aux(best), c_bits - gaps[best], method)
+        return UcrSolution(values[best], aux(best), c_bits - gaps[best], method)
     left = hull[pos - 1]
     if pos > peak or c_eval <= hg[pos - 1] + 1e-15:
-        return UcrSolution(values[left], cloud.aux(left), c_bits - gaps[left], method)
+        return UcrSolution(values[left], aux(left), c_bits - gaps[left], method)
     right = hull[pos]
     lam = (gaps[right] - c_eval) / (gaps[right] - gaps[left])
     value = lam * values[left] + (1.0 - lam) * values[right]
     mix_gap = lam * gaps[left] + (1.0 - lam) * gaps[right]
-    achiever = TimeSharedAux(cloud.aux(left), cloud.aux(right), float(lam))
+    achiever = TimeSharedAux(aux(left), aux(right), float(lam))
     return UcrSolution(float(value), achiever, c_bits - mix_gap, method)
 
 
@@ -375,6 +372,11 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     grid of the given step, together with all deterministic maps and a batch
     of Dirichlet draws, then takes the upper concave envelope of the whole
     cloud (two-point time-sharing between enumerated achievers) at c_bits.
+    Each grid chunk keeps its upper-hull vertices and its best point with
+    gap <= c_bits + FEAS_TOL. The grid holds every deterministic map as
+    well, but the maps keep a pass of their own: a grid chunk can round
+    their gaps to a different last bit than the contiguous stack does, and
+    the envelope compares those gaps with c_bits exactly.
     grid_step must be the reciprocal of an integer to within 1e-9.
     """
     x_card, u_card, px = _common_inputs(source, c_bits, u_card)
@@ -393,31 +395,29 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
             "use a coarser grid_step or smaller u_card, or call ucr_capacity_solve")
 
     pxy = source.probs
-    cloud = _PointCloud()
+    parts = []
     chunk = 200_000
-    # per-chunk concave-hull survivors keep the cloud small
+    # per-chunk concave-hull survivors keep the cloud small; the best
+    # feasible point stays too, since below the first hull gap
+    # _evaluate_envelope reads the cloud within FEAS_TOL of c_bits
     for start in range(0, total, chunk):
         mats = _grid_chunk(row_pts, x_card, start, min(start + chunk, total))
         values, gaps = _batch_objectives(mats, px, pxy)
-        keep = set(_upper_hull(gaps, values))
-        feas = np.where(gaps <= c_bits + FEAS_TOL)[0]
-        if feas.size:
-            keep.add(int(feas[np.argmax(values[feas])]))
-        for i in sorted(keep):
-            cloud.add(gaps[i], values[i], mats[i])
-
-    for mat in _deterministic_maps(x_card, u_card):
-        values, gaps = _batch_objectives(mat[None], px, pxy)
-        cloud.add(gaps[0], values[0], mat)
+        feas = np.flatnonzero(gaps <= c_bits + FEAS_TOL)
+        best = [int(feas[np.argmax(values[feas])])] if feas.size else []
+        parts.append(_hull_points(gaps, values, mats, best))
+    # the grid holds every deterministic map too, but a grid chunk rounds its
+    # objectives differently from this contiguous stack
+    det = _deterministic_maps(x_card, u_card)
+    values, gaps = _batch_objectives(det, px, pxy)
+    parts.append((gaps, values, det))
     if n_random > 0:
         rng = as_rng(seed)
         mats = rng.dirichlet(np.ones(u_card), size=(n_random, x_card)).transpose(0, 2, 1)
         values, gaps = _batch_objectives(mats, px, pxy)
-        keep = set(_upper_hull(gaps, values))
-        for i in sorted(keep):
-            cloud.add(gaps[i], values[i], mats[i])
+        parts.append(_hull_points(gaps, values, mats))
 
-    return _evaluate_envelope(cloud, c_bits, "oracle")
+    return _evaluate_envelope(_stack(parts), c_bits, "oracle")
 
 
 def _slope_grid(count: int) -> np.ndarray:
@@ -467,24 +467,23 @@ def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, px: np.ndarray,
 
 def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray,
                     restarts_per_slope: int, steps: int,
-                    refine_rounds: int = 2) -> _PointCloud:
+                    refine_rounds: int = 2):
     """Deterministic maps, coarse-grid skeleton, and support-line climbing.
 
     For each slope s the climbers maximize I(U;X) - s * gap without any
     feasibility gate; every maximizer is a support point of the upper
     concave envelope, which is the object both solver paths report. After
     the slope sweep, extra climbs at the chord slopes of adjacent hull
-    support pairs bisect the dual and close wide segments.
+    support pairs bisect the dual and close wide segments. Returns the
+    cloud as (gaps, values, mats) arrays, mats shaped (M, u, x).
     """
     x_card = source.nx
     px = source.probs.sum(axis=1)
     pxy = source.probs
-    cloud = _PointCloud()
 
     det = _deterministic_maps(x_card, u_card)
-    det_mats = np.stack(det)
-    values, gaps = _batch_objectives(det_mats, px, pxy)
-    cloud.add_batch(gaps, values, det_mats)
+    values, gaps = _batch_objectives(det, px, pxy)
+    parts = [(gaps, values, det)]
 
     # coarse grid skeleton: densest simplex step within the element budget
     coarse = coarse_v = coarse_g = None
@@ -493,8 +492,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray
             row_pts = _simplex_grid(m, u_card)
             coarse = _grid_chunk(row_pts, x_card, 0, row_pts.shape[0] ** x_card)
             coarse_v, coarse_g = _batch_objectives(coarse, px, pxy)
-            for i in sorted(set(_upper_hull(coarse_g, coarse_v))):
-                cloud.add(coarse_g[i], coarse_v[i], coarse[i])
+            parts.append(_hull_points(coarse_g, coarse_v, coarse))
             break
 
     rng = as_rng(seed)
@@ -503,7 +501,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray
     starts = rng.dirichlet(np.ones(u_card), size=(batch, x_card)).transpose(0, 2, 1)
     # seed every third start from a deterministic map, lightly smoothed
     for b in range(0, batch, 3):
-        base = det_mats[b % len(det)] + 0.05
+        base = det[b % len(det)] + 0.05
         starts[b] = base / base.sum(axis=0, keepdims=True)
     if u_card >= x_card:
         ident = AuxiliaryChannel.identity(x_card, u_card).cond.rows.T
@@ -516,12 +514,11 @@ def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray
             i = int(np.argmax(coarse_v - slope_vec[b] * coarse_g))
             base = coarse[i] + 0.02
             starts[b] = base / base.sum(axis=0, keepdims=True)
-    bg, bv, bm = _climb(rng, slope_vec, starts, px, pxy, steps, x_card, u_card)
-    cloud.add_batch(bg, bv, bm)
+    parts.append(_climb(rng, slope_vec, starts, px, pxy, steps, x_card, u_card))
+    cloud = _stack(parts)
 
     for _ in range(refine_rounds):
-        g_all = np.array(cloud.gaps)
-        v_all = np.array(cloud.values)
+        g_all, v_all, m_all = cloud
         hull = _upper_hull(g_all, v_all)
         pairs = [(hull[i], hull[i + 1]) for i in range(len(hull) - 1)
                  if g_all[hull[i + 1]] - g_all[hull[i]] > 2e-3]
@@ -534,7 +531,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray
         r_starts = np.empty((len(pairs) * per, u_card, x_card))
         for k, (i, j) in enumerate(pairs):
             s = (v_all[j] - v_all[i]) / (g_all[j] - g_all[i])
-            a, b = cloud.mats[i], cloud.mats[j]
+            a, b = m_all[i], m_all[j]
             seeds = [a + 0.02, b + 0.02, 0.5 * (a + b) + 0.01,
                      0.75 * a + 0.25 * b + 0.01, 0.25 * a + 0.75 * b + 0.01,
                      rng.dirichlet(np.ones(u_card), size=x_card).T]
@@ -542,8 +539,8 @@ def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray
                 base = seeds[r]
                 r_slopes[k * per + r] = s
                 r_starts[k * per + r] = base / base.sum(axis=0, keepdims=True)
-        bg, bv, bm = _climb(rng, r_slopes, r_starts, px, pxy, steps, x_card, u_card)
-        cloud.add_batch(bg, bv, bm)
+        cloud = _stack([cloud, _climb(rng, r_slopes, r_starts, px, pxy, steps,
+                                      x_card, u_card)])
     return cloud
 
 

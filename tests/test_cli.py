@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from ucrlab import protocol
+from ucrlab import protocol, ucrcap
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
-from ucrlab.serialize import load_json
+from ucrlab.serialize import load_json, source_from_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,6 +52,38 @@ class TestUcrCommand:
         curve = (out / "ucr_curve.csv").read_bytes()
         assert curve.startswith(b"c_bits,value_bits,constraint_slack,method\r\n")
         assert len(curve.strip().splitlines()) == 4
+
+    def test_budget_and_curve_share_one_search(self, tmp_path, monkeypatch):
+        calls = []
+        collect = ucrcap._collect_points
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(ucrcap, "_collect_points", counted)
+        out = tmp_path / "run"
+        code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "3",
+                     "--grid", "0.1,0.3", "--seed", "5", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        source = source_from_dict(load_json(CONFIGS / "dsbs010.json"))
+        sol = ucrcap.ucr_capacity_solve(source, 0.2, 3, seed=5)
+        doc = read_json(out / "ucr.json")
+        assert (doc["value_bits"], doc["constraint_slack"]) == (
+            sol.value_bits, sol.constraint_slack)
+        rows = (out / "ucr_curve.csv").read_text(encoding="utf-8").splitlines()[1:]
+        got = [tuple(float(v) for v in row.split(",")[:3]) for row in rows]
+        assert got == [(c, s.value_bits, s.constraint_slack)
+                       for c, s in ucrcap.ucr_curve(source, [0.1, 0.3], 3, seed=5)]
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "--grid-step", "0.1"]])
+    def test_negative_curve_budget_exits_2_before_any_file(self, tmp_path, oracle):
+        out = tmp_path / "run"
+        code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2",
+                     "--grid", "-0.1", "--out-dir", str(out)] + oracle)
+        assert code == EXIT_VALIDATION
+        assert not (out / "ucr.json").exists()
 
     def test_budget_from_a_channel_spec(self, tmp_path):
         out = tmp_path / "run"

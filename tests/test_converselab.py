@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from ucrlab.converselab import (
@@ -74,6 +74,22 @@ class TestIntervalLemma:
         p = derive_params(alpha, beta, c)
         assume(p.mu_in_range)
         assert interval_lemma_check(p)
+
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-9, 0.5), st.floats(0.0, 4.0))
+    @settings(max_examples=500)
+    def test_valid_region_lies_in_the_lemmas_proposal_box(self, alpha, beta, c):
+        # `ucrlab lemmas` proposes alpha < 1/2 and beta < 1/9 only; every
+        # valid point of the wider box must lie inside that
+        p = derive_params(alpha, beta, c)
+        valid = p.constraints_hold
+        target(alpha if valid else 0.0, label="valid alpha")
+        target(beta if valid else 0.0, label="valid beta")
+        if valid:
+            assert alpha < 0.5 and beta < 1.0 / 9.0
+
+    def test_lemmas_proposal_box_is_nearly_tight(self):
+        assert derive_params(0.49, 1e-9, 0.0).constraints_hold
+        assert derive_params(1.0 / 16.0, 0.1, 0.0).constraints_hold
 
     def test_fails_when_mu_saturates(self):
         p = derive_params(0.5, 2.0, 1.0)  # mu = 2 + 4 + 4 = 10

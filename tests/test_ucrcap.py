@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from support import diagonal_source, dsbs, h2, independent_source, random_joint
 from ucrlab.errors import GuardError, ValidationError
-from ucrlab.probspace import as_rng, conditional_entropy_x_given_y, entropy
+from ucrlab.probspace import JointPmf, as_rng, conditional_entropy_x_given_y, entropy
 from ucrlab.ucrcap import (
     _PREFILTER_MIN,
     AuxiliaryChannel,
@@ -158,6 +158,60 @@ class TestOracle:
         assert sol.achiever.first.cond.rows.tolist() == [[0.1, 0.6, 0.3], [0.88, 0.08, 0.04]]
         assert sol.achiever.second.cond.rows.tolist() == [[0.1, 0.18, 0.72], [0.9, 0.02, 0.08]]
         assert sol.achiever.weight == 0.8230687289329593
+
+    @pytest.mark.parametrize("nx, seed, c_bits, value, slack, rows", [
+        (3, 3, 0.0, 0.0, 0.0, [[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]]),
+        (3, 3, 0.1, 0.17890522007657977, 0.0,
+         [[[0.82, 0.18], [0.3, 0.7], [0.72, 0.28]],
+          [[0.16, 0.84], [0.7, 0.3], [0.26, 0.74]], 0.7822615443345342]),
+        (2, 1, 0.0, 0.0, 0.0, [[[0.0, 1.0], [0.0, 1.0]]]),
+        (2, 1, 0.1, 0.10532171293081664, 0.0,
+         [[[0.36, 0.64], [0.04, 0.96]],
+          [[0.38727270714294176, 0.6127272928570583],
+           [0.041621972795699666, 0.9583780272043004]], 0.23956701640711037]),
+    ])
+    def test_two_symbol_outputs_are_pinned(self, nx, seed, c_bits, value, slack, rows):
+        # every bit of the output at |U| = 2, grid step 0.02, captured from the
+        # list-based point cloud with its deterministic-map and feasible passes
+        sol = ucr_capacity_oracle(random_joint(as_rng(seed), nx, nx), c_bits,
+                                  u_card=2, grid_step=0.02)
+        assert sol.value_bits == value
+        assert sol.constraint_slack == slack
+        if len(rows) == 1:
+            assert sol.achiever.cond.rows.tolist() == rows[0]
+        else:
+            assert isinstance(sol.achiever, TimeSharedAux)
+            assert sol.achiever.first.cond.rows.tolist() == rows[0]
+            assert sol.achiever.second.cond.rows.tolist() == rows[1]
+            assert sol.achiever.weight == rows[2]
+
+    def test_deterministic_maps_keep_their_own_pass(self):
+        # captured from the list-based point cloud; the grid holds both maps,
+        # but a grid chunk rounds their gaps to other last bits, and without
+        # the pass the first achiever, the value and the weight all move
+        src = JointPmf(np.array([
+            [0.07911268654573542, 0.0790371186354025, 0.2356979975720005],
+            [0.26464068821953096, 0.05592348515291694, 0.005918270477254092],
+            [0.007959651535651056, 0.08845563290379324, 0.18325446895771536]]))
+        sol = ucr_capacity_oracle(src, 0.8803540287195378, u_card=2, grid_step=0.05)
+        assert sol.value_bits == 0.9642664796050735
+        assert sol.constraint_slack == 0.0
+        assert sol.achiever.first.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert sol.achiever.second.cond.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert sol.achiever.weight == 0.05311127511348721
+
+    def test_best_feasible_grid_point_is_kept(self):
+        # every grid gap is above 0 by rounding, so C = 0 lies below the
+        # first hull vertex and the envelope takes the best point within
+        # FEAS_TOL, which is no hull vertex of its chunk
+        src = JointPmf(np.array([
+            [0.2986326980616272, 0.02157789165918048, 0.14472742719146103],
+            [0.015914553977739186, 0.01763178304917487, 0.06806966472372052],
+            [0.43341770588603035, 1.955122902858218e-05, 8.72422203773017e-06]]))
+        sol = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.5, n_random=0)
+        assert sol.value_bits == 4.440892098500626e-16
+        assert sol.constraint_slack == -2.220446049250313e-16
+        assert sol.achiever.cond.rows.tolist() == [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
 
     def test_grid_guard(self):
         src = random_joint(as_rng(0), 3, 3)

@@ -14,9 +14,11 @@ Two independent paths are provided: a brute-force oracle that enumerates
 row-stochastic matrices on a fine simplex grid, and a fast solver built from
 deterministic maps, a budgeted coarse-grid skeleton, batched multi-level
 local search, and an upper concave envelope over every point it discovered.
-Both build their point cloud once, as (gaps, values, mats) arrays. The
-oracle is the arbiter; the solver is validated against it, never trusted
-alone.
+Both build their point cloud once, as (gaps, values, mats) arrays, scored
+by one kernel that gives each matrix the same bits in any batch and sets
+gaps at or below 1e-12 to exactly 0, so the constant map anchors every
+envelope at gap 0. The oracle is the arbiter; the solver is validated
+against it, never trusted alone.
 """
 from __future__ import annotations
 
@@ -45,6 +47,9 @@ _COARSE_BUDGET = 60_000
 # through the highest point of each of this many gap bins
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
+# _batch_objectives sets gaps at or below this to exactly 0: rounding leaves a
+# few ulp on maps whose true gap is 0, the constant map among them
+_GAP_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,26 +153,43 @@ def ucr_objective(source: JointPmf, aux: AuxiliaryChannel) -> tuple[float, float
     return i_ux, max(gap, 0.0)
 
 
-def _plogp(p: np.ndarray, axis) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return terms.sum(axis=axis)
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over every axis but the last, with 0 log 0 = 0: one
+    masked log pass, then the rows added in row-major order, elementwise."""
+    p = p.reshape(-1, p.shape[-1])
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    for row in terms[1:]:
+        terms[0] += row
+    return -terms[0]
 
 
 def _batch_objectives(mats: np.ndarray, px: np.ndarray,
                       pxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (I(U;X), gap) for a stack of matrices shaped (M, u, x)."""
+    """Vectorized (I(U;X), gap) for a stack of matrices shaped (M, u, x).
+
+    Each matrix gets the same bits in any batch (alone, in a grid chunk, in
+    a permuted or strided stack): every reduction over the small x, u and y
+    axes is an explicit loop in one fixed order, elementwise over M. Gaps at
+    or below _GAP_SNAP are set to exactly 0.
+    """
     h_x = entropy_bits(px)
     h_y = entropy_bits(pxy.sum(axis=0))
-    pux = mats * px[None, None, :]
-    pu = pux.sum(axis=2)
-    h_u = -_plogp(pu, axis=1)
-    h_ux = -_plogp(pux, axis=(1, 2))
-    puy = np.einsum("mux,xy->muy", mats, pxy)
-    h_uy = -_plogp(puy, axis=(1, 2))
+    w = np.ascontiguousarray(mats.transpose(2, 1, 0))  # (x, u, M)
+    pux = w * px[:, None, None]
+    pu = pux[0].copy()  # (u, M)
+    puy = pxy[0][:, None, None] * w[0]  # (y, u, M)
+    for x in range(1, w.shape[0]):
+        pu += pux[x]
+        puy += pxy[x][:, None, None] * w[x]
+    h_u = _entropies(pu)
+    h_ux = _entropies(pux)
+    h_uy = _entropies(puy)
     i_ux = h_u + h_x - h_ux
     gap = i_ux - (h_u + h_y - h_uy)
-    return np.maximum(i_ux, 0.0), np.maximum(gap, 0.0)
+    gap[gap <= _GAP_SNAP] = 0.0
+    return np.maximum(i_ux, 0.0), gap
 
 
 def _simplex_grid(m: int, k: int) -> np.ndarray:
@@ -217,9 +239,9 @@ def _deterministic_maps(x_card: int, u_card: int) -> np.ndarray:
 def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     """Indices of the upper concave hull of the cloud, sorted by gap.
 
-    The one exact scan: sort by gap (highest value first within equal gaps),
-    keep the first point of every run of gaps within 1e-15 of the last kept
-    gap, then a monotone-chain pass that also drops collinear middle points.
+    The one exact scan: sort by gap (highest value first within equal gaps,
+    then lowest index), keep the first point of each distinct gap, then a
+    monotone-chain pass that also drops collinear middle points.
     `_upper_hull` returns the same list; this loop is its reference.
     """
     order = np.lexsort((-values, gaps))
@@ -228,7 +250,7 @@ def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     last_g = None
     for idx in order:
         g = gaps[idx]
-        if last_g is None or g > last_g + 1e-15:
+        if last_g is None or g > last_g:
             dedup.append(int(idx))
             last_g = g
     hull: list[int] = []
@@ -255,8 +277,9 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     """Indices of the upper concave hull of the cloud, sorted by gap.
 
     Returns exactly `_hull_scan(gaps, values)`. A large finite cloud is
-    thinned in numpy first: after the scan's own sort and gap dedup, the
-    highest point of each gap bin plus both end points give a sub-hull.
+    thinned in numpy first: after the scan's own sort and one-point-per-gap
+    dedup, the highest point of each gap bin plus both end points give a
+    sub-hull.
     Every sub-hull vertex is a cloud point, so the sub-hull never lies above
     the true hull, and a point more than 1e-12 below it is no hull vertex.
     Only the points left go through the scan.
@@ -271,21 +294,6 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     # its highest value, and equal values with the lowest index
     start = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
     idx = np.minimum.reduceat(np.where(_run_tops(vs, start), order, n), start)
-    # the scan's 1e-15 dedup: a gap more than 1e-15 above its predecessor
-    # heads a run; only a run spanning more than 1e-15 can keep a second
-    # point, and there the sequential rule is replayed
-    g = gaps[idx]
-    keep = np.r_[True, g[1:] > g[:-1] + 1e-15]
-    heads = np.flatnonzero(keep)
-    ends = np.append(heads[1:], g.size) - 1
-    wide = g[ends] > g[heads] + 1e-15
-    for h, e in zip(heads[wide].tolist(), ends[wide].tolist()):
-        last = g[h]
-        for k in range(h + 1, e + 1):
-            if g[k] > last + 1e-15:
-                keep[k] = True
-                last = g[k]
-    idx = idx[keep]
     if idx.size < 3:  # one or two points are their own hull
         return idx.tolist()
     g = gaps[idx]
@@ -302,10 +310,9 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     return idx[live[_hull_scan(g[live], v[live])]].tolist()
 
 
-def _hull_points(gaps: np.ndarray, values: np.ndarray, mats: np.ndarray, also=()):
-    """The batch's upper-hull vertices, plus the indices in also, as
-    (gaps, values, mats) in index order."""
-    keep = np.unique(_upper_hull(gaps, values) + list(also))
+def _hull_points(gaps: np.ndarray, values: np.ndarray, mats: np.ndarray):
+    """The batch's upper-hull vertices as (gaps, values, mats) in index order."""
+    keep = np.sort(_upper_hull(gaps, values))
     return gaps[keep], values[keep], mats[keep]
 
 
@@ -319,7 +326,9 @@ def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
     """Upper concave envelope of the (gaps, values, mats) cloud at c_bits.
 
     mats are in the (u, x) layout of the batch evaluator; achievers are
-    built in the x-indexed AuxiliaryChannel convention.
+    built in the x-indexed AuxiliaryChannel convention. The cloud must hold
+    a point at gap exactly 0, as the constant map always is, so every
+    c_bits >= 0 lies on or above the hull's first vertex.
     """
     gaps, values, mats = cloud
 
@@ -329,17 +338,13 @@ def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
     hull = _upper_hull(gaps, values)
     hg = gaps[hull]
     hv = values[hull]
+    if hg[0] != 0.0:
+        raise InternalInvariantError(
+            f"the hull starts at gap {hg[0]!r}, not 0; the constant map is missing")
     peak = int(np.argmax(hv))
     c_eval = min(c_bits, hg[peak])
     # locate the hull segment containing c_eval
     pos = int(np.searchsorted(hg[: peak + 1], c_eval, side="right"))
-    if pos == 0:
-        # below the first vertex; only possible if the smallest gap > C
-        feasible = np.where(gaps <= c_bits + FEAS_TOL)[0]
-        if feasible.size == 0:
-            raise InternalInvariantError("no feasible point; the constant map is missing")
-        best = int(feasible[np.argmax(values[feasible])])
-        return UcrSolution(values[best], aux(best), c_bits - gaps[best], method)
     left = hull[pos - 1]
     if pos > peak or c_eval <= hg[pos - 1] + 1e-15:
         return UcrSolution(values[left], aux(left), c_bits - gaps[left], method)
@@ -369,14 +374,13 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     """Brute-force reference maximization over a simplex grid of channels.
 
     Enumerates every row-stochastic matrix whose rows sit on the simplex
-    grid of the given step, together with all deterministic maps and a batch
-    of Dirichlet draws, then takes the upper concave envelope of the whole
-    cloud (two-point time-sharing between enumerated achievers) at c_bits.
-    Each grid chunk keeps its upper-hull vertices and its best point with
-    gap <= c_bits + FEAS_TOL. The grid holds every deterministic map as
-    well, but the maps keep a pass of their own: a grid chunk can round
-    their gaps to a different last bit than the contiguous stack does, and
-    the envelope compares those gaps with c_bits exactly.
+    grid of the given step, together with a batch of Dirichlet draws, then
+    takes the upper concave envelope of the whole cloud (two-point
+    time-sharing between enumerated achievers) at c_bits. Each grid chunk
+    keeps only its upper-hull vertices. The grid holds every deterministic
+    map, and `_batch_objectives` gives a matrix the same bits in any batch
+    and snaps gaps at or below 1e-12 to exactly 0, so no map needs a pass
+    of its own, and the constant map anchors the hull at gap 0.
     grid_step must be the reciprocal of an integer to within 1e-9.
     """
     x_card, u_card, px = _common_inputs(source, c_bits, u_card)
@@ -397,20 +401,11 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     pxy = source.probs
     parts = []
     chunk = 200_000
-    # per-chunk concave-hull survivors keep the cloud small; the best
-    # feasible point stays too, since below the first hull gap
-    # _evaluate_envelope reads the cloud within FEAS_TOL of c_bits
+    # per-chunk concave-hull survivors keep the cloud small
     for start in range(0, total, chunk):
         mats = _grid_chunk(row_pts, x_card, start, min(start + chunk, total))
         values, gaps = _batch_objectives(mats, px, pxy)
-        feas = np.flatnonzero(gaps <= c_bits + FEAS_TOL)
-        best = [int(feas[np.argmax(values[feas])])] if feas.size else []
-        parts.append(_hull_points(gaps, values, mats, best))
-    # the grid holds every deterministic map too, but a grid chunk rounds its
-    # objectives differently from this contiguous stack
-    det = _deterministic_maps(x_card, u_card)
-    values, gaps = _batch_objectives(det, px, pxy)
-    parts.append((gaps, values, det))
+        parts.append(_hull_points(gaps, values, mats))
     if n_random > 0:
         rng = as_rng(seed)
         mats = rng.dirichlet(np.ones(u_card), size=(n_random, x_card)).transpose(0, 2, 1)

@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import diagonal_source, dsbs, h2, independent_source, random_joint
-from ucrlab.errors import GuardError, ValidationError
+from ucrlab import ucrcap
+from ucrlab.errors import GuardError, InternalInvariantError, ValidationError
 from ucrlab.probspace import JointPmf, as_rng, conditional_entropy_x_given_y, entropy
 from ucrlab.ucrcap import (
     _PREFILTER_MIN,
     AuxiliaryChannel,
     TimeSharedAux,
+    _batch_objectives,
+    _deterministic_maps,
+    _evaluate_envelope,
+    _grid_chunk,
     _hull_scan,
+    _simplex_grid,
     _upper_hull,
     ucr_capacity_oracle,
     ucr_capacity_solve,
@@ -21,8 +27,13 @@ from ucrlab.ucrcap import (
 )
 
 # oracle reference on DSBS(0.1) at C = 0.2 bits, u_card 3, grid step 0.02
-G1_ORACLE = 0.5059245194168638
+G1_ORACLE = 0.5059245194168636
 G1_SOLVER = 0.5060752581797665
+# criterion 03's 28th source (|U| = 2 there); at one time 2 of its 8
+# deterministic maps got other last bits inside a grid chunk than alone
+C03_SOURCE_28 = [[0.0010244352540482444, 0.10752797925113887, 0.04930480904197328],
+                 [0.10372939537370722, 0.06733451174997217, 0.06651399394199892],
+                 [0.2022215057298297, 0.06255283405699907, 0.3397905356003327]]
 
 
 def achieved_point(source, achiever) -> tuple[float, float]:
@@ -41,9 +52,9 @@ def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
 
     Points scatter below a concave ridge, some within a few ulps of it. The
     flags add the degeneracies the exact scan has to settle: exact-zero
-    gaps, exact duplicate points, runs of gaps whose neighbours differ by
-    less than 1e-15 (some runs spanning more than 1e-15), points exactly on
-    two straight hull pieces, and a cloud with one distinct gap.
+    gaps, exact duplicate points, runs of distinct gaps a few ulps apart
+    (each gap its own dedup group), points exactly on two straight hull
+    pieces, and a cloud with one distinct gap.
     """
     rng = as_rng(seed)
     n = _PREFILTER_MIN + int(rng.integers(0, 2048))
@@ -70,6 +81,47 @@ def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
     if single_gap:
         gaps[:] = gaps[0]
     return gaps, values
+
+
+def grid_index(row_pts: np.ndarray, mat: np.ndarray) -> int:
+    """Flat `_grid_chunk` index of a (u, x) matrix whose columns are grid rows."""
+    k = 0
+    for col in mat.T:
+        k = k * row_pts.shape[0] + int(np.flatnonzero((row_pts == col).all(axis=1))[0])
+    return k
+
+
+def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None:
+    """Every deterministic map and some random points of the step-1/m grid
+    get bit-identical (value, gap) alone, inside a grid chunk, in a permuted
+    batch, in strided views and as `_deterministic_maps` entries."""
+    px = probs.sum(axis=1)
+    x_card = probs.shape[0]
+    row_pts = _simplex_grid(m, u_card)
+    total = row_pts.shape[0] ** x_card
+    det = _deterministic_maps(x_card, u_card)
+    picks = rng.integers(0, total, size=16)
+    mats = np.concatenate([det] + [_grid_chunk(row_pts, x_card, k, k + 1) for k in picks])
+    value, gap = _batch_objectives(mats, px, probs)
+
+    def check(batch, idx):
+        v, g = _batch_objectives(batch, px, probs)
+        assert v.tobytes() == value[idx].tobytes()
+        assert g.tobytes() == gap[idx].tobytes()
+
+    check(det, np.arange(len(det)))
+    perm = rng.permutation(len(mats))
+    check(mats[perm], perm)
+    check(np.repeat(mats, 2, axis=0)[::2], np.arange(len(mats)))
+    check(np.ascontiguousarray(mats.transpose(0, 2, 1)).transpose(0, 2, 1),
+          np.arange(len(mats)))
+    for i, mat in enumerate(mats):
+        check(mat[None], [i])
+        k = grid_index(row_pts, mat)
+        start = max(0, k - int(rng.integers(0, 40)))
+        chunk = _grid_chunk(row_pts, x_card, start, min(total, k + 1 + int(rng.integers(0, 40))))
+        v, g = _batch_objectives(chunk, px, probs)
+        assert (v[k - start], g[k - start]) == (value[i], gap[i])
 
 
 class TestHull:
@@ -116,6 +168,19 @@ class TestObjective:
         assert flat_value == pytest.approx(value, abs=1e-12)
         assert flat_gap == pytest.approx(gap, abs=1e-12)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4),
+           st.integers(1, 4), st.integers(2, 6))
+    @settings(max_examples=60)
+    def test_batch_layout_does_not_move_a_bit(self, seed, nx, ny, u_card, m):
+        rng = as_rng(seed)
+        probs = random_joint(rng, nx, ny).probs.copy()
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs.flat[int(rng.integers(0, probs.size))] += 0.1
+        assert_layout_invariant(probs / probs.sum(), u_card, m, rng)
+
+    def test_batch_layout_does_not_move_a_bit_on_criterion_03(self):
+        assert_layout_invariant(np.array(C03_SOURCE_28), 2, 50, as_rng(28))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_data_processing_on_random_auxiliaries(self, seed):
@@ -152,27 +217,26 @@ class TestOracle:
     def test_reference_output_is_pinned(self, g1_oracle):
         # every bit of the reference output, achiever included
         sol = g1_oracle
-        assert sol.value_bits == 0.5059245194168638
+        assert sol.value_bits == 0.5059245194168636
         assert sol.constraint_slack == 0.0
         assert isinstance(sol.achiever, TimeSharedAux)
-        assert sol.achiever.first.cond.rows.tolist() == [[0.1, 0.6, 0.3], [0.88, 0.08, 0.04]]
+        assert sol.achiever.first.cond.rows.tolist() == [[0.04, 0.08, 0.88], [0.3, 0.6, 0.1]]
         assert sol.achiever.second.cond.rows.tolist() == [[0.1, 0.18, 0.72], [0.9, 0.02, 0.08]]
-        assert sol.achiever.weight == 0.8230687289329593
+        assert sol.achiever.weight == 0.8230687289329729
 
     @pytest.mark.parametrize("nx, seed, c_bits, value, slack, rows", [
-        (3, 3, 0.0, 0.0, 0.0, [[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]]),
+        (3, 3, 0.0, 4.440892098500626e-16, 0.0, [[[0.86, 0.14], [0.86, 0.14], [0.86, 0.14]]]),
         (3, 3, 0.1, 0.17890522007657977, 0.0,
-         [[[0.82, 0.18], [0.3, 0.7], [0.72, 0.28]],
+         [[[0.18, 0.82], [0.7, 0.3], [0.28, 0.72]],
           [[0.16, 0.84], [0.7, 0.3], [0.26, 0.74]], 0.7822615443345342]),
         (2, 1, 0.0, 0.0, 0.0, [[[0.0, 1.0], [0.0, 1.0]]]),
-        (2, 1, 0.1, 0.10532171293081664, 0.0,
+        (2, 1, 0.1, 0.10532171293081669, 0.0,
          [[[0.36, 0.64], [0.04, 0.96]],
           [[0.38727270714294176, 0.6127272928570583],
-           [0.041621972795699666, 0.9583780272043004]], 0.23956701640711037]),
+           [0.041621972795699666, 0.9583780272043004]], 0.23956701640710767]),
     ])
     def test_two_symbol_outputs_are_pinned(self, nx, seed, c_bits, value, slack, rows):
-        # every bit of the output at |U| = 2, grid step 0.02, captured from the
-        # list-based point cloud with its deterministic-map and feasible passes
+        # every bit of the output at |U| = 2, grid step 0.02
         sol = ucr_capacity_oracle(random_joint(as_rng(seed), nx, nx), c_bits,
                                   u_card=2, grid_step=0.02)
         assert sol.value_bits == value
@@ -185,33 +249,40 @@ class TestOracle:
             assert sol.achiever.second.cond.rows.tolist() == rows[1]
             assert sol.achiever.weight == rows[2]
 
-    def test_deterministic_maps_keep_their_own_pass(self):
-        # captured from the list-based point cloud; the grid holds both maps,
-        # but a grid chunk rounds their gaps to other last bits, and without
-        # the pass the first achiever, the value and the weight all move
+    def test_time_shared_grid_maps_are_pinned(self):
+        # both achievers are deterministic maps, reached through the grid
         src = JointPmf(np.array([
             [0.07911268654573542, 0.0790371186354025, 0.2356979975720005],
             [0.26464068821953096, 0.05592348515291694, 0.005918270477254092],
             [0.007959651535651056, 0.08845563290379324, 0.18325446895771536]]))
         sol = ucr_capacity_oracle(src, 0.8803540287195378, u_card=2, grid_step=0.05)
-        assert sol.value_bits == 0.9642664796050735
+        assert sol.value_bits == 0.9642664796050738
         assert sol.constraint_slack == 0.0
-        assert sol.achiever.first.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
-        assert sol.achiever.second.cond.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
-        assert sol.achiever.weight == 0.05311127511348721
+        assert sol.achiever.first.cond.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        assert sol.achiever.second.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        assert sol.achiever.weight == 0.0531112751134867
 
-    def test_best_feasible_grid_point_is_kept(self):
-        # every grid gap is above 0 by rounding, so C = 0 lies below the
-        # first hull vertex and the envelope takes the best point within
-        # FEAS_TOL, which is no hull vertex of its chunk
+    def test_zero_budget_keeps_the_highest_point_at_gap_zero(self):
+        # both constant maps and the uniform channel sit at gap 0; the hull
+        # keeps the highest value, which is rounding noise above 0
         src = JointPmf(np.array([
             [0.2986326980616272, 0.02157789165918048, 0.14472742719146103],
             [0.015914553977739186, 0.01763178304917487, 0.06806966472372052],
             [0.43341770588603035, 1.955122902858218e-05, 8.72422203773017e-06]]))
         sol = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.5, n_random=0)
         assert sol.value_bits == 4.440892098500626e-16
-        assert sol.constraint_slack == -2.220446049250313e-16
+        assert sol.constraint_slack == 0.0
         assert sol.achiever.cond.rows.tolist() == [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+
+    def test_zero_budget_isolates_a_source_component(self):
+        # X = 0 and Y = 0 only occur together, so the map isolating X = 0 has
+        # gap 0 and value h(0.3), the Gacs-Korner point; the oracle once
+        # dropped it for a noisy grid channel worth 0.8314 at gap exactly 0
+        src = JointPmf(np.array([[0.3, 0.0, 0.0], [0.0, 0.35, 0.05], [0.0, 0.1, 0.2]]))
+        oracle = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.02)
+        assert oracle.value_bits == pytest.approx(h2(0.3), abs=1e-12)
+        solved = ucr_capacity_solve(src, 0.0, u_card=2)
+        assert abs(solved.value_bits - oracle.value_bits) <= 5e-3
 
     def test_grid_guard(self):
         src = random_joint(as_rng(0), 3, 3)
@@ -233,6 +304,37 @@ class TestOracle:
     def test_reciprocal_grid_steps_are_accepted(self, step):
         sol = ucr_capacity_oracle(dsbs(0.1), 0.1, u_card=1, grid_step=step)
         assert sol.value_bits == pytest.approx(0.0, abs=1e-12)
+
+
+class TestEnvelope:
+    def test_every_cloud_hull_starts_at_gap_zero(self, monkeypatch):
+        evaluate = ucrcap._evaluate_envelope
+        starts = []
+
+        def spy(cloud, c_bits, method):
+            gaps, values, _ = cloud
+            starts.append(gaps[_upper_hull(gaps, values)[0]])
+            return evaluate(cloud, c_bits, method)
+
+        monkeypatch.setattr(ucrcap, "_evaluate_envelope", spy)
+        rng = as_rng(6)
+        cases = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)] * 2
+        for nx, u_card in cases:
+            probs = random_joint(rng, nx, nx).probs.copy()
+            probs[rng.random(probs.shape) < 0.3] = 0.0
+            probs[np.arange(nx), np.arange(nx)] += 0.05
+            probs[0] += 0.05  # X = 0 and X = y share every column y: H(X|Y) > 0
+            src = JointPmf(probs / probs.sum())
+            ucr_capacity_oracle(src, 0.0, u_card, grid_step=0.1, n_random=64)
+            ucr_capacity_solve(src, 0.0, u_card, slope_count=5, restarts_per_slope=2,
+                               steps=40)
+        assert len(starts) == 2 * len(cases)
+        assert all(g == 0.0 for g in starts)
+
+    def test_hull_off_gap_zero_is_an_internal_error(self):
+        cloud = (np.array([0.1, 0.3]), np.array([0.2, 0.5]), np.zeros((2, 2, 2)))
+        with pytest.raises(InternalInvariantError, match="gap"):
+            _evaluate_envelope(cloud, 0.2, "oracle")
 
 
 class TestSolver:

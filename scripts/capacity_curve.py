@@ -50,9 +50,10 @@ def main(argv=None) -> int:
         for c, sol in points:
             rows.append((flip, c, sol.value_bits, sol.constraint_slack,
                          c >= knee))
-        at_knee = next(v.value_bits for c, v in points if c >= knee)
-        print(f"flip {flip}: knee at C = {knee:.4f}, value there "
-              f"{at_knee:.6f} (saturation target 1.0)")
+        past = [sol.value_bits for c, sol in points if c >= knee]
+        there = (f"value there {past[0]:.6f} (saturation target 1.0)" if past
+                 else "beyond the budget grid")
+        print(f"flip {flip}: knee at C = {knee:.4f}, {there}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -11,18 +11,22 @@ is concave and nondecreasing in C, equals H(X) once C reaches H(X|Y), and
 hits the Gacs-Korner point at C = 0.
 
 Two independent paths are provided: a brute-force oracle that enumerates
-row-stochastic matrices on a fine simplex grid, and a fast solver built from
-deterministic maps, a budgeted coarse-grid skeleton, batched multi-level
-local search, and an upper concave envelope over every point it discovered.
-Both build their point cloud once, as (gaps, values, mats) arrays, scored
-by one kernel that gives each matrix the same bits in any batch and sets
-gaps at or below 1e-12 to exactly 0, so the constant map anchors every
-envelope at gap 0. The oracle is the arbiter; the solver is validated
-against it, never trusted alone.
+row-stochastic matrices on a fine simplex grid, and a fast solver. The
+solver keeps the upper-hull points of a coarse channel grid (the densest
+that fits a fixed budget, down to the grid of deterministic maps), then
+runs a fixed number of polish rounds: for each hull segment up to the
+peak, batched random-coordinate climbers maximize I(U;X) - s * gap at the
+segment's chord slope s, starting from its end points and from random
+points between them. For slopes in [0, 1] the maximizer is a deterministic
+map, which the skeleton already holds, so no slope sweep is needed.
+Both paths build their point cloud once, as (gaps, values, mats) arrays,
+scored by one kernel that gives each matrix the same bits in any batch and
+sets gaps and values at or below 1e-12 to exactly 0, so the constant map
+anchors every envelope at gap 0. The oracle is the arbiter; the solver is
+validated against it, never trusted alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,13 +46,23 @@ from .probspace import (
 
 FEAS_TOL = 1e-9
 ORACLE_GUARD = 10 ** 8
+# the solver's skeleton is the densest channel grid within this many matrices;
+# at step 1 it is every map X -> U, refused above _MAP_GUARD of them
 _COARSE_BUDGET = 60_000
+_MAP_GUARD = 2 ** 20
+# the solver's polish: rounds over the hull, climbers per hull segment, and
+# random-coordinate steps per climb
+_POLISH_ROUNDS = 2
+_CLIMBERS_PER_SEGMENT = 3
+_CLIMB_STEPS = 500
 # _upper_hull thins clouds of at least this many points with a sub-hull
 # through the highest point of each of this many gap bins
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
-# _batch_objectives sets gaps at or below this to exactly 0: rounding leaves a
-# few ulp on maps whose true gap is 0, the constant map among them
+# _batch_objectives sets gaps and values at or below this to exactly 0:
+# rounding leaves a few ulp on maps whose true gap or value is 0, the
+# constant map among them (the gap never exceeds the value, so the gap of a
+# snapped value is snapped too)
 _GAP_SNAP = 1e-12
 
 
@@ -171,8 +185,8 @@ def _batch_objectives(mats: np.ndarray, px: np.ndarray,
 
     Each matrix gets the same bits in any batch (alone, in a grid chunk, in
     a permuted or strided stack): every reduction over the small x, u and y
-    axes is an explicit loop in one fixed order, elementwise over M. Gaps at
-    or below _GAP_SNAP are set to exactly 0.
+    axes is an explicit loop in one fixed order, elementwise over M. Gaps and
+    values at or below _GAP_SNAP are set to exactly 0.
     """
     h_x = entropy_bits(px)
     h_y = entropy_bits(pxy.sum(axis=0))
@@ -189,7 +203,8 @@ def _batch_objectives(mats: np.ndarray, px: np.ndarray,
     i_ux = h_u + h_x - h_ux
     gap = i_ux - (h_u + h_y - h_uy)
     gap[gap <= _GAP_SNAP] = 0.0
-    return np.maximum(i_ux, 0.0), gap
+    i_ux[i_ux <= _GAP_SNAP] = 0.0
+    return i_ux, gap
 
 
 def _simplex_grid(m: int, k: int) -> np.ndarray:
@@ -224,16 +239,6 @@ def _grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.n
         rows_idx[:, x] = rem % n_rows
         rem //= n_rows
     return row_pts[rows_idx].transpose(0, 2, 1)
-
-
-def _deterministic_maps(x_card: int, u_card: int) -> np.ndarray:
-    """Every map X -> U as a 0/1 matrix stack shaped (u_card ** x_card, u, x)."""
-    mats = []
-    for assignment in itertools.product(range(u_card), repeat=x_card):
-        rows = np.zeros((u_card, x_card))
-        rows[list(assignment), np.arange(x_card)] = 1.0
-        mats.append(rows)
-    return np.stack(mats)
 
 
 def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
@@ -379,8 +384,8 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     time-sharing between enumerated achievers) at c_bits. Each grid chunk
     keeps only its upper-hull vertices. The grid holds every deterministic
     map, and `_batch_objectives` gives a matrix the same bits in any batch
-    and snaps gaps at or below 1e-12 to exactly 0, so no map needs a pass
-    of its own, and the constant map anchors the hull at gap 0.
+    and snaps gaps and values at or below 1e-12 to exactly 0, so no map
+    needs a pass of its own, and the constant map anchors the hull at gap 0.
     grid_step must be the reciprocal of an integer to within 1e-9.
     """
     x_card, u_card, px = _common_inputs(source, c_bits, u_card)
@@ -413,14 +418,6 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
         parts.append(_hull_points(gaps, values, mats))
 
     return _evaluate_envelope(_stack(parts), c_bits, "oracle")
-
-
-def _slope_grid(count: int) -> np.ndarray:
-    """Support-line slopes: dense linear sweep plus a geometric tail."""
-    n_geo = count // 3
-    lin = np.linspace(0.0, 2.0, count - n_geo)
-    geo = np.geomspace(2.5, 64.0, n_geo)
-    return np.concatenate([lin, geo])
 
 
 def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, px: np.ndarray,
@@ -460,104 +457,74 @@ def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, px: np.ndarray,
     return best_g, best_v, best
 
 
-def _collect_points(source: JointPmf, u_card: int, seed: int, slopes: np.ndarray,
-                    restarts_per_slope: int, steps: int,
-                    refine_rounds: int = 2):
-    """Deterministic maps, coarse-grid skeleton, and support-line climbing.
+def _collect_points(source: JointPmf, u_card: int, seed: int):
+    """Coarse-grid skeleton, then climbs at its own hull slopes.
 
-    For each slope s the climbers maximize I(U;X) - s * gap without any
-    feasibility gate; every maximizer is a support point of the upper
-    concave envelope, which is the object both solver paths report. After
-    the slope sweep, extra climbs at the chord slopes of adjacent hull
-    support pairs bisect the dual and close wide segments. Returns the
-    cloud as (gaps, values, mats) arrays, mats shaped (M, u, x).
+    The skeleton is the densest step-1/m channel grid within
+    _COARSE_BUDGET matrices; at m = 1 it is every deterministic map. Each
+    polish round climbs, for every upper-hull segment up to the peak, on
+    I(U;X) - s * gap at the segment's chord slope s, from both end points
+    and from random points between them. A climber that ends above the
+    chord splits the segment. Returns the cloud as (gaps, values, mats)
+    arrays, mats shaped (M, u, x).
     """
     x_card = source.nx
     px = source.probs.sum(axis=1)
     pxy = source.probs
-
-    det = _deterministic_maps(x_card, u_card)
-    values, gaps = _batch_objectives(det, px, pxy)
-    parts = [(gaps, values, det)]
-
-    # coarse grid skeleton: densest simplex step within the element budget
-    coarse = coarse_v = coarse_g = None
-    for m in range(40, 1, -1):
-        if math.comb(m + u_card - 1, u_card - 1) ** x_card <= _COARSE_BUDGET:
-            row_pts = _simplex_grid(m, u_card)
-            coarse = _grid_chunk(row_pts, x_card, 0, row_pts.shape[0] ** x_card)
-            coarse_v, coarse_g = _batch_objectives(coarse, px, pxy)
-            parts.append(_hull_points(coarse_g, coarse_v, coarse))
-            break
+    m = next((m for m in range(40, 1, -1)
+              if math.comb(m + u_card - 1, u_card - 1) ** x_card <= _COARSE_BUDGET), 1)
+    row_pts = _simplex_grid(m, u_card)
+    total = row_pts.shape[0] ** x_card
+    if total > _MAP_GUARD:
+        raise GuardError(
+            f"the solver's skeleton would hold all {total} maps X -> U "
+            f"(> {_MAP_GUARD}); use a smaller u_card")
+    mats = _grid_chunk(row_pts, x_card, 0, total)
+    values, gaps = _batch_objectives(mats, px, pxy)
+    cloud = _hull_points(gaps, values, mats)
 
     rng = as_rng(seed)
-    slope_vec = np.repeat(slopes, restarts_per_slope)
-    batch = slope_vec.size
-    starts = rng.dirichlet(np.ones(u_card), size=(batch, x_card)).transpose(0, 2, 1)
-    # seed every third start from a deterministic map, lightly smoothed
-    for b in range(0, batch, 3):
-        base = det[b % len(det)] + 0.05
-        starts[b] = base / base.sum(axis=0, keepdims=True)
-    if u_card >= x_card:
-        ident = AuxiliaryChannel.identity(x_card, u_card).cond.rows.T
-        for b in range(1, batch, 3):
-            mix = 0.85 * ident + 0.15 * starts[b]
-            starts[b] = mix / mix.sum(axis=0, keepdims=True)
-    if coarse is not None:
-        # polish the skeleton's own winner for each climber's slope
-        for b in range(2, batch, 3):
-            i = int(np.argmax(coarse_v - slope_vec[b] * coarse_g))
-            base = coarse[i] + 0.02
-            starts[b] = base / base.sum(axis=0, keepdims=True)
-    parts.append(_climb(rng, slope_vec, starts, px, pxy, steps, x_card, u_card))
-    cloud = _stack(parts)
-
-    for _ in range(refine_rounds):
-        g_all, v_all, m_all = cloud
-        hull = _upper_hull(g_all, v_all)
-        pairs = [(hull[i], hull[i + 1]) for i in range(len(hull) - 1)
-                 if g_all[hull[i + 1]] - g_all[hull[i]] > 2e-3]
-        if not pairs:
+    for _ in range(_POLISH_ROUNDS):
+        gaps, values, mats = cloud
+        hull = np.array(_upper_hull(gaps, values))
+        peak = int(np.argmax(values[hull]))
+        left, right = hull[:peak], hull[1:peak + 1]
+        if left.size == 0:
             break
-        pairs.sort(key=lambda ij: g_all[ij[1]] - g_all[ij[0]], reverse=True)
-        pairs = pairs[:40]
-        per = 6
-        r_slopes = np.empty(len(pairs) * per)
-        r_starts = np.empty((len(pairs) * per, u_card, x_card))
-        for k, (i, j) in enumerate(pairs):
-            s = (v_all[j] - v_all[i]) / (g_all[j] - g_all[i])
-            a, b = m_all[i], m_all[j]
-            seeds = [a + 0.02, b + 0.02, 0.5 * (a + b) + 0.01,
-                     0.75 * a + 0.25 * b + 0.01, 0.25 * a + 0.75 * b + 0.01,
-                     rng.dirichlet(np.ones(u_card), size=x_card).T]
-            for r in range(per):
-                base = seeds[r]
-                r_slopes[k * per + r] = s
-                r_starts[k * per + r] = base / base.sum(axis=0, keepdims=True)
-        cloud = _stack([cloud, _climb(rng, r_slopes, r_starts, px, pxy, steps,
+        slopes = (values[right] - values[left]) / (gaps[right] - gaps[left])
+        lam = rng.random((_CLIMBERS_PER_SEGMENT - 2, left.size, 1, 1))
+        between = lam * mats[left] + (1.0 - lam) * mats[right]
+        starts = np.concatenate([mats[left], mats[right],
+                                 between.reshape(-1, u_card, x_card)])
+        slope_vec = np.tile(slopes, _CLIMBERS_PER_SEGMENT)
+        cloud = _stack([cloud, _climb(rng, slope_vec, starts, px, pxy, _CLIMB_STEPS,
                                       x_card, u_card)])
     return cloud
 
 
 def ucr_capacity_solve(source: JointPmf, c_bits: float, u_card: int | None = None, *,
-                       seed: int = 0, slope_count: int = 33,
-                       restarts_per_slope: int = 8, steps: int = 700) -> UcrSolution:
+                       seed: int = 0) -> UcrSolution:
     """Fast solver: exact fast path, then envelope over searched points.
 
     For C >= H(X|Y) the identity auxiliary is optimal and exact. Below that,
-    support-line climbers sweep a grid of slopes; their maximizers, together
-    with all deterministic maps and a budgeted coarse-grid skeleton, feed an
-    upper concave envelope evaluated at c_bits. The collected point set does
-    not depend on c_bits, so the result is monotone in C.
+    the cloud is the hull of a budgeted coarse-grid skeleton (every
+    deterministic map when nothing finer fits), polished by support-line
+    climbers at the chord slope of each of its hull segments; the value is
+    the cloud's upper concave envelope at c_bits. The cloud does not depend
+    on c_bits, so the result is monotone in C.
     """
-    return ucr_curve(source, [c_bits], u_card, seed=seed, slope_count=slope_count,
-                     restarts_per_slope=restarts_per_slope, steps=steps)[0][1]
+    return ucr_curve(source, [c_bits], u_card, seed=seed)[0][1]
 
 
 def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,
-              seed: int = 0, slope_count: int = 33, restarts_per_slope: int = 8,
-              steps: int = 700) -> list[tuple[float, UcrSolution]]:
-    """Evaluate the capacity at several budgets off one shared search pass."""
+              seed: int = 0) -> list[tuple[float, UcrSolution]]:
+    """Evaluate the capacity at several budgets off one shared search.
+
+    Each budget below H(X|Y) reads the envelope of the one cloud that
+    `ucr_capacity_solve` describes; with u_card >= |X|, budgets at or above
+    it take the exact fast path, and a grid made only of those runs no
+    search.
+    """
     c_grid = [float(c) for c in c_grid]
     if any(c < 0.0 for c in c_grid):
         raise ValidationError("rate budgets must be >= 0")
@@ -572,8 +539,7 @@ def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,
                               c - h_x_given_y, "envelope")
         else:
             if cloud is None:
-                cloud = _collect_points(source, u_card, seed, _slope_grid(slope_count),
-                                        restarts_per_slope, steps)
+                cloud = _collect_points(source, u_card, seed)
             sol = _evaluate_envelope(cloud, c, "envelope")
         out.append((c, sol))
     return out

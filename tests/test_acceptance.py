@@ -109,8 +109,7 @@ def test_criterion_02_budget_endpoints():
         h_cond = conditional_entropy_x_given_y(src)
         above = ucr_capacity_solve(src, h_cond + 0.01)
         worst_high = max(worst_high, abs(above.value_bits - h_x))
-        below = ucr_capacity_solve(src, h_cond - 0.05, slope_count=17,
-                                   restarts_per_slope=4, steps=300)
+        below = ucr_capacity_solve(src, h_cond - 0.05)
         worst_margin = min(worst_margin, h_x - below.value_bits)
     assert worst_high <= 1e-6
     assert worst_margin > 1e-4

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ucrlab import protocol, ucrcap
@@ -98,6 +99,18 @@ class TestUcrCommand:
         code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2",
                      "--oracle", "--grid-step", "0.002", "--u-card", "3",
                      "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_GUARD
+
+    def test_solver_map_guard_maps_to_the_guard_exit_code(self, tmp_path, monkeypatch):
+        def built(*args):
+            raise AssertionError("the skeleton was built past the map guard")
+
+        monkeypatch.setattr(ucrcap, "_grid_chunk", built)
+        probs = np.random.default_rng(7).dirichlet(np.ones(49))
+        src = tmp_path / "x7.json"
+        src.write_text(json.dumps({"alphabet_x": 7, "alphabet_y": 7,
+                                   "probs": probs.tolist()}), encoding="utf-8")
+        code = main(["ucr", str(src), "--C", "0.0", "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_GUARD
 
     def test_oracle_grid_step_off_a_reciprocal_is_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 """Constrained auxiliary-channel maximization: oracle, solver, and curve."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from ucrlab.ucrcap import (
     AuxiliaryChannel,
     TimeSharedAux,
     _batch_objectives,
-    _deterministic_maps,
     _evaluate_envelope,
     _grid_chunk,
     _hull_scan,
@@ -28,7 +29,7 @@ from ucrlab.ucrcap import (
 
 # oracle reference on DSBS(0.1) at C = 0.2 bits, u_card 3, grid step 0.02
 G1_ORACLE = 0.5059245194168636
-G1_SOLVER = 0.5060752581797665
+G1_SOLVER = 0.5060752433467277
 # criterion 03's 28th source (|U| = 2 there); at one time 2 of its 8
 # deterministic maps got other last bits inside a grid chunk than alone
 C03_SOURCE_28 = [[0.0010244352540482444, 0.10752797925113887, 0.04930480904197328],
@@ -94,12 +95,13 @@ def grid_index(row_pts: np.ndarray, mat: np.ndarray) -> int:
 def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None:
     """Every deterministic map and some random points of the step-1/m grid
     get bit-identical (value, gap) alone, inside a grid chunk, in a permuted
-    batch, in strided views and as `_deterministic_maps` entries."""
+    batch, in strided views and as entries of the step-1 grid, which holds
+    exactly the maps."""
     px = probs.sum(axis=1)
     x_card = probs.shape[0]
     row_pts = _simplex_grid(m, u_card)
     total = row_pts.shape[0] ** x_card
-    det = _deterministic_maps(x_card, u_card)
+    det = _grid_chunk(_simplex_grid(1, u_card), x_card, 0, u_card ** x_card)
     picks = rng.integers(0, total, size=16)
     mats = np.concatenate([det] + [_grid_chunk(row_pts, x_card, k, k + 1) for k in picks])
     value, gap = _batch_objectives(mats, px, probs)
@@ -225,7 +227,7 @@ class TestOracle:
         assert sol.achiever.weight == 0.8230687289329729
 
     @pytest.mark.parametrize("nx, seed, c_bits, value, slack, rows", [
-        (3, 3, 0.0, 4.440892098500626e-16, 0.0, [[[0.86, 0.14], [0.86, 0.14], [0.86, 0.14]]]),
+        (3, 3, 0.0, 0.0, 0.0, [[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]]),
         (3, 3, 0.1, 0.17890522007657977, 0.0,
          [[[0.18, 0.82], [0.7, 0.3], [0.28, 0.72]],
           [[0.16, 0.84], [0.7, 0.3], [0.26, 0.74]], 0.7822615443345342]),
@@ -262,17 +264,18 @@ class TestOracle:
         assert sol.achiever.second.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         assert sol.achiever.weight == 0.0531112751134867
 
-    def test_zero_budget_keeps_the_highest_point_at_gap_zero(self):
-        # both constant maps and the uniform channel sit at gap 0; the hull
-        # keeps the highest value, which is rounding noise above 0
+    def test_zero_budget_without_a_common_part_is_exactly_zero(self):
+        # both constant maps and the uniform channel sit at gap 0; values
+        # within 1e-12 of 0 are snapped to 0, so no rounding noise wins and
+        # the lowest grid index, a constant map, is kept
         src = JointPmf(np.array([
             [0.2986326980616272, 0.02157789165918048, 0.14472742719146103],
             [0.015914553977739186, 0.01763178304917487, 0.06806966472372052],
             [0.43341770588603035, 1.955122902858218e-05, 8.72422203773017e-06]]))
         sol = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.5, n_random=0)
-        assert sol.value_bits == 4.440892098500626e-16
+        assert sol.value_bits == 0.0
         assert sol.constraint_slack == 0.0
-        assert sol.achiever.cond.rows.tolist() == [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+        assert sol.achiever.cond.rows.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_zero_budget_isolates_a_source_component(self):
         # X = 0 and Y = 0 only occur together, so the map isolating X = 0 has
@@ -326,8 +329,7 @@ class TestEnvelope:
             probs[0] += 0.05  # X = 0 and X = y share every column y: H(X|Y) > 0
             src = JointPmf(probs / probs.sum())
             ucr_capacity_oracle(src, 0.0, u_card, grid_step=0.1, n_random=64)
-            ucr_capacity_solve(src, 0.0, u_card, slope_count=5, restarts_per_slope=2,
-                               steps=40)
+            ucr_capacity_solve(src, 0.0, u_card)
         assert len(starts) == 2 * len(cases)
         assert all(g == 0.0 for g in starts)
 
@@ -361,16 +363,50 @@ class TestSolver:
         assert value == pytest.approx(sol.value_bits, abs=1e-9)
         assert 0.2 - gap == pytest.approx(sol.constraint_slack, abs=1e-9)
 
+    def test_curve_points_track_the_oracle(self):
+        # criterion 03 checks one budget per source; here every curve point
+        rng = as_rng(707)
+        for nx, u_card in ((2, 3), (2, 3), (3, 2)):
+            src = random_joint(rng, nx, nx)
+            h_cond = conditional_entropy_x_given_y(src)
+            assert h_cond >= 0.02
+            grid = [0.1 * h_cond, 0.45 * h_cond, 0.9 * h_cond]
+            for c, sol in ucr_curve(src, grid, u_card):
+                oracle = ucr_capacity_oracle(src, c, u_card, grid_step=0.02)
+                assert sol.value_bits >= oracle.value_bits - 5e-3, (nx, c)
+
+    def test_map_skeleton_alone_reaches_every_feasible_map(self):
+        # at |X| = |U| = 5 no grid finer than the maps fits the skeleton
+        # budget; the search must still report the best map within budget
+        src = random_joint(as_rng(55), 5, 5)
+        c_bits = 0.5 * conditional_entropy_x_given_y(src)
+        best = 0.0
+        for mapping in itertools.product(range(5), repeat=5):
+            value, gap = ucr_objective(src, AuxiliaryChannel.deterministic(mapping, 5))
+            if gap <= c_bits:
+                best = max(best, value)
+        sol = ucr_capacity_solve(src, c_bits, u_card=5)
+        assert sol.value_bits >= best - 1e-12
+        assert best > 0.0
+
+    def test_map_guard_fires_before_any_map_is_built(self, monkeypatch):
+        # |X| = 7 at the default |U| = 8 would stack 8**7 maps
+        def built(*args):
+            raise AssertionError("the skeleton was built past the map guard")
+
+        monkeypatch.setattr(ucrcap, "_grid_chunk", built)
+        with pytest.raises(GuardError, match="maps"):
+            ucr_capacity_solve(random_joint(as_rng(7), 7, 7), 0.0)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
     @settings(max_examples=10)
     def test_solution_invariants_on_random_sources(self, seed, c_bits):
         src = random_joint(as_rng(seed), 2, 2)
-        kwargs = dict(slope_count=9, restarts_per_slope=3, steps=150)
-        sol = ucr_capacity_solve(src, c_bits, **kwargs)
+        sol = ucr_capacity_solve(src, c_bits)
         h_x = entropy(src.marginal_x())
         assert -1e-12 <= sol.value_bits <= h_x + 1e-9
         assert sol.constraint_slack >= -1e-9
-        later = ucr_capacity_solve(src, c_bits + 0.1, **kwargs)
+        later = ucr_capacity_solve(src, c_bits + 0.1)
         assert later.value_bits >= sol.value_bits - 1e-9
 
 

@@ -18,14 +18,22 @@ drawing presence of a value via its Poissonized occupancy and spurious
 row matches via an exact type-class match probability, so the per-trial
 law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
+
+Both engines run trials in batches of max(1, 2**16 // n), through one
+typicality kernel, _typical_mask. Each trial keeps its own generator,
+seeded from its trial number, and draws from it in a fixed order: its
+source block, then the index channel's flip and alternative index, then
+the statistical engine's conditional draws. An outcome therefore depends
+on its trial number alone, not on the batch it ran in.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -37,7 +45,7 @@ from .probspace import (
     as_rng,
     compose_aux,
     entropy_bits,
-    sample_iid,
+    pairs_from_uniforms,
     subseed,
     type_counts,
 )
@@ -51,6 +59,12 @@ MEMORY_GUARD = 10 ** 9          # codebook symbols
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
 _VALUE_DICT_MAX = 10 ** 7       # first-occurrence map size cutoff
+# Fewest words per row the statistical engine accepts. Against the
+# materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
+# n = 12, mu = 0.02, eps 0.9, theta 0.05, seed 3 (N2 = 3) drifts 2.7 pooled
+# binomial SE in ambiguous decodes, while configs with N2 of 65, 119 and
+# 294 stay within 1.5 SE.
+STATISTICAL_MIN_N2 = 64
 FALLBACK = None                 # index marker for the reserved word
 
 
@@ -237,19 +251,12 @@ class Codebook:
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """Indicator blocks of the whole codebook, built on first use."""
-        return _indicator_blocks(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
+        """Indicator blocks of the whole codebook, built on first use.
 
-    def row_blocks(self, i: int) -> np.ndarray:
-        """Indicator blocks of row i (1-based).
-
-        A codebook the encoder scans slices its full blocks; one whose
-        encoder looks words up never builds them, since the decoder
-        reads a single row per trial.
+        Only the scanning encoder and the exact analyzer read them; the
+        decoder builds blocks of the rows it receives.
         """
-        if self.scans:
-            return self.blocks[:, :, (i - 1) * self.n2:i * self.n2]
-        return _indicator_blocks(self.words[i - 1], self.u_card)
+        return _indicator_blocks(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
 
     def word(self, i: int, j: int) -> np.ndarray:
         return self.words[i - 1, j - 1]
@@ -257,79 +264,100 @@ class Codebook:
 
 _F32_EXACT = 2 ** 24            # float32 holds every integer count below this
 _SCAN_CELLS = 2 ** 18           # word x sequence cells per kernel step
+_ENCODE_CHUNK = 65536           # codebook words per encoder scan step
+_BATCH_SYMBOLS = 2 ** 16        # source symbols per Monte Carlo batch
 
 
-def _indicator_blocks(words_2d: np.ndarray, u_card: int) -> np.ndarray:
-    """0/1 float32 blocks (u_card - 1, n, W): block a marks symbol a in each word.
+def _indicator_blocks(words: np.ndarray, u_card: int) -> np.ndarray:
+    """0/1 float32 blocks (..., u_card - 1, n, W) of words (..., W, n): block a
+    marks symbol a in each word.
 
     The last real symbol needs no block, since its counts are the
     complement of the others; the reserved symbol never occurs in a
     codebook word, so it needs none either.
     """
-    symbols = np.arange(u_card - 1, dtype=words_2d.dtype)[:, None, None]
-    return (words_2d.T[None, :, :] == symbols).astype(np.float32, order="C")
+    symbols = np.arange(u_card - 1, dtype=words.dtype)[:, None, None]
+    return (np.swapaxes(words, -1, -2)[..., None, :, :] == symbols).astype(
+        np.float32, order="C")
 
 
 @lru_cache(maxsize=64)
-def _cached_pass_table(ref_bytes: bytes, shape: tuple, eps: float, n: int) -> np.ndarray:
+def _cached_count_bounds(ref_bytes: bytes, shape: tuple, eps: float, n: int) -> np.ndarray:
     p = np.frombuffer(ref_bytes, dtype=np.float64).reshape(shape)[:, :, None]
     c = np.arange(n + 1)
     table = np.abs(c - n * p) <= eps * n * p
     if not table[-1, :, 0].all():
         raise InternalInvariantError("reserved symbol has positive reference mass")
-    table = table[:-1].ravel()
-    table.flags.writeable = False
-    return table
+    passes = table.any(axis=2)
+    lo = np.where(passes, table.argmax(axis=2), n + 1)
+    hi = np.where(passes, n - table[:, :, ::-1].argmax(axis=2), -1)
+    if not np.array_equal(table.sum(axis=2), np.maximum(hi - lo + 1, 0)):
+        raise InternalInvariantError("the typical counts of a cell do not form an interval")
+    bounds = np.stack([lo[:-1], hi[:-1]]).astype(np.float32)
+    bounds.flags.writeable = False
+    return bounds
 
 
-def _pass_table(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
-    """Flat bool table: entry (a * n_b + b) * (n + 1) + c says whether count
-    c of cell (a, b) is robustly typical, for every real symbol a.
+def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """float32 (2, u_card, n_b): cell (a, b) of a real symbol a is robustly
+    typical exactly for the counts c in [lo, hi] = bounds[:, a, b].
 
-    Built from the typicality test itself, |c - n p| <= eps n p, so a
-    lookup decides every count exactly as the test does. The last row of
-    ref is the reserved symbol, of zero mass: it passes at count 0 only.
+    Read off the typicality test itself, |c - n p| <= eps n p, at every
+    count 0..n. The passing counts form an interval because fl(c - n p)
+    is monotone in c; a cell no count passes gets lo = n + 1 > hi = -1.
+    The last row of ref is the reserved symbol, of zero mass: it passes
+    at count 0 only.
     """
     ref = np.ascontiguousarray(ref, dtype=np.float64)
-    return _cached_pass_table(ref.tobytes(), ref.shape, float(eps), int(n))
+    return _cached_count_bounds(ref.tobytes(), ref.shape, float(eps), int(n))
 
 
 def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
                   eps: float) -> np.ndarray:
-    """Robust joint typicality of every word against every sequence: bool (S, W).
+    """Robust joint typicality of every word against every sequence.
 
-    blocks holds the words' _indicator_blocks; seqs is (S, n) over the
-    columns of ref. The joint counts #(u=a, x=b) are one matmul of 0/1
-    float32 indicators, exact for n < 2**24; the last real symbol's
-    count is #(x=b) minus the others, and the reserved symbol's is 0,
-    which passes, since no codebook word holds it.
+    blocks holds the words' _indicator_blocks, (n_a, n, W), and seqs is
+    (S, n) over the columns of ref; the result is bool (S, W). With a
+    leading batch axis on both, (B, n_a, n, W) and (B, S, n), entry t
+    tests seqs[t] against its own words blocks[t] and the result is
+    (B, S, W). The joint counts #(u=a, x=b) are one matmul of 0/1 float32
+    indicators, exact for n < 2**24; the last real symbol's count is
+    #(x=b) minus the others, and the reserved symbol's is 0, which passes,
+    since no codebook word holds it. A word is typical when every count
+    lies in its cell's _count_bounds.
     """
-    n_s, n = seqs.shape
+    batched = blocks.ndim == 4
+    if not batched:
+        blocks, seqs = blocks[None], seqs[None]
+    n_t, n_s, n = seqs.shape
     if n >= _F32_EXACT:
         raise GuardError(f"block length {n} is too long to count joint types exactly")
-    n_a, n_w = blocks.shape[0], blocks.shape[2]
+    n_a, n_w = blocks.shape[1], blocks.shape[3]
     n_b = ref.shape[1]
-    table = _pass_table(ref, eps, n)
-    offsets = (np.arange((n_a + 1) * n_b) * (n + 1)).reshape(n_a + 1, n_b, 1, 1)
-    out = np.empty((n_s, n_w), dtype=bool)
-    step = max(1, _SCAN_CELLS // max(n_w, 1))
-    for lo in range(0, n_s, step):
-        part = seqs[lo:lo + step]
-        s = part.shape[0]
-        ind = (part[None, :, :] == np.arange(n_b)[:, None, None]).astype(np.float32)
-        counts = np.matmul(ind.reshape(n_b * s, n), blocks).reshape(n_a, n_b, s, n_w)
-        idx = np.empty((n_a + 1, n_b, s, n_w), dtype=np.intp)
-        idx[:n_a] = counts
-        idx[n_a] = ind.sum(axis=2)[:, :, None] - counts.sum(axis=0)
-        idx += offsets
-        out[lo:lo + s] = table[idx].all(axis=(0, 1))
-    return out
-
-
-def _pair_typical_single(u_seq: np.ndarray, seq: np.ndarray, ref: np.ndarray,
-                         eps: float) -> bool:
-    blocks = _indicator_blocks(u_seq[None, :], ref.shape[0] - 1)
-    return bool(_typical_mask(blocks, seq[None, :], ref, eps)[0, 0])
+    lo, hi = _count_bounds(ref, eps, n)
+    out = np.empty((n_t, n_s, n_w), dtype=bool)
+    s_step = max(1, _SCAN_CELLS // max(n_w, 1))
+    t_step = max(1, _SCAN_CELLS // max(n_w * n_s, 1))
+    for t0 in range(0, n_t, t_step):
+        for s0 in range(0, n_s, s_step):
+            part = seqs[t0:t0 + t_step, s0:s0 + s_step]
+            t, s = part.shape[:2]
+            ind = (part[:, None] == np.arange(n_b)[:, None, None]).astype(np.float32)
+            counts = np.matmul(ind.reshape(t, 1, n_b * s, n), blocks[t0:t0 + t])
+            counts = counts.reshape(t, n_a, n_b, s, n_w)
+            totals = ind.sum(axis=3)[..., None]                 # #(x=b)
+            ok = out[t0:t0 + t, s0:s0 + s]
+            ok[...] = True
+            test = np.empty_like(ok)
+            for b in range(n_b):
+                cells = [counts[:, a, b] for a in range(n_a)]
+                last = totals[:, b]
+                for c in cells:
+                    last = last - c
+                for a, c in enumerate(cells + [last]):
+                    ok &= np.greater_equal(c, lo[a, b], out=test)
+                    ok &= np.less_equal(c, hi[a, b], out=test)
+    return out if batched else out[0]
 
 
 def build_codebook(cfg: ProtocolConfig) -> Codebook:
@@ -364,27 +392,49 @@ def build_codebook(cfg: ProtocolConfig) -> Codebook:
                     cfg.eps_typ, det_map, first_index)
 
 
+def _encode_batch(cb: Codebook, xs: np.ndarray, eps: float) -> np.ndarray:
+    """Flat row-major index of each block's encoded word, or -1 for the fallback.
+
+    xs is (B, n). A lookup codebook tests every det_map[x] against its x
+    in one kernel call and looks the typical ones up; a scanning codebook
+    runs the kernel over the blocks still without a typical word,
+    _ENCODE_CHUNK words at a time, and keeps each block's first.
+    """
+    found = np.full(xs.shape[0], -1, dtype=np.intp)
+    if not cb.scans:
+        u = cb.det_map[xs]
+        typical = _typical_mask(_indicator_blocks(u[:, None, :], cb.u_card),
+                                xs[:, None, :], cb.pair_ux, eps)[:, 0, 0]
+        for t in np.flatnonzero(typical):
+            hit = cb.first_index.get(u[t].tobytes())
+            if hit is not None:
+                found[t] = (hit[0] - 1) * cb.n2 + hit[1] - 1
+        return found
+    pending = np.arange(xs.shape[0])
+    for start in range(0, cb.n1 * cb.n2, _ENCODE_CHUNK):
+        mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
+                             cb.pair_ux, eps)
+        hit = mask.any(axis=1)
+        found[pending[hit]] = start + mask[hit].argmax(axis=1)
+        pending = pending[~hit]
+        if pending.size == 0:
+            break
+    return found
+
+
+def _encoded(cb: Codebook, w: int):
+    """(word_value, (i, j) or FALLBACK, i_star) of flat word index w, -1 the fallback."""
+    if w < 0:
+        return cb.fallback, FALLBACK, cb.n1 + 1
+    i, j = w // cb.n2 + 1, w % cb.n2 + 1
+    return cb.words[i - 1, j - 1], (i, j), i
+
+
 def _encode_detail(cb: Codebook, x: np.ndarray, eps: float):
     """Returns (word_value, (i, j) or FALLBACK, i_star)."""
     if x.shape[0] != cb.n:
         raise ValidationError(f"sequence length {x.shape[0]} != block length {cb.n}")
-    if not cb.scans:
-        u_seq = cb.det_map[x]
-        if _pair_typical_single(u_seq, x, cb.pair_ux, eps):
-            hit = cb.first_index.get(u_seq.tobytes())
-            if hit is not None:
-                return u_seq, hit, hit[0]
-        return cb.fallback, FALLBACK, cb.n1 + 1
-    flat = cb.words.reshape(cb.n1 * cb.n2, cb.n)
-    blocks = cb.blocks
-    chunk = 65536
-    for start in range(0, flat.shape[0], chunk):
-        mask = _typical_mask(blocks[:, :, start:start + chunk], x[None, :], cb.pair_ux, eps)[0]
-        if mask.any():
-            w = start + int(np.argmax(mask))
-            i, j = w // cb.n2 + 1, w % cb.n2 + 1
-            return flat[w], (i, j), i
-    return cb.fallback, FALLBACK, cb.n1 + 1
+    return _encoded(cb, int(_encode_batch(cb, x[None, :], eps)[0]))
 
 
 def encode_phi(cb: Codebook, x: np.ndarray, tp: TypicalityParams | None = None):
@@ -424,6 +474,39 @@ def _draw_index(rng: np.random.Generator, i_star: int, n1: int, theta: float) ->
     return i_star if u >= theta else alt
 
 
+def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
+                  eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decode each block ys[t] against codebook row rows[t] (0-based, < n1).
+
+    Returns (columns, distinct): the 0-based column of the row's unique
+    typical word value, or -1, and how many distinct values are typical.
+    The kernel sees every block's own row; its blocks are built for at
+    most _SCAN_CELLS word symbols at a time.
+    """
+    columns = np.full(ys.shape[0], -1, dtype=np.intp)
+    distinct = np.zeros(ys.shape[0], dtype=np.intp)
+    step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
+    for lo in range(0, ys.shape[0], step):
+        words = cb.words[rows[lo:lo + step]]                 # (t, n2, n)
+        mask = _typical_mask(_indicator_blocks(words, cb.u_card), ys[lo:lo + step, None, :],
+                             cb.pair_uy, eps)[:, 0]
+        first = mask.argmax(axis=1)
+        lead = words[np.arange(words.shape[0]), first]
+        count = mask.any(axis=1).astype(np.intp)
+        for t in np.flatnonzero((mask & (words != lead[:, None, :]).any(axis=2)).any(axis=1)):
+            count[t] = np.unique(words[t][mask[t]], axis=0).shape[0]
+        distinct[lo:lo + step] = count
+        columns[lo:lo + step] = np.where(count == 1, first, -1)
+    return columns, distinct
+
+
+def _decoded(cb: Codebook, i_tilde: int, column: int, distinct: int):
+    """(word_value, (i, j) or FALLBACK, distinct_typical_count) of a decode."""
+    if column < 0:
+        return cb.fallback, FALLBACK, distinct
+    return cb.words[i_tilde - 1, column], (i_tilde, column + 1), distinct
+
+
 def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
     """Returns (word_value, (i, j) or FALLBACK, distinct_typical_count)."""
     if y.shape[0] != cb.n:
@@ -432,16 +515,8 @@ def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
         raise ValidationError(f"received index {i_tilde} outside 1..{cb.n1 + 1}")
     if i_tilde == cb.n1 + 1:
         return cb.fallback, FALLBACK, 0
-    row = cb.words[i_tilde - 1]
-    mask = _typical_mask(cb.row_blocks(i_tilde), y[None, :], cb.pair_uy, eps)[0]
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return cb.fallback, FALLBACK, 0
-    values = np.unique(row[hits], axis=0)
-    if values.shape[0] != 1:
-        return cb.fallback, FALLBACK, int(values.shape[0])
-    j = int(hits[0]) + 1
-    return row[hits[0]], (i_tilde, j), 1
+    columns, distinct = _decode_batch(cb, y[None, :], np.array([i_tilde - 1]), eps)
+    return _decoded(cb, i_tilde, int(columns[0]), int(distinct[0]))
 
 
 def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int,
@@ -513,13 +588,31 @@ def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
     return mm, plugin, len(counts)
 
 
-def _materialized_trial(cb: Codebook, cfg: ProtocolConfig, t: int):
-    rng = as_rng(subseed(cfg.seed, _TRIAL_KEY, t))
-    x, y = sample_iid(cfg.source, cfg.n, rng)
-    k_word, k_idx, i_star = _encode_detail(cb, x, cfg.eps_typ)
-    i_tilde = _draw_index(rng, i_star, cfg.n1, cfg.theta)
-    l_word, l_idx, distinct = _decode_detail(cb, y, i_tilde, cfg.eps_typ)
-    return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
+def _trial_blocks(cfg: ProtocolConfig, ts: range):
+    """Each trial's generator and the trials' source blocks, (len(ts), n) each.
+
+    Trial t's generator comes from its own seed child and has drawn its
+    block's uniforms, random(n), when it is returned.
+    """
+    rngs = [as_rng(subseed(cfg.seed, _TRIAL_KEY, t)) for t in ts]
+    x, y = pairs_from_uniforms(cfg.source, np.stack([rng.random(cfg.n) for rng in rngs]))
+    return rngs, x, y
+
+
+def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, ts: range) -> list:
+    """Raw outcomes of trials ts: one encoder and one decoder call for all of
+    them, and the index channel drawn per trial in between."""
+    rngs, xs, ys = _trial_blocks(cfg, ts)
+    encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs, cfg.eps_typ)]
+    i_tilde = np.array([_draw_index(rng, i_star, cfg.n1, cfg.theta)
+                        for rng, (_, _, i_star) in zip(rngs, encoded)])
+    columns = np.full(len(ts), -1, dtype=np.intp)
+    distinct = np.zeros(len(ts), dtype=np.intp)
+    sent = np.flatnonzero(i_tilde <= cfg.n1)
+    columns[sent], distinct[sent] = _decode_batch(cb, ys[sent], i_tilde[sent] - 1,
+                                                  cfg.eps_typ)
+    return [(t, *enc, int(i_t), *_decoded(cb, int(i_t), int(col), int(d)))
+            for t, enc, i_t, col, d in zip(ts, encoded, i_tilde, columns, distinct)]
 
 
 class _StatisticalEngine:
@@ -544,6 +637,10 @@ class _StatisticalEngine:
             raise GuardError(
                 "statistical codebook engine supports binary auxiliary and output "
                 "alphabets; lower n to reach the materialized path")
+        if cfg.n2 < STATISTICAL_MIN_N2:
+            raise GuardError(
+                f"statistical codebook engine needs N2 >= {STATISTICAL_MIN_N2} words per "
+                f"row, got {cfg.n2}; its row statistics drift at small N2")
         self.cfg = cfg
         self.det_map = np.argmax(cfg.aux.cond.rows, axis=1)
         self.type = type_counts(Pmf(cfg.p_u), cfg.n)
@@ -552,6 +649,7 @@ class _StatisticalEngine:
                        - sum(math.lgamma(c + 1) for c in self.type)) / _LN2
         self.log2_n1 = math.log2(cfg.n1)
         self.log2_n2 = math.log2(cfg.n2)
+        self._p_dup = self._prob_from_log2(self.log2_n2 - self.log2_t)
         self.pair_uy = cfg.pair_uy_ext[:2, :]
         self._q_cache: dict[int, float] = {}
         self._value_rows: dict[bytes, tuple[int, int] | None] = {}
@@ -621,19 +719,33 @@ class _StatisticalEngine:
             hit = self._value_rows[value]
         return hit
 
-    def trial(self, t: int):
+    def batch(self, ts: range) -> list:
+        """Raw outcomes of trials ts.
+
+        The block, its map, the exact-type test, both typicality tests and
+        the zero counts are batched; the draws that depend on earlier
+        results follow per trial, in the materialized engine's order.
+        """
         cfg = self.cfg
-        rng = as_rng(subseed(cfg.seed, _TRIAL_KEY, t))
-        x, y = sample_iid(cfg.source, cfg.n, rng)
-        u_seq = self.det_map[x].astype(np.int8)
-        exact_type = int((u_seq == 0).sum()) == int(self.type[0])
-        typical_ux = _pair_typical_single(u_seq, x, cfg.pair_ux_ext, cfg.eps_typ)
-        k_idx = None
-        k_word = self.fallback
-        if exact_type and typical_ux:
-            k_idx = self.value_rows(u_seq.tobytes())
-            if k_idx is not None:
-                k_word = u_seq
+        eps = cfg.eps_typ
+        rngs, x, y = _trial_blocks(cfg, ts)
+        u = self.det_map[x].astype(np.int8)
+        exact_type = (u == 0).sum(axis=1) == self.type[0]
+        blocks = _indicator_blocks(u[:, None, :], cfg.u_card)
+        typical_ux = _typical_mask(blocks, x[:, None, :], cfg.pair_ux_ext, eps)[:, 0, 0]
+        typical_uy = _typical_mask(blocks, y[:, None, :], cfg.pair_uy_ext, eps)[:, 0, 0]
+        encodes = exact_type & typical_ux
+        own_typical = exact_type & typical_uy
+        zeros = (y == 0).sum(axis=1)
+        return [self._finish(t, rngs[k], u[k], bool(encodes[k]), bool(own_typical[k]),
+                             int(zeros[k])) for k, t in enumerate(ts)]
+
+    def _finish(self, t: int, rng: np.random.Generator, u_seq: np.ndarray, encodes: bool,
+                own_typical: bool, zeros: int):
+        cfg = self.cfg
+        value = u_seq.tobytes()
+        k_idx = self.value_rows(value) if encodes else None
+        k_word = u_seq if k_idx is not None else self.fallback
         i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
         i_tilde = _draw_index(rng, i_star, cfg.n1, cfg.theta)
 
@@ -642,21 +754,18 @@ class _StatisticalEngine:
 
         # the trial's own value: in the scanned row either because the
         # encoder put it there, or as a duplicate occurrence elsewhere
-        own_typical = exact_type and _pair_typical_single(
-            u_seq, y, cfg.pair_uy_ext, cfg.eps_typ)
         own_in_row = k_idx is not None and i_tilde == k_idx[0]
-        if own_typical and not own_in_row and self.value_rows(u_seq.tobytes()) is not None:
-            p_dup = self._prob_from_log2(self.log2_n2 - self.log2_t)
-            own_in_row = rng.random() < p_dup
+        if own_typical and not own_in_row and self.value_rows(value) is not None:
+            own_in_row = rng.random() < self._p_dup
         own_hit = own_typical and own_in_row
 
-        log2_lam = self.log2_n2 + self.log2_q_y(int((y == 0).sum()))
+        log2_lam = self.log2_n2 + self.log2_q_y(zeros)
         lam = 0.0 if log2_lam < -60.0 else 2.0 ** min(log2_lam, 40.0)
         spurious = int(rng.poisson(lam)) if lam > 0.0 else 0
         if own_hit and spurious > 0:
             # the Poisson mass counts all typical words; remove the own value's
             # expected share so it is not double-counted
-            log2_share = -self.log2_t - self.log2_q_y(int((y == 0).sum()))
+            log2_share = -self.log2_t - self.log2_q_y(zeros)
             share = 0.0 if log2_share < -60.0 else min(2.0 ** log2_share, 1.0)
             spurious = int(rng.binomial(spurious, max(1.0 - share, 0.0)))
 
@@ -671,24 +780,33 @@ class _StatisticalEngine:
         return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
 
 
+def _raw_trials(cfg: ProtocolConfig, trials: int) -> tuple[str, Iterator[tuple]]:
+    """The engine name and the raw outcomes of trials 0..trials-1, run batch
+    by batch, max(1, _BATCH_SYMBOLS // n) trials each, as they are consumed."""
+    if cfg.codebook_symbols <= MEMORY_GUARD:
+        engine, batch = "materialized", partial(_materialized_batch, build_codebook(cfg), cfg)
+    else:
+        engine, batch = "statistical", _StatisticalEngine(cfg).batch
+    step = max(1, _BATCH_SYMBOLS // cfg.n)
+    return engine, itertools.chain.from_iterable(
+        batch(range(lo, min(lo + step, trials))) for lo in range(0, trials, step))
+
+
 def run_monte_carlo(cfg: ProtocolConfig, trials: int,
                     keep_outcomes: bool = True) -> MonteCarloResult:
     """Fixed-codebook Monte Carlo over fresh source blocks.
 
     The codebook is drawn once per run from the seed's codebook child;
     each trial owns a seed child indexed by trial number, so a seed
-    names one result. Trials run in order on the calling thread.
+    names one result. Trials run in batches of max(1, 2**16 // n); within
+    a batch each trial still draws from its own generator in the order of
+    a one-trial run (its block, then the index channel's flip and
+    alternative, then the statistical engine's conditional draws), so
+    every outcome is the same whatever the batch layout.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if cfg.codebook_symbols <= MEMORY_GUARD:
-        cb = build_codebook(cfg)
-        engine = "materialized"
-        raw = [_materialized_trial(cb, cfg, t) for t in range(trials)]
-    else:
-        stat = _StatisticalEngine(cfg)
-        engine = "statistical"
-        raw = [stat.trial(t) for t in range(trials)]
+    engine, raw = _raw_trials(cfg, trials)
 
     events = {name: 0 for name in _EVENT_NAMES}
     counter: dict[bytes, int] = {}

@@ -1,5 +1,6 @@
 """Command-line surface: documents on disk, exit codes, replay fidelity."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -144,6 +145,24 @@ class TestSimulateCommand:
         table = (out / "trials.csv").read_bytes()
         assert table.startswith(b"trial,i_sent,i_received,k_is_fallback,agreed\r\n")
         assert len(table.strip().splitlines()) == 201
+
+    @pytest.mark.parametrize("config, trials, hashes", [
+        ("protocol_small.json", "500",
+         {"trials.csv": "b8584f24be98c94613d3662a83ad7b3ecaad3c149168f7dd5182aaa463e20ad7",
+          "simulate.json": "fe715b272fd5c73e19fb2547a877674df5e5b2ba82052cb0ca85985780cf16e5"}),
+        ("protocol_desk.json", "300",
+         {"trials.csv": "c89b92956c55aafbb460a726a86f01dbb797fe583ca4ee6ebdc8bd68a5764a2c",
+          "simulate.json": "4f3954db2d1e166bf8438be7f8e88103a73364fb007567125cb07dfab4bde52c"}),
+    ], ids=["materialized", "statistical"])
+    def test_monte_carlo_output_bytes_are_pinned(self, tmp_path, config, trials, hashes):
+        # the outputs of the one-trial-at-a-time engines: batching trials must
+        # not move a byte; neither file holds a timing field
+        out = tmp_path / "run"
+        assert main(["simulate", str(CONFIGS / config), "--trials", trials,
+                     "--out-dir", str(out)]) == EXIT_OK
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in hashes}
+        assert got == hashes
 
     def test_diagnostics_put_the_key_rate_against_its_target(self, tmp_path):
         for args, keys in ((["--exact"], {"rate_bits", "target_rate_bits"}),

@@ -15,8 +15,8 @@ from ucrlab.probspace import JointPmf, Pmf, as_rng, sample_iid, subseed, type_co
 from ucrlab.protocol import (
     _decode_detail,
     _encode_detail,
+    _count_bounds,
     _indicator_blocks,
-    _pair_typical_single,
     _typical_mask,
     AchievabilityParams,
     ProtocolConfig,
@@ -248,10 +248,23 @@ class TestTypeCountKernel:
         got = _typical_mask(_indicator_blocks(words, u_card), seqs, ref, eps)
         want = np.stack([ref_batch_pair_typical(words, s, ref, eps) for s in seqs])
         assert np.array_equal(got, want)
-        for w in words[:3]:
-            for s in seqs:
-                assert _pair_typical_single(w, s, ref, eps) == bool(
-                    ref_batch_pair_typical(w[None, :], s, ref, eps)[0])
+        # batch axis: entry t tests seqs[t] against words of its own
+        own = rng.integers(0, u_card, size=(n_seqs, n_words, n)).astype(np.int8)
+        got = _typical_mask(_indicator_blocks(own, u_card), seqs[:, None, :], ref, eps)
+        want = np.stack([ref_batch_pair_typical(w, s, ref, eps) for w, s in zip(own, seqs)])
+        assert np.array_equal(got[:, 0], want)
+
+    @settings(max_examples=200)
+    @given(cells=st.lists(st.one_of(DYADIC, st.floats(0.0, 1.0)), min_size=4, max_size=4),
+           eps=EPS, n=st.integers(1, 64))
+    @example(cells=[0.05, 0.25, 0.0, 0.7], eps=0.5, n=10)    # n p = 0.5: no count passes
+    @example(cells=[0.25, 0.25, 0.25, 0.25], eps=0.5, n=8)   # counts 1 and 3 on the edge
+    def test_count_bounds_equal_the_pass_table(self, cells, eps, n):
+        ref = np.vstack([np.array(cells).reshape(2, 2), np.zeros((1, 2))])
+        lo, hi = _count_bounds(ref, eps, n)
+        c = np.arange(n + 1)
+        table = np.abs(c - n * ref[:2, :, None]) <= eps * n * ref[:2, :, None]
+        assert np.array_equal((lo[:, :, None] <= c) & (c <= hi[:, :, None]), table)
 
     def test_counts_on_the_tolerance_edge_are_typical(self):
         # n p = 2 and eps n p = 1: counts 1 and 3 sit exactly on the edge
@@ -303,6 +316,28 @@ class TestTypeCountKernel:
         assert seen_hit == {True, False}
         assert seen_distinct == outcomes
 
+    @pytest.mark.parametrize("cfg", [
+        ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
+                       source=dsbs(0.1), seed=3),
+        ProtocolConfig(n=16, mu=0.05, theta=0.0, eps_typ=0.5, aux=BSC_AUX,
+                       source=dsbs(0.05), seed=3, allow_degenerate_rate=True),
+        ternary_config(),
+    ], ids=["identity", "bsc", "ternary"])
+    def test_batched_trials_match_a_per_trial_loop(self, cfg):
+        cb = build_codebook(cfg)
+        eps = cfg.eps_typ
+        engine, raw = protocol._raw_trials(cfg, 300)
+        assert engine == "materialized"
+        for t, got in enumerate(raw):
+            rng = as_rng(subseed(cfg.seed, protocol._TRIAL_KEY, t))
+            x, y = sample_iid(cfg.source, cfg.n, rng)
+            k_word, k_idx, i_star = ref_encode(cb, x, eps)
+            i_tilde = transmit_index(i_star, cfg.n1, cfg.theta, rng)
+            want = (t, k_word, k_idx, i_star, i_tilde, *ref_decode(cb, y, i_tilde, eps))
+            assert got[0] == t and got[4] == i_tilde
+            assert same_detail(got[1:4], want[1:4]) and same_detail(got[5:], want[5:])
+        assert t == 299
+
     @settings(max_examples=30)
     @given(kind=st.integers(0, 2), n=st.integers(4, 9), mu=st.floats(0.05, 0.5),
            eps=EPS, seed=st.integers(0, 2 ** 32 - 1))
@@ -323,9 +358,8 @@ class TestTypeCountKernel:
                              seed=13, allow_degenerate_rate=True)
         cb = build_codebook(cfg)
         assert not cb.scans
-        run = protocol._materialized_trial
-        for t in range(200):
-            run(cb, cfg, t)
+        raw = protocol._materialized_batch(cb, cfg, range(200))
+        assert len(raw) == 200 and any(r[2] is not None for r in raw)
         assert "blocks" not in vars(cb)
         scanning = build_codebook(ternary_config())
         assert scanning.scans and "blocks" not in vars(scanning)
@@ -507,6 +541,38 @@ class TestMonteCarlo:
             pooled = (a + b) / (2 * trials)
             se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials)
             assert abs(a - b) / trials <= 3.0 * se + 1e-12
+
+    def test_statistical_engine_refuses_tiny_rows(self, monkeypatch):
+        # N2 = 3: forced here, this engine's ambiguous-decode rate sat 2.7 SE
+        # off the materialized engine's
+        cfg = ProtocolConfig(n=12, mu=0.02, theta=0.05, eps_typ=0.9, aux=IDENTITY_AUX,
+                             source=dsbs(0.25), seed=3)
+        assert cfg.n2 == 3 < protocol.STATISTICAL_MIN_N2
+        monkeypatch.setattr(protocol, "MEMORY_GUARD", 0)
+        with pytest.raises(GuardError, match="N2"):
+            run_monte_carlo(cfg, 10)
+
+    @pytest.mark.parametrize("cfg, trials, batch", [
+        (ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2, aux=IDENTITY_AUX,
+                        source=diagonal_source(), seed=13, allow_degenerate_rate=True),
+         50, 16),
+        (ProtocolConfig(n=16, mu=0.05, theta=0.05, eps_typ=0.5, aux=BSC_AUX,
+                        source=dsbs(0.05), seed=3, allow_degenerate_rate=True), 50, 16),
+        (ProtocolConfig(n=1000, mu=0.1, theta=0.2, eps_typ=0.15, aux=IDENTITY_AUX,
+                        source=dsbs(0.05), seed=11), 140, 65),
+    ], ids=["lookup", "scan", "statistical"])
+    def test_outcomes_do_not_depend_on_the_batch_layout(self, monkeypatch, cfg, trials,
+                                                        batch):
+        # the first `trials` outcomes cross two boundaries of `batch`-trial
+        # batches; at small n the batches are shrunk to get there
+        if protocol._BATCH_SYMBOLS // cfg.n != batch:
+            monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", batch * cfg.n)
+        short = run_monte_carlo(cfg, trials)
+        long = run_monte_carlo(cfg, trials + batch)
+        assert short.outcomes == long.outcomes[:trials]
+        assert {o.k_index is None for o in short.outcomes} == {True, False}
+        monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", 2 ** 16)
+        assert run_monte_carlo(cfg, trials) == short
 
     def test_very_noisy_encoder_statistics_reference_run(self):
         cfg = ProtocolConfig(n=400, mu=0.05, theta=0.0, eps_typ=0.2,

@@ -618,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", parents=[common],
                        help="property sweeps for the converse-side lemmas")
-    p.add_argument("--instances", type=int, default=10_000,
+    p.add_argument("--instances", type=_positive_int, default=10_000,
                    help="valid parameter draws for the interval chain")
-    p.add_argument("--telescoping", type=int, default=50,
+    p.add_argument("--telescoping", type=_positive_int, default=50,
                    help="random telescoping instances")
     p.set_defaults(func=cmd_lemmas)
 

@@ -25,6 +25,12 @@ seeded from its trial number, and draws from it in a fixed order: its
 source block, then the index channel's flip and alternative index, then
 the statistical engine's conditional draws. An outcome therefore depends
 on its trial number alone, not on the batch it ran in.
+
+The key K is a word value, so duplicate words count once. One numpy
+value index per codebook, Codebook.value_index, numbers the values in
+first-occurrence order and keeps their sorted keys: the encoder looks
+det_map[x] up in it, and the decoder and the exact analyzer apply one
+rule, _decode_rule, to its classes.
 """
 from __future__ import annotations
 
@@ -32,8 +38,9 @@ import hashlib
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache, partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +48,10 @@ from .errors import GuardError, InternalInvariantError, ValidationError
 from .probspace import (
     JointPmf,
     Pmf,
-    TypicalityParams,
     as_rng,
     compose_aux,
     entropy_bits,
+    mutual_information,
     pairs_from_uniforms,
     subseed,
     type_counts,
@@ -58,7 +65,6 @@ _ROW_KEY = 31
 MEMORY_GUARD = 10 ** 9          # codebook symbols
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
-_VALUE_DICT_MAX = 10 ** 7       # first-occurrence map size cutoff
 # Fewest words per row the statistical engine accepts. Against the
 # materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
 # n = 12, mu = 0.02, eps 0.9, theta 0.05, seed 3 (N2 = 3) drifts 2.7 pooled
@@ -151,12 +157,10 @@ class ProtocolConfig:
 
     @cached_property
     def i_ux(self) -> float:
-        from .probspace import mutual_information
         return mutual_information(self._triple.pair_ux())
 
     @cached_property
     def i_uy(self) -> float:
-        from .probspace import mutual_information
         return mutual_information(self._triple.pair_uy())
 
     @cached_property
@@ -178,10 +182,6 @@ class ProtocolConfig:
     @property
     def u_card(self) -> int:
         return self.aux.u_card
-
-    @property
-    def typicality(self) -> TypicalityParams:
-        return TypicalityParams(self.eps_typ)
 
     @cached_property
     def pair_ux_ext(self) -> np.ndarray:
@@ -215,15 +215,45 @@ class ProtocolConfig:
         return self.n1 * self.n2 * self.n
 
 
+def _value_keys(words: np.ndarray, u_card: int) -> np.ndarray:
+    """Keys (W,) of words (W, n) over 0..u_card-1, equal exactly where the
+    words are. A key is k big-endian uint64 columns, each packing 64 // b
+    consecutive symbols of b bits, held as one opaque item; keys therefore
+    sort as their columns do, lexicographically."""
+    bits = max(1, (u_card - 1).bit_length())
+    per = 64 // bits
+    cols = np.zeros((words.shape[0], -(-words.shape[1] // per)), dtype=np.uint64)
+    for i in range(words.shape[1]):
+        col = cols[:, i // per]
+        col <<= np.uint64(bits)
+        np.bitwise_or(col, words[:, i], out=col, dtype=np.uint64, casting="unsafe")
+    return cols.astype(">u8").view(f"V{8 * cols.shape[1]}")[:, 0]
+
+
+class _ValueIndex(NamedTuple):
+    """The distinct values of a codebook's words, flat in row-major order.
+
+    cls[w] is word w's value class. Classes are numbered in the order their
+    first words occur, and first[c] is class c's first word. keys holds the
+    classes' _value_keys in sorted order, and key_cls their classes.
+    Class ids are int32: MEMORY_GUARD keeps every codebook below 2**31 words.
+    """
+
+    cls: np.ndarray
+    first: np.ndarray
+    keys: np.ndarray
+    key_cls: np.ndarray
+
+
 @dataclass(frozen=True)
 class Codebook:
     """N1 x N2 words of one exact quantized type, plus the reserved word.
 
     The fallback word repeats the extra symbol u_card, which has zero mass
     under the reference pair law; robust typicality therefore rejects it
-    against every sequence, as the construction requires. first_index maps
-    a word's bytes to its first (row, column) in row-major order (1-based)
-    and is None when the codebook is too large to index.
+    against every sequence, as the construction requires. value_index
+    says which words share a value, for the encoder, the decoder and the
+    exact analyzer alike.
     """
 
     words: np.ndarray
@@ -234,7 +264,6 @@ class Codebook:
     pair_uy: np.ndarray
     eps_typ: float
     det_map: np.ndarray | None
-    first_index: dict | None
 
     @property
     def n(self) -> int:
@@ -246,8 +275,10 @@ class Codebook:
 
     @property
     def scans(self) -> bool:
-        """Whether the encoder scans the codebook rather than looking its word up."""
-        return self.det_map is None or self.first_index is None
+        """Whether the encoder scans the codebook rather than looking its word
+        up. A deterministic auxiliary gives the cells u != det_map[x] zero mass,
+        so only det_map[x] can be typical with x: a scan finds its first word."""
+        return self.det_map is None
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -258,8 +289,40 @@ class Codebook:
         """
         return _indicator_blocks(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
 
+    @cached_property
+    def value_index(self) -> _ValueIndex:
+        """Which words share a value, built on first use."""
+        keys = _value_keys(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
+        # stable: equal values stay in row-major order
+        order = np.lexsort(keys.view(">u8").reshape(keys.size, -1).astype(np.uint64).T[::-1])
+        keys = keys[order]
+        new = np.r_[True, keys[1:] != keys[:-1]]
+        keys, firsts = keys[new], order[new]    # each value's key and first word
+        key_cls = np.argsort(np.argsort(firsts)).astype(np.int32)
+        word_cls = np.empty(order.size, dtype=np.int32)
+        word_cls[order] = key_cls[np.cumsum(new, dtype=np.int32) - 1]
+        return _ValueIndex(word_cls, np.sort(firsts), keys, key_cls)
+
+    def find(self, words: np.ndarray) -> np.ndarray:
+        """Flat index of the first word equal to each of words (Q, n), or -1."""
+        index = self.value_index
+        query = _value_keys(words, self.u_card)
+        pos = np.minimum(np.searchsorted(index.keys, query), index.keys.size - 1)
+        return np.where(index.keys[pos] == query, index.first[index.key_cls[pos]], -1)
+
     def word(self, i: int, j: int) -> np.ndarray:
         return self.words[i - 1, j - 1]
+
+
+def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's rule on typical-word masks (..., W), given the words'
+    value classes broadcast against them: (lead, distinct), the first typical
+    word's position where exactly one value is typical, else -1 for the
+    fallback (no typical word, or two values), and the distinct values count.
+    """
+    typical = np.sort(np.where(mask, cls, -1), axis=-1)
+    distinct = (typical[..., 0] >= 0) + (typical[..., 1:] != typical[..., :-1]).sum(axis=-1)
+    return np.where(distinct == 1, mask.argmax(axis=-1), -1), distinct
 
 
 _F32_EXACT = 2 ** 24            # float32 holds every integer count below this
@@ -371,44 +434,28 @@ def build_codebook(cfg: ProtocolConfig) -> Codebook:
     base = np.repeat(np.arange(cfg.u_card), counts)
     dtype = np.int8 if cfg.u_card < 127 else np.int16
     rng = as_rng(subseed(cfg.seed, _CODEBOOK_KEY))
-    flat = np.tile(base.astype(dtype), (cfg.n1 * cfg.n2, 1))
-    flat = rng.permuted(flat, axis=1)
-    words = flat.reshape(cfg.n1, cfg.n2, cfg.n)
+    words = rng.permuted(np.tile(base.astype(dtype), (cfg.n1 * cfg.n2, 1)), axis=1)
     fallback = np.full(cfg.n, cfg.u_card, dtype=dtype)
-
-    det_map = None
-    if cfg.aux.cond.is_deterministic():
-        det_map = np.argmax(cfg.aux.cond.rows, axis=1).astype(dtype)
-
-    first_index = None
-    if cfg.n1 * cfg.n2 <= _VALUE_DICT_MAX:
-        first_index = {}
-        w = 0
-        for i in range(cfg.n1):
-            for j in range(cfg.n2):
-                first_index.setdefault(flat[w].tobytes(), (i + 1, j + 1))
-                w += 1
-    return Codebook(words, fallback, cfg.n1, cfg.n2, cfg.pair_ux_ext, cfg.pair_uy_ext,
-                    cfg.eps_typ, det_map, first_index)
+    det_map = (np.argmax(cfg.aux.cond.rows, axis=1).astype(dtype)
+               if cfg.aux.cond.is_deterministic() else None)
+    return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), fallback, cfg.n1, cfg.n2,
+                    cfg.pair_ux_ext, cfg.pair_uy_ext, cfg.eps_typ, det_map)
 
 
 def _encode_batch(cb: Codebook, xs: np.ndarray, eps: float) -> np.ndarray:
     """Flat row-major index of each block's encoded word, or -1 for the fallback.
 
     xs is (B, n). A lookup codebook tests every det_map[x] against its x
-    in one kernel call and looks the typical ones up; a scanning codebook
-    runs the kernel over the blocks still without a typical word,
-    _ENCODE_CHUNK words at a time, and keeps each block's first.
+    in one kernel call and finds the typical ones in its value index; a
+    scanning codebook runs the kernel over the blocks still without a
+    typical word, _ENCODE_CHUNK words at a time, and keeps each block's first.
     """
     found = np.full(xs.shape[0], -1, dtype=np.intp)
     if not cb.scans:
         u = cb.det_map[xs]
-        typical = _typical_mask(_indicator_blocks(u[:, None, :], cb.u_card),
-                                xs[:, None, :], cb.pair_ux, eps)[:, 0, 0]
-        for t in np.flatnonzero(typical):
-            hit = cb.first_index.get(u[t].tobytes())
-            if hit is not None:
-                found[t] = (hit[0] - 1) * cb.n2 + hit[1] - 1
+        typical = np.flatnonzero(_typical_mask(_indicator_blocks(u[:, None, :], cb.u_card),
+                                               xs[:, None, :], cb.pair_ux, eps)[:, 0, 0])
+        found[typical] = cb.find(u[typical])
         return found
     pending = np.arange(xs.shape[0])
     for start in range(0, cb.n1 * cb.n2, _ENCODE_CHUNK):
@@ -437,13 +484,12 @@ def _encode_detail(cb: Codebook, x: np.ndarray, eps: float):
     return _encoded(cb, int(_encode_batch(cb, x[None, :], eps)[0]))
 
 
-def encode_phi(cb: Codebook, x: np.ndarray, tp: TypicalityParams | None = None):
+def encode_phi(cb: Codebook, x: np.ndarray):
     """First jointly typical word in row-major order, or the fallback.
 
     Returns (word, i_star) with i_star = N1 + 1 signalling the fallback.
     """
-    eps = cb.eps_typ if tp is None else tp.eps_typ
-    word, _, i_star = _encode_detail(cb, np.asarray(x), eps)
+    word, _, i_star = _encode_detail(cb, np.asarray(x), cb.eps_typ)
     return word, i_star
 
 
@@ -476,27 +522,21 @@ def _draw_index(rng: np.random.Generator, i_star: int, n1: int, theta: float) ->
 
 def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
                   eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each block ys[t] against codebook row rows[t] (0-based, < n1).
+    """Decode each block ys[t] against codebook row rows[t], 0-based; row n1
+    is the reserved index, which scans nothing and decodes to the fallback.
 
-    Returns (columns, distinct): the 0-based column of the row's unique
-    typical word value, or -1, and how many distinct values are typical.
-    The kernel sees every block's own row; its blocks are built for at
-    most _SCAN_CELLS word symbols at a time.
+    Returns _decode_rule's (lead column, distinct count) for each block. The
+    kernel sees every block's own row, at most _SCAN_CELLS word symbols at a time.
     """
     columns = np.full(ys.shape[0], -1, dtype=np.intp)
     distinct = np.zeros(ys.shape[0], dtype=np.intp)
+    sent = np.flatnonzero(rows < cb.n1)
+    row_cls = cb.value_index.cls.reshape(cb.n1, cb.n2)
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
-    for lo in range(0, ys.shape[0], step):
-        words = cb.words[rows[lo:lo + step]]                 # (t, n2, n)
-        mask = _typical_mask(_indicator_blocks(words, cb.u_card), ys[lo:lo + step, None, :],
-                             cb.pair_uy, eps)[:, 0]
-        first = mask.argmax(axis=1)
-        lead = words[np.arange(words.shape[0]), first]
-        count = mask.any(axis=1).astype(np.intp)
-        for t in np.flatnonzero((mask & (words != lead[:, None, :]).any(axis=2)).any(axis=1)):
-            count[t] = np.unique(words[t][mask[t]], axis=0).shape[0]
-        distinct[lo:lo + step] = count
-        columns[lo:lo + step] = np.where(count == 1, first, -1)
+    for part in np.split(sent, range(step, sent.size, step)):
+        mask = _typical_mask(_indicator_blocks(cb.words[rows[part]], cb.u_card),
+                             ys[part, None, :], cb.pair_uy, eps)[:, 0]
+        columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
 
 
@@ -513,21 +553,17 @@ def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
         raise ValidationError(f"sequence length {y.shape[0]} != block length {cb.n}")
     if not (1 <= i_tilde <= cb.n1 + 1):
         raise ValidationError(f"received index {i_tilde} outside 1..{cb.n1 + 1}")
-    if i_tilde == cb.n1 + 1:
-        return cb.fallback, FALLBACK, 0
     columns, distinct = _decode_batch(cb, y[None, :], np.array([i_tilde - 1]), eps)
     return _decoded(cb, i_tilde, int(columns[0]), int(distinct[0]))
 
 
-def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int,
-               tp: TypicalityParams | None = None) -> np.ndarray:
+def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int) -> np.ndarray:
     """Unique jointly typical word value in the received row, else fallback.
 
     Duplicate words with the same value count once: ambiguity means two or
     more distinct values pass the typicality test.
     """
-    eps = cb.eps_typ if tp is None else tp.eps_typ
-    word, _, _ = _decode_detail(cb, np.asarray(y), i_tilde, eps)
+    word, _, _ = _decode_detail(cb, np.asarray(y), i_tilde, cb.eps_typ)
     return word
 
 
@@ -606,11 +642,7 @@ def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, ts: range) -> list:
     encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs, cfg.eps_typ)]
     i_tilde = np.array([_draw_index(rng, i_star, cfg.n1, cfg.theta)
                         for rng, (_, _, i_star) in zip(rngs, encoded)])
-    columns = np.full(len(ts), -1, dtype=np.intp)
-    distinct = np.zeros(len(ts), dtype=np.intp)
-    sent = np.flatnonzero(i_tilde <= cfg.n1)
-    columns[sent], distinct[sent] = _decode_batch(cb, ys[sent], i_tilde[sent] - 1,
-                                                  cfg.eps_typ)
+    columns, distinct = _decode_batch(cb, ys, i_tilde - 1, cfg.eps_typ)
     return [(t, *enc, int(i_t), *_decoded(cb, int(i_t), int(col), int(d)))
             for t, enc, i_t, col, d in zip(ts, encoded, i_tilde, columns, distinct)]
 
@@ -651,17 +683,15 @@ class _StatisticalEngine:
         self.log2_n2 = math.log2(cfg.n2)
         self._p_dup = self._prob_from_log2(self.log2_n2 - self.log2_t)
         self.pair_uy = cfg.pair_uy_ext[:2, :]
-        self._q_cache: dict[int, float] = {}
+        self.log2_q_y = cache(self._log2_q_y)
         self._value_rows: dict[bytes, tuple[int, int] | None] = {}
 
     def _log2_choose(self, a: int, b: int) -> float:
         return (math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)) / _LN2
 
-    def log2_q_y(self, k_zeros: int) -> float:
+    def _log2_q_y(self, k_zeros: int) -> float:
         """log2 P[uniform type-class word jointly typical with y]; y has
         k_zeros zeros. -inf when no overlap count passes."""
-        if k_zeros in self._q_cache:
-            return self._q_cache[k_zeros]
         n = self.cfg.n
         t0 = int(self.type[0])
         eps = self.cfg.eps_typ
@@ -672,9 +702,7 @@ class _StatisticalEngine:
         specs = ((self.pair_uy[0, 0], 1, 0), (self.pair_uy[0, 1], -1, t0),
                  (self.pair_uy[1, 0], -1, k_zeros), (self.pair_uy[1, 1], 1, n - k_zeros - t0))
         for p, sign, off in specs:
-            target = n * p
-            tol = eps * n * p
-            lo, hi = target - tol, target + tol
+            lo, hi = n * p - eps * n * p, n * p + eps * n * p
             if sign == 1:
                 cell_lo, cell_hi = math.ceil(lo - off), math.floor(hi - off)
             else:
@@ -682,15 +710,12 @@ class _StatisticalEngine:
             a_lo = max(a_lo, cell_lo)
             a_hi = min(a_hi, cell_hi)
         if a_lo > a_hi:
-            self._q_cache[k_zeros] = -math.inf
             return -math.inf
         denom = self._log2_choose(n, t0)
         terms = [self._log2_choose(k_zeros, a) + self._log2_choose(n - k_zeros, t0 - a)
                  - denom for a in range(a_lo, a_hi + 1)]
         peak = max(terms)
-        val = peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
-        self._q_cache[k_zeros] = val
-        return val
+        return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
 
     @staticmethod
     def _prob_from_log2(log2_lam: float) -> float:
@@ -706,18 +731,13 @@ class _StatisticalEngine:
 
         Keyed by the value itself so the assignment is schedule-independent.
         """
-        hit = self._value_rows.get(value)
-        if hit is None and value not in self._value_rows:
+        if value not in self._value_rows:
             rng = as_rng(subseed(self.cfg.seed, _ROW_KEY, *_value_seed_key(value)))
             present = rng.random() < self._prob_from_log2(
                 self.log2_n1 + self.log2_n2 - self.log2_t)
-            if present:
-                hit = (_uniform_int(rng, self.cfg.n1), _uniform_int(rng, self.cfg.n2))
-            else:
-                hit = None
-            self._value_rows.setdefault(value, hit)
-            hit = self._value_rows[value]
-        return hit
+            self._value_rows[value] = ((_uniform_int(rng, self.cfg.n1),
+                                        _uniform_int(rng, self.cfg.n2)) if present else None)
+        return self._value_rows[value]
 
     def batch(self, ts: range) -> list:
         """Raw outcomes of trials ts.
@@ -876,13 +896,6 @@ class ExactResult:
         return self.p_disagree
 
 
-def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0]]) if mat.ndim == 2 else np.array([1.0])
-    for _ in range(n):
-        out = np.kron(out, mat)
-    return out
-
-
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
     """Exact protocol law by enumerating every (x^n, y^n) pair.
 
@@ -905,41 +918,28 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         raise GuardError(
             f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; lower n")
     cb = build_codebook(cfg)
-    if cb.first_index is None:
-        raise InternalInvariantError("exact-path codebook lost its value index")
-
     xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
-    flat = cb.words.reshape(n_words, n)
 
-    # global value classes: codebook values in first-occurrence order; the
-    # reserved word is the last class
-    class_of: dict[bytes, int] = {}
-    word_cls = np.empty(n_words, dtype=np.int64)
-    for w in range(n_words):
-        key = flat[w].tobytes()
-        if key not in class_of:
-            class_of[key] = len(class_of)
-        word_cls[w] = class_of[key]
-    u0_cls = len(class_of)
+    # value classes in first-occurrence order; the reserved word is the last
+    index = cb.value_index
+    u0_cls = index.first.size
     n_cls = u0_cls + 1
 
     # bool (n_x, n_words): word w jointly typical with sequence s
     t_ux = _typical_mask(cb.blocks, xs, cb.pair_ux, cfg.eps_typ)
     any_hit = t_ux.any(axis=1)
-    first_w = np.where(any_hit, np.argmax(t_ux, axis=1), -1)
-    k_cls = np.where(any_hit, word_cls[np.clip(first_w, 0, None)], u0_cls)
+    first_w = np.argmax(t_ux, axis=1)
+    k_cls = np.where(any_hit, index.cls[first_w], u0_cls)
     i_star = np.where(any_hit, first_w // n2 + 1, n1 + 1)
 
-    # decoded class per (row, y): the class shared by every typical word of
-    # the row, or the fallback when none is typical or two classes are
+    # decoded class per (row, y), by the decoder's own rule
     t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)
-    row_cls = word_cls.reshape(1, n1, n2)
-    lead = np.take_along_axis(row_cls, np.argmax(t_uy, axis=2)[:, :, None], axis=2)
-    lone = t_uy.any(axis=2) & ~(t_uy & (row_cls != lead)).any(axis=2)
+    row_cls = index.cls.reshape(n1, n2)
+    lead, _ = _decode_rule(t_uy, row_cls)
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)
-    l_tab[:n1] = np.where(lone, lead[:, :, 0], u0_cls).T
+    l_tab[:n1] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
 
-    p_joint = _kron_power(cfg.source.probs, n)  # (n_x, n_x), x rows
+    p_joint = reduce(np.kron, [cfg.source.probs] * n, np.ones((1, 1)))  # (n_x, n_x), x rows
     p_x = p_joint.sum(axis=1)
     p_y = p_joint.sum(axis=0)
 
@@ -961,10 +961,9 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     h_y = entropy_bits(p_y)
     h_k_given_y = max(h_ky - h_y, 0.0)
 
-    w_star = p_joint * (1.0 - theta)
-    p_l = np.bincount(l_at_star.ravel(), weights=w_star.ravel(), minlength=n_cls)
-    w_other = (p_joint.sum(axis=0) * (theta / float(n1)))
-    p_l += cnt_all @ w_other
+    p_l = np.bincount(l_at_star.ravel(), weights=(p_joint * (1.0 - theta)).ravel(),
+                      minlength=n_cls)
+    p_l += cnt_all @ (p_y * (theta / float(n1)))
     p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
                        minlength=n_cls)
     if abs(p_l.sum() - 1.0) > 1e-9:

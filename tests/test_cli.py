@@ -146,19 +146,23 @@ class TestSimulateCommand:
         assert table.startswith(b"trial,i_sent,i_received,k_is_fallback,agreed\r\n")
         assert len(table.strip().splitlines()) == 201
 
-    @pytest.mark.parametrize("config, trials, hashes", [
-        ("protocol_small.json", "500",
+    @pytest.mark.parametrize("config, mode, hashes", [
+        ("protocol_small.json", ["--trials", "500"],
          {"trials.csv": "b8584f24be98c94613d3662a83ad7b3ecaad3c149168f7dd5182aaa463e20ad7",
           "simulate.json": "fe715b272fd5c73e19fb2547a877674df5e5b2ba82052cb0ca85985780cf16e5"}),
-        ("protocol_desk.json", "300",
+        ("protocol_desk.json", ["--trials", "300"],
          {"trials.csv": "c89b92956c55aafbb460a726a86f01dbb797fe583ca4ee6ebdc8bd68a5764a2c",
           "simulate.json": "4f3954db2d1e166bf8438be7f8e88103a73364fb007567125cb07dfab4bde52c"}),
-    ], ids=["materialized", "statistical"])
-    def test_monte_carlo_output_bytes_are_pinned(self, tmp_path, config, trials, hashes):
-        # the outputs of the one-trial-at-a-time engines: batching trials must
-        # not move a byte; neither file holds a timing field
+        ("protocol_small.json", ["--exact"],
+         {"simulate.json": "7621f5c1cafabdd27dfed0ac4440f30d05247da11ca75236c6841e3b0516614b"}),
+    ], ids=["materialized", "statistical", "exact"])
+    def test_monte_carlo_output_bytes_are_pinned(self, tmp_path, config, mode, hashes):
+        # the outputs of the one-trial-at-a-time engines and of the exact
+        # analyzer with dict-numbered value classes: batching trials and
+        # indexing values in numpy must not move a byte; no file holds a
+        # timing field
         out = tmp_path / "run"
-        assert main(["simulate", str(CONFIGS / config), "--trials", trials,
+        assert main(["simulate", str(CONFIGS / config), *mode,
                      "--out-dir", str(out)]) == EXIT_OK
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in hashes}
@@ -239,6 +243,17 @@ class TestLemmasCommand:
         assert doc["telescoping"]["max_gap"] <= 1e-10
         assert any(not e["applicable"] for e in doc["variance"])
         assert doc["set_bounds"]["l_holds"] and doc["set_bounds"]["d_holds"]
+
+    @pytest.mark.parametrize("flag", ["--instances", "--telescoping"])
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_non_positive_counts_exit_2(self, tmp_path, capsys, flag, count):
+        # a sweep over no draws would report "all_pass" vacuously
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lemmas", flag, count, "--out-dir", str(out)])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsFlag:

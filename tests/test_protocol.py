@@ -1,5 +1,7 @@
 """Typed codebooks, encoder/decoder, Monte Carlo runs, and the exact analyzer."""
 
+import functools
+import hashlib
 import itertools
 import math
 
@@ -13,6 +15,7 @@ from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
 from ucrlab.probspace import JointPmf, Pmf, as_rng, sample_iid, subseed, type_counts
 from ucrlab.protocol import (
+    Codebook,
     _decode_detail,
     _encode_detail,
     _count_bounds,
@@ -69,11 +72,31 @@ def ref_batch_pair_typical(words_2d, seq, ref, eps):
     return np.all(np.abs(counts - n * p[None, :]) <= eps * n * p[None, :], axis=1)
 
 
+# Reference value index: the dict loop the numpy value index replaced.
+
+@functools.lru_cache(maxsize=8)
+def _ref_first_index(words: bytes, dtype: str, n1: int, n2: int) -> dict:
+    flat = np.frombuffer(words, dtype=dtype).reshape(n1 * n2, -1)
+    first_index = {}
+    w = 0
+    for i in range(n1):
+        for j in range(n2):
+            first_index.setdefault(flat[w].tobytes(), (i + 1, j + 1))
+            w += 1
+    return first_index
+
+
+def ref_first_index(cb):
+    """Each word value's bytes to its first (row, column), 1-based, row-major;
+    the dict's order numbers the value classes."""
+    return _ref_first_index(cb.words.tobytes(), cb.words.dtype.str, cb.n1, cb.n2)
+
+
 def ref_encode(cb, x, eps):
-    if cb.det_map is not None and cb.first_index is not None:
+    if cb.det_map is not None:
         u_seq = cb.det_map[x]
         if ref_batch_pair_typical(u_seq[None, :], x, cb.pair_ux, eps)[0]:
-            hit = cb.first_index.get(u_seq.tobytes())
+            hit = ref_first_index(cb).get(u_seq.tobytes())
             if hit is not None:
                 return u_seq, hit, hit[0]
         return cb.fallback, None, cb.n1 + 1
@@ -194,6 +217,36 @@ class TestCodebook:
                              seed=17, allow_degenerate_rate=True)
         with pytest.raises(GuardError):
             build_codebook(cfg)
+
+    @settings(max_examples=200)
+    @given(u_card=st.integers(1, 3), n=st.integers(1, 8), n1=st.integers(1, 12),
+           n2=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    @example(u_card=2, n=70, n1=6, n2=6, seed=1)       # two key columns per word
+    def test_value_index_matches_the_reference(self, u_card, n, n1, n2, seed):
+        # few symbols and many words: most values occur more than once
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, u_card, size=(n1, n2, n)).astype(np.int8)
+        if n > 8:
+            words[..., :n - 2] = words[0, 0, :n - 2]     # equal first key columns
+        ref = np.zeros((u_card + 1, 2))
+        cb = Codebook(words, np.full(n, u_card, dtype=np.int8), n1, n2, ref, ref, 0.5, None)
+        want = ref_first_index(cb)
+        flat = words.reshape(n1 * n2, n)
+        index = cb.value_index
+        classes = {value: c for c, value in enumerate(want)}
+        assert index.cls.tolist() == [classes[w.tobytes()] for w in flat]
+        assert index.first.tolist() == [(i - 1) * n2 + j - 1 for i, j in want.values()]
+        # every sequence over the alphabet, present or absent, at small n; the
+        # codebook's words and their shifts, all absent, at large n
+        if n <= 8:
+            queries = np.array(list(itertools.product(range(u_card), repeat=n)), dtype=np.int8)
+        else:
+            queries = np.concatenate([flat, (flat + 1) % u_card])
+        hits = [want.get(q.tobytes()) for q in queries]
+        assert cb.find(queries).tolist() == [
+            -1 if hit is None else (hit[0] - 1) * n2 + hit[1] - 1 for hit in hits]
+        assert {hit for hit in hits if hit is not None} == set(want.values())
+        assert (None in hits) == (n > 8 or len(want) < u_card ** n)
 
     def test_seed_determinism(self):
         a = build_codebook(ternary_config())
@@ -429,20 +482,25 @@ class TestExactAnalyzer:
         with pytest.raises(GuardError):
             exact_analyze(cfg)
 
-    @pytest.mark.parametrize("aux, p, n, eps, values", [
+    @pytest.mark.parametrize("aux, p, n, eps, values, joint_sha256", [
         (IDENTITY_AUX, 0.2, 8, 0.6, (0.23752863911599964, 2.487229437503953,
-                                     1.881576508731218, 0.5266140101545941)),
-        (BSC_AUX, 0.1, 9, 0.8, (0.0041992187499995115, 0.0, 0.0, 0.05808566793597205)),
+                                     1.881576508731218, 0.5266140101545941),
+         "c2315bc6f30ebb6ab8e520f440651862b70e99a01417286447f4f743dbbf298f"),
+        (BSC_AUX, 0.1, 9, 0.8, (0.0041992187499995115, 0.0, 0.0, 0.05808566793597205),
+         "07d8347f722324c27da511b946dc8368a26feebd98e3f7ddc8d20aa3848a3113"),
     ], ids=["identity", "bsc"])
-    def test_rows_with_ambiguous_decodes_reference_run(self, aux, p, n, eps, values):
-        # n2 > 1, so some rows hold two typical words of different values
+    def test_rows_with_ambiguous_decodes_reference_run(self, aux, p, n, eps, values,
+                                                       joint_sha256):
+        # n2 > 1, so some rows hold two typical words of different values; the
+        # joint law's bytes pin the value classes' order as well as the sums
         cfg = ProtocolConfig(n=n, mu=0.05, theta=0.05, eps_typ=eps, aux=aux,
                              source=dsbs(p), seed=4, allow_degenerate_rate=True)
-        res = exact_analyze(cfg, include_joint=False)
+        res = exact_analyze(cfg)
         assert cfg.n2 > 1
         got = (res.p_disagree, res.entropy_k_bits, res.entropy_k_given_y_bits,
                res.entropy_l_bits)
         assert got == pytest.approx(values, abs=1e-12)
+        assert hashlib.sha256(res.joint_ky.tobytes()).hexdigest() == joint_sha256
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_scan_guard_fires_before_the_codebook_is_drawn(self, monkeypatch, mu):

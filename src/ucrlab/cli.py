@@ -361,6 +361,12 @@ def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
     seed = int(config["seed"])
     interval_target = int(config["interval_draws"])
     telescope_target = int(config["telescoping_instances"])
+    # a sweep over no draws would report "all_pass" vacuously; the parser
+    # refuses such counts, and a replayed manifest must too
+    if interval_target < 1 or telescope_target < 1:
+        raise ValidationError(
+            f"lemmas needs interval_draws and telescoping_instances >= 1, "
+            f"got {interval_target} and {telescope_target}")
 
     rng = as_rng(subseed(seed, _LEMMA_SEED_KEY))
     valid = 0

@@ -20,10 +20,12 @@ segment's chord slope s, starting from its end points and from random
 points between them. For slopes in [0, 1] the maximizer is a deterministic
 map, which the skeleton already holds, so no slope sweep is needed.
 Both paths build their point cloud once, as (gaps, values, mats) arrays,
-scored by one kernel that gives each matrix the same bits in any batch and
-sets gaps and values at or below 1e-12 to exactly 0, so the constant map
-anchors every envelope at gap 0. The oracle is the arbiter; the solver is
-validated against it, never trusted alone.
+scored by one kernel over (x, u, M) stacks that gives each matrix the same
+bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
+so the constant map anchors every envelope at gap 0. The oracle keeps each
+grid chunk's hull, scanning only points near the hull kept so far. The
+oracle is the arbiter; the solver is validated against it, never trusted
+alone.
 """
 from __future__ import annotations
 
@@ -64,6 +66,12 @@ _PREFILTER_BINS = 256
 # constant map among them (the gap never exceeds the value, so the gap of a
 # snapped value is snapped too)
 _GAP_SNAP = 1e-12
+# the oracle keeps each chunk of this many grid matrices to its own hull; of
+# two U-relabelled matrices a few ulp apart, which one a chunk keeps can hang
+# on its other vertices, so another size can move the oracle's goldens
+_ORACLE_CHUNK = 200_000
+# grid matrices per kernel call, so its temporaries stay in cache (no bit moves)
+_KERNEL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -179,18 +187,22 @@ def _entropies(p: np.ndarray) -> np.ndarray:
     return -terms[0]
 
 
-def _batch_objectives(mats: np.ndarray, px: np.ndarray,
-                      pxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (I(U;X), gap) for a stack of matrices shaped (M, u, x).
+def _source_terms(pxy: np.ndarray):
+    """What the objective kernel reads of a source: (P_X, P_XY, H(X), H(Y))."""
+    px = pxy.sum(axis=1)
+    return px, pxy, entropy_bits(px), entropy_bits(pxy.sum(axis=0))
+
+
+def _objectives(w: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (I(U;X), gap) for a stack of matrices shaped (x, u, M).
 
     Each matrix gets the same bits in any batch (alone, in a grid chunk, in
     a permuted or strided stack): every reduction over the small x, u and y
     axes is an explicit loop in one fixed order, elementwise over M. Gaps and
-    values at or below _GAP_SNAP are set to exactly 0.
+    values at or below _GAP_SNAP are set to exactly 0. terms comes from
+    `_source_terms`.
     """
-    h_x = entropy_bits(px)
-    h_y = entropy_bits(pxy.sum(axis=0))
-    w = np.ascontiguousarray(mats.transpose(2, 1, 0))  # (x, u, M)
+    px, pxy, h_x, h_y = terms
     pux = w * px[:, None, None]
     pu = pux[0].copy()  # (u, M)
     puy = pxy[0][:, None, None] * w[0]  # (y, u, M)
@@ -205,6 +217,11 @@ def _batch_objectives(mats: np.ndarray, px: np.ndarray,
     gap[gap <= _GAP_SNAP] = 0.0
     i_ux[i_ux <= _GAP_SNAP] = 0.0
     return i_ux, gap
+
+
+def _batch_objectives(mats: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """`_objectives` for a stack of matrices shaped (M, u, x)."""
+    return _objectives(np.ascontiguousarray(mats.transpose(2, 1, 0)), terms)
 
 
 def _simplex_grid(m: int, k: int) -> np.ndarray:
@@ -225,20 +242,17 @@ def _simplex_grid(m: int, k: int) -> np.ndarray:
     return np.array(out, dtype=float) / m
 
 
-def _grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
-    """Decode flat channel indices [start, stop) into matrices shaped (M, u, x).
+def _grid_block(row_pts: np.ndarray, x_card: int, flat: np.ndarray) -> np.ndarray:
+    """Grid channels with the given flat indices, shaped (x, u, M).
 
     A channel is one grid row per input symbol; the last input symbol is the
     least significant digit of the flat index.
     """
-    n_rows = row_pts.shape[0]
-    idx = np.arange(start, stop)
-    rows_idx = np.empty((idx.size, x_card), dtype=np.int64)
-    rem = idx.copy()
+    w = np.empty((x_card, row_pts.shape[1], flat.size))
     for x in range(x_card - 1, -1, -1):
-        rows_idx[:, x] = rem % n_rows
-        rem //= n_rows
-    return row_pts[rows_idx].transpose(0, 2, 1)
+        flat, digit = np.divmod(flat, row_pts.shape[0])
+        np.take(row_pts.T, digit, axis=1, out=w[x], mode="clip")
+    return w
 
 
 def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
@@ -315,10 +329,39 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     return idx[live[_hull_scan(g[live], v[live])]].tolist()
 
 
-def _hull_points(gaps: np.ndarray, values: np.ndarray, mats: np.ndarray):
-    """The batch's upper-hull vertices as (gaps, values, mats) in index order."""
-    keep = np.sort(_upper_hull(gaps, values))
-    return gaps[keep], values[keep], mats[keep]
+def _hull_keep(gaps: np.ndarray, values: np.ndarray, floor=None) -> np.ndarray:
+    """Indices of the batch's upper-hull vertices, in index order.
+
+    floor is a hull (gaps, values) of points of the cloud the batch joins,
+    so never above that cloud's hull: a batch with no point on or above it
+    keeps nothing. Else the hull of those points is a sub-hull of batch
+    points, and as in `_upper_hull` only points on or above it (or outside
+    its gap range) are scanned. The floor is no such sub-hull: a batch vertex
+    below it can decide between two near-equal points above it.
+    """
+    def above(chain):
+        bar = np.interp(gaps, *chain, left=-np.inf, right=-np.inf)
+        return np.flatnonzero(values >= bar - 1e-12)
+
+    live = np.arange(gaps.size)
+    if floor is not None:
+        live = above(floor)
+        if live.size:
+            sub = live[_upper_hull(gaps[live], values[live])]
+            live = above((gaps[sub], values[sub]))
+    return np.sort(live[np.array(_upper_hull(gaps[live], values[live]), dtype=np.int64)])
+
+
+def _grid_hull(row_pts: np.ndarray, x_card: int, start: int, stop: int, terms, floor=None):
+    """`_hull_keep` of the grid channels with flat indices [start, stop) as
+    (gaps, values, mats), mats shaped (M, u, x) and built for those alone."""
+    flat = np.arange(start, stop)
+    values, gaps = np.empty((2, flat.size))
+    for lo in range(0, flat.size, _KERNEL_BLOCK):
+        block = slice(lo, lo + _KERNEL_BLOCK)
+        values[block], gaps[block] = _objectives(_grid_block(row_pts, x_card, flat[block]), terms)
+    keep = _hull_keep(gaps, values, floor)
+    return gaps[keep], values[keep], _grid_block(row_pts, x_card, flat[keep]).transpose(2, 1, 0)
 
 
 def _stack(parts):
@@ -369,8 +412,7 @@ def _common_inputs(source: JointPmf, c_bits: float, u_card: int | None):
         u_card = x_card + 1
     if u_card < 1:
         raise ValidationError("u_card must be >= 1")
-    px = source.probs.sum(axis=1)
-    return x_card, int(u_card), px
+    return x_card, int(u_card)
 
 
 def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = None,
@@ -381,14 +423,15 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     Enumerates every row-stochastic matrix whose rows sit on the simplex
     grid of the given step, together with a batch of Dirichlet draws, then
     takes the upper concave envelope of the whole cloud (two-point
-    time-sharing between enumerated achievers) at c_bits. Each grid chunk
-    keeps only its upper-hull vertices. The grid holds every deterministic
-    map, and `_batch_objectives` gives a matrix the same bits in any batch
-    and snaps gaps and values at or below 1e-12 to exactly 0, so no map
-    needs a pass of its own, and the constant map anchors the hull at gap 0.
-    grid_step must be the reciprocal of an integer to within 1e-9.
+    time-sharing between enumerated achievers) at c_bits. The grid is scored
+    in the kernel's (x, u, M) layout, and each chunk of _ORACLE_CHUNK keeps
+    its upper-hull vertices, scanning only the points near the running hull
+    of all points kept so far. The kernel gives a matrix the same bits in
+    any batch and snaps gaps and values at or below 1e-12 to exactly 0, so
+    the grid's constant map anchors the hull at gap 0. grid_step must be the
+    reciprocal of an integer to within 1e-9.
     """
-    x_card, u_card, px = _common_inputs(source, c_bits, u_card)
+    x_card, u_card = _common_inputs(source, c_bits, u_card)
     if not (0.0 < grid_step <= 0.5):
         raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step}")
     m = int(round(1.0 / grid_step))
@@ -396,36 +439,38 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
         raise ValidationError(
             f"grid_step must be 1/m for an integer m, got {grid_step} (1/{1.0 / grid_step:.6g})")
     row_pts = _simplex_grid(m, u_card)
-    n_rows = row_pts.shape[0]
-    total = n_rows ** x_card
+    total = row_pts.shape[0] ** x_card
     if total > ORACLE_GUARD:
         raise GuardError(
             f"oracle grid would hold {total:.3e} matrices (> {ORACLE_GUARD:.0e}); "
             "use a coarser grid_step or smaller u_card, or call ucr_capacity_solve")
 
-    pxy = source.probs
-    parts = []
-    chunk = 200_000
-    # per-chunk concave-hull survivors keep the cloud small
-    for start in range(0, total, chunk):
-        mats = _grid_chunk(row_pts, x_card, start, min(start + chunk, total))
-        values, gaps = _batch_objectives(mats, px, pxy)
-        parts.append(_hull_points(gaps, values, mats))
+    terms = _source_terms(source.probs)
+    # the running hull starts from the maps (grid points with the same bits) and the
+    # draws' hull; the draws still join the cloud last, as ties go to the lower index
+    seeds = [_grid_hull(np.eye(u_card), x_card, 0, u_card ** x_card, terms)]
     if n_random > 0:
-        rng = as_rng(seed)
-        mats = rng.dirichlet(np.ones(u_card), size=(n_random, x_card)).transpose(0, 2, 1)
-        values, gaps = _batch_objectives(mats, px, pxy)
-        parts.append(_hull_points(gaps, values, mats))
+        mats = as_rng(seed).dirichlet(np.ones(u_card), size=(n_random, x_card)).transpose(0, 2, 1)
+        values, gaps = _batch_objectives(mats, terms)
+        keep = _hull_keep(gaps, values)
+        seeds.append((gaps[keep], values[keep], mats[keep]))
+    gaps, values, _ = _stack(seeds)
+    parts = []
+    for start in range(0, total, _ORACLE_CHUNK):
+        top = _upper_hull(gaps, values)
+        floor = gaps[top], values[top]
+        parts.append(_grid_hull(row_pts, x_card, start, min(start + _ORACLE_CHUNK, total),
+                                terms, floor))
+        gaps, values = (np.concatenate(pair) for pair in zip(floor, parts[-1]))
+    return _evaluate_envelope(_stack(parts + seeds[1:]), c_bits, "oracle")
 
-    return _evaluate_envelope(_stack(parts), c_bits, "oracle")
 
-
-def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, px: np.ndarray,
-           pxy: np.ndarray, steps: int, x_card: int, u_card: int):
+def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int,
+           x_card: int, u_card: int):
     """Batched random-coordinate ascent of I(U;X) - slope * gap per climber."""
     batch = slope_vec.size
     cur = starts.copy()
-    cur_v, cur_g = _batch_objectives(cur, px, pxy)
+    cur_v, cur_g = _batch_objectives(cur, terms)
     cur_obj = cur_v - slope_vec * cur_g
     best = cur.copy()
     best_v = cur_v.copy()
@@ -442,7 +487,7 @@ def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, px: np.ndarray,
         trial = cur.copy()
         trial[arange, u_from, cols] -= amount
         trial[arange, u_to, cols] += amount
-        tv, tg = _batch_objectives(trial, px, pxy)
+        tv, tg = _batch_objectives(trial, terms)
         t_obj = tv - slope_vec * tg
         accept = t_obj > cur_obj
         cur[accept] = trial[accept]
@@ -469,8 +514,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int):
     arrays, mats shaped (M, u, x).
     """
     x_card = source.nx
-    px = source.probs.sum(axis=1)
-    pxy = source.probs
+    terms = _source_terms(source.probs)
     m = next((m for m in range(40, 1, -1)
               if math.comb(m + u_card - 1, u_card - 1) ** x_card <= _COARSE_BUDGET), 1)
     row_pts = _simplex_grid(m, u_card)
@@ -479,9 +523,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int):
         raise GuardError(
             f"the solver's skeleton would hold all {total} maps X -> U "
             f"(> {_MAP_GUARD}); use a smaller u_card")
-    mats = _grid_chunk(row_pts, x_card, 0, total)
-    values, gaps = _batch_objectives(mats, px, pxy)
-    cloud = _hull_points(gaps, values, mats)
+    cloud = _grid_hull(row_pts, x_card, 0, total, terms)
 
     rng = as_rng(seed)
     for _ in range(_POLISH_ROUNDS):
@@ -497,7 +539,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int):
         starts = np.concatenate([mats[left], mats[right],
                                  between.reshape(-1, u_card, x_card)])
         slope_vec = np.tile(slopes, _CLIMBERS_PER_SEGMENT)
-        cloud = _stack([cloud, _climb(rng, slope_vec, starts, px, pxy, _CLIMB_STEPS,
+        cloud = _stack([cloud, _climb(rng, slope_vec, starts, terms, _CLIMB_STEPS,
                                       x_card, u_card)])
     return cloud
 
@@ -528,8 +570,8 @@ def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,
     c_grid = [float(c) for c in c_grid]
     if any(c < 0.0 for c in c_grid):
         raise ValidationError("rate budgets must be >= 0")
-    x_card, u_card, px = _common_inputs(source, max(c_grid, default=0.0), u_card)
-    h_x = entropy_bits(px)
+    x_card, u_card = _common_inputs(source, max(c_grid, default=0.0), u_card)
+    h_x = entropy_bits(source.probs.sum(axis=1))
     h_x_given_y = conditional_entropy_x_given_y(source)
     cloud = None
     out: list[tuple[float, UcrSolution]] = []

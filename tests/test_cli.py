@@ -96,7 +96,11 @@ class TestUcrCommand:
         assert doc["c_bits"] == pytest.approx(0.500084041835472, abs=1e-6)
         assert doc["value_bits"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_oracle_guard_maps_to_the_guard_exit_code(self, tmp_path):
+    def test_oracle_guard_maps_to_the_guard_exit_code(self, tmp_path, monkeypatch):
+        def built(*args):
+            raise AssertionError("the oracle enumerated matrices past its guard")
+
+        monkeypatch.setattr(ucrcap, "_grid_block", built)
         code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2",
                      "--oracle", "--grid-step", "0.002", "--u-card", "3",
                      "--out-dir", str(tmp_path / "run")])
@@ -106,7 +110,7 @@ class TestUcrCommand:
         def built(*args):
             raise AssertionError("the skeleton was built past the map guard")
 
-        monkeypatch.setattr(ucrcap, "_grid_chunk", built)
+        monkeypatch.setattr(ucrcap, "_grid_block", built)
         probs = np.random.default_rng(7).dirichlet(np.ones(49))
         src = tmp_path / "x7.json"
         src.write_text(json.dumps({"alphabet_x": 7, "alphabet_y": 7,
@@ -289,6 +293,27 @@ class TestReplay:
                          "--out-dir", str(out), "--threads", threads])
             assert code == EXIT_OK
             assert outputs_of(out) == baseline
+
+    @pytest.mark.parametrize("argv, edit", [
+        (["lemmas", "--instances", "5", "--telescoping", "2"],
+         {"interval_draws": 0, "telescoping_instances": -2}),
+        (["lemmas", "--instances", "5", "--telescoping", "2"], {"interval_draws": 0}),
+        (["lemmas", "--instances", "5", "--telescoping", "2"], {"telescoping_instances": -2}),
+        (["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "16"], {"trials": 0}),
+        (["spectrum", str(CONFIGS / "bsc011.json"), "--n", "8", "--samples", "8"],
+         {"samples": 0}),
+    ])
+    def test_replay_of_a_vacuous_count_exits_2(self, tmp_path, argv, edit):
+        # the parser refuses these counts; an edited manifest must not slip past
+        first = tmp_path / "first"
+        assert main(argv + ["--out-dir", str(first)]) == EXIT_OK
+        manifest = read_json(first / "manifest.json")
+        manifest["config"].update(edit)
+        (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "again"
+        code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert not any(out.glob("*.json"))
 
     def test_replay_survives_config_file_deletion(self, tmp_path):
         spec = tmp_path / "chan.json"

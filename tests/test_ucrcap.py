@@ -17,9 +17,11 @@ from ucrlab.ucrcap import (
     TimeSharedAux,
     _batch_objectives,
     _evaluate_envelope,
-    _grid_chunk,
+    _hull_keep,
     _hull_scan,
     _simplex_grid,
+    _source_terms,
+    _stack,
     _upper_hull,
     ucr_capacity_oracle,
     ucr_capacity_solve,
@@ -84,8 +86,59 @@ def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
     return gaps, values
 
 
+def grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
+    """Decode flat channel indices [start, stop) into matrices shaped (M, u, x).
+
+    A channel is one grid row per input symbol; the last input symbol is the
+    least significant digit of the flat index. The oracle's own enumerator,
+    `_grid_block`, must give the same matrices.
+    """
+    n_rows = row_pts.shape[0]
+    idx = np.arange(start, stop)
+    rows_idx = np.empty((idx.size, x_card), dtype=np.int64)
+    rem = idx.copy()
+    for x in range(x_card - 1, -1, -1):
+        rows_idx[:, x] = rem % n_rows
+        rem //= n_rows
+    return row_pts[rows_idx].transpose(0, 2, 1)
+
+
+def ref_oracle(source: JointPmf, c_bits: float, u_card: int, grid_step: float,
+               seed: int, n_random: int):
+    """The oracle without the running hull: every `_ORACLE_CHUNK` grid
+    matrices are built and scored at once, and each chunk keeps its whole
+    upper hull."""
+    terms = _source_terms(source.probs)
+    row_pts = _simplex_grid(round(1.0 / grid_step), u_card)
+    total = row_pts.shape[0] ** source.nx
+    parts = []
+
+    def keep_hull(mats):
+        values, gaps = _batch_objectives(mats, terms)
+        keep = np.sort(_upper_hull(gaps, values))
+        parts.append((gaps[keep], values[keep], mats[keep]))
+
+    for start in range(0, total, ucrcap._ORACLE_CHUNK):
+        keep_hull(grid_chunk(row_pts, source.nx, start,
+                             min(start + ucrcap._ORACLE_CHUNK, total)))
+    if n_random > 0:
+        rng = as_rng(seed)
+        keep_hull(rng.dirichlet(np.ones(u_card), size=(n_random, source.nx)).transpose(0, 2, 1))
+    return _evaluate_envelope(_stack(parts), c_bits, "oracle")
+
+
+def solution_bytes(sol) -> tuple:
+    """Value, slack, time-share weight and achiever rows of a solution, as bytes."""
+    ach = sol.achiever
+    ends = (ach.first, ach.second) if isinstance(ach, TimeSharedAux) else (ach,)
+    weight = ach.weight if isinstance(ach, TimeSharedAux) else None
+    return (np.float64(sol.value_bits).tobytes(), np.float64(sol.constraint_slack).tobytes(),
+            None if weight is None else np.float64(weight).tobytes(),
+            tuple(e.cond.rows.tobytes() for e in ends))
+
+
 def grid_index(row_pts: np.ndarray, mat: np.ndarray) -> int:
-    """Flat `_grid_chunk` index of a (u, x) matrix whose columns are grid rows."""
+    """Flat `grid_chunk` index of a (u, x) matrix whose columns are grid rows."""
     k = 0
     for col in mat.T:
         k = k * row_pts.shape[0] + int(np.flatnonzero((row_pts == col).all(axis=1))[0])
@@ -97,17 +150,17 @@ def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None
     get bit-identical (value, gap) alone, inside a grid chunk, in a permuted
     batch, in strided views and as entries of the step-1 grid, which holds
     exactly the maps."""
-    px = probs.sum(axis=1)
+    terms = _source_terms(probs)
     x_card = probs.shape[0]
     row_pts = _simplex_grid(m, u_card)
     total = row_pts.shape[0] ** x_card
-    det = _grid_chunk(_simplex_grid(1, u_card), x_card, 0, u_card ** x_card)
+    det = grid_chunk(_simplex_grid(1, u_card), x_card, 0, u_card ** x_card)
     picks = rng.integers(0, total, size=16)
-    mats = np.concatenate([det] + [_grid_chunk(row_pts, x_card, k, k + 1) for k in picks])
-    value, gap = _batch_objectives(mats, px, probs)
+    mats = np.concatenate([det] + [grid_chunk(row_pts, x_card, k, k + 1) for k in picks])
+    value, gap = _batch_objectives(mats, terms)
 
     def check(batch, idx):
-        v, g = _batch_objectives(batch, px, probs)
+        v, g = _batch_objectives(batch, terms)
         assert v.tobytes() == value[idx].tobytes()
         assert g.tobytes() == gap[idx].tobytes()
 
@@ -121,8 +174,8 @@ def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None
         check(mat[None], [i])
         k = grid_index(row_pts, mat)
         start = max(0, k - int(rng.integers(0, 40)))
-        chunk = _grid_chunk(row_pts, x_card, start, min(total, k + 1 + int(rng.integers(0, 40))))
-        v, g = _batch_objectives(chunk, px, probs)
+        chunk = grid_chunk(row_pts, x_card, start, min(total, k + 1 + int(rng.integers(0, 40))))
+        v, g = _batch_objectives(chunk, terms)
         assert (v[k - start], g[k - start]) == (value[i], gap[i])
 
 
@@ -135,6 +188,22 @@ class TestHull:
         gaps, values = hull_cloud(seed, zeros, duplicates, jitter, collinear, single_gap)
         assert gaps.size >= _PREFILTER_MIN
         assert _upper_hull(gaps, values) == _hull_scan(gaps, values)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+           st.booleans(), st.floats(-0.2, 0.01), st.integers(0, 40), st.integers(1, 40))
+    @settings(max_examples=150)
+    def test_floor_pruning_returns_the_batch_hull(self, seed, zeros, duplicates, jitter,
+                                                  collinear, lift, first, count):
+        # the floor: a window of the cloud's own hull, lifted or lowered, so
+        # that batch hull vertices fall below it, above it and outside its range
+        gaps, values = hull_cloud(seed, zeros, duplicates, jitter, collinear, False)
+        hull = _hull_scan(gaps, values)
+        window = hull[min(first, len(hull) - 1):][:count]
+        floor = gaps[window], values[window] + lift
+        near = values >= np.interp(gaps, *floor, left=-np.inf, right=-np.inf) - 1e-12
+        want = sorted(hull) if near.any() else []
+        assert _hull_keep(gaps, values, floor).tolist() == want
+        assert _hull_keep(gaps, values).tolist() == sorted(hull)
 
     def test_small_and_nonfinite_clouds_take_the_scan(self):
         gaps, values = hull_cloud(5, True, True, True, False, False)
@@ -251,6 +320,20 @@ class TestOracle:
             assert sol.achiever.second.cond.rows.tolist() == rows[1]
             assert sol.achiever.weight == rows[2]
 
+    def test_near_equal_relabelled_points_keep_their_chunk_hull(self):
+        # every bit of the output as it was when each chunk scanned all its
+        # points: two U-relabelled matrices sit 5e-16 apart, and which one a
+        # chunk keeps depends on a chunk hull vertex far below the cloud's hull
+        src = JointPmf(np.array([[0.45598448018463505, 0.10012982509523974],
+                                 [0.32610623156599167, 0.11777946315413357]]))
+        sol = ucr_capacity_oracle(src, 0.38582381846640873, u_card=3, grid_step=0.02,
+                                  seed=1301394346)
+        assert sol.value_bits == 0.38954758174065734
+        assert sol.constraint_slack == 0.0
+        assert sol.achiever.first.cond.rows.tolist() == [[0.06, 0.08, 0.86], [0.36, 0.48, 0.16]]
+        assert sol.achiever.second.cond.rows.tolist() == [[0.02, 0.1, 0.88], [0.14, 0.7, 0.16]]
+        assert sol.achiever.weight == 0.8876858858701477
+
     def test_time_shared_grid_maps_are_pinned(self):
         # both achievers are deterministic maps, reached through the grid
         src = JointPmf(np.array([
@@ -287,7 +370,37 @@ class TestOracle:
         solved = ucr_capacity_solve(src, 0.0, u_card=2)
         assert abs(solved.value_bits - oracle.value_bits) <= 5e-3
 
-    def test_grid_guard(self):
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2, 20), (2, 2, 50), (2, 3, 10), (2, 3, 12),
+                            (3, 2, 10), (3, 2, 16), (3, 3, 3), (3, 3, 4)]),
+           st.integers(150, 700), st.integers(1, 300), st.booleans(), st.sampled_from([0, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_running_hull_keeps_every_output_bit(self, seed, shape, chunk, block, zero_budget,
+                                                 n_random):
+        # many small chunks, each pruned against the hull kept so far and
+        # scored in several kernel blocks, against the whole hull of every
+        # chunk scored at once
+        nx, u_card, m = shape
+        rng = as_rng(seed)
+        probs = random_joint(rng, nx, nx).probs.copy()
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs.flat[int(rng.integers(0, probs.size))] += 0.1
+        src = JointPmf(probs / probs.sum())
+        c_bits = 0.0 if zero_budget else float(rng.uniform(0.0, 1.2)) * \
+            conditional_entropy_x_given_y(src)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ucrcap, "_ORACLE_CHUNK", chunk)
+            mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
+            got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed,
+                                      n_random=n_random)
+            want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, n_random)
+        assert solution_bytes(got) == solution_bytes(want)
+
+    def test_grid_guard(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("the oracle enumerated matrices past its guard")
+
+        monkeypatch.setattr(ucrcap, "_grid_block", built)
         src = random_joint(as_rng(0), 3, 3)
         with pytest.raises(GuardError):
             ucr_capacity_oracle(src, 0.1, u_card=4, grid_step=0.02)
@@ -394,7 +507,7 @@ class TestSolver:
         def built(*args):
             raise AssertionError("the skeleton was built past the map guard")
 
-        monkeypatch.setattr(ucrcap, "_grid_chunk", built)
+        monkeypatch.setattr(ucrcap, "_grid_block", built)
         with pytest.raises(GuardError, match="maps"):
             ucr_capacity_solve(random_joint(as_rng(7), 7, 7), 0.0)
 

@@ -57,15 +57,12 @@ class Pmf:
     """Probability mass function on a finite alphabet indexed 0..size-1."""
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = _validate_prob_array(self.probs, "Pmf")
         if arr.ndim != 1:
             raise DimensionError(f"Pmf needs a 1-D array, got shape {arr.shape}")
         object.__setattr__(self, "probs", arr)
-        if self.labels is not None and len(self.labels) != arr.size:
-            raise DimensionError("Pmf: label count does not match alphabet size")
 
     @property
     def size(self) -> int:
@@ -80,8 +77,6 @@ class JointPmf:
     """Joint pmf over an (X, Y) pair; probs[x, y], row-major in x."""
 
     probs: np.ndarray
-    labels_x: tuple[str, ...] | None = None
-    labels_y: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = _validate_prob_array(self.probs, "JointPmf")
@@ -109,8 +104,6 @@ class ConditionalPmf:
     """Stochastic matrix: rows[i] is a pmf over the output alphabet."""
 
     rows: np.ndarray
-    labels_in: tuple[str, ...] | None = None
-    labels_out: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.rows, dtype=float)
@@ -154,9 +147,6 @@ class TriplePmf:
 
     def pair_uy(self) -> JointPmf:
         return JointPmf(self.probs.sum(axis=1))
-
-    def pair_xy(self) -> JointPmf:
-        return JointPmf(self.probs.sum(axis=0))
 
     def marginal(self, axis: int) -> Pmf:
         keep = [a for a in range(3) if a != axis]

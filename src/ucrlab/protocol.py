@@ -316,13 +316,17 @@ class Codebook:
 
 def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's rule on typical-word masks (..., W), given the words'
-    value classes broadcast against them: (lead, distinct), the first typical
-    word's position where exactly one value is typical, else -1 for the
-    fallback (no typical word, or two values), and the distinct values count.
+    value classes broadcast against them: (lead, distinct). lead is the
+    first typical word's position where exactly one value is typical, else
+    -1 for the fallback (no typical word, or two values); distinct is the
+    count of typical values capped at 2, found by comparing each typical
+    word's class with the first's.
     """
-    typical = np.sort(np.where(mask, cls, -1), axis=-1)
-    distinct = (typical[..., 0] >= 0) + (typical[..., 1:] != typical[..., :-1]).sum(axis=-1)
-    return np.where(distinct == 1, mask.argmax(axis=-1), -1), distinct
+    first = mask.argmax(axis=-1)
+    cls = np.broadcast_to(cls, mask.shape)
+    other = mask & (cls != np.take_along_axis(cls, first[..., None], axis=-1))
+    distinct = mask.any(axis=-1).astype(np.intp) + other.any(axis=-1)
+    return np.where(distinct == 1, first, -1), distinct
 
 
 _F32_EXACT = 2 ** 24            # float32 holds every integer count below this
@@ -525,8 +529,9 @@ def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
     """Decode each block ys[t] against codebook row rows[t], 0-based; row n1
     is the reserved index, which scans nothing and decodes to the fallback.
 
-    Returns _decode_rule's (lead column, distinct count) for each block. The
-    kernel sees every block's own row, at most _SCAN_CELLS word symbols at a time.
+    Returns _decode_rule's (lead column, distinct count up to 2) for each
+    block. The kernel sees every block's own row, at most _SCAN_CELLS word
+    symbols at a time.
     """
     columns = np.full(ys.shape[0], -1, dtype=np.intp)
     distinct = np.zeros(ys.shape[0], dtype=np.intp)
@@ -541,7 +546,7 @@ def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
 
 
 def _decoded(cb: Codebook, i_tilde: int, column: int, distinct: int):
-    """(word_value, (i, j) or FALLBACK, distinct_typical_count) of a decode."""
+    """(word_value, (i, j) or FALLBACK, distinct) of a decode."""
     if column < 0:
         return cb.fallback, FALLBACK, distinct
     return cb.words[i_tilde - 1, column], (i_tilde, column + 1), distinct
@@ -553,8 +558,13 @@ def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
         raise ValidationError(f"sequence length {y.shape[0]} != block length {cb.n}")
     if not (1 <= i_tilde <= cb.n1 + 1):
         raise ValidationError(f"received index {i_tilde} outside 1..{cb.n1 + 1}")
-    columns, distinct = _decode_batch(cb, y[None, :], np.array([i_tilde - 1]), eps)
-    return _decoded(cb, i_tilde, int(columns[0]), int(distinct[0]))
+    if i_tilde == cb.n1 + 1:
+        return _decoded(cb, i_tilde, -1, 0)
+    mask = _typical_mask(_indicator_blocks(cb.words[i_tilde - 1], cb.u_card), y[None, :],
+                         cb.pair_uy, eps)[0]
+    row_cls = cb.value_index.cls.reshape(cb.n1, cb.n2)[i_tilde - 1]
+    lead, _ = _decode_rule(mask, row_cls)
+    return _decoded(cb, i_tilde, int(lead), np.unique(row_cls[mask]).size)
 
 
 def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int) -> np.ndarray:
@@ -900,10 +910,11 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     """Exact protocol law by enumerating every (x^n, y^n) pair.
 
     Binary source alphabets only; the codebook is materialized with the
-    same seed child as run_monte_carlo, so both modes study one codebook.
-    The index channel is averaged in closed form: the received index is
-    correct with weight 1 - theta and uniform over the other rows with
-    weight theta / N1.
+    same seed child as run_monte_carlo, so both modes study one codebook,
+    encoded by its encoder, _encode_batch, and decoded by its rule,
+    _decode_rule. The index channel is averaged in closed form: the
+    received index is correct with weight 1 - theta and uniform over the
+    other rows with weight theta / N1.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -925,12 +936,10 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     u0_cls = index.first.size
     n_cls = u0_cls + 1
 
-    # bool (n_x, n_words): word w jointly typical with sequence s
-    t_ux = _typical_mask(cb.blocks, xs, cb.pair_ux, cfg.eps_typ)
-    any_hit = t_ux.any(axis=1)
-    first_w = np.argmax(t_ux, axis=1)
-    k_cls = np.where(any_hit, index.cls[first_w], u0_cls)
-    i_star = np.where(any_hit, first_w // n2 + 1, n1 + 1)
+    # each sequence's encoded word, by the encoder Monte Carlo runs
+    found = _encode_batch(cb, xs, cfg.eps_typ)
+    k_cls = np.where(found >= 0, index.cls[found], u0_cls)
+    i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
 
     # decoded class per (row, y), by the decoder's own rule
     t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)

@@ -23,7 +23,8 @@ Both paths build their point cloud once, as (gaps, values, mats) arrays,
 scored by one kernel over (x, u, M) stacks that gives each matrix the same
 bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
 so the constant map anchors every envelope at gap 0. The oracle keeps each
-grid chunk's hull, scanning only points near the hull kept so far. The
+grid chunk's hull, with the hull kept so far as a floor: a chunk with no
+point near or above it keeps nothing, any other keeps its whole hull. The
 oracle is the arbiter; the solver is validated against it, never trusted
 alone.
 """
@@ -58,7 +59,8 @@ _POLISH_ROUNDS = 2
 _CLIMBERS_PER_SEGMENT = 3
 _CLIMB_STEPS = 500
 # _upper_hull thins clouds of at least this many points with a sub-hull
-# through the highest point of each of this many gap bins
+# through the highest point of each of this many gap bins (and any floor's
+# survivors)
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
 # _batch_objectives sets gaps and values at or below this to exactly 0:
@@ -66,6 +68,8 @@ _PREFILTER_BINS = 256
 # constant map among them (the gap never exceeds the value, so the gap of a
 # snapped value is snapped too)
 _GAP_SNAP = 1e-12
+# Dirichlet draws the oracle adds to its grid
+_ORACLE_DRAWS = 2048
 # the oracle keeps each chunk of this many grid matrices to its own hull; of
 # two U-relabelled matrices a few ulp apart, which one a chunk keeps can hang
 # on its other vertices, so another size can move the oracle's goldens
@@ -260,107 +264,79 @@ def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
 
     The one exact scan: sort by gap (highest value first within equal gaps,
     then lowest index), keep the first point of each distinct gap, then a
-    monotone-chain pass that also drops collinear middle points.
-    `_upper_hull` returns the same list; this loop is its reference.
+    monotone-chain pass over Python floats (the same IEEE arithmetic) that
+    also drops collinear middle points. `_upper_hull` returns the same list;
+    this scan is its reference.
     """
     order = np.lexsort((-values, gaps))
     # one point per distinct gap: the highest
-    dedup: list[int] = []
-    last_g = None
-    for idx in order:
-        g = gaps[idx]
-        if last_g is None or g > last_g:
-            dedup.append(int(idx))
-            last_g = g
-    hull: list[int] = []
-    for idx in dedup:
+    g = gaps[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = g[1:] > g[:-1]
+    order = order[first]
+    hull: list[tuple] = []
+    for point in zip(order.tolist(), gaps[order].tolist(), values[order].tolist()):
         while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            cross = (gaps[j] - gaps[i]) * (values[idx] - values[i]) \
-                - (values[j] - values[i]) * (gaps[idx] - gaps[i])
-            if cross >= 0.0:
+            (_, gi, vi), (_, gj, vj) = hull[-2:]
+            if (gj - gi) * (point[2] - vi) - (vj - vi) * (point[1] - gi) >= 0.0:
                 hull.pop()
             else:
                 break
-        hull.append(idx)
-    return hull
+        hull.append(point)
+    return [idx for idx, _, _ in hull]
 
 
-def _run_tops(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Mask of the entries equal to the maximum of their run; runs begin at starts."""
-    sizes = np.diff(np.append(starts, values.size))
-    return values == np.repeat(np.maximum.reduceat(values, starts), sizes)
-
-
-def _upper_hull(gaps: np.ndarray, values: np.ndarray) -> list[int]:
+def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     """Indices of the upper concave hull of the cloud, sorted by gap.
 
-    Returns exactly `_hull_scan(gaps, values)`. A large finite cloud is
-    thinned in numpy first: after the scan's own sort and one-point-per-gap
-    dedup, the highest point of each gap bin plus both end points give a
-    sub-hull.
-    Every sub-hull vertex is a cloud point, so the sub-hull never lies above
-    the true hull, and a point more than 1e-12 below it is no hull vertex.
-    Only the points left go through the scan.
-    """
-    n = gaps.size
-    if n < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
-        return _hull_scan(gaps, values)
-    order = np.argsort(gaps)
-    gs = gaps[order]
-    vs = values[order]
-    # one point per gap: the scan's lexsort heads a group of equal gaps with
-    # its highest value, and equal values with the lowest index
-    start = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-    idx = np.minimum.reduceat(np.where(_run_tops(vs, start), order, n), start)
-    if idx.size < 3:  # one or two points are their own hull
-        return idx.tolist()
-    g = gaps[idx]
-    v = values[idx]
-    bins = np.minimum(((g - g[0]) * (_PREFILTER_BINS / (g[-1] - g[0]))).astype(np.int64),
-                      _PREFILTER_BINS - 1)
-    sub = _run_tops(v, np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]]))
-    sub[0] = sub[-1] = True
-    sub = np.flatnonzero(sub)
-    sub = sub[_hull_scan(g[sub], v[sub])]
-    # survivors keep the deduped gap order, so the scan's own sort and dedup
-    # drop none of them
-    live = np.flatnonzero(v >= np.interp(g, g[sub], v[sub]) - 1e-12)
-    return idx[live[_hull_scan(g[live], v[live])]].tolist()
-
-
-def _hull_keep(gaps: np.ndarray, values: np.ndarray, floor=None) -> np.ndarray:
-    """Indices of the batch's upper-hull vertices, in index order.
-
-    floor is a hull (gaps, values) of points of the cloud the batch joins,
-    so never above that cloud's hull: a batch with no point on or above it
-    keeps nothing. Else the hull of those points is a sub-hull of batch
-    points, and as in `_upper_hull` only points on or above it (or outside
-    its gap range) are scanned. The floor is no such sub-hull: a batch vertex
-    below it can decide between two near-equal points above it.
+    Returns exactly `_hull_scan(gaps, values)`, or [] if a floor is given
+    and no point lies within 1e-12 of or above it. A floor is a hull (gaps,
+    values) of points of a larger cloud that this one joins, as the oracle's
+    running hull is, so it never lies above that cloud's hull: a cloud
+    wholly below it adds no vertex there. A large finite cloud is thinned in
+    numpy first: the points that pass the floor and the highest point of
+    each of _PREFILTER_BINS gap bins (the lowest index on ties) span a
+    sub-hull of cloud points. It never lies above the true hull, so a point
+    more than 1e-12 below it is no hull vertex. Only the points on or above
+    it, or outside its gap range, go through the scan, whose own sort and
+    dedup settle equal gaps.
     """
     def above(chain):
-        bar = np.interp(gaps, *chain, left=-np.inf, right=-np.inf)
-        return np.flatnonzero(values >= bar - 1e-12)
+        return values >= np.interp(gaps, *chain, left=-np.inf, right=-np.inf) - 1e-12
 
-    live = np.arange(gaps.size)
+    n = gaps.size
+    seeds = np.zeros(n, dtype=bool)
     if floor is not None:
-        live = above(floor)
-        if live.size:
-            sub = live[_upper_hull(gaps[live], values[live])]
-            live = above((gaps[sub], values[sub]))
-    return np.sort(live[np.array(_upper_hull(gaps[live], values[live]), dtype=np.int64)])
+        seeds = above(floor)
+        if not seeds.any():
+            return []
+    if n < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
+        return _hull_scan(gaps, values)
+    lo, hi = gaps.min(), gaps.max()
+    scale = _PREFILTER_BINS / (hi - lo) if hi > lo else 0.0
+    bins = np.minimum(((gaps - lo) * scale).astype(np.int32), _PREFILTER_BINS - 1)
+    top = np.full(_PREFILTER_BINS, -np.inf)
+    np.maximum.at(top, bins, values)
+    ties = np.flatnonzero(values == top[bins])
+    first = np.full(_PREFILTER_BINS, n)
+    np.minimum.at(first, bins[ties], ties)
+    seeds[first[first < n]] = True
+    sub = np.flatnonzero(seeds)
+    sub = sub[_upper_hull(gaps[sub], values[sub])]
+    live = np.flatnonzero(above((gaps[sub], values[sub])))
+    return live[_hull_scan(gaps[live], values[live])].tolist()
 
 
 def _grid_hull(row_pts: np.ndarray, x_card: int, start: int, stop: int, terms, floor=None):
-    """`_hull_keep` of the grid channels with flat indices [start, stop) as
-    (gaps, values, mats), mats shaped (M, u, x) and built for those alone."""
+    """`_upper_hull` of the grid channels with flat indices [start, stop) as
+    (gaps, values, mats), mats shaped (M, u, x) and built for those alone;
+    with a floor, a range wholly below it keeps nothing."""
     flat = np.arange(start, stop)
     values, gaps = np.empty((2, flat.size))
     for lo in range(0, flat.size, _KERNEL_BLOCK):
         block = slice(lo, lo + _KERNEL_BLOCK)
         values[block], gaps[block] = _objectives(_grid_block(row_pts, x_card, flat[block]), terms)
-    keep = _hull_keep(gaps, values, floor)
+    keep = np.array(_upper_hull(gaps, values, floor), dtype=np.int64)
     return gaps[keep], values[keep], _grid_block(row_pts, x_card, flat[keep]).transpose(2, 1, 0)
 
 
@@ -416,20 +392,20 @@ def _common_inputs(source: JointPmf, c_bits: float, u_card: int | None):
 
 
 def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = None,
-                        grid_step: float = 0.02, seed: int = 0,
-                        n_random: int = 2048) -> UcrSolution:
+                        grid_step: float = 0.02, seed: int = 0) -> UcrSolution:
     """Brute-force reference maximization over a simplex grid of channels.
 
     Enumerates every row-stochastic matrix whose rows sit on the simplex
-    grid of the given step, together with a batch of Dirichlet draws, then
-    takes the upper concave envelope of the whole cloud (two-point
+    grid of the given step, together with _ORACLE_DRAWS Dirichlet draws,
+    then takes the upper concave envelope of the whole cloud (two-point
     time-sharing between enumerated achievers) at c_bits. The grid is scored
     in the kernel's (x, u, M) layout, and each chunk of _ORACLE_CHUNK keeps
-    its upper-hull vertices, scanning only the points near the running hull
-    of all points kept so far. The kernel gives a matrix the same bits in
-    any batch and snaps gaps and values at or below 1e-12 to exactly 0, so
-    the grid's constant map anchors the hull at gap 0. grid_step must be the
-    reciprocal of an integer to within 1e-9.
+    its upper-hull vertices: `_upper_hull` with the running hull of all
+    points kept so far as its floor, so a chunk wholly below that hull keeps
+    nothing and any other keeps its whole hull. The kernel gives a matrix
+    the same bits in any batch and snaps gaps and values at or below 1e-12
+    to exactly 0, so the grid's constant map anchors the hull at gap 0.
+    grid_step must be the reciprocal of an integer to within 1e-9.
     """
     x_card, u_card = _common_inputs(source, c_bits, u_card)
     if not (0.0 < grid_step <= 0.5):
@@ -449,10 +425,11 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     # the running hull starts from the maps (grid points with the same bits) and the
     # draws' hull; the draws still join the cloud last, as ties go to the lower index
     seeds = [_grid_hull(np.eye(u_card), x_card, 0, u_card ** x_card, terms)]
-    if n_random > 0:
-        mats = as_rng(seed).dirichlet(np.ones(u_card), size=(n_random, x_card)).transpose(0, 2, 1)
+    if _ORACLE_DRAWS > 0:
+        mats = as_rng(seed).dirichlet(np.ones(u_card), size=(_ORACLE_DRAWS, x_card))
+        mats = mats.transpose(0, 2, 1)
         values, gaps = _batch_objectives(mats, terms)
-        keep = _hull_keep(gaps, values)
+        keep = _upper_hull(gaps, values)
         seeds.append((gaps[keep], values[keep], mats[keep]))
     gaps, values, _ = _stack(seeds)
     parts = []
@@ -467,15 +444,15 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
 
 def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int,
            x_card: int, u_card: int):
-    """Batched random-coordinate ascent of I(U;X) - slope * gap per climber."""
+    """Batched random-coordinate ascent of I(U;X) - slope * gap per climber.
+
+    A step is kept only if it raises the climber's objective, so each
+    climber ends at the best point it visited.
+    """
     batch = slope_vec.size
     cur = starts.copy()
     cur_v, cur_g = _batch_objectives(cur, terms)
     cur_obj = cur_v - slope_vec * cur_g
-    best = cur.copy()
-    best_v = cur_v.copy()
-    best_g = cur_g.copy()
-    best_obj = cur_obj.copy()
     arange = np.arange(batch)
     for t in range(steps):
         step = 0.1 * (0.01 ** (t / max(steps - 1, 1)))
@@ -494,12 +471,7 @@ def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int,
         cur_v = np.where(accept, tv, cur_v)
         cur_g = np.where(accept, tg, cur_g)
         cur_obj = np.where(accept, t_obj, cur_obj)
-        improved = t_obj > best_obj
-        best[improved] = trial[improved]
-        best_v = np.where(improved, tv, best_v)
-        best_g = np.where(improved, tg, best_g)
-        best_obj = np.where(improved, t_obj, best_obj)
-    return best_g, best_v, best
+    return cur_g, cur_v, cur
 
 
 def _collect_points(source: JointPmf, u_card: int, seed: int):

@@ -55,6 +55,14 @@ class TestUcrCommand:
         assert curve.startswith(b"c_bits,value_bits,constraint_slack,method\r\n")
         assert len(curve.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("fmt, name", [("json", "ucr.json"), ("csv", "ucr_curve.csv")])
+    def test_format_echoes_the_document_last(self, tmp_path, capsys, fmt, name):
+        out = tmp_path / "run"
+        code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.6",
+                     "--grid", "0.5,0.6,0.7", "--format", fmt, "--out-dir", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.endswith((out / name).read_text(encoding="utf-8"))
+
     def test_budget_and_curve_share_one_search(self, tmp_path, monkeypatch):
         calls = []
         collect = ucrcap._collect_points
@@ -149,6 +157,14 @@ class TestSimulateCommand:
         table = (out / "trials.csv").read_bytes()
         assert table.startswith(b"trial,i_sent,i_received,k_is_fallback,agreed\r\n")
         assert len(table.strip().splitlines()) == 201
+
+    def test_csv_format_echoes_the_trial_table_once(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "50",
+                     "--format", "csv", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        table = (out / "trials.csv").read_text(encoding="utf-8")
+        assert capsys.readouterr().out.count(table) == 1
 
     @pytest.mark.parametrize("config, mode, hashes", [
         ("protocol_small.json", ["--trials", "500"],

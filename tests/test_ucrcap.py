@@ -17,7 +17,6 @@ from ucrlab.ucrcap import (
     TimeSharedAux,
     _batch_objectives,
     _evaluate_envelope,
-    _hull_keep,
     _hull_scan,
     _simplex_grid,
     _source_terms,
@@ -84,6 +83,32 @@ def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
     if single_gap:
         gaps[:] = gaps[0]
     return gaps, values
+
+
+def ref_hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
+    """`_hull_scan` as a loop over numpy scalars: after the same lexsort,
+    keep each point whose gap exceeds the last kept gap, then run the
+    monotone chain."""
+    order = np.lexsort((-values, gaps))
+    dedup: list[int] = []
+    last_g = None
+    for idx in order:
+        g = gaps[idx]
+        if last_g is None or g > last_g:
+            dedup.append(int(idx))
+            last_g = g
+    hull: list[int] = []
+    for idx in dedup:
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            cross = (gaps[j] - gaps[i]) * (values[idx] - values[i]) \
+                - (values[j] - values[i]) * (gaps[idx] - gaps[i])
+            if cross >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    return hull
 
 
 def grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
@@ -201,9 +226,25 @@ class TestHull:
         window = hull[min(first, len(hull) - 1):][:count]
         floor = gaps[window], values[window] + lift
         near = values >= np.interp(gaps, *floor, left=-np.inf, right=-np.inf) - 1e-12
-        want = sorted(hull) if near.any() else []
-        assert _hull_keep(gaps, values, floor).tolist() == want
-        assert _hull_keep(gaps, values).tolist() == sorted(hull)
+        want = hull if near.any() else []
+        assert _upper_hull(gaps, values, floor) == want
+        assert _upper_hull(gaps, values) == hull
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+           st.booleans(), st.booleans(),
+           st.sampled_from(["", "nan values", "inf gaps", "-inf values"]))
+    @settings(max_examples=100)
+    def test_scan_matches_the_loop_reference(self, seed, zeros, duplicates, jitter,
+                                             collinear, single_gap, nonfinite):
+        gaps, values = hull_cloud(seed, zeros, duplicates, jitter, collinear, single_gap)
+        if nonfinite:
+            value, which = nonfinite.split()
+            (values if which == "values" else gaps)[as_rng(seed).integers(0, 64, 5)] = \
+                float(value)
+        for size in (0, 1, 2, 50, gaps.size):
+            g, v = gaps[:size], values[:size]
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference's numpy scalars
+                assert _hull_scan(g, v) == ref_hull_scan(g, v)
 
     def test_small_and_nonfinite_clouds_take_the_scan(self):
         gaps, values = hull_cloud(5, True, True, True, False, False)
@@ -347,7 +388,7 @@ class TestOracle:
         assert sol.achiever.second.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         assert sol.achiever.weight == 0.0531112751134867
 
-    def test_zero_budget_without_a_common_part_is_exactly_zero(self):
+    def test_zero_budget_without_a_common_part_is_exactly_zero(self, monkeypatch):
         # both constant maps and the uniform channel sit at gap 0; values
         # within 1e-12 of 0 are snapped to 0, so no rounding noise wins and
         # the lowest grid index, a constant map, is kept
@@ -355,7 +396,8 @@ class TestOracle:
             [0.2986326980616272, 0.02157789165918048, 0.14472742719146103],
             [0.015914553977739186, 0.01763178304917487, 0.06806966472372052],
             [0.43341770588603035, 1.955122902858218e-05, 8.72422203773017e-06]]))
-        sol = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.5, n_random=0)
+        monkeypatch.setattr(ucrcap, "_ORACLE_DRAWS", 0)
+        sol = ucr_capacity_oracle(src, 0.0, u_card=2, grid_step=0.5)
         assert sol.value_bits == 0.0
         assert sol.constraint_slack == 0.0
         assert sol.achiever.cond.rows.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
@@ -391,8 +433,8 @@ class TestOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ucrcap, "_ORACLE_CHUNK", chunk)
             mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
-            got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed,
-                                      n_random=n_random)
+            mp.setattr(ucrcap, "_ORACLE_DRAWS", n_random)
+            got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed)
             want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, n_random)
         assert solution_bytes(got) == solution_bytes(want)
 
@@ -433,6 +475,7 @@ class TestEnvelope:
             return evaluate(cloud, c_bits, method)
 
         monkeypatch.setattr(ucrcap, "_evaluate_envelope", spy)
+        monkeypatch.setattr(ucrcap, "_ORACLE_DRAWS", 64)
         rng = as_rng(6)
         cases = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)] * 2
         for nx, u_card in cases:
@@ -441,7 +484,7 @@ class TestEnvelope:
             probs[np.arange(nx), np.arange(nx)] += 0.05
             probs[0] += 0.05  # X = 0 and X = y share every column y: H(X|Y) > 0
             src = JointPmf(probs / probs.sum())
-            ucr_capacity_oracle(src, 0.0, u_card, grid_step=0.1, n_random=64)
+            ucr_capacity_oracle(src, 0.0, u_card, grid_step=0.1)
             ucr_capacity_solve(src, 0.0, u_card)
         assert len(starts) == 2 * len(cases)
         assert all(g == 0.0 for g in starts)

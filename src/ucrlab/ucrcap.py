@@ -22,7 +22,9 @@ map, which the skeleton already holds, so no slope sweep is needed.
 Both paths build their point cloud once, as (gaps, values, mats) arrays,
 scored by one kernel over (x, u, M) stacks that gives each matrix the same
 bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
-so the constant map anchors every envelope at gap 0. The oracle keeps each
+so the constant map anchors every envelope at gap 0. The oracle scores one
+grid matrix per U-relabelling orbit (relabelling U moves neither I(U;X) nor
+the gap), though ORACLE_GUARD counts the full grid it walks. It keeps each
 grid chunk's hull, with the hull kept so far as a floor: a chunk with no
 point near or above it keeps nothing, any other keeps its whole hull. The
 oracle is the arbiter; the solver is validated against it, never trusted
@@ -48,6 +50,7 @@ from .probspace import (
 )
 
 FEAS_TOL = 1e-9
+# the oracle's grid size limit, counted over every matrix (relabellings too)
 ORACLE_GUARD = 10 ** 8
 # the solver's skeleton is the densest channel grid within this many matrices;
 # at step 1 it is every map X -> U, refused above _MAP_GUARD of them
@@ -70,9 +73,10 @@ _PREFILTER_BINS = 256
 _GAP_SNAP = 1e-12
 # Dirichlet draws the oracle adds to its grid
 _ORACLE_DRAWS = 2048
-# the oracle keeps each chunk of this many grid matrices to its own hull; of
-# two U-relabelled matrices a few ulp apart, which one a chunk keeps can hang
-# on its other vertices, so another size can move the oracle's goldens
+# the oracle keeps each range of this many grid indices to its own hull; of
+# two matrices equal in exact arithmetic but a few ulp apart (two splits of
+# one channel into proportional columns), which one a chunk keeps can hang on
+# its other vertices, so another size can move the oracle's goldens
 _ORACLE_CHUNK = 200_000
 # grid matrices per kernel call, so its temporaries stay in cache (no bit moves)
 _KERNEL_BLOCK = 8192
@@ -182,7 +186,7 @@ def ucr_objective(source: JointPmf, aux: AuxiliaryChannel) -> tuple[float, float
 def _entropies(p: np.ndarray) -> np.ndarray:
     """-sum p log2 p over every axis but the last, with 0 log 0 = 0: one
     masked log pass, then the rows added in row-major order, elementwise."""
-    p = p.reshape(-1, p.shape[-1])
+    p = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
     terms = np.zeros_like(p)
     np.log2(p, out=terms, where=p > 0.0)
     terms *= p
@@ -327,11 +331,38 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     return live[_hull_scan(gaps[live], values[live])].tolist()
 
 
-def _grid_hull(row_pts: np.ndarray, x_card: int, start: int, stop: int, terms, floor=None):
-    """`_upper_hull` of the grid channels with flat indices [start, stop) as
-    (gaps, values, mats), mats shaped (M, u, x) and built for those alone;
-    with a floor, a range wholly below it keeps nothing."""
-    flat = np.arange(start, stop)
+def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
+    """Flat indices in [start, stop) of one grid channel per U-relabelling orbit.
+
+    A channel is kept when its U-columns are in non-decreasing lexicographic
+    order, x = 0 the most significant key. As `_simplex_grid` numbers rows in
+    increasing lexicographic order, that is the orbit's lowest flat index.
+    Each pair of neighbouring columns reads how a row's two entries compare
+    (-1, 0 or 1) off a table, at each row digit: the first nonzero, from
+    x = 0, orders the pair. The leading digits are folded once per run of
+    channels that share them; the last digit is then broadcast over the run.
+    """
+    n = row_pts.shape[0]
+    rises = np.sign(np.diff(row_pts, axis=1)).astype(np.int8).T  # (pair, row)
+    first = start // n
+    lead = np.arange(first, -(-stop // n))
+    order = np.zeros((rises.shape[0], lead.size), dtype=np.int8)
+    for _ in range(x_card - 1):  # x = |X| - 2 first, so x = 0 decides last
+        lead, digit = np.divmod(lead, n)
+        step = rises[:, digit]
+        order = np.where(step != 0, step, order)
+    order = order[:, :, None]
+    keep = ((order > 0) | ((order == 0) & (rises[:, None, :] >= 0))).all(axis=0).ravel()
+    return start + np.flatnonzero(keep[start - first * n:stop - first * n])
+
+
+def _grid_hull(row_pts: np.ndarray, x_card: int, flat: np.ndarray, terms, floor=None):
+    """`_upper_hull` of the grid channels with the given flat indices as
+    (gaps, values, mats), mats shaped (M, u, x) and built for those alone,
+    _KERNEL_BLOCK at a time; with a floor, channels wholly below it keep
+    nothing. The oracle's grid chunks pass one index per U-relabelling orbit
+    (`_orbit_indices`); the solver's skeleton and the oracle's maps pass
+    every index."""
     values, gaps = np.empty((2, flat.size))
     for lo in range(0, flat.size, _KERNEL_BLOCK):
         block = slice(lo, lo + _KERNEL_BLOCK)
@@ -398,14 +429,19 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     Enumerates every row-stochastic matrix whose rows sit on the simplex
     grid of the given step, together with _ORACLE_DRAWS Dirichlet draws,
     then takes the upper concave envelope of the whole cloud (two-point
-    time-sharing between enumerated achievers) at c_bits. The grid is scored
-    in the kernel's (x, u, M) layout, and each chunk of _ORACLE_CHUNK keeps
-    its upper-hull vertices: `_upper_hull` with the running hull of all
-    points kept so far as its floor, so a chunk wholly below that hull keeps
-    nothing and any other keeps its whole hull. The kernel gives a matrix
-    the same bits in any batch and snaps gaps and values at or below 1e-12
-    to exactly 0, so the grid's constant map anchors the hull at gap 0.
-    grid_step must be the reciprocal of an integer to within 1e-9.
+    time-sharing between enumerated achievers) at c_bits. Relabelling U
+    moves neither I(U;X) nor the gap, so of each orbit of relabelled grid
+    matrices only the lowest flat index, the one with its U-columns in
+    lexicographic order, is scored (`_orbit_indices`); ORACLE_GUARD still
+    counts every matrix of the grid, which the filter walks. The grid is
+    scored in the kernel's (x, u, M) layout, and each flat-index range of
+    _ORACLE_CHUNK keeps its upper-hull vertices: `_upper_hull` with the
+    running hull of all points kept so far as its floor, so a chunk wholly
+    below that hull keeps nothing and any other keeps its whole hull. The
+    kernel gives a matrix the same bits in any batch and snaps gaps and
+    values at or below 1e-12 to exactly 0, so the grid's constant map
+    anchors the hull at gap 0. grid_step must be the reciprocal of an
+    integer to within 1e-9.
     """
     x_card, u_card = _common_inputs(source, c_bits, u_card)
     if not (0.0 < grid_step <= 0.5):
@@ -424,22 +460,21 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     terms = _source_terms(source.probs)
     # the running hull starts from the maps (grid points with the same bits) and the
     # draws' hull; the draws still join the cloud last, as ties go to the lower index
-    seeds = [_grid_hull(np.eye(u_card), x_card, 0, u_card ** x_card, terms)]
-    if _ORACLE_DRAWS > 0:
-        mats = as_rng(seed).dirichlet(np.ones(u_card), size=(_ORACLE_DRAWS, x_card))
-        mats = mats.transpose(0, 2, 1)
-        values, gaps = _batch_objectives(mats, terms)
-        keep = _upper_hull(gaps, values)
-        seeds.append((gaps[keep], values[keep], mats[keep]))
-    gaps, values, _ = _stack(seeds)
+    maps = _grid_hull(np.eye(u_card), x_card, np.arange(u_card ** x_card), terms)
+    mats = as_rng(seed).dirichlet(np.ones(u_card), size=(_ORACLE_DRAWS, x_card))
+    mats = mats.transpose(0, 2, 1)
+    values, gaps = _batch_objectives(mats, terms)
+    keep = _upper_hull(gaps, values)
+    draws = gaps[keep], values[keep], mats[keep]
+    gaps, values, _ = _stack([maps, draws])
     parts = []
     for start in range(0, total, _ORACLE_CHUNK):
         top = _upper_hull(gaps, values)
         floor = gaps[top], values[top]
-        parts.append(_grid_hull(row_pts, x_card, start, min(start + _ORACLE_CHUNK, total),
-                                terms, floor))
+        flat = _orbit_indices(row_pts, x_card, start, min(start + _ORACLE_CHUNK, total))
+        parts.append(_grid_hull(row_pts, x_card, flat, terms, floor))
         gaps, values = (np.concatenate(pair) for pair in zip(floor, parts[-1]))
-    return _evaluate_envelope(_stack(parts + seeds[1:]), c_bits, "oracle")
+    return _evaluate_envelope(_stack(parts + [draws]), c_bits, "oracle")
 
 
 def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int,
@@ -495,7 +530,7 @@ def _collect_points(source: JointPmf, u_card: int, seed: int):
         raise GuardError(
             f"the solver's skeleton would hold all {total} maps X -> U "
             f"(> {_MAP_GUARD}); use a smaller u_card")
-    cloud = _grid_hull(row_pts, x_card, 0, total, terms)
+    cloud = _grid_hull(row_pts, x_card, np.arange(total), terms)
 
     rng = as_rng(seed)
     for _ in range(_POLISH_ROUNDS):

@@ -160,6 +160,13 @@ def test_criterion_05_telescoping_identity():
 
 @criterion(6, budget_s=None)
 def test_criterion_06_interval_lemma_sweep():
+    """The interval chain on 10,000 valid parameter draws.
+
+    The chain collapses algebraically: 4 mu / gamma^2 equals
+    sqrt(mu_beta)(1 - sqrt(alpha)), below 1 - sqrt(alpha) whenever
+    mu_beta < 1. So every valid draw satisfies it, and the sweep checks
+    the floating-point evaluation of the constants, not the converse.
+    """
     rng = as_rng(606)
     valid = 0
     passes = 0

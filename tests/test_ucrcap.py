@@ -1,6 +1,7 @@
 """Constrained auxiliary-channel maximization: oracle, solver, and curve."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ucrlab.ucrcap import (
     _batch_objectives,
     _evaluate_envelope,
     _hull_scan,
+    _orbit_indices,
     _simplex_grid,
     _source_terms,
     _stack,
@@ -128,11 +130,35 @@ def grid_chunk(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.nd
     return row_pts[rows_idx].transpose(0, 2, 1)
 
 
+def grid_indices(row_pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Flat `grid_chunk` indices of (M, u, x) matrices whose columns are grid
+    rows: each row is looked up by its integer composition, whose digits
+    (base m + 1) order rows as `_simplex_grid` does."""
+    m = round(1.0 / row_pts[row_pts > 0.0].min())
+    base = (m + 1) ** np.arange(row_pts.shape[1] - 1, -1, -1)
+    codes = np.rint(row_pts * m).astype(np.int64) @ base
+    assert (np.diff(codes) > 0).all()
+    flat = np.zeros(len(mats), dtype=np.int64)
+    for x in range(mats.shape[2]):
+        rows = codes.searchsorted(np.rint(mats[:, :, x] * m).astype(np.int64) @ base)
+        flat = flat * row_pts.shape[0] + rows
+    return flat
+
+
+def orbit_minima(row_pts: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Lowest `grid_indices` over every relabelling of U (permutation of the
+    u axis) of each (M, u, x) matrix."""
+    return np.min([grid_indices(row_pts, mats[:, list(perm)])
+                   for perm in itertools.permutations(range(mats.shape[1]))], axis=0)
+
+
 def ref_oracle(source: JointPmf, c_bits: float, u_card: int, grid_step: float,
-               seed: int, n_random: int):
+               seed: int, n_random: int, canonical: bool):
     """The oracle without the running hull: every `_ORACLE_CHUNK` grid
     matrices are built and scored at once, and each chunk keeps its whole
-    upper hull."""
+    upper hull. With canonical set, a chunk scores only the matrices that
+    are their orbit's lowest grid index, as the oracle does; without it,
+    every matrix of the grid."""
     terms = _source_terms(source.probs)
     row_pts = _simplex_grid(round(1.0 / grid_step), u_card)
     total = row_pts.shape[0] ** source.nx
@@ -140,12 +166,14 @@ def ref_oracle(source: JointPmf, c_bits: float, u_card: int, grid_step: float,
 
     def keep_hull(mats):
         values, gaps = _batch_objectives(mats, terms)
-        keep = np.sort(_upper_hull(gaps, values))
+        keep = np.sort(np.array(_upper_hull(gaps, values), dtype=np.int64))
         parts.append((gaps[keep], values[keep], mats[keep]))
 
     for start in range(0, total, ucrcap._ORACLE_CHUNK):
-        keep_hull(grid_chunk(row_pts, source.nx, start,
-                             min(start + ucrcap._ORACLE_CHUNK, total)))
+        mats = grid_chunk(row_pts, source.nx, start, min(start + ucrcap._ORACLE_CHUNK, total))
+        if canonical:
+            mats = mats[orbit_minima(row_pts, mats) == np.arange(start, start + len(mats))]
+        keep_hull(mats)
     if n_random > 0:
         rng = as_rng(seed)
         keep_hull(rng.dirichlet(np.ones(u_card), size=(n_random, source.nx)).transpose(0, 2, 1))
@@ -160,14 +188,6 @@ def solution_bytes(sol) -> tuple:
     return (np.float64(sol.value_bits).tobytes(), np.float64(sol.constraint_slack).tobytes(),
             None if weight is None else np.float64(weight).tobytes(),
             tuple(e.cond.rows.tobytes() for e in ends))
-
-
-def grid_index(row_pts: np.ndarray, mat: np.ndarray) -> int:
-    """Flat `grid_chunk` index of a (u, x) matrix whose columns are grid rows."""
-    k = 0
-    for col in mat.T:
-        k = k * row_pts.shape[0] + int(np.flatnonzero((row_pts == col).all(axis=1))[0])
-    return k
 
 
 def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None:
@@ -197,7 +217,7 @@ def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None
           np.arange(len(mats)))
     for i, mat in enumerate(mats):
         check(mat[None], [i])
-        k = grid_index(row_pts, mat)
+        k = int(grid_indices(row_pts, mat[None])[0])
         start = max(0, k - int(rng.integers(0, 40)))
         chunk = grid_chunk(row_pts, x_card, start, min(total, k + 1 + int(rng.integers(0, 40))))
         v, g = _batch_objectives(chunk, terms)
@@ -253,6 +273,41 @@ class TestHull:
         assert _upper_hull(gaps, values) == _hull_scan(gaps, values)
 
 
+@st.composite
+def small_grids(draw):
+    """(|X|, |U|, m) with |X| in 2-3, |U| in 2-4 and at most 20k grid matrices."""
+    nx, u_card = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    m_max = max(m for m in range(1, 200) if math.comb(m + u_card - 1, u_card - 1) ** nx <= 20_000)
+    return nx, u_card, draw(st.integers(1, m_max))
+
+
+class TestOrbits:
+    @given(small_grids(), st.lists(st.floats(0.0, 1.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_indices_are_the_orbit_minima(self, grid, cuts):
+        nx, u_card, m = grid
+        row_pts = _simplex_grid(m, u_card)
+        total = row_pts.shape[0] ** nx
+        mats = grid_chunk(row_pts, nx, 0, total)
+        # flat ranges split anywhere, as the oracle's chunks split the grid
+        bounds = sorted({0, total} | {int(c * total) for c in cuts})
+        kept = np.concatenate([_orbit_indices(row_pts, nx, a, b)
+                               for a, b in zip(bounds, bounds[1:])])
+        assert kept.tolist() == np.unique(orbit_minima(row_pts, mats)).tolist()
+        # Burnside: the orbits number the mean count of matrices each
+        # relabelling fixes
+        fixed = sum(int((mats[:, list(perm)] == mats).all(axis=(1, 2)).sum())
+                    for perm in itertools.permutations(range(u_card)))
+        assert kept.size * math.factorial(u_card) == fixed
+
+    @pytest.mark.parametrize("nx, u_card, total, orbits", [
+        (2, 3, 1_758_276, 293_384), (3, 2, 132_651, 66_326)])
+    def test_benchmark_grids_score_one_matrix_per_orbit(self, nx, u_card, total, orbits):
+        row_pts = _simplex_grid(50, u_card)
+        assert row_pts.shape[0] ** nx == total
+        assert _orbit_indices(row_pts, nx, 0, total).size == orbits
+
+
 class TestObjective:
     def test_identity_auxiliary(self):
         src = dsbs(0.1)
@@ -292,6 +347,10 @@ class TestObjective:
 
     def test_batch_layout_does_not_move_a_bit_on_criterion_03(self):
         assert_layout_invariant(np.array(C03_SOURCE_28), 2, 50, as_rng(28))
+
+    def test_empty_batch_scores_to_empty_arrays(self):
+        values, gaps = _batch_objectives(np.zeros((0, 3, 2)), _source_terms(dsbs(0.1).probs))
+        assert values.shape == gaps.shape == (0,)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
@@ -382,11 +441,11 @@ class TestOracle:
             [0.26464068821953096, 0.05592348515291694, 0.005918270477254092],
             [0.007959651535651056, 0.08845563290379324, 0.18325446895771536]]))
         sol = ucr_capacity_oracle(src, 0.8803540287195378, u_card=2, grid_step=0.05)
-        assert sol.value_bits == 0.9642664796050738
+        assert sol.value_bits == 0.9642664796050737
         assert sol.constraint_slack == 0.0
         assert sol.achiever.first.cond.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        assert sol.achiever.second.cond.rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
-        assert sol.achiever.weight == 0.0531112751134867
+        assert sol.achiever.second.cond.rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert sol.achiever.weight == 0.053111275113487774
 
     def test_zero_budget_without_a_common_part_is_exactly_zero(self, monkeypatch):
         # both constant maps and the uniform channel sit at gap 0; values
@@ -421,7 +480,7 @@ class TestOracle:
                                                  n_random):
         # many small chunks, each pruned against the hull kept so far and
         # scored in several kernel blocks, against the whole hull of every
-        # chunk scored at once
+        # chunk's one-per-orbit matrices scored at once
         nx, u_card, m = shape
         rng = as_rng(seed)
         probs = random_joint(rng, nx, nx).probs.copy()
@@ -435,8 +494,28 @@ class TestOracle:
             mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
             mp.setattr(ucrcap, "_ORACLE_DRAWS", n_random)
             got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed)
-            want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, n_random)
+            want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, n_random, canonical=True)
         assert solution_bytes(got) == solution_bytes(want)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2, 20), (2, 3, 12), (2, 4, 6), (3, 2, 16), (3, 3, 4)]),
+           st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_one_matrix_per_orbit_loses_no_value(self, seed, shape, zero_budget):
+        # relabelling U moves only the last bits of a point, so scoring one
+        # matrix per orbit must reach the value of the whole grid
+        nx, u_card, m = shape
+        rng = as_rng(seed)
+        probs = random_joint(rng, nx, nx).probs.copy()
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs.flat[int(rng.integers(0, probs.size))] += 0.1
+        src = JointPmf(probs / probs.sum())
+        c_bits = 0.0 if zero_budget else float(rng.uniform(0.0, 1.2)) * \
+            conditional_entropy_x_given_y(src)
+        got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed)
+        want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, ucrcap._ORACLE_DRAWS,
+                          canonical=False)
+        assert abs(got.value_bits - want.value_bits) <= 1e-14
 
     def test_grid_guard(self, monkeypatch):
         def built(*args):

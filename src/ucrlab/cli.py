@@ -41,7 +41,7 @@ from .errors import (
     UcrlabError,
     ValidationError,
 )
-from .probspace import Pmf, as_rng, subseed
+from .probspace import Pmf, as_rng, check_seed, subseed
 from .protocol import (
     AchievabilityParams,
     ProtocolConfig,
@@ -559,9 +559,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for a master seed, an integer in [0, 2**64)."""
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="master seed (64-bit unsigned); command default otherwise")
     common.add_argument("--out-dir", default="runs/latest",
                         help="directory for result files and the manifest")

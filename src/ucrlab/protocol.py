@@ -20,11 +20,14 @@ law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
 
 Both engines run trials in batches of max(1, 2**16 // n), through one
-typicality kernel, _typical_mask. Each trial keeps its own generator,
-seeded from its trial number, and draws from it in a fixed order: its
-source block, then the index channel's flip and alternative index, then
-the statistical engine's conditional draws. An outcome therefore depends
-on its trial number alone, not on the batch it ran in.
+typicality kernel, _typical_mask. Each trial draws from its own stream,
+the one default_rng(subseed(seed, _TRIAL_KEY, t)) would give, in a fixed
+order: its source block, then the index channel's flip and alternative
+index, then the statistical engine's conditional draws. A batch does not
+build those generators: it computes every trial's starting state at once
+(probspace.spawn_states) and positions one generator on each in turn. An
+outcome therefore depends on its trial number alone, not on the batch it
+ran in.
 
 The key K is a word value, so duplicate words count once. One numpy
 value index per codebook, Codebook.value_index, numbers the values in
@@ -53,6 +56,7 @@ from .probspace import (
     entropy_bits,
     mutual_information,
     pairs_from_uniforms,
+    spawn_states,
     subseed,
     type_counts,
 )
@@ -65,6 +69,7 @@ _ROW_KEY = 31
 MEMORY_GUARD = 10 ** 9          # codebook symbols
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
+TRIAL_LIMIT = 2 ** 32           # trial numbers fit one SeedSequence word
 # Fewest words per row the statistical engine accepts. Against the
 # materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
 # n = 12, mu = 0.02, eps 0.9, theta 0.05, seed 3 (N2 = 3) drifts 2.7 pooled
@@ -508,20 +513,25 @@ def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
         raise ValidationError(f"theta must be in [0, 1), got {theta}")
     if not (1 <= i_star <= n1 + 1):
         raise ValidationError(f"index {i_star} outside 1..{n1 + 1}")
-    return _draw_index(as_rng(seed), i_star, n1, theta)
+    return _resolve_index(i_star, *_draw_index(as_rng(seed), n1), theta)
 
 
-def _draw_index(rng: np.random.Generator, i_star: int, n1: int, theta: float) -> int:
-    """One use of the index channel: the flip draw, then the alternative index.
+def _draw_index(rng: np.random.Generator, n1: int) -> tuple[float, int]:
+    """The index channel's two draws: the flip uniform, then the alternative
+    index in 1..n1. Neither depends on the index sent.
 
     Every Monte Carlo engine draws through here, so all of them consume a
     trial's stream in the same order.
     """
-    u = rng.random()
-    alt = _uniform_int(rng, n1)
-    if alt >= i_star:
-        alt += 1
-    return i_star if u >= theta else alt
+    return rng.random(), _uniform_int(rng, n1)
+
+
+def _resolve_index(i_star: int, flip: float, alt: int, theta: float) -> int:
+    """The received index: i_star unless flip < theta, then the alternative,
+    moved past i_star so that it differs from it."""
+    if flip >= theta:
+        return i_star
+    return alt + 1 if alt >= i_star else alt
 
 
 def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
@@ -634,24 +644,37 @@ def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
     return mm, plugin, len(counts)
 
 
-def _trial_blocks(cfg: ProtocolConfig, ts: range):
-    """Each trial's generator and the trials' source blocks, (len(ts), n) each.
+def _trial_blocks(cfg: ProtocolConfig, ts: range, keep_states: bool = False):
+    """The trials' source blocks, (len(ts), n) each, and their index draws.
 
-    Trial t's generator comes from its own seed child and has drawn its
-    block's uniforms, random(n), when it is returned.
+    Trial t's stream is the one default_rng(subseed(cfg.seed, _TRIAL_KEY, t))
+    gives; one generator is positioned at each trial's start in turn and
+    draws its block's uniforms, random(n), then _draw_index's flip and
+    alternative. With keep_states, each trial's full generator state after
+    those draws comes back too, for the draws that follow them.
     """
-    rngs = [as_rng(subseed(cfg.seed, _TRIAL_KEY, t)) for t in ts]
-    x, y = pairs_from_uniforms(cfg.source, np.stack([rng.random(cfg.n) for rng in rngs]))
-    return rngs, x, y
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    uniforms = np.empty((len(ts), cfg.n))
+    draws, states = [], []
+    for k, (state, inc) in enumerate(spawn_states(cfg.seed, _TRIAL_KEY, ts)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        rng.random(out=uniforms[k])
+        draws.append(_draw_index(rng, cfg.n1))
+        if keep_states:
+            states.append(bitgen.state)
+    x, y = pairs_from_uniforms(cfg.source, uniforms)
+    return x, y, draws, states
 
 
 def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, ts: range) -> list:
     """Raw outcomes of trials ts: one encoder and one decoder call for all of
     them, and the index channel drawn per trial in between."""
-    rngs, xs, ys = _trial_blocks(cfg, ts)
+    xs, ys, draws, _ = _trial_blocks(cfg, ts)
     encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs, cfg.eps_typ)]
-    i_tilde = np.array([_draw_index(rng, i_star, cfg.n1, cfg.theta)
-                        for rng, (_, _, i_star) in zip(rngs, encoded)])
+    i_tilde = np.array([_resolve_index(i_star, flip, alt, cfg.theta)
+                        for (flip, alt), (_, _, i_star) in zip(draws, encoded)])
     columns, distinct = _decode_batch(cb, ys, i_tilde - 1, cfg.eps_typ)
     return [(t, *enc, int(i_t), *_decoded(cb, int(i_t), int(col), int(d)))
             for t, enc, i_t, col, d in zip(ts, encoded, i_tilde, columns, distinct)]
@@ -758,7 +781,7 @@ class _StatisticalEngine:
         """
         cfg = self.cfg
         eps = cfg.eps_typ
-        rngs, x, y = _trial_blocks(cfg, ts)
+        x, y, draws, states = _trial_blocks(cfg, ts, keep_states=True)
         u = self.det_map[x].astype(np.int8)
         exact_type = (u == 0).sum(axis=1) == self.type[0]
         blocks = _indicator_blocks(u[:, None, :], cfg.u_card)
@@ -767,20 +790,25 @@ class _StatisticalEngine:
         encodes = exact_type & typical_ux
         own_typical = exact_type & typical_uy
         zeros = (y == 0).sum(axis=1)
-        return [self._finish(t, rngs[k], u[k], bool(encodes[k]), bool(own_typical[k]),
-                             int(zeros[k])) for k, t in enumerate(ts)]
+        rng = np.random.Generator(np.random.PCG64(0))
+        return [self._finish(t, rng, states[k], draws[k], u[k], bool(encodes[k]),
+                             bool(own_typical[k]), int(zeros[k])) for k, t in enumerate(ts)]
 
-    def _finish(self, t: int, rng: np.random.Generator, u_seq: np.ndarray, encodes: bool,
+    def _finish(self, t: int, rng: np.random.Generator, state: dict,
+                draw: tuple[float, int], u_seq: np.ndarray, encodes: bool,
                 own_typical: bool, zeros: int):
+        """One trial's outcome from its batched results; rng is positioned at
+        state, the trial's stream past its index draws, before it draws."""
         cfg = self.cfg
         value = u_seq.tobytes()
         k_idx = self.value_rows(value) if encodes else None
         k_word = u_seq if k_idx is not None else self.fallback
         i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
-        i_tilde = _draw_index(rng, i_star, cfg.n1, cfg.theta)
+        i_tilde = _resolve_index(i_star, *draw, cfg.theta)
 
         if i_tilde == cfg.n1 + 1:
             return t, k_word, k_idx, i_star, i_tilde, self.fallback, None, 0
+        rng.bit_generator.state = state
 
         # the trial's own value: in the scanned row either because the
         # encoder put it there, or as a duplicate occurrence elsewhere
@@ -828,14 +856,16 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
 
     The codebook is drawn once per run from the seed's codebook child;
     each trial owns a seed child indexed by trial number, so a seed
-    names one result. Trials run in batches of max(1, 2**16 // n); within
-    a batch each trial still draws from its own generator in the order of
-    a one-trial run (its block, then the index channel's flip and
-    alternative, then the statistical engine's conditional draws), so
-    every outcome is the same whatever the batch layout.
+    names one result. Trials run in batches of max(1, 2**16 // n); a batch
+    positions one generator at each trial's seed child in turn, and each
+    trial draws the stream of a one-trial run in its order (its block,
+    then the index channel's flip and alternative, then the statistical
+    engine's conditional draws), so every outcome is the same whatever
+    the batch layout. Trial numbers stay below TRIAL_LIMIT = 2**32, where
+    a seed child's entropy would grow by a word.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= TRIAL_LIMIT:
+        raise ValidationError(f"trials must lie in [1, 2**32], got {trials}")
     engine, raw = _raw_trials(cfg, trials)
 
     events = {name: 0 for name in _EVENT_NAMES}
@@ -845,7 +875,8 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
     for t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct in raw:
         key = k_word.tobytes()
         counter[key] = counter.get(key, 0) + 1
-        agreed = k_word.shape == l_word.shape and bool(np.array_equal(k_word, l_word))
+        # both words share a dtype, so equal bytes mean equal shape and values
+        agreed = key == l_word.tobytes()
         agree += agreed
         if k_idx is None:
             events["encoder_fallback"] += 1

@@ -66,7 +66,14 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
+# the cells a trial table holds, formatted without the isinstance chain
+_EXACT_CELL = {bool: lambda v: "true" if v else "false", int: str, str: str}
+
+
 def _cell(v) -> str:
+    fmt = _EXACT_CELL.get(type(v))
+    if fmt is not None:
+        return fmt(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):

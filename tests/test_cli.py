@@ -216,6 +216,33 @@ class TestSimulateCommand:
         assert code == EXIT_GUARD
         assert "word/sequence cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])
+    def test_seed_flag_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "5",
+                  "--seed", seed, "--out-dir", str(out)])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("mode", [["--trials", "5"], ["--exact"]])
+    def test_descriptor_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed, mode):
+        desc = read_json(CONFIGS / "protocol_small.json")
+        desc["seed"] = seed
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(desc), encoding="utf-8")
+        code = main(["simulate", str(path), *mode, "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "5",
+                     "--seed", str(2 ** 64 - 1), "--out-dir", str(out)]) == EXIT_OK
+        assert read_json(out / "simulate.json")["seed"] == 2 ** 64 - 1
+
     def test_missing_descriptor_file(self, tmp_path):
         code = main(["simulate", str(tmp_path / "nope.json"), "--exact",
                      "--out-dir", str(tmp_path / "run")])

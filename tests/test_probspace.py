@@ -23,6 +23,7 @@ from ucrlab.probspace import (
     mutual_information,
     sample_iid,
     sample_type_class,
+    spawn_states,
     subseed,
     type_counts,
 )
@@ -252,3 +253,38 @@ class TestSeedTree:
     def test_as_rng_rejects_non_integer_seed(self):
         with pytest.raises(ValidationError):
             as_rng((1, 2))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+    def test_seeds_outside_64_bits_are_refused(self, seed):
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            subseed(seed, 1)
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            as_rng(seed)
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            spawn_states(seed, 1, [0])
+
+    def test_largest_seed_is_accepted(self):
+        assert as_rng(2 ** 64 - 1).random() == as_rng(np.uint64(2 ** 64 - 1)).random()
+        as_rng(subseed(2 ** 64 - 1, 3)).random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize("key", [29, 0])
+    def test_spawn_states_are_numpys_starting_states(self, seed, key):
+        ts = [0, 1, 2 ** 16, 2 ** 32 - 1]
+        positioned = np.random.PCG64(0)
+        for t, (state, inc) in zip(ts, spawn_states(seed, key, ts), strict=True):
+            positioned.state = {"bit_generator": "PCG64",
+                                "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+            fresh = as_rng(subseed(seed, key, t)).bit_generator
+            assert positioned.state == fresh.state
+            assert positioned.random_raw(3).tolist() == fresh.random_raw(3).tolist()
+
+    def test_spawn_states_refuse_trial_numbers_past_32_bits(self):
+        assert spawn_states(5, 29, []) == []
+        with pytest.raises(ValidationError, match="trial numbers"):
+            spawn_states(5, 29, [0, 2 ** 32])
+        with pytest.raises(ValidationError, match="trial numbers"):
+            spawn_states(5, 29, [-1])
+        with pytest.raises(ValidationError, match="spawn key"):
+            spawn_states(5, 2 ** 32, [0])

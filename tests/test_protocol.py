@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,6 +634,57 @@ class TestMonteCarlo:
         assert {o.k_index is None for o in short.outcomes} == {True, False}
         monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", 2 ** 16)
         assert run_monte_carlo(cfg, trials) == short
+
+    @pytest.mark.parametrize("cfg", [
+        # the alternative index comes from rng.bytes, and 43 of 200 trials
+        # draw after it
+        ProtocolConfig(n=1000, mu=0.02, theta=0.2, eps_typ=0.4, aux=IDENTITY_AUX,
+                       source=dsbs(0.05), seed=11),
+        # N1 = 2**30: the alternative comes from rng.integers, which leaves
+        # the upper half of a 64-bit draw cached in every trial's state
+        ProtocolConfig(n=1000, mu=0.01, theta=0.2, eps_typ=0.15, aux=IDENTITY_AUX,
+                       source=diagonal_source(), seed=11),
+    ], ids=["bytes", "uint32"])
+    def test_statistical_trials_match_a_per_trial_loop(self, cfg):
+        engine = protocol._StatisticalEngine(cfg)
+        eps = cfg.eps_typ
+        name, raw = protocol._raw_trials(cfg, 200)
+        assert name == "statistical"
+        saved = protocol._trial_blocks(cfg, range(200), keep_states=True)[3]
+        cached = moved = 0
+        for t, got in enumerate(raw):
+            rng = as_rng(subseed(cfg.seed, protocol._TRIAL_KEY, t))
+            x, y = sample_iid(cfg.source, cfg.n, rng)
+            u = engine.det_map[x].astype(np.int8)
+            exact_type = (u == 0).sum() == engine.type[0]
+            encodes = exact_type and ref_batch_pair_typical(u[None, :], x, cfg.pair_ux_ext, eps)[0]
+            own = exact_type and ref_batch_pair_typical(u[None, :], y, cfg.pair_uy_ext, eps)[0]
+            draw = protocol._draw_index(rng, cfg.n1)
+            state = rng.bit_generator.state
+            assert saved[t] == state
+            cached += state["has_uint32"]
+            want = engine._finish(t, rng, state, draw, u, bool(encodes), bool(own),
+                                  int((y == 0).sum()))
+            moved += rng.bit_generator.state != state
+            assert got[0] == t and got[2:5] == want[2:5] and got[6:] == want[6:]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[5], want[5])
+        assert t == 199
+        assert cached > 0 and moved > 0
+
+    def test_trial_counts_past_32_bits_are_refused_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        for name in ("build_codebook", "_StatisticalEngine", "spawn_states", "_raw_trials"):
+            monkeypatch.setattr(protocol, name, no_work)
+        cfg = ternary_config()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="2\\*\\*32"):
+                run_monte_carlo(cfg, protocol.TRIAL_LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_very_noisy_encoder_statistics_reference_run(self):
         cfg = ProtocolConfig(n=400, mu=0.05, theta=0.0, eps_typ=0.2,

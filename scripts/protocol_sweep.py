@@ -2,9 +2,12 @@
 
 Runs the typed-codebook protocol over a range of block lengths on a
 doubly symmetric binary source with the identity auxiliary, recording the
-empirical P[K != L], the event breakdown, and the per-symbol entropy rate
-of the generated value. Larger n drives the error down while the key rate
-approaches I(U;X) = 1 bit per symbol.
+empirical P[K != L], the event breakdown (encoder fallbacks, index errors,
+decoder misses), the engine used, and the per-symbol entropy rate H(K)/n
+of the generated value next to log2|K|. The rate is the number to compare
+with I(U;X) = 1 bit per symbol: with every codeword drawn from one exact
+type class most encoders fall back to the reserved word, so today the
+rate falls as n grows instead of approaching that bound.
 
 Usage:
     python scripts/protocol_sweep.py --ns 200,400,600,800,1000 \

@@ -53,8 +53,10 @@ from .protocol import (
 from .serialize import (
     SCHEMA_VERSION,
     RunManifest,
+    _need,
     aux_from_dict,
     channel_from_dict,
+    json_field,
     json_text,
     load_json,
     pmf_from_dict,
@@ -124,9 +126,10 @@ def _exec_capacity(config: dict, out_dir: Path, fmt: str | None) -> dict:
 
 def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
     source = source_from_dict(config["source"])
-    seed = int(config["seed"])
+    seed = check_seed(_need(config, "seed", "ucr config"))
     u_card = config.get("u_card")
-    u_card = int(u_card) if u_card is not None else None
+    if u_card is not None:
+        u_card = json_field(config, "u_card", "ucr config", int)
 
     if config.get("channel") is not None:
         cap = dmc_capacity(_single_letter_kernel(config["channel"], "ucr"))
@@ -202,18 +205,19 @@ def _report_to_dict(report) -> dict:
 
 
 def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
-    desc = config["descriptor"]
-    source = source_from_dict(desc["source"])
-    aux = aux_from_dict(desc["aux"], source.nx)
+    desc = _need(config, "descriptor", "simulate config")
+    source = source_from_dict(_need(desc, "source", "descriptor"))
+    aux = aux_from_dict(_need(desc, "aux", "descriptor"), source.nx)
     cfg = ProtocolConfig(
-        n=int(desc["n"]),
-        mu=float(desc["mu"]),
-        theta=float(desc["theta"]),
-        eps_typ=float(desc["eps_typ"]),
+        n=json_field(desc, "n", "descriptor", int),
+        mu=json_field(desc, "mu", "descriptor", float),
+        theta=json_field(desc, "theta", "descriptor", float),
+        eps_typ=json_field(desc, "eps_typ", "descriptor", float),
         aux=aux,
         source=source,
-        seed=int(desc.get("seed", 0)),
-        allow_degenerate_rate=bool(desc.get("allow_degenerate_rate", False)),
+        seed=check_seed(desc.get("seed", 0)),
+        allow_degenerate_rate=json_field(desc, "allow_degenerate_rate", "descriptor", bool,
+                                         False),
     )
     params = _conditions_from(desc, cfg)
     summary: dict = {
@@ -232,7 +236,7 @@ def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
     # Monte Carlo how often the encoder fell back to the reserved word
     diagnostics: dict = {}
 
-    if config.get("exact"):
+    if json_field(config, "exact", "simulate config", bool, False):
         res = exact_analyze(cfg)
         summary["mode"] = "exact"
         summary["p_disagree"] = float(res.p_disagree)
@@ -245,7 +249,7 @@ def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
               f"H(K) = {res.entropy_k_bits:.6f} bits, "
               f"H(K|Y^n) = {res.entropy_k_given_y_bits:.6f} bits")
     else:
-        trials = int(config["trials"])
+        trials = json_field(config, "trials", "simulate config", int)
         res = run_monte_carlo(cfg, trials)
         summary["mode"] = "monte_carlo"
         summary["engine"] = res.engine
@@ -306,11 +310,12 @@ def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
         input_pmf = pmf_from_dict(config["input"])
     else:
         input_pmf = Pmf(np.full(kernel.n_in, 1.0 / kernel.n_in))
-    ns = [int(n) for n in config["ns"]]
-    if not ns or sorted(set(ns)) != ns:
-        raise ValidationError("block lengths must be strictly increasing")
-    samples = int(config["samples"])
-    seed = int(config["seed"])
+    ns = _need(config, "ns", "spectrum config")
+    if (not isinstance(ns, list) or not ns or any(type(n) is not int for n in ns)
+            or sorted(set(ns)) != ns):
+        raise ValidationError(f"block lengths must be strictly increasing integers, got {ns!r}")
+    samples = json_field(config, "samples", "spectrum config", int)
+    seed = check_seed(_need(config, "seed", "spectrum config"))
 
     estimates = []
     rows = []
@@ -358,9 +363,9 @@ def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
 
 
 def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
-    seed = int(config["seed"])
-    interval_target = int(config["interval_draws"])
-    telescope_target = int(config["telescoping_instances"])
+    seed = check_seed(_need(config, "seed", "lemmas config"))
+    interval_target = json_field(config, "interval_draws", "lemmas config", int)
+    telescope_target = json_field(config, "telescoping_instances", "lemmas config", int)
     # a sweep over no draws would report "all_pass" vacuously; the parser
     # refuses such counts, and a replayed manifest must too
     if interval_target < 1 or telescope_target < 1:
@@ -496,7 +501,7 @@ def cmd_ucr(args) -> None:
         "u_card": args.u_card,
         "oracle": bool(args.oracle),
         "grid_step": args.grid_step,
-        "grid": [float(v) for v in args.grid.split(",")] if args.grid else None,
+        "grid": args.grid,
         "seed": seed,
     }
     _run("ucr", config, seed=seed, args=args)
@@ -514,9 +519,9 @@ def cmd_simulate(args) -> None:
     config = {
         "descriptor": desc,
         "exact": bool(args.exact),
-        "trials": int(desc.get("trials", 0)),
+        "trials": json_field(desc, "trials", "descriptor", int, 0),
     }
-    _run("simulate", config, seed=int(desc.get("seed", 0)), args=args)
+    _run("simulate", config, seed=check_seed(desc.get("seed", 0)), args=args)
 
 
 def cmd_spectrum(args) -> None:
@@ -524,7 +529,7 @@ def cmd_spectrum(args) -> None:
     config = {
         "channel": load_json(args.channel),
         "input": load_json(args.input) if args.input else None,
-        "ns": [int(v) for v in args.n.split(",")],
+        "ns": args.n,
         "samples": args.samples,
         "seed": seed,
     }
@@ -557,6 +562,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _comma_list(kind):
+    """argparse type for a comma-separated list of kind (int or float)."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}") from None
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -608,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="brute-force grid reference instead of the fast solver")
     p.add_argument("--grid-step", type=float, default=0.02,
                    help="simplex grid step for --oracle, 1/m for an integer m")
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=_comma_list(float), default=None,
                    help="comma-separated budgets for a CSV curve")
     p.set_defaults(func=cmd_ucr)
 
@@ -626,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", help="channel spec JSON file")
     p.add_argument("--input", default=None,
                    help="input pmf JSON file (default uniform)")
-    p.add_argument("--n", default="250,1000",
+    p.add_argument("--n", type=_comma_list(int), default="250,1000",
                    help="comma-separated block lengths")
     p.add_argument("--samples", type=int, default=10_000,
                    help="samples per block length")

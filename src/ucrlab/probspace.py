@@ -4,8 +4,7 @@ Containers for single, pairwise, and triple-joint pmfs plus conditional
 kernels; entropy and mutual information in bits; i.i.d. block sampling;
 robust (relative-deviation) joint typicality; exact-type sequence
 sampling with largest-remainder count quantization; and the seed tree:
-seeds in [0, 2**64), named child seeds, and the generator states of a
-batch of children computed at once.
+seeds in [0, 2**64) and named child seeds.
 
 Conventions: all logarithms are base 2, 0 * log 0 = 0, pmf entries are
 validated nonnegative and summing to one within 1e-12.
@@ -13,7 +12,6 @@ validated nonnegative and summing to one within 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +26,7 @@ SEED_LIMIT = 2 ** 64
 
 def check_seed(seed) -> int:
     """The seed as an int, if it is an integer in [0, SEED_LIMIT)."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValidationError(f"a seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < SEED_LIMIT:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
@@ -50,87 +48,6 @@ def subseed(seed: int, *key: int) -> np.random.SeedSequence:
     """Named child seed; identical for any execution schedule."""
     return np.random.SeedSequence(entropy=check_seed(seed),
                                   spawn_key=tuple(int(k) for k in key))
-
-
-# SeedSequence's hash constants (numpy documents its output as stable)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """For each of count successive hash steps, the constant it XORs in and
-    the next one, which it multiplies by."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _M32)
-    return list(zip(h[:-1], h[1:]))
-
-
-_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, 6 * _POOL)
-_TRIAL_CONSTS = np.array(_MIX_CONSTS[-_POOL:], dtype=np.uint32).T[:, :, None]
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL),
-                         dtype=np.uint32).T[:, :, None]
-
-
-# on ints and on uint32 arrays alike
-def _hashmix(value, pre, post):
-    value = (value ^ pre) * post & _M32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    out = (_MIX_L * x - _MIX_R * y) & _M32
-    return out ^ out >> 16
-
-
-@lru_cache(maxsize=64)
-def _absorbed_pool(seed: int, key: int) -> tuple[int, ...]:
-    """SeedSequence's pool once it has absorbed every entropy word before the
-    trial number: the seed's two words padded to the pool size, then key."""
-    consts = iter(_MIX_CONSTS)
-    pool = [_hashmix(w, *next(consts)) for w in (seed & _M32, seed >> 32, 0, 0)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for dst in range(_POOL):
-        pool[dst] = _mix(pool[dst], _hashmix(key, *next(consts)))
-    return tuple(pool)
-
-
-def spawn_states(seed: int, key: int, ts) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) that default_rng(subseed(seed, key, t)) starts from,
-    for each trial number t of ts, bit for bit.
-
-    SeedSequence absorbs the entropy words [seed low, seed high, 0, 0, key,
-    t] (a 64-bit seed padded to its pool of four, then the spawn key) into
-    four uint32 words and hashes them out to four uint64 words, the seed
-    and the increment of PCG64's two-step srandom. Everything before the
-    trial word is one int computation; the rest runs on uint32 lanes, one
-    per trial, and srandom on 128-bit ints.
-    """
-    seed = check_seed(seed)
-    if not 0 <= key <= _M32:
-        raise ValidationError(f"spawn key must lie in [0, 2**32), got {key}")
-    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
-    if ts.size and not (ts.min() >= 0 and ts.max() <= _M32):
-        raise ValidationError("trial numbers must lie in [0, 2**32)")
-    # the trial word: one lane per trial, one hash step per pool word
-    lanes = _hashmix(ts.astype(np.uint32), *_TRIAL_CONSTS)
-    pool = _mix(np.array(_absorbed_pool(seed, key), dtype=np.uint32)[:, None], lanes)
-    # generate_state(4, uint64): eight words cycling the pool, paired low-high
-    words = _hashmix(np.tile(pool, (2, 1)), *_STATE_CONSTS).astype(np.uint64)
-    s_hi, s_lo, i_hi, i_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    states = []
-    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = ((ih << 64 | il) << 1 | 1) & _M128
-        states.append((((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _M128, inc))
-    return states
 
 
 def _validate_prob_array(arr: np.ndarray, what: str) -> np.ndarray:
@@ -285,8 +202,9 @@ def mutual_information(j: JointPmf) -> float:
 
 
 def conditional_entropy_x_given_y(j: JointPmf) -> float:
-    """H(X|Y) in bits."""
-    return entropy_bits(j.probs) - entropy_bits(j.probs.sum(axis=0))
+    """H(X|Y) in bits, clamped at zero: when Y determines X the two
+    entropies can differ by rounding alone."""
+    return max(entropy_bits(j.probs) - entropy_bits(j.probs.sum(axis=0)), 0.0)
 
 
 def compose_aux(source: JointPmf, aux: ConditionalPmf) -> TriplePmf:

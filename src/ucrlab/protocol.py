@@ -20,12 +20,12 @@ law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
 
 Both engines run trials in batches of max(1, 2**16 // n), through one
-typicality kernel, _typical_mask. Each trial draws from its own stream,
-the one default_rng(subseed(seed, _TRIAL_KEY, t)) would give, in a fixed
-order: its source block, then the index channel's flip and alternative
-index, then the statistical engine's conditional draws. A batch does not
-build those generators: it computes every trial's starting state at once
-(probspace.spawn_states) and positions one generator on each in turn. An
+typicality kernel, _typical_mask. A run derives one PCG64 stream from
+subseed(seed, _TRIAL_KEY) and cuts it into substreams with PCG64's
+jump-ahead: substream k starts where PCG64.jumped(k) would, k golden-ratio
+fractions of the period into the stream. Trial t draws its source block,
+then the index channel's flip and alternative index, from substream 2t,
+and the statistical engine's conditional draws from substream 2t + 1. An
 outcome therefore depends on its trial number alone, not on the batch it
 ran in.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial, reduce
 from typing import NamedTuple
@@ -56,7 +56,6 @@ from .probspace import (
     entropy_bits,
     mutual_information,
     pairs_from_uniforms,
-    spawn_states,
     subseed,
     type_counts,
 )
@@ -69,7 +68,7 @@ _ROW_KEY = 31
 MEMORY_GUARD = 10 ** 9          # codebook symbols
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
-TRIAL_LIMIT = 2 ** 32           # trial numbers fit one SeedSequence word
+TRIAL_LIMIT = 2 ** 32           # substreams below 2**33 start >= 2**93 draws apart
 # Fewest words per row the statistical engine accepts. Against the
 # materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
 # n = 12, mu = 0.02, eps 0.9, theta 0.05, seed 3 (N2 = 3) drifts 2.7 pooled
@@ -644,34 +643,51 @@ def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
     return mm, plugin, len(counts)
 
 
-def _trial_blocks(cfg: ProtocolConfig, ts: range, keep_states: bool = False):
+_Stream = Callable[[int], np.random.Generator]
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # PCG64.jumped's step, 2**128 / phi
+_M128 = 2 ** 128 - 1
+
+
+def _trial_stream(seed: int) -> _Stream:
+    """The run's trial generator, from subseed(seed, _TRIAL_KEY), as a
+    function that moves it to substream k, the state PCG64.jumped(k) would
+    start from, and returns it.
+
+    Power-of-two jumps would not do: they leave the low half of the LCG
+    state, and with it much of every output, the same in all substreams.
+    """
+    rng = np.random.default_rng(subseed(seed, _TRIAL_KEY))
+    bitgen = rng.bit_generator
+    start = bitgen.state
+
+    def substream(k: int) -> np.random.Generator:
+        bitgen.state = start
+        bitgen.advance(k * _PCG64_JUMP & _M128)
+        return rng
+    return substream
+
+
+def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
     """The trials' source blocks, (len(ts), n) each, and their index draws.
 
-    Trial t's stream is the one default_rng(subseed(cfg.seed, _TRIAL_KEY, t))
-    gives; one generator is positioned at each trial's start in turn and
-    draws its block's uniforms, random(n), then _draw_index's flip and
-    alternative. With keep_states, each trial's full generator state after
-    those draws comes back too, for the draws that follow them.
+    Trial t draws from substream 2t of the run's stream: its block's
+    uniforms, random(n), then _draw_index's flip and alternative.
     """
-    rng = np.random.Generator(np.random.PCG64(0))
-    bitgen = rng.bit_generator
     uniforms = np.empty((len(ts), cfg.n))
-    draws, states = [], []
-    for k, (state, inc) in enumerate(spawn_states(cfg.seed, _TRIAL_KEY, ts)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    draws = []
+    for k, t in enumerate(ts):
+        rng = stream(2 * t)
         rng.random(out=uniforms[k])
         draws.append(_draw_index(rng, cfg.n1))
-        if keep_states:
-            states.append(bitgen.state)
     x, y = pairs_from_uniforms(cfg.source, uniforms)
-    return x, y, draws, states
+    return x, y, draws
 
 
-def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, ts: range) -> list:
+def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, stream: _Stream,
+                        ts: range) -> list:
     """Raw outcomes of trials ts: one encoder and one decoder call for all of
     them, and the index channel drawn per trial in between."""
-    xs, ys, draws, _ = _trial_blocks(cfg, ts)
+    xs, ys, draws = _trial_blocks(cfg, stream, ts)
     encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs, cfg.eps_typ)]
     i_tilde = np.array([_resolve_index(i_star, flip, alt, cfg.theta)
                         for (flip, alt), (_, _, i_star) in zip(draws, encoded)])
@@ -772,7 +788,7 @@ class _StatisticalEngine:
                                         _uniform_int(rng, self.cfg.n2)) if present else None)
         return self._value_rows[value]
 
-    def batch(self, ts: range) -> list:
+    def batch(self, stream: _Stream, ts: range) -> list:
         """Raw outcomes of trials ts.
 
         The block, its map, the exact-type test, both typicality tests and
@@ -781,7 +797,7 @@ class _StatisticalEngine:
         """
         cfg = self.cfg
         eps = cfg.eps_typ
-        x, y, draws, states = _trial_blocks(cfg, ts, keep_states=True)
+        x, y, draws = _trial_blocks(cfg, stream, ts)
         u = self.det_map[x].astype(np.int8)
         exact_type = (u == 0).sum(axis=1) == self.type[0]
         blocks = _indicator_blocks(u[:, None, :], cfg.u_card)
@@ -790,15 +806,13 @@ class _StatisticalEngine:
         encodes = exact_type & typical_ux
         own_typical = exact_type & typical_uy
         zeros = (y == 0).sum(axis=1)
-        rng = np.random.Generator(np.random.PCG64(0))
-        return [self._finish(t, rng, states[k], draws[k], u[k], bool(encodes[k]),
+        return [self._finish(t, stream, draws[k], u[k], bool(encodes[k]),
                              bool(own_typical[k]), int(zeros[k])) for k, t in enumerate(ts)]
 
-    def _finish(self, t: int, rng: np.random.Generator, state: dict,
-                draw: tuple[float, int], u_seq: np.ndarray, encodes: bool,
-                own_typical: bool, zeros: int):
-        """One trial's outcome from its batched results; rng is positioned at
-        state, the trial's stream past its index draws, before it draws."""
+    def _finish(self, t: int, stream: _Stream, draw: tuple[float, int], u_seq: np.ndarray,
+                encodes: bool, own_typical: bool, zeros: int):
+        """One trial's outcome from its batched results. Its conditional
+        draws come from substream 2t + 1 of the run's stream."""
         cfg = self.cfg
         value = u_seq.tobytes()
         k_idx = self.value_rows(value) if encodes else None
@@ -808,7 +822,7 @@ class _StatisticalEngine:
 
         if i_tilde == cfg.n1 + 1:
             return t, k_word, k_idx, i_star, i_tilde, self.fallback, None, 0
-        rng.bit_generator.state = state
+        rng = stream(2 * t + 1)
 
         # the trial's own value: in the scanned row either because the
         # encoder put it there, or as a duplicate occurrence elsewhere
@@ -845,24 +859,26 @@ def _raw_trials(cfg: ProtocolConfig, trials: int) -> tuple[str, Iterator[tuple]]
         engine, batch = "materialized", partial(_materialized_batch, build_codebook(cfg), cfg)
     else:
         engine, batch = "statistical", _StatisticalEngine(cfg).batch
+    stream = _trial_stream(cfg.seed)
     step = max(1, _BATCH_SYMBOLS // cfg.n)
     return engine, itertools.chain.from_iterable(
-        batch(range(lo, min(lo + step, trials))) for lo in range(0, trials, step))
+        batch(stream, range(lo, min(lo + step, trials))) for lo in range(0, trials, step))
 
 
 def run_monte_carlo(cfg: ProtocolConfig, trials: int,
                     keep_outcomes: bool = True) -> MonteCarloResult:
     """Fixed-codebook Monte Carlo over fresh source blocks.
 
-    The codebook is drawn once per run from the seed's codebook child;
-    each trial owns a seed child indexed by trial number, so a seed
-    names one result. Trials run in batches of max(1, 2**16 // n); a batch
-    positions one generator at each trial's seed child in turn, and each
-    trial draws the stream of a one-trial run in its order (its block,
-    then the index channel's flip and alternative, then the statistical
-    engine's conditional draws), so every outcome is the same whatever
-    the batch layout. Trial numbers stay below TRIAL_LIMIT = 2**32, where
-    a seed child's entropy would grow by a word.
+    The codebook is drawn once per run from the seed's codebook child,
+    and the trials from its trial child, so a seed names one result.
+    One generator on the trial child's PCG64 stream jumps to each trial's
+    substreams in turn: trial t draws its block, then the index channel's
+    flip and alternative, from substream 2t, and the statistical engine's
+    conditional draws from substream 2t + 1 (see _trial_stream). Trials
+    run in batches of max(1, 2**16 // n), and every outcome is the same
+    whatever the batch layout. There are at most TRIAL_LIMIT = 2**32
+    trials; the 2**33 substreams they can use start at least 2**93 draws
+    apart, so none overlaps another.
     """
     if not 1 <= trials <= TRIAL_LIMIT:
         raise ValidationError(f"trials must lie in [1, 2**32], got {trials}")

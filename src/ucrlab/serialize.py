@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .channelcap import MixedChannel, DmcProduct, bec, bsc
-from .probspace import ConditionalPmf, JointPmf, Pmf
+from .probspace import ConditionalPmf, JointPmf, Pmf, check_seed
 from .ucrcap import AuxiliaryChannel
 
 SCHEMA_VERSION = 1
@@ -35,6 +35,7 @@ __all__ = [
     "pmf_from_dict",
     "channel_from_dict",
     "aux_from_dict",
+    "json_field",
     "RunManifest",
 ]
 
@@ -95,6 +96,21 @@ def _need(d: dict, key: str, what: str):
     if key not in d:
         raise ValidationError(f"{what}: missing required key {key!r}")
     return d[key]
+
+
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "true or false")}
+
+
+def json_field(d: dict, key: str, what: str, kind: type, default=None):
+    """d[key] as kind, required unless a default is given. int takes a JSON
+    integer, float any JSON number and bool only true or false; a bool is
+    neither an integer nor a number, and a string is none of them."""
+    value = _need(d, key, what) if default is None else d.get(key, default)
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ValidationError(f"{what}: {key!r} must be {name}, got {value!r}")
+    return kind(value)
 
 
 def source_from_dict(d: dict) -> JointPmf:
@@ -223,7 +239,7 @@ class RunManifest:
         return RunManifest(
             command=str(_need(d, "command", "manifest")),
             config=_need(d, "config", "manifest"),
-            seed=int(_need(d, "seed", "manifest")),
+            seed=check_seed(_need(d, "seed", "manifest")),
             outputs=dict(d.get("outputs", {})),
             duration_seconds=float(d.get("duration_seconds", 0.0)),
             tool_version=str(d.get("tool_version", __version__)),

@@ -95,6 +95,15 @@ class TestUcrCommand:
         assert code == EXIT_VALIDATION
         assert not (out / "ucr.json").exists()
 
+    def test_non_numeric_curve_budget_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2",
+                  "--grid", "0.1,abc", "--out-dir", str(out)])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_from_a_channel_spec(self, tmp_path):
         out = tmp_path / "run"
         code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--channel",
@@ -168,16 +177,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("config, mode, hashes", [
         ("protocol_small.json", ["--trials", "500"],
-         {"trials.csv": "b8584f24be98c94613d3662a83ad7b3ecaad3c149168f7dd5182aaa463e20ad7",
-          "simulate.json": "fe715b272fd5c73e19fb2547a877674df5e5b2ba82052cb0ca85985780cf16e5"}),
+         {"trials.csv": "a3c53dd1f532dade14ba26d8b791a294627133914d3b0463aadc0ee65444c552",
+          "simulate.json": "d6428c5795f3f18305d295e47682a63438d42c526bae6beef69f5df22662c9b1"}),
         ("protocol_desk.json", ["--trials", "300"],
-         {"trials.csv": "c89b92956c55aafbb460a726a86f01dbb797fe583ca4ee6ebdc8bd68a5764a2c",
-          "simulate.json": "4f3954db2d1e166bf8438be7f8e88103a73364fb007567125cb07dfab4bde52c"}),
+         {"trials.csv": "102086f412a49630f54839abddcd6237d17a7ab79eef1e2fca0d704736cd7da4",
+          "simulate.json": "9b24f92d47e84f651534d02b4d9e2187cd7971dc876ce9c053978dec14496f55"}),
         ("protocol_small.json", ["--exact"],
          {"simulate.json": "7621f5c1cafabdd27dfed0ac4440f30d05247da11ca75236c6841e3b0516614b"}),
     ], ids=["materialized", "statistical", "exact"])
     def test_monte_carlo_output_bytes_are_pinned(self, tmp_path, config, mode, hashes):
-        # the outputs of the one-trial-at-a-time engines and of the exact
+        # the outputs of the trial-substream engines and of the exact
         # analyzer with dict-numbered value classes: batching trials and
         # indexing values in numpy must not move a byte; no file holds a
         # timing field
@@ -237,6 +246,33 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"mu": None}, "'mu'"),
+        ({"n": None}, "'n'"),
+        ({"theta": None}, "'theta'"),
+        ({"eps_typ": None}, "'eps_typ'"),
+        ({"n": "ten"}, "'n' must be an integer"),
+        ({"trials": "many"}, "'trials' must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"n": 8.7}, "'n' must be an integer"),
+        ({"allow_degenerate_rate": "false"}, "'allow_degenerate_rate' must be true or false"),
+        ({"seed": True}, "seed must be an integer, got bool"),
+    ], ids=["no-mu", "no-n", "no-theta", "no-eps", "n-text", "trials-text", "seed-float",
+            "n-float", "flag-text", "seed-bool"])
+    def test_bad_descriptor_fields_exit_2(self, tmp_path, capsys, edit, message):
+        desc = read_json(CONFIGS / "protocol_small.json")
+        for key, value in edit.items():
+            if value is None:
+                del desc[key]
+            else:
+                desc[key] = value
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(desc), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_largest_seed_runs(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "5",
@@ -274,6 +310,15 @@ class TestSpectrumCommand:
                      "--n", "16,8", "--samples", "8",
                      "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_VALIDATION
+
+    def test_non_integer_block_length_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", str(CONFIGS / "bsc011.json"), "--n", "100,abc",
+                  "--out-dir", str(out)])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLemmasCommand:
@@ -356,6 +401,32 @@ class TestReplay:
         out = tmp_path / "again"
         code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
         assert code == EXIT_VALIDATION
+        assert not any(out.glob("*.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+        ["spectrum", str(CONFIGS / "bsc011.json"), "--n", "8", "--samples", "8"],
+        ["lemmas", "--instances", "5", "--telescoping", "2"],
+        ["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "16"],
+    ], ids=["ucr", "spectrum", "lemmas", "simulate"])
+    @pytest.mark.parametrize("where", ["config", "manifest"])
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_replay_of_a_non_integer_seed_exits_2(self, tmp_path, capsys, argv, where,
+                                                  seed):
+        first = tmp_path / "first"
+        assert main(argv + ["--out-dir", str(first)]) == EXIT_OK
+        manifest = read_json(first / "manifest.json")
+        if where == "manifest":
+            manifest["seed"] = seed
+        elif argv[0] == "simulate":
+            manifest["config"]["descriptor"]["seed"] = seed
+        else:
+            manifest["config"]["seed"] = seed
+        (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "again"
+        code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "seed must be an integer" in capsys.readouterr().err
         assert not any(out.glob("*.json"))
 
     def test_replay_survives_config_file_deletion(self, tmp_path):

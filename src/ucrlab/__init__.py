@@ -6,134 +6,3 @@ and numerical checks for the converse-side lemmas.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    DimensionError,
-    GuardError,
-    InternalInvariantError,
-    UcrlabError,
-    UndefinedDensityError,
-    ValidationError,
-)
-from .probspace import (
-    ConditionalPmf,
-    JointPmf,
-    Pmf,
-    TriplePmf,
-    TypicalityParams,
-    compose_aux,
-    entropy,
-    is_jointly_typical,
-    mutual_information,
-    sample_iid,
-    sample_type_class,
-)
-from .channelcap import (
-    CapacityResult,
-    DmcProduct,
-    MixedChannel,
-    SpectrumEstimate,
-    bec,
-    bsc,
-    dmc_capacity,
-    inf_info_rate_estimate,
-    information_density,
-    spectrum_samples,
-)
-from .ucrcap import (
-    AuxiliaryChannel,
-    TimeSharedAux,
-    UcrSolution,
-    ucr_capacity_oracle,
-    ucr_capacity_solve,
-    ucr_curve,
-    ucr_objective,
-)
-from .protocol import (
-    AchievabilityParams,
-    Codebook,
-    ExactResult,
-    MonteCarloResult,
-    ProtocolConfig,
-    TrialOutcome,
-    build_codebook,
-    check_achievability_conditions,
-    decode_psi,
-    encode_phi,
-    exact_analyze,
-    rate_feasibility,
-    run_monte_carlo,
-    transmit_index,
-)
-from .converselab import (
-    ConverseParams,
-    TelescopingInstance,
-    derive_params,
-    interval_lemma_check,
-    set_bound_checks,
-    spectrum_mass_margin,
-    telescoping_identity_check,
-    variance_bound_check,
-)
-from .serialize import RunManifest
-
-__all__ = [
-    "__version__",
-    "UcrlabError",
-    "ValidationError",
-    "DimensionError",
-    "UndefinedDensityError",
-    "GuardError",
-    "InternalInvariantError",
-    "Pmf",
-    "JointPmf",
-    "ConditionalPmf",
-    "TriplePmf",
-    "TypicalityParams",
-    "entropy",
-    "mutual_information",
-    "compose_aux",
-    "sample_iid",
-    "is_jointly_typical",
-    "sample_type_class",
-    "CapacityResult",
-    "DmcProduct",
-    "MixedChannel",
-    "SpectrumEstimate",
-    "bsc",
-    "bec",
-    "dmc_capacity",
-    "information_density",
-    "spectrum_samples",
-    "inf_info_rate_estimate",
-    "AuxiliaryChannel",
-    "TimeSharedAux",
-    "UcrSolution",
-    "ucr_objective",
-    "ucr_capacity_oracle",
-    "ucr_capacity_solve",
-    "ucr_curve",
-    "ProtocolConfig",
-    "Codebook",
-    "TrialOutcome",
-    "MonteCarloResult",
-    "ExactResult",
-    "AchievabilityParams",
-    "build_codebook",
-    "encode_phi",
-    "transmit_index",
-    "decode_psi",
-    "run_monte_carlo",
-    "exact_analyze",
-    "check_achievability_conditions",
-    "rate_feasibility",
-    "ConverseParams",
-    "derive_params",
-    "interval_lemma_check",
-    "variance_bound_check",
-    "set_bound_checks",
-    "TelescopingInstance",
-    "telescoping_identity_check",
-    "spectrum_mass_margin",
-    "RunManifest",
-]

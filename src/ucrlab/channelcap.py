@@ -22,7 +22,7 @@ from .errors import (
     UndefinedDensityError,
     ValidationError,
 )
-from .probspace import ConditionalPmf, Pmf, as_rng, subseed
+from .probspace import ConditionalPmf, Pmf, as_rng, categorical_from_uniforms, subseed
 
 _SPECTRUM_KEY = 11
 _SPECTRUM_BATCH_SYMBOLS = 2 ** 16
@@ -79,11 +79,7 @@ class DmcProduct(ChannelKernel):
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
         t = _check_block(t, self.n_in, "input")
-        rng = as_rng(seed)
-        cum = np.cumsum(self.kernel.rows, axis=1)
-        cum[:, -1] = 1.0
-        u = rng.random(t.shape)
-        return (u[..., None] > cum[t]).sum(axis=-1).astype(np.int64)
+        return categorical_from_uniforms(self.kernel.rows, as_rng(seed).random(t.shape), t)
 
     def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         t = _check_block(t, self.n_in, "input")
@@ -240,7 +236,7 @@ class SpectrumEstimate:
 
     def mass_below(self, r: float) -> float:
         """Empirical P[density <= r]; right-continuous in r."""
-        return float(np.searchsorted(self.values_bits, r, side="right") / self.num_samples)
+        return float(np.count_nonzero(self.values_bits <= r) / self.num_samples)
 
     def mean(self) -> float:
         return float(self.values_bits.mean())
@@ -265,14 +261,12 @@ def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
         raise ValidationError(f"block length must be >= 1, got {n}")
     if input_pmf.size != kernel.n_in:
         raise DimensionError("input pmf does not match the channel input alphabet")
-    cum = np.cumsum(input_pmf.probs)
-    cum[-1] = 1.0
     per_batch = max(1, _SPECTRUM_BATCH_SYMBOLS // n)
     values = []
     for b, start in enumerate(range(0, num_samples, per_batch)):
         rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, b))
         size = min(per_batch, num_samples - start)
-        t = np.searchsorted(cum, rng.random((size, n)), side="right").astype(np.int64)
+        t = categorical_from_uniforms(input_pmf.probs, rng.random((size, n)))
         z = kernel.sample_output(t, rng)
         values.append(information_density(kernel, input_pmf, t, z))
     return SpectrumEstimate(np.concatenate(values), n)

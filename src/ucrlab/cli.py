@@ -57,7 +57,6 @@ from .serialize import (
     aux_from_dict,
     channel_from_dict,
     json_field,
-    json_text,
     load_json,
     pmf_from_dict,
     source_from_dict,
@@ -103,9 +102,9 @@ def _single_letter_kernel(spec: dict, what: str):
 # replay calls these directly with a stored config.
 
 
-def _exec_capacity(config: dict, out_dir: Path, fmt: str | None) -> dict:
+def _exec_capacity(config: dict, out_dir: Path) -> dict:
     kernel = _single_letter_kernel(config["channel"], "capacity")
-    res = dmc_capacity(kernel, tol=float(config["tol"]))
+    res = dmc_capacity(kernel, tol=json_field(config, "tol", "capacity config", float))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "value_bits": float(res.value_bits),
@@ -119,30 +118,29 @@ def _exec_capacity(config: dict, out_dir: Path, fmt: str | None) -> dict:
           f"(bracket [{res.lower_bits:.9f}, {res.upper_bits:.9f}], "
           f"{res.iterations} iterations)")
     print("optimal input: " + ", ".join(f"{v:.6f}" for v in res.input_pmf.probs))
-    if fmt == "json":
-        print(json_text(payload), end="")
     return {"capacity": "capacity.json"}
 
 
-def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
+def _exec_ucr(config: dict, out_dir: Path) -> dict:
     source = source_from_dict(config["source"])
     seed = check_seed(_need(config, "seed", "ucr config"))
-    u_card = config.get("u_card")
-    if u_card is not None:
-        u_card = json_field(config, "u_card", "ucr config", int)
+    # a null u_card is the default alphabet, and a null grid no curve
+    u_card = None if config.get("u_card") is None else json_field(
+        config, "u_card", "ucr config", int)
 
     if config.get("channel") is not None:
         cap = dmc_capacity(_single_letter_kernel(config["channel"], "ucr"))
         c_bits = float(cap.value_bits)
         print(f"channel capacity C = {c_bits:.9f} bits")
     else:
-        c_bits = float(config["c_bits"])
+        c_bits = json_field(config, "c_bits", "ucr config", float)
 
     # the budget and the curve's budgets off one search
-    grid = [float(g) for g in config.get("grid") or []]
-    if config.get("oracle"):
-        points = [(c, ucr_capacity_oracle(source, c, u_card,
-                                          grid_step=float(config["grid_step"]), seed=seed))
+    grid = [] if config.get("grid") is None else json_field(
+        config, "grid", "ucr config", list[float])
+    if json_field(config, "oracle", "ucr config", bool, False):
+        grid_step = json_field(config, "grid_step", "ucr config", float)
+        points = [(c, ucr_capacity_oracle(source, c, u_card, grid_step=grid_step, seed=seed))
                   for c in [c_bits] + grid]
     else:
         points = ucr_curve(source, [c_bits] + grid, u_card, seed=seed)
@@ -167,10 +165,6 @@ def _exec_ucr(config: dict, out_dir: Path, fmt: str | None) -> dict:
                    for g, s in points[1:]])
         outputs["curve"] = "ucr_curve.csv"
         print(f"curve with {len(grid)} budgets -> ucr_curve.csv")
-        if fmt == "csv":
-            print((out_dir / "ucr_curve.csv").read_text(encoding="utf-8"), end="")
-    if fmt == "json":
-        print(json_text(payload), end="")
     return outputs
 
 
@@ -204,7 +198,7 @@ def _report_to_dict(report) -> dict:
     return out
 
 
-def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
+def _exec_simulate(config: dict, out_dir: Path) -> dict:
     desc = _need(config, "descriptor", "simulate config")
     source = source_from_dict(_need(desc, "source", "descriptor"))
     aux = aux_from_dict(_need(desc, "aux", "descriptor"), source.nx)
@@ -270,8 +264,6 @@ def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
         print(f"{res.engine} engine, {trials} trials: "
               f"P[K != L] = {res.p_disagree:.6f}, "
               f"events {res.event_counts}")
-        if fmt == "csv":
-            print((out_dir / "trials.csv").read_text(encoding="utf-8"), end="")
 
     diagnostics["rate_bits"] = float(res.entropy_k_bits / cfg.n)
     diagnostics["target_rate_bits"] = float(cfg.i_ux)
@@ -297,12 +289,10 @@ def _exec_simulate(config: dict, out_dir: Path, fmt: str | None) -> dict:
     verdict = "pass" if report.all_hold else "fail"
     print(f"conditions: {verdict} "
           f"({sum(c.holds for c in report.conditions)}/4 hold)")
-    if fmt == "json":
-        print(json_text(summary), end="")
     return outputs
 
 
-def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
+def _exec_spectrum(config: dict, out_dir: Path) -> dict:
     kernel = channel_from_dict(config["channel"])
     if not isinstance(kernel, MixedChannel):
         kernel = DmcProduct(kernel)
@@ -310,9 +300,8 @@ def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
         input_pmf = pmf_from_dict(config["input"])
     else:
         input_pmf = Pmf(np.full(kernel.n_in, 1.0 / kernel.n_in))
-    ns = _need(config, "ns", "spectrum config")
-    if (not isinstance(ns, list) or not ns or any(type(n) is not int for n in ns)
-            or sorted(set(ns)) != ns):
+    ns = json_field(config, "ns", "spectrum config", list[int])
+    if not ns or sorted(set(ns)) != ns:
         raise ValidationError(f"block lengths must be strictly increasing integers, got {ns!r}")
     samples = json_field(config, "samples", "spectrum config", int)
     seed = check_seed(_need(config, "seed", "spectrum config"))
@@ -355,14 +344,10 @@ def _exec_spectrum(config: dict, out_dir: Path, fmt: str | None) -> dict:
     else:
         payload["inf_info_rate"] = None
     write_json(out_dir / "spectrum.json", payload)
-    if fmt == "csv":
-        print((out_dir / "spectrum.csv").read_text(encoding="utf-8"), end="")
-    if fmt == "json":
-        print(json_text(payload), end="")
     return {"samples": "spectrum.csv", "summary": "spectrum.json"}
 
 
-def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
+def _exec_lemmas(config: dict, out_dir: Path) -> dict:
     seed = check_seed(_need(config, "seed", "lemmas config"))
     interval_target = json_field(config, "interval_draws", "lemmas config", int)
     telescope_target = json_field(config, "telescoping_instances", "lemmas config", int)
@@ -455,8 +440,6 @@ def _exec_lemmas(config: dict, out_dir: Path, fmt: str | None) -> dict:
     print("variance: " + ", ".join(
         f"{e['case']}={'n/a' if e['holds'] is None else e['holds']}"
         for e in variance_entries))
-    if fmt == "json":
-        print(json_text(payload), end="")
     return {"report": "lemmas.json"}
 
 
@@ -476,7 +459,7 @@ def _run(command: str, config: dict, seed: int, args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    outputs = _EXECUTORS[command](config, out_dir, args.format)
+    outputs = _EXECUTORS[command](config, out_dir)
     manifest = RunManifest(
         command=command,
         config=config,
@@ -485,6 +468,10 @@ def _run(command: str, config: dict, seed: int, args) -> None:
         duration_seconds=time.perf_counter() - t0,
     )
     manifest.write(out_dir / "manifest.json")
+    # --format echoes the run's document of that kind, if it wrote one
+    for rel in outputs.values():
+        if args.format is not None and rel.endswith("." + args.format):
+            print((out_dir / rel).read_text(encoding="utf-8"), end="")
 
 
 def cmd_capacity(args) -> None:

@@ -1,10 +1,10 @@
 """Finite probability primitives used everywhere else in the package.
 
 Containers for single, pairwise, and triple-joint pmfs plus conditional
-kernels; entropy and mutual information in bits; i.i.d. block sampling;
-robust (relative-deviation) joint typicality; exact-type sequence
-sampling with largest-remainder count quantization; and the seed tree:
-seeds in [0, 2**64) and named child seeds.
+kernels; entropy and mutual information in bits; the inverse-cdf
+categorical draw and i.i.d. block sampling on it; largest-remainder type
+quantization; and the seed tree: seeds in [0, 2**64) and named child
+seeds.
 
 Conventions: all logarithms are base 2, 0 * log 0 = 0, pmf entries are
 validated nonnegative and summing to one within 1e-12.
@@ -12,7 +12,6 @@ validated nonnegative and summing to one within 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -165,17 +164,6 @@ class TriplePmf:
         return Pmf(self.probs.sum(axis=tuple(keep)))
 
 
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Relative-deviation tolerance for robust typicality."""
-
-    eps_typ: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_typ < 1.0):
-            raise ValidationError(f"eps_typ must lie in (0, 1), got {self.eps_typ}")
-
-
 def entropy_bits(probs: np.ndarray) -> float:
     """Shannon entropy in bits of a raw nonnegative array; 0 log 0 = 0."""
     p = np.asarray(probs, dtype=float).ravel()
@@ -237,53 +225,31 @@ def sample_iid(j: JointPmf, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return pairs_from_uniforms(j, as_rng(seed).random(n))
 
 
+def categorical_from_uniforms(probs: np.ndarray, u: np.ndarray,
+                              rows: np.ndarray | None = None) -> np.ndarray:
+    """Map uniforms in [0, 1) of any shape to int64 cells of that shape, by
+    inverting a cdf.
+
+    probs is one pmf (K,), or a table (R, K) of them with rows, an int
+    array of u's shape, naming each uniform's row. A uniform's cell is the
+    number of the first K - 1 cdf steps at or below it, as
+    searchsorted(side="right") counts them; the last step is never
+    compared, so a cdf that rounds to just below 1 loses no uniform. One
+    comparison pass per step beats a binary search per uniform on the
+    small alphabets sampled here, and allocates no (..., K) temporary.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cell = np.zeros(np.shape(u), dtype=np.int64)
+    for k in range(cum.shape[-1] - 1):
+        cell += u >= (cum[k] if rows is None else cum[rows, k])
+    return cell
+
+
 def pairs_from_uniforms(j: JointPmf, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniforms in [0, 1) of any shape to (x, y) int arrays of that shape,
-    by inverting the row-major cdf of the joint pmf.
-
-    A uniform's cell is the number of cdf steps at or below it (what
-    searchsorted(side="right") returns), counted with one comparison pass
-    per step: on the small joint alphabets sampled here that beats a
-    binary search per uniform.
-    """
-    cum = np.cumsum(j.probs.ravel())
-    cell = np.zeros(np.shape(u), dtype=np.intp)
-    for step in cum[:-1]:
-        cell += u >= step
-    cells = np.arange(cum.size, dtype=np.int64)
-    return (cells // j.ny)[cell], (cells % j.ny)[cell]
-
-
-def _ref_probs(ref) -> np.ndarray:
-    if isinstance(ref, (Pmf, JointPmf, TriplePmf)):
-        return ref.probs
-    arr = np.asarray(ref, dtype=float)
-    return _validate_prob_array(arr, "typicality reference")
-
-
-def is_jointly_typical(seqs, ref, tp: TypicalityParams) -> bool:
-    """Robust typicality of one or more aligned sequences against a reference pmf.
-
-    For every cell a of the reference: |count(a)/n - P(a)| <= eps_typ * P(a).
-    Cells with P(a) = 0 therefore force count(a) = 0.
-    """
-    if isinstance(seqs, np.ndarray) and seqs.ndim == 1:
-        seqs = (seqs,)
-    seqs = tuple(np.asarray(s, dtype=np.int64) for s in seqs)
-    probs = _ref_probs(ref)
-    if probs.ndim != len(seqs):
-        raise DimensionError(
-            f"reference has {probs.ndim} axes but {len(seqs)} sequences were given")
-    n = seqs[0].size
-    if n == 0 or any(s.size != n for s in seqs):
-        raise DimensionError("sequences must be nonempty and of equal length")
-    for axis, s in enumerate(seqs):
-        if s.min() < 0 or s.max() >= probs.shape[axis]:
-            raise ValidationError(f"sequence {axis} has symbols outside the reference alphabet")
-    flat = np.ravel_multi_index(seqs, probs.shape)
-    counts = np.bincount(flat, minlength=probs.size).astype(float)
-    target = n * probs.ravel()
-    return bool(np.all(np.abs(counts - target) <= tp.eps_typ * target))
+    by inverting the row-major cdf of the joint pmf."""
+    cell = categorical_from_uniforms(j.probs.ravel(), u)
+    return cell // j.ny, cell % j.ny
 
 
 def type_counts(p: Pmf | np.ndarray, n: int) -> np.ndarray:
@@ -311,11 +277,3 @@ def type_counts(p: Pmf | np.ndarray, n: int) -> np.ndarray:
     if counts.sum() != n or np.any(counts < 0):
         raise InternalInvariantError("type quantization failed to produce valid counts")
     return counts
-
-
-def sample_type_class(p: Pmf, n: int, seed) -> np.ndarray:
-    """Uniform draw from the exact type class of the quantized type of p."""
-    counts = type_counts(p, n)
-    seq = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    rng = as_rng(seed)
-    return rng.permutation(seq)

@@ -125,7 +125,9 @@ class ProtocolConfig:
     The row/column counts follow the construction's exponents: N1 counts
     rows at rate I(U;X) - I(U;Y) + 3*mu and N2 columns at I(U;Y) - 2*mu.
     A raw N2 < 1 means the margin swallowed the column rate; that config
-    is rejected unless allow_degenerate_rate clamps N2 to 1.
+    is rejected unless allow_degenerate_rate clamps N2 to 1. The words'
+    type u_type, the reserved word fallback and the deterministic map
+    det_map are derived here once, for both engines.
     """
 
     n: int
@@ -170,6 +172,25 @@ class ProtocolConfig:
     @cached_property
     def p_u(self) -> np.ndarray:
         return self._triple.marginal(0).probs
+
+    @cached_property
+    def u_type(self) -> np.ndarray:
+        """The codebook's type: type_counts(P_U, n), one count per symbol of U."""
+        return type_counts(Pmf(self.p_u), self.n)
+
+    @cached_property
+    def fallback(self) -> np.ndarray:
+        """The reserved word: n copies of the extra symbol u_card, in the
+        dtype every codebook word and every engine's word share."""
+        return np.full(self.n, self.u_card, dtype=np.int8 if self.u_card < 127 else np.int16)
+
+    @cached_property
+    def det_map(self) -> np.ndarray | None:
+        """The auxiliary's map x -> u in the words' dtype, if it is deterministic."""
+        cond = self.aux.cond
+        if not cond.is_deterministic():
+            return None
+        return cond.rows.argmax(axis=1).astype(self.fallback.dtype)
 
     @cached_property
     def n1(self) -> int:
@@ -314,9 +335,6 @@ class Codebook:
         pos = np.minimum(np.searchsorted(index.keys, query), index.keys.size - 1)
         return np.where(index.keys[pos] == query, index.first[index.key_cls[pos]], -1)
 
-    def word(self, i: int, j: int) -> np.ndarray:
-        return self.words[i - 1, j - 1]
-
 
 def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's rule on typical-word masks (..., W), given the words'
@@ -438,19 +456,14 @@ def build_codebook(cfg: ProtocolConfig) -> Codebook:
         raise GuardError(
             f"codebook holds {float(symbols):.3e} symbols (> {MEMORY_GUARD:.0e}); lower n "
             "or mu, or rely on run_monte_carlo's statistical engine for this config")
-    counts = type_counts(Pmf(cfg.p_u), cfg.n)
-    base = np.repeat(np.arange(cfg.u_card), counts)
-    dtype = np.int8 if cfg.u_card < 127 else np.int16
+    base = np.repeat(np.arange(cfg.u_card, dtype=cfg.fallback.dtype), cfg.u_type)
     rng = as_rng(subseed(cfg.seed, _CODEBOOK_KEY))
-    words = rng.permuted(np.tile(base.astype(dtype), (cfg.n1 * cfg.n2, 1)), axis=1)
-    fallback = np.full(cfg.n, cfg.u_card, dtype=dtype)
-    det_map = (np.argmax(cfg.aux.cond.rows, axis=1).astype(dtype)
-               if cfg.aux.cond.is_deterministic() else None)
-    return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), fallback, cfg.n1, cfg.n2,
-                    cfg.pair_ux_ext, cfg.pair_uy_ext, cfg.eps_typ, det_map)
+    words = rng.permuted(np.tile(base, (cfg.n1 * cfg.n2, 1)), axis=1)
+    return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), cfg.fallback, cfg.n1, cfg.n2,
+                    cfg.pair_ux_ext, cfg.pair_uy_ext, cfg.eps_typ, cfg.det_map)
 
 
-def _encode_batch(cb: Codebook, xs: np.ndarray, eps: float) -> np.ndarray:
+def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     """Flat row-major index of each block's encoded word, or -1 for the fallback.
 
     xs is (B, n). A lookup codebook tests every det_map[x] against its x
@@ -462,13 +475,13 @@ def _encode_batch(cb: Codebook, xs: np.ndarray, eps: float) -> np.ndarray:
     if not cb.scans:
         u = cb.det_map[xs]
         typical = np.flatnonzero(_typical_mask(_indicator_blocks(u[:, None, :], cb.u_card),
-                                               xs[:, None, :], cb.pair_ux, eps)[:, 0, 0])
+                                               xs[:, None, :], cb.pair_ux, cb.eps_typ)[:, 0, 0])
         found[typical] = cb.find(u[typical])
         return found
     pending = np.arange(xs.shape[0])
     for start in range(0, cb.n1 * cb.n2, _ENCODE_CHUNK):
         mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
-                             cb.pair_ux, eps)
+                             cb.pair_ux, cb.eps_typ)
         hit = mask.any(axis=1)
         found[pending[hit]] = start + mask[hit].argmax(axis=1)
         pending = pending[~hit]
@@ -485,11 +498,11 @@ def _encoded(cb: Codebook, w: int):
     return cb.words[i - 1, j - 1], (i, j), i
 
 
-def _encode_detail(cb: Codebook, x: np.ndarray, eps: float):
+def _encode_detail(cb: Codebook, x: np.ndarray):
     """Returns (word_value, (i, j) or FALLBACK, i_star)."""
     if x.shape[0] != cb.n:
         raise ValidationError(f"sequence length {x.shape[0]} != block length {cb.n}")
-    return _encoded(cb, int(_encode_batch(cb, x[None, :], eps)[0]))
+    return _encoded(cb, int(_encode_batch(cb, x[None, :])[0]))
 
 
 def encode_phi(cb: Codebook, x: np.ndarray):
@@ -497,7 +510,7 @@ def encode_phi(cb: Codebook, x: np.ndarray):
 
     Returns (word, i_star) with i_star = N1 + 1 signalling the fallback.
     """
-    word, _, i_star = _encode_detail(cb, np.asarray(x), cb.eps_typ)
+    word, _, i_star = _encode_detail(cb, np.asarray(x))
     return word, i_star
 
 
@@ -533,8 +546,8 @@ def _resolve_index(i_star: int, flip: float, alt: int, theta: float) -> int:
     return alt + 1 if alt >= i_star else alt
 
 
-def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
-                  eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _decode_batch(cb: Codebook, ys: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode each block ys[t] against codebook row rows[t], 0-based; row n1
     is the reserved index, which scans nothing and decodes to the fallback.
 
@@ -549,7 +562,7 @@ def _decode_batch(cb: Codebook, ys: np.ndarray, rows: np.ndarray,
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
     for part in np.split(sent, range(step, sent.size, step)):
         mask = _typical_mask(_indicator_blocks(cb.words[rows[part]], cb.u_card),
-                             ys[part, None, :], cb.pair_uy, eps)[:, 0]
+                             ys[part, None, :], cb.pair_uy, cb.eps_typ)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
 
@@ -561,7 +574,7 @@ def _decoded(cb: Codebook, i_tilde: int, column: int, distinct: int):
     return cb.words[i_tilde - 1, column], (i_tilde, column + 1), distinct
 
 
-def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
+def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int):
     """Returns (word_value, (i, j) or FALLBACK, distinct_typical_count)."""
     if y.shape[0] != cb.n:
         raise ValidationError(f"sequence length {y.shape[0]} != block length {cb.n}")
@@ -570,7 +583,7 @@ def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int, eps: float):
     if i_tilde == cb.n1 + 1:
         return _decoded(cb, i_tilde, -1, 0)
     mask = _typical_mask(_indicator_blocks(cb.words[i_tilde - 1], cb.u_card), y[None, :],
-                         cb.pair_uy, eps)[0]
+                         cb.pair_uy, cb.eps_typ)[0]
     row_cls = cb.value_index.cls.reshape(cb.n1, cb.n2)[i_tilde - 1]
     lead, _ = _decode_rule(mask, row_cls)
     return _decoded(cb, i_tilde, int(lead), np.unique(row_cls[mask]).size)
@@ -582,7 +595,7 @@ def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int) -> np.ndarray:
     Duplicate words with the same value count once: ambiguity means two or
     more distinct values pass the typicality test.
     """
-    word, _, _ = _decode_detail(cb, np.asarray(y), i_tilde, cb.eps_typ)
+    word, _, _ = _decode_detail(cb, np.asarray(y), i_tilde)
     return word
 
 
@@ -688,10 +701,10 @@ def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, stream: _Stream,
     """Raw outcomes of trials ts: one encoder and one decoder call for all of
     them, and the index channel drawn per trial in between."""
     xs, ys, draws = _trial_blocks(cfg, stream, ts)
-    encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs, cfg.eps_typ)]
+    encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs)]
     i_tilde = np.array([_resolve_index(i_star, flip, alt, cfg.theta)
                         for (flip, alt), (_, _, i_star) in zip(draws, encoded)])
-    columns, distinct = _decode_batch(cb, ys, i_tilde - 1, cfg.eps_typ)
+    columns, distinct = _decode_batch(cb, ys, i_tilde - 1)
     return [(t, *enc, int(i_t), *_decoded(cb, int(i_t), int(col), int(d)))
             for t, enc, i_t, col, d in zip(ts, encoded, i_tilde, columns, distinct)]
 
@@ -723,11 +736,8 @@ class _StatisticalEngine:
                 f"statistical codebook engine needs N2 >= {STATISTICAL_MIN_N2} words per "
                 f"row, got {cfg.n2}; its row statistics drift at small N2")
         self.cfg = cfg
-        self.det_map = np.argmax(cfg.aux.cond.rows, axis=1)
-        self.type = type_counts(Pmf(cfg.p_u), cfg.n)
-        self.fallback = np.full(cfg.n, cfg.u_card, dtype=np.int8)
         self.log2_t = (math.lgamma(cfg.n + 1)
-                       - sum(math.lgamma(c + 1) for c in self.type)) / _LN2
+                       - sum(math.lgamma(c + 1) for c in cfg.u_type)) / _LN2
         self.log2_n1 = math.log2(cfg.n1)
         self.log2_n2 = math.log2(cfg.n2)
         self._p_dup = self._prob_from_log2(self.log2_n2 - self.log2_t)
@@ -742,7 +752,7 @@ class _StatisticalEngine:
         """log2 P[uniform type-class word jointly typical with y]; y has
         k_zeros zeros. -inf when no overlap count passes."""
         n = self.cfg.n
-        t0 = int(self.type[0])
+        t0 = int(self.cfg.u_type[0])
         eps = self.cfg.eps_typ
         a_lo = max(0, t0 - (n - k_zeros))
         a_hi = min(t0, k_zeros)
@@ -798,8 +808,8 @@ class _StatisticalEngine:
         cfg = self.cfg
         eps = cfg.eps_typ
         x, y, draws = _trial_blocks(cfg, stream, ts)
-        u = self.det_map[x].astype(np.int8)
-        exact_type = (u == 0).sum(axis=1) == self.type[0]
+        u = cfg.det_map[x]
+        exact_type = (u == 0).sum(axis=1) == cfg.u_type[0]
         blocks = _indicator_blocks(u[:, None, :], cfg.u_card)
         typical_ux = _typical_mask(blocks, x[:, None, :], cfg.pair_ux_ext, eps)[:, 0, 0]
         typical_uy = _typical_mask(blocks, y[:, None, :], cfg.pair_uy_ext, eps)[:, 0, 0]
@@ -816,12 +826,12 @@ class _StatisticalEngine:
         cfg = self.cfg
         value = u_seq.tobytes()
         k_idx = self.value_rows(value) if encodes else None
-        k_word = u_seq if k_idx is not None else self.fallback
+        k_word = u_seq if k_idx is not None else cfg.fallback
         i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
         i_tilde = _resolve_index(i_star, *draw, cfg.theta)
 
         if i_tilde == cfg.n1 + 1:
-            return t, k_word, k_idx, i_star, i_tilde, self.fallback, None, 0
+            return t, k_word, k_idx, i_star, i_tilde, cfg.fallback, None, 0
         rng = stream(2 * t + 1)
 
         # the trial's own value: in the scanned row either because the
@@ -848,7 +858,7 @@ class _StatisticalEngine:
         elif distinct == 1:
             l_word, l_idx = np.array([-1], dtype=np.int8), (i_tilde, 0)
         else:
-            l_word, l_idx = self.fallback, None
+            l_word, l_idx = cfg.fallback, None
         return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
 
 
@@ -948,10 +958,6 @@ class ExactResult:
     seed: int
     joint_ky: np.ndarray | None
 
-    @property
-    def p_err(self) -> float:
-        return self.p_disagree
-
 
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
     """Exact protocol law by enumerating every (x^n, y^n) pair.
@@ -984,7 +990,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     n_cls = u0_cls + 1
 
     # each sequence's encoded word, by the encoder Monte Carlo runs
-    found = _encode_batch(cb, xs, cfg.eps_typ)
+    found = _encode_batch(cb, xs)
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
 

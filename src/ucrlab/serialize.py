@@ -102,21 +102,31 @@ _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
           bool: (bool, "true or false")}
 
 
-def json_field(d: dict, key: str, what: str, kind: type, default=None):
+def _is_json(value, kind: type) -> bool:
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _KINDS[kind][0])
+
+
+def json_field(d: dict, key: str, what: str, kind, default=None):
     """d[key] as kind, required unless a default is given. int takes a JSON
     integer, float any JSON number and bool only true or false; a bool is
-    neither an integer nor a number, and a string is none of them."""
+    neither an integer nor a number, and a string is none of them.
+    list[int] and list[float] take a JSON array of such items."""
     value = _need(d, key, what) if default is None else d.get(key, default)
-    types, name = _KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise ValidationError(f"{what}: {key!r} must be {name}, got {value!r}")
-    return kind(value)
+    item = getattr(kind, "__args__", (None,))[0]
+    if item is None:
+        if not _is_json(value, kind):
+            raise ValidationError(f"{what}: {key!r} must be {_KINDS[kind][1]}, got {value!r}")
+        return kind(value)
+    if not isinstance(value, list) or not all(_is_json(v, item) for v in value):
+        raise ValidationError(
+            f"{what}: {key!r} must be a list, each item {_KINDS[item][1]}, got {value!r}")
+    return [item(v) for v in value]
 
 
 def source_from_dict(d: dict) -> JointPmf:
     """{alphabet_x, alphabet_y, probs row-major} -> joint source law."""
-    nx = int(_need(d, "alphabet_x", "source spec"))
-    ny = int(_need(d, "alphabet_y", "source spec"))
+    nx = json_field(d, "alphabet_x", "source spec", int)
+    ny = json_field(d, "alphabet_y", "source spec", int)
     probs = np.asarray(_need(d, "probs", "source spec"), dtype=float)
     if probs.ndim == 1:
         if probs.size != nx * ny:
@@ -159,16 +169,16 @@ def channel_from_dict(d: dict) -> ConditionalPmf | MixedChannel:
             raise ValidationError("dmc payload: rows must be a 2-D matrix")
         return ConditionalPmf(rows)
     if kind == "bsc":
-        return bsc(float(_need(payload, "p", "bsc payload")))
+        return bsc(json_field(payload, "p", "bsc payload", float))
     if kind == "bec":
-        return bec(float(_need(payload, "e", "bec payload")))
+        return bec(json_field(payload, "e", "bec payload", float))
     if kind == "mixed":
         comps = _need(payload, "components", "mixed payload")
         if not isinstance(comps, list) or not comps:
             raise ValidationError("mixed payload: components must be a non-empty list")
         pairs = []
         for comp in comps:
-            w = float(_need(comp, "weight", "mixed component"))
+            w = json_field(comp, "weight", "mixed component", float)
             sub = channel_from_dict(_need(comp, "channel", "mixed component"))
             if isinstance(sub, MixedChannel):
                 raise ValidationError("mixed components cannot nest mixtures")
@@ -181,10 +191,9 @@ def aux_from_dict(d: dict, x_card: int) -> AuxiliaryChannel:
     """{kind: identity|constant|matrix, ...} -> auxiliary channel on X."""
     kind = _need(d, "kind", "aux spec")
     if kind == "identity":
-        u_card = int(d.get("u_card", x_card))
-        return AuxiliaryChannel.identity(x_card, u_card)
+        return AuxiliaryChannel.identity(x_card, json_field(d, "u_card", "aux spec", int, x_card))
     if kind == "constant":
-        return AuxiliaryChannel.constant(x_card, int(d.get("u_card", 1)))
+        return AuxiliaryChannel.constant(x_card, json_field(d, "u_card", "aux spec", int, 1))
     if kind == "matrix":
         rows = np.asarray(_need(d, "rows", "aux spec"), dtype=float)
         aux = AuxiliaryChannel.from_matrix(rows)

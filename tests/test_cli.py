@@ -55,14 +55,6 @@ class TestUcrCommand:
         assert curve.startswith(b"c_bits,value_bits,constraint_slack,method\r\n")
         assert len(curve.strip().splitlines()) == 4
 
-    @pytest.mark.parametrize("fmt, name", [("json", "ucr.json"), ("csv", "ucr_curve.csv")])
-    def test_format_echoes_the_document_last(self, tmp_path, capsys, fmt, name):
-        out = tmp_path / "run"
-        code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.6",
-                     "--grid", "0.5,0.6,0.7", "--format", fmt, "--out-dir", str(out)])
-        assert code == EXIT_OK
-        assert capsys.readouterr().out.endswith((out / name).read_text(encoding="utf-8"))
-
     def test_budget_and_curve_share_one_search(self, tmp_path, monkeypatch):
         calls = []
         collect = ucrcap._collect_points
@@ -348,6 +340,59 @@ class TestLemmasCommand:
         assert not out.exists()
 
 
+class TestSpecFields:
+    @pytest.mark.parametrize("argv, spec, path, value, message", [
+        (["ucr", "--C", "0.2"], "dsbs010.json", ["alphabet_x"], 2.7,
+         "'alphabet_x' must be an integer"),
+        (["simulate", "--exact"], "protocol_small.json", ["aux", "u_card"], 2.9,
+         "'u_card' must be an integer"),
+        (["capacity"], "bsc011.json", ["payload", "p"], "0.1", "'p' must be a number"),
+        (["capacity"], "bsc011.json", ["payload", "p"], True, "'p' must be a number"),
+        (["spectrum", "--n", "8", "--samples", "8"], "mixed_half.json",
+         ["payload", "components", 0, "weight"], "0.5", "'weight' must be a number"),
+    ], ids=["alphabet-float", "u-card-float", "crossover-text", "crossover-bool",
+            "weight-text"])
+    def test_mistyped_spec_fields_exit_2(self, tmp_path, capsys, argv, spec, path, value,
+                                         message):
+        # these were truncated by int() or coerced by float() before
+        doc = read_json(CONFIGS / spec)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        edited = tmp_path / spec
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(argv[:1] + [str(edited)] + argv[1:] + ["--out-dir", str(out)]) == (
+            EXIT_VALIDATION)
+        assert message in capsys.readouterr().err
+        assert not any(out.glob("*.json"))
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("argv, documents", [
+        (["capacity", "bsc011.json"], {"json": "capacity.json"}),
+        (["ucr", "dsbs010.json", "--C", "0.6"], {"json": "ucr.json"}),
+        (["ucr", "dsbs010.json", "--C", "0.6", "--grid", "0.5,0.6,0.7"],
+         {"json": "ucr.json", "csv": "ucr_curve.csv"}),
+        (["simulate", "protocol_small.json", "--trials", "50"],
+         {"json": "simulate.json", "csv": "trials.csv"}),
+        (["simulate", "protocol_small.json", "--exact"], {"json": "simulate.json"}),
+        (["spectrum", "bsc011.json", "--n", "8,16", "--samples", "8"],
+         {"json": "spectrum.json", "csv": "spectrum.csv"}),
+        (["lemmas", "--instances", "5", "--telescoping", "2"], {"json": "lemmas.json"}),
+    ], ids=["capacity", "ucr", "ucr-grid", "monte-carlo", "exact", "spectrum", "lemmas"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_echoes_the_document_last(self, tmp_path, capsys, argv, documents, fmt):
+        cmd = argv[:1] + [str(CONFIGS / a) if a.endswith(".json") else a for a in argv[1:]]
+        assert main(cmd + ["--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+        lines = capsys.readouterr().out
+        out = tmp_path / "echoed"
+        assert main(cmd + ["--format", fmt, "--out-dir", str(out)]) == EXIT_OK
+        document = (out / documents[fmt]).read_text(encoding="utf-8") if fmt in documents else ""
+        assert capsys.readouterr().out == lines + document
+
+
 class TestThreadsFlag:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "mixed_half.json", "--n", "8", "--samples", "8"],
@@ -401,6 +446,28 @@ class TestReplay:
         out = tmp_path / "again"
         code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
         assert code == EXIT_VALIDATION
+        assert not any(out.glob("*.json"))
+
+    @pytest.mark.parametrize("argv, edit, message", [
+        (["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+         {"oracle": "false"}, "'oracle' must be true or false"),
+        (["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+         {"c_bits": "0.2"}, "'c_bits' must be a number"),
+        (["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+         {"grid": ["0.1"]}, "'grid' must be a list, each item a number"),
+        (["capacity", str(CONFIGS / "bsc011.json")], {"tol": "1e-9"}, "'tol' must be a number"),
+    ], ids=["oracle-text", "budget-text", "grid-text", "tol-text"])
+    def test_replay_of_a_mistyped_field_exits_2(self, tmp_path, capsys, argv, edit, message):
+        # "false" is truthy and float() reads text: a replay must not coerce them
+        first = tmp_path / "first"
+        assert main(argv + ["--out-dir", str(first)]) == EXIT_OK
+        manifest = read_json(first / "manifest.json")
+        manifest["config"].update(edit)
+        (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "again"
+        code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
         assert not any(out.glob("*.json"))
 
     @pytest.mark.parametrize("argv", [

@@ -1,28 +1,27 @@
-"""Distribution containers, information measures, sampling, and typicality."""
+"""Distribution containers, information measures, sampling, and type quantization."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import diagonal_source, dsbs, h2, independent_source, random_joint
+from ucrlab.channelcap import DmcProduct, spectrum_samples
 from ucrlab.errors import DimensionError, GuardError, ValidationError
 from ucrlab.probspace import (
     ConditionalPmf,
     JointPmf,
     Pmf,
-    TypicalityParams,
     as_rng,
     compose_aux,
     conditional_entropy_x_given_y,
     entropy,
-    is_jointly_typical,
     markov_defect,
     mutual_information,
+    pairs_from_uniforms,
     sample_iid,
-    sample_type_class,
     subseed,
     type_counts,
 )
@@ -34,6 +33,25 @@ pmf_arrays = st.integers(2, 5).flatmap(
 def normalized(weights) -> np.ndarray:
     arr = np.asarray(weights, dtype=float)
     return arr / arr.sum()
+
+
+class PresetUniforms(np.random.Generator):
+    """A generator whose random(size) returns the given uniforms, reshaped."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u.reshape(size)
+
+
+def ref_cells(table, rows, u) -> np.ndarray:
+    """The reference draw, symbol by symbol: searchsorted on the row's cdf,
+    clipped to the last cell."""
+    last = table.shape[1] - 1
+    return np.array([min(np.searchsorted(np.cumsum(table[r]), v, side="right"), last)
+                     for r, v in zip(rows, u)])
 
 
 class TestValidation:
@@ -52,11 +70,6 @@ class TestValidation:
     def test_conditional_rejects_non_stochastic_row(self):
         with pytest.raises(ValidationError):
             ConditionalPmf(np.array([[0.7, 0.2], [0.5, 0.5]]))
-
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.3, 1.5])
-    def test_typicality_tolerance_must_be_in_open_unit_interval(self, eps):
-        with pytest.raises(ValidationError):
-            TypicalityParams(eps)
 
 
 class TestEntropy:
@@ -162,47 +175,37 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_iid(dsbs(0.1), 0, seed=0)
 
+    @settings(max_examples=150)
+    @given(cuts=st.integers(2, 4).flatmap(lambda k: st.lists(
+               st.lists(st.integers(0, 8), min_size=k - 1, max_size=k - 1).map(sorted),
+               min_size=1, max_size=3)),
+           u=st.lists(st.one_of(st.integers(0, 7).map(lambda k: k / 8.0),
+                                st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(cuts=[[2, 6], [0, 8]], u=[0.25, 0.75, 0.0, 0.5, 0.9], seed=1)
+    def test_every_draw_counts_the_cdf_steps_at_or_below_a_uniform(self, cuts, u, seed):
+        # rows in eighths have exact cdf steps, and uniforms in eighths land on them
+        table = np.diff([[0] + r + [8] for r in cuts], axis=1) / 8.0
+        u = np.array(u)
+        first = np.zeros(u.size, dtype=np.int64)
+        x, y = pairs_from_uniforms(JointPmf(table[:1]), u)
+        assert not x.any() and np.array_equal(y, ref_cells(table, first, u))
+        t = np.random.default_rng(seed).integers(0, len(table), size=u.size)
+        z = DmcProduct(ConditionalPmf(table)).sample_output(t, PresetUniforms(u))
+        assert np.array_equal(z, ref_cells(table, t, u))
+        # spectrum_samples draws its one block's inputs from the same uniforms
+        seen = []
 
-class TestTypicality:
-    def test_exact_type_is_typical_at_any_tolerance(self):
-        seq = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
-        for eps in (0.01, 0.2, 0.9):
-            assert is_jointly_typical(seq, Pmf(np.array([0.3, 0.7])),
-                                      TypicalityParams(eps))
+        class Recording(DmcProduct):
+            def sample_output(self, t, seed):
+                seen.append(t)
+                return super().sample_output(t, seed)
 
-    def test_zero_probability_symbol_fails(self):
-        x = np.array([0, 0, 1, 1])
-        y = np.array([0, 1, 1, 1])  # pair (0, 1) has zero mass under X = Y
-        assert not is_jointly_typical((x, y), diagonal_source(),
-                                      TypicalityParams(0.9))
-
-    def test_monotone_in_tolerance(self):
-        x, y = sample_iid(dsbs(0.1), 400, seed=3)
-        flags = [is_jointly_typical((x, y), dsbs(0.1), TypicalityParams(e))
-                 for e in (0.05, 0.1, 0.2, 0.4, 0.8)]
-        for tight, loose in zip(flags, flags[1:]):
-            assert (not tight) or loose
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            is_jointly_typical((np.zeros(4, int), np.zeros(5, int)),
-                               diagonal_source(), TypicalityParams(0.2))
-
-    def test_axis_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            is_jointly_typical((np.zeros(4, int),), diagonal_source(),
-                               TypicalityParams(0.2))
-
-    def test_acceptance_rate_reference_run(self):
-        # frozen reference: 7574 of 10^4 joint draws at n = 1000, eps 0.2
-        src = dsbs(0.1)
-        trip = compose_aux(src, ConditionalPmf(np.eye(2)))
-        tp = TypicalityParams(0.2)
-        hits = 0
-        for t in range(10**4):
-            x, y = sample_iid(src, 1000, subseed(900, t))
-            hits += is_jointly_typical((x, x, y), trip, tp)
-        assert hits == 7574
+        flat = Recording(ConditionalPmf(np.full((table.shape[1], 2), 0.5)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed: PresetUniforms(u))
+            spectrum_samples(flat, Pmf(table[0]), u.size, 1, 0)
+        assert np.array_equal(seen[0][0], ref_cells(table, first, u))
 
 
 class TestTypeClasses:
@@ -210,22 +213,14 @@ class TestTypeClasses:
         assert type_counts(Pmf(np.array([0.3, 0.7])), 10).tolist() == [3, 7]
 
     def test_counts_for_uniform_binary(self):
-        seq = sample_type_class(Pmf(np.array([0.5, 0.5])), 4, seed=0)
-        assert sorted(seq.tolist()) == [0, 0, 1, 1]
+        assert type_counts(Pmf(np.array([0.5, 0.5])), 4).tolist() == [2, 2]
 
     def test_point_mass_gives_constant_sequence(self):
-        seq = sample_type_class(Pmf(np.array([0.0, 1.0])), 6, seed=5)
-        assert seq.tolist() == [1] * 6
+        assert type_counts(Pmf(np.array([0.0, 1.0])), 6).tolist() == [0, 6]
 
     def test_support_larger_than_block_is_infeasible(self):
         with pytest.raises(GuardError):
             type_counts(Pmf(np.full(4, 0.25)), 3)
-
-    def test_seed_determinism(self):
-        p = Pmf(np.array([0.2, 0.5, 0.3]))
-        a = sample_type_class(p, 30, seed=7)
-        b = sample_type_class(p, 30, seed=7)
-        assert np.array_equal(a, b)
 
     @given(pmf_arrays, st.integers(6, 300))
     @settings(max_examples=80)
@@ -235,14 +230,6 @@ class TestTypeClasses:
         assert counts.sum() == n
         assert np.all(counts >= 0)
         assert np.max(np.abs(counts - n * p.probs)) <= 1.5
-
-    @given(pmf_arrays, st.integers(6, 120), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_drawn_sequence_has_the_quantized_type(self, weights, n, seed):
-        p = Pmf(normalized(weights))
-        seq = sample_type_class(p, n, seed)
-        observed = np.bincount(seq, minlength=p.size)
-        assert np.array_equal(observed, type_counts(p, n))
 
 
 class TestSeedTree:

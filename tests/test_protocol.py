@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from support import diagonal_source, dsbs, h2
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
-from ucrlab.probspace import JointPmf, Pmf, as_rng, sample_iid, subseed, type_counts
+from ucrlab.probspace import (JointPmf, Pmf, as_rng, pairs_from_uniforms, sample_iid, subseed,
+                              type_counts)
 from ucrlab.protocol import (
     Codebook,
     _decode_detail,
@@ -268,7 +269,7 @@ class TestEncodeDecode:
                              aux=IDENTITY_AUX, source=diagonal_source(),
                              seed=13, allow_degenerate_rate=True)
         cb = build_codebook(cfg)
-        word = cb.word(1, 1)
+        word = cb.words[0, 0]
         x = np.asarray(word, dtype=np.int64)
         k_word, i_star = encode_phi(cb, x)
         assert i_star <= cfg.n1
@@ -338,6 +339,27 @@ class TestTypeCountKernel:
         got = _typical_mask(_indicator_blocks(words, 2), seq[None, :], ref, 0.5)[0]
         assert np.array_equal(got, want) and want.any() and not want.all()
 
+    def test_exact_type_is_typical_at_any_tolerance(self):
+        # joint counts (1, 3, 2, 2) are exactly n p
+        ref = np.array([[0.125, 0.375], [0.25, 0.25], [0.0, 0.0]])
+        word = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int8)
+        seq = np.array([0, 1, 1, 1, 0, 0, 1, 1])
+        for eps in (0.01, 0.2, 0.9):
+            assert _typical_mask(_indicator_blocks(word[None, :], 2), seq[None, :], ref, eps)[0, 0]
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_monotone_in_tolerance(self, seed):
+        # a block that passes at some eps passes at every larger eps
+        source = dsbs(0.1)
+        ref = np.vstack([source.probs, np.zeros((1, 2))])
+        x, y = pairs_from_uniforms(source, np.random.default_rng(seed).random((64, 400)))
+        blocks = _indicator_blocks(x[:, None, :].astype(np.int8), 2)
+        masks = [_typical_mask(blocks, y[:, None, :], ref, eps)
+                 for eps in (0.05, 0.1, 0.2, 0.4, 0.8)]
+        for tight, loose in zip(masks, masks[1:]):
+            assert not (tight & ~loose).any()
+
     @settings(max_examples=60)
     @given(kind=st.integers(0, 2), n=st.integers(4, 12), mu=st.floats(0.05, 0.5),
            eps=EPS, seed=st.integers(0, 2 ** 32 - 1))
@@ -349,10 +371,10 @@ class TestTypeCountKernel:
         cb = build_codebook(cfg)
         for t in range(6):
             x, y = sample_iid(cfg.source, n, as_rng(subseed(seed, t)))
-            enc = _encode_detail(cb, x, eps)
+            enc = _encode_detail(cb, x)
             assert same_detail(enc, ref_encode(cb, x, eps))
             for i in {1, enc[2], int(rng.integers(1, cb.n1 + 1)), cb.n1 + 1}:
-                assert same_detail(_decode_detail(cb, y, i, eps), ref_decode(cb, y, i, eps))
+                assert same_detail(_decode_detail(cb, y, i), ref_decode(cb, y, i, eps))
 
     @pytest.mark.parametrize("cfg, outcomes", [
         (ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
@@ -367,11 +389,11 @@ class TestTypeCountKernel:
         seen_hit, seen_distinct = set(), set()
         for t in range(300):
             x, y = sample_iid(cfg.source, cfg.n, as_rng(subseed(7, t)))
-            enc = _encode_detail(cb, x, eps)
+            enc = _encode_detail(cb, x)
             assert same_detail(enc, ref_encode(cb, x, eps))
             seen_hit.add(enc[1] is not None)
             for i in (enc[2], t % cb.n1 + 1):
-                dec = _decode_detail(cb, y, i, eps)
+                dec = _decode_detail(cb, y, i)
                 assert same_detail(dec, ref_decode(cb, y, i, eps))
                 seen_distinct.add(min(dec[2], 2))
         assert seen_hit == {True, False}
@@ -470,7 +492,6 @@ class TestExactAnalyzer:
             1.0537104048231456, abs=1e-9)
         assert res.claim_rate_bits == pytest.approx(0.16635461300405208, abs=1e-9)
         assert (res.n1, res.n2) == (1980, 1)
-        assert res.p_err == res.p_disagree
 
     def test_deterministic_aux_makes_the_seed_irrelevant(self):
         a = exact_analyze(small_exact_config(seed=0))
@@ -661,8 +682,8 @@ class TestMonteCarlo:
         for t, got in enumerate(raw):
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
-            u = engine.det_map[x].astype(np.int8)
-            exact_type = (u == 0).sum() == engine.type[0]
+            u = cfg.det_map[x]
+            exact_type = (u == 0).sum() == cfg.u_type[0]
             encodes = exact_type and ref_batch_pair_typical(u[None, :], x, cfg.pair_ux_ext, eps)[0]
             own = exact_type and ref_batch_pair_typical(u[None, :], y, cfg.pair_uy_ext, eps)[0]
             draw = protocol._draw_index(rng, cfg.n1)

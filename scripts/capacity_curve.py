@@ -38,7 +38,6 @@ def main(argv=None) -> int:
     ap.add_argument("--step", type=float, default=0.05,
                     help="budget grid step in bits")
     ap.add_argument("--max-budget", type=float, default=1.0)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/capacity_curve.csv")
     args = ap.parse_args(argv)
 
@@ -46,7 +45,7 @@ def main(argv=None) -> int:
     rows = []
     for flip in (float(f) for f in args.flips.split(",")):
         knee = binary_entropy(flip)
-        points = ucr_curve(dsbs(flip), grid, seed=args.seed)
+        points = ucr_curve(dsbs(flip), grid)
         for c, sol in points:
             rows.append((flip, c, sol.value_bits, sol.constraint_slack,
                          c >= knee))

@@ -143,7 +143,7 @@ def _exec_ucr(config: dict, out_dir: Path) -> dict:
         points = [(c, ucr_capacity_oracle(source, c, u_card, grid_step=grid_step, seed=seed))
                   for c in [c_bits] + grid]
     else:
-        points = ucr_curve(source, [c_bits] + grid, u_card, seed=seed)
+        points = ucr_curve(source, [c_bits] + grid, u_card)
     sol = points[0][1]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -170,13 +170,12 @@ def _exec_ucr(config: dict, out_dir: Path) -> dict:
 
 def _conditions_from(desc: dict, cfg: ProtocolConfig) -> AchievabilityParams:
     given = desc.get("conditions", {})
+    defaults = {"alpha": 0.1, "c": cfg.i_ux + cfg.mu + 1.0, "beta": 1.5, "delta": 1.0,
+                "h_target": cfg.i_ux}
     return AchievabilityParams(
-        alpha=float(given.get("alpha", 0.1)),
-        c=float(given.get("c", cfg.i_ux + cfg.mu + 1.0)),
-        beta=float(given.get("beta", 1.5)),
-        delta=float(given.get("delta", 1.0)),
-        h_target=float(given.get("h_target", cfg.i_ux)),
-        epsilon=(float(given["epsilon"]) if "epsilon" in given else None),
+        **{key: json_field(given, key, "conditions", float, v) for key, v in defaults.items()},
+        epsilon=(json_field(given, "epsilon", "conditions", float)
+                 if "epsilon" in given else None),
     )
 
 
@@ -273,7 +272,7 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
 
     if "index_channel" in desc:
         kernel = _single_letter_kernel(desc["index_channel"], "rate check")
-        rc = rate_feasibility(cfg, kernel, float(desc.get("mu_prime", 0.0)))
+        rc = rate_feasibility(cfg, kernel, json_field(desc, "mu_prime", "descriptor", float, 0.0))
         summary["rate_check"] = {
             "ok": bool(rc.ok),
             "index_rate_bits": float(rc.index_rate_bits),

@@ -93,6 +93,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _need(d: dict, key: str, what: str):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what}: must be a JSON object, got {d!r}")
     if key not in d:
         raise ValidationError(f"{what}: missing required key {key!r}")
     return d[key]
@@ -111,7 +113,10 @@ def json_field(d: dict, key: str, what: str, kind, default=None):
     integer, float any JSON number and bool only true or false; a bool is
     neither an integer nor a number, and a string is none of them.
     list[int] and list[float] take a JSON array of such items."""
-    value = _need(d, key, what) if default is None else d.get(key, default)
+    if default is None or not isinstance(d, dict):
+        value = _need(d, key, what)
+    else:
+        value = d.get(key, default)
     item = getattr(kind, "__args__", (None,))[0]
     if item is None:
         if not _is_json(value, kind):

@@ -11,14 +11,16 @@ is concave and nondecreasing in C, equals H(X) once C reaches H(X|Y), and
 hits the Gacs-Korner point at C = 0.
 
 Two independent paths are provided: a brute-force oracle that enumerates
-row-stochastic matrices on a fine simplex grid, and a fast solver. The
-solver keeps the upper-hull points of a coarse channel grid (the densest
-that fits a fixed budget, down to the grid of deterministic maps), then
-runs a fixed number of polish rounds: for each hull segment up to the
-peak, batched random-coordinate climbers maximize I(U;X) - s * gap at the
-segment's chord slope s, starting from its end points and from random
-points between them. For slopes in [0, 1] the maximizer is a deterministic
-map, which the skeleton already holds, so no slope sweep is needed.
+row-stochastic matrices on a fine simplex grid, and a fast solver that
+reads none of that grid. The solver starts from the upper-hull
+points of every deterministic map X -> U, then runs a fixed number of
+polish rounds: for each hull segment up to the peak whose chord slope s
+exceeds 1, it climbs I(U;X) - s * gap from the segment's end points and
+their midpoint. At s > 1 that objective is the information-bottleneck
+Lagrangian at beta = s / (s - 1), whose self-consistent update never
+lowers it, so the climbs are deterministic and the solver draws no random
+numbers. For slopes in [0, 1] the objective is convex in P(u|x) and the
+maximizer is a deterministic map, which the skeleton already holds.
 Both paths build their point cloud once, as (gaps, values, mats) arrays,
 scored by one kernel over (x, u, M) stacks that gives each matrix the same
 bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
@@ -52,15 +54,11 @@ from .probspace import (
 FEAS_TOL = 1e-9
 # the oracle's grid size limit, counted over every matrix (relabellings too)
 ORACLE_GUARD = 10 ** 8
-# the solver's skeleton is the densest channel grid within this many matrices;
-# at step 1 it is every map X -> U, refused above _MAP_GUARD of them
-_COARSE_BUDGET = 60_000
+# the solver's skeleton is every map X -> U, refused above this many of them
 _MAP_GUARD = 2 ** 20
-# the solver's polish: rounds over the hull, climbers per hull segment, and
-# random-coordinate steps per climb
-_POLISH_ROUNDS = 2
-_CLIMBERS_PER_SEGMENT = 3
-_CLIMB_STEPS = 500
+# the solver's polish: rounds over the hull, and fixed-point steps per climb
+_POLISH_ROUNDS = 6
+_CLIMB_STEPS = 200
 # _upper_hull thins clouds of at least this many points with a sub-hull
 # through the highest point of each of this many gap bins (and any floor's
 # survivors)
@@ -361,8 +359,8 @@ def _grid_hull(row_pts: np.ndarray, x_card: int, flat: np.ndarray, terms, floor=
     (gaps, values, mats), mats shaped (M, u, x) and built for those alone,
     _KERNEL_BLOCK at a time; with a floor, channels wholly below it keep
     nothing. The oracle's grid chunks pass one index per U-relabelling orbit
-    (`_orbit_indices`); the solver's skeleton and the oracle's maps pass
-    every index."""
+    (`_orbit_indices`); the maps X -> U, which the solver and the oracle
+    both start from, pass every index."""
     values, gaps = np.empty((2, flat.size))
     for lo in range(0, flat.size, _KERNEL_BLOCK):
         block = slice(lo, lo + _KERNEL_BLOCK)
@@ -477,96 +475,88 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     return _evaluate_envelope(_stack(parts + [draws]), c_bits, "oracle")
 
 
-def _climb(rng, slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int,
-           x_card: int, u_card: int):
-    """Batched random-coordinate ascent of I(U;X) - slope * gap per climber.
+def _climb(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int):
+    """Information-bottleneck fixed-point rounds on I(U;X) - slope * gap.
 
-    A step is kept only if it raises the climber's objective, so each
-    climber ends at the best point it visited.
+    At a slope s > 1 the objective is s I(U;Y) - (s - 1) I(U;X), the
+    bottleneck Lagrangian at beta = s / (s - 1) (Tishby, Pereira & Bialek,
+    1999). Each of `steps` rounds sets every climber's
+    P(u|x) to P(u) 2^(-beta D(P(y|x) || P(y|u))), normalised over u, which
+    never lowers its objective; the climbers are scored once, at the end.
+    A u with P(y|u) = 0 where P(y|x) > 0 gets P(u|x) = 0, and a row of
+    zero P_X(x) becomes P(u), as nothing reads it. starts are shaped
+    (M, u, x); returns (gaps, values, mats) of the end points.
     """
-    batch = slope_vec.size
+    px, pxy, _, _ = terms
+    cond = np.divide(pxy, px[:, None], out=np.zeros_like(pxy), where=px[:, None] > 0.0)
+    beta = (slope_vec / (slope_vec - 1.0))[:, None, None]
     cur = starts.copy()
-    cur_v, cur_g = _batch_objectives(cur, terms)
-    cur_obj = cur_v - slope_vec * cur_g
-    arange = np.arange(batch)
-    for t in range(steps):
-        step = 0.1 * (0.01 ** (t / max(steps - 1, 1)))
-        cols = rng.integers(0, x_card, size=batch)
-        u_from = rng.integers(0, u_card, size=batch)
-        shift = rng.integers(1, u_card, size=batch) if u_card > 1 else np.zeros(batch, int)
-        u_to = (u_from + shift) % u_card
-        amount = np.minimum(step * rng.random(batch), cur[arange, u_from, cols])
-        trial = cur.copy()
-        trial[arange, u_from, cols] -= amount
-        trial[arange, u_to, cols] += amount
-        tv, tg = _batch_objectives(trial, terms)
-        t_obj = tv - slope_vec * tg
-        accept = t_obj > cur_obj
-        cur[accept] = trial[accept]
-        cur_v = np.where(accept, tv, cur_v)
-        cur_g = np.where(accept, tg, cur_g)
-        cur_obj = np.where(accept, t_obj, cur_obj)
-    return cur_g, cur_v, cur
+    for _ in range(steps):
+        pu = cur @ px  # (M, u)
+        puy = cur @ pxy  # (M, u, y)
+        log_pu = np.log2(pu, out=np.full_like(pu, -np.inf), where=pu > 0.0)
+        log_q = np.log2(puy, out=np.zeros_like(puy), where=puy > 0.0)
+        log_q -= np.where(puy > 0.0, log_pu[..., None], 0.0)
+        # up to a constant in u, -D(P(y|x) || P(y|u)) = sum_y P(y|x) log2 P(y|u)
+        logit = log_pu[..., None] + beta * (log_q @ cond.T)  # (M, u, x)
+        logit[(puy == 0.0) @ (cond.T > 0.0)] = -np.inf
+        cur = np.exp2(logit - logit.max(axis=1, keepdims=True))
+        cur /= cur.sum(axis=1, keepdims=True)
+    values, gaps = _batch_objectives(cur, terms)
+    return gaps, values, cur
 
 
-def _collect_points(source: JointPmf, u_card: int, seed: int):
-    """Coarse-grid skeleton, then climbs at its own hull slopes.
+def _collect_points(source: JointPmf, u_card: int):
+    """Deterministic-map skeleton, then fixed-point climbs at its hull slopes.
 
-    The skeleton is the densest step-1/m channel grid within
-    _COARSE_BUDGET matrices; at m = 1 it is every deterministic map. Each
-    polish round climbs, for every upper-hull segment up to the peak, on
-    I(U;X) - s * gap at the segment's chord slope s, from both end points
-    and from random points between them. A climber that ends above the
-    chord splits the segment. Returns the cloud as (gaps, values, mats)
-    arrays, mats shaped (M, u, x).
+    The skeleton is every map X -> U. Each of _POLISH_ROUNDS rounds takes
+    the cloud's upper-hull segments up to the peak whose chord slope s
+    exceeds 1 and climbs I(U;X) - s * gap (`_climb`) from both end points
+    and their midpoint; a climber that ends above the chord splits the
+    segment. At s <= 1 the objective is (1 - s) I(U;X) + s I(U;Y), convex
+    in P(u|x), so a map maximises it and the segment is left alone. Returns
+    the cloud as (gaps, values, mats) arrays, mats shaped (M, u, x).
     """
     x_card = source.nx
     terms = _source_terms(source.probs)
-    m = next((m for m in range(40, 1, -1)
-              if math.comb(m + u_card - 1, u_card - 1) ** x_card <= _COARSE_BUDGET), 1)
-    row_pts = _simplex_grid(m, u_card)
-    total = row_pts.shape[0] ** x_card
+    total = u_card ** x_card
     if total > _MAP_GUARD:
         raise GuardError(
             f"the solver's skeleton would hold all {total} maps X -> U "
             f"(> {_MAP_GUARD}); use a smaller u_card")
-    cloud = _grid_hull(row_pts, x_card, np.arange(total), terms)
-
-    rng = as_rng(seed)
+    cloud = _grid_hull(np.eye(u_card), x_card, np.arange(total), terms)
     for _ in range(_POLISH_ROUNDS):
         gaps, values, mats = cloud
         hull = np.array(_upper_hull(gaps, values))
         peak = int(np.argmax(values[hull]))
         left, right = hull[:peak], hull[1:peak + 1]
-        if left.size == 0:
-            break
         slopes = (values[right] - values[left]) / (gaps[right] - gaps[left])
-        lam = rng.random((_CLIMBERS_PER_SEGMENT - 2, left.size, 1, 1))
-        between = lam * mats[left] + (1.0 - lam) * mats[right]
-        starts = np.concatenate([mats[left], mats[right],
-                                 between.reshape(-1, u_card, x_card)])
-        slope_vec = np.tile(slopes, _CLIMBERS_PER_SEGMENT)
-        cloud = _stack([cloud, _climb(rng, slope_vec, starts, terms, _CLIMB_STEPS,
-                                      x_card, u_card)])
+        steep = slopes > 1.0
+        if not steep.any():
+            break
+        left, right = left[steep], right[steep]
+        starts = np.concatenate([mats[left], mats[right], 0.5 * (mats[left] + mats[right])])
+        cloud = _stack([cloud, _climb(np.tile(slopes[steep], 3), starts, terms, _CLIMB_STEPS)])
     return cloud
 
 
-def ucr_capacity_solve(source: JointPmf, c_bits: float, u_card: int | None = None, *,
-                       seed: int = 0) -> UcrSolution:
+def ucr_capacity_solve(source: JointPmf, c_bits: float,
+                       u_card: int | None = None) -> UcrSolution:
     """Fast solver: exact fast path, then envelope over searched points.
 
     For C >= H(X|Y) the identity auxiliary is optimal and exact. Below that,
-    the cloud is the hull of a budgeted coarse-grid skeleton (every
-    deterministic map when nothing finer fits), polished by support-line
-    climbers at the chord slope of each of its hull segments; the value is
-    the cloud's upper concave envelope at c_bits. The cloud does not depend
-    on c_bits, so the result is monotone in C.
+    the cloud is every deterministic map X -> U, polished by
+    information-bottleneck fixed-point climbs at the chord slope of each
+    steep segment of its upper hull (`_collect_points`); the value is the
+    cloud's upper concave envelope at c_bits. The search draws no random
+    numbers, and the cloud does not depend on c_bits, so the result is
+    monotone in C.
     """
-    return ucr_curve(source, [c_bits], u_card, seed=seed)[0][1]
+    return ucr_curve(source, [c_bits], u_card)[0][1]
 
 
-def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,
-              seed: int = 0) -> list[tuple[float, UcrSolution]]:
+def ucr_curve(source: JointPmf, c_grid,
+              u_card: int | None = None) -> list[tuple[float, UcrSolution]]:
     """Evaluate the capacity at several budgets off one shared search.
 
     Each budget below H(X|Y) reads the envelope of the one cloud that
@@ -588,7 +578,7 @@ def ucr_curve(source: JointPmf, c_grid, u_card: int | None = None, *,
                               c - h_x_given_y, "envelope")
         else:
             if cloud is None:
-                cloud = _collect_points(source, u_card, seed)
+                cloud = _collect_points(source, u_card)
             sol = _evaluate_envelope(cloud, c, "envelope")
         out.append((c, sol))
     return out

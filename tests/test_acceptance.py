@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered end-to-end checks, one report line each.
+"""Acceptance gate: eleven numbered end-to-end checks, one report line each.
 
 Every test prints (and registers for the terminal summary) a single line
     [criterion NN] PASS|FAIL  <measured quantities> (<elapsed>, budget <s>)
@@ -14,7 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from conftest import record_acceptance
-from support import diagonal_source, dsbs, h2, independent_source, random_joint
+from support import (
+    bsc_family,
+    bsc_family_curve,
+    diagonal_source,
+    dsbs,
+    erasure_family,
+    erasure_family_curve,
+    h2,
+    independent_source,
+    random_joint,
+)
 from ucrlab.channelcap import (
     DmcProduct,
     MixedChannel,
@@ -264,3 +274,38 @@ def test_criterion_10_manifest_replay(tmp_path):
             compared += len(got)
     return (f"3 commands x 3 replays (threads 1 and 4): "
             f"{compared} output files byte-identical")
+
+
+# (P[X = 1], crossover) of the BSC family, and (P_X, erasure probability)
+BSC_FAMILY = [(0.5, 0.05), (0.5, 0.1), (0.5, 0.25), (0.3, 0.1), (0.2, 0.02),
+              (0.1, 0.3), (0.45, 0.15), (0.3, 0.3)]
+ERASURE_FAMILY = [([0.5, 0.5], 0.3), ([0.8, 0.2], 0.5), ([0.5, 0.3, 0.2], 0.4)]
+
+
+@criterion(11, budget_s=120.0)
+def test_criterion_11_closed_form_curves():
+    # one-sided: no solver or oracle value may exceed the exact curve; how
+    # far the solver falls short is reported, not gated
+    cases = []
+    for q, p in BSC_FAMILY:
+        cases += [(bsc_family(q, p), u_card, 0.02, functools.partial(bsc_family_curve, q, p))
+                  for u_card in (2, 3)]
+    for px, e in ERASURE_FAMILY:
+        cases.append((erasure_family(px, e), None, 0.02 if len(px) == 2 else 0.05,
+                      functools.partial(erasure_family_curve, px, e)))
+    over = 0.0
+    misses = []
+    for src, u_card, step, exact in cases:
+        h_cond = conditional_entropy_x_given_y(src)
+        grid = [h_cond * k / 24 for k in range(24)]
+        for c, sol in ucr_curve(src, grid, u_card):
+            over = max(over, sol.value_bits - exact(c))
+            misses.append(exact(c) - sol.value_bits)
+        for c in grid[::6]:
+            oracle = ucr_capacity_oracle(src, c, u_card or 2, grid_step=step)
+            over = max(over, oracle.value_bits - exact(c))
+    assert over <= 1e-12
+    return (f"{len(BSC_FAMILY)} BSC-family sources at |U| = 2 and 3, "
+            f"{len(ERASURE_FAMILY)} erasure sources, 24 budgets each: solver and oracle "
+            f"exceed the exact curve by at most {over:.1e} <= 1e-12; "
+            f"solver miss worst {max(misses):.2e}, mean {np.mean(misses):.2e}")

@@ -70,14 +70,25 @@ class TestUcrCommand:
         assert code == EXIT_OK
         assert len(calls) == 1
         source = source_from_dict(load_json(CONFIGS / "dsbs010.json"))
-        sol = ucrcap.ucr_capacity_solve(source, 0.2, 3, seed=5)
+        sol = ucrcap.ucr_capacity_solve(source, 0.2, 3)
         doc = read_json(out / "ucr.json")
         assert (doc["value_bits"], doc["constraint_slack"]) == (
             sol.value_bits, sol.constraint_slack)
         rows = (out / "ucr_curve.csv").read_text(encoding="utf-8").splitlines()[1:]
         got = [tuple(float(v) for v in row.split(",")[:3]) for row in rows]
         assert got == [(c, s.value_bits, s.constraint_slack)
-                       for c, s in ucrcap.ucr_curve(source, [0.1, 0.3], 3, seed=5)]
+                       for c, s in ucrcap.ucr_curve(source, [0.1, 0.3], 3)]
+
+    def test_solver_output_does_not_depend_on_the_seed(self, tmp_path):
+        # --seed seeds only the oracle's draws; the solver draws no random numbers
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            code = main(["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "3",
+                         "--grid", "0.1,0.3", "--seed", seed, "--out-dir", str(out)])
+            assert code == EXIT_OK
+            written.append([(out / name).read_bytes() for name in ("ucr.json", "ucr_curve.csv")])
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle", "--grid-step", "0.1"]])
     def test_negative_curve_budget_exits_2_before_any_file(self, tmp_path, oracle):
@@ -350,11 +361,15 @@ class TestSpecFields:
         (["capacity"], "bsc011.json", ["payload", "p"], True, "'p' must be a number"),
         (["spectrum", "--n", "8", "--samples", "8"], "mixed_half.json",
          ["payload", "components", 0, "weight"], "0.5", "'weight' must be a number"),
+        (["spectrum", "--n", "8", "--samples", "8"], "mixed_half.json",
+         ["payload", "components", 0], 0.5, "mixed component: must be a JSON object"),
+        (["simulate", "--exact"], "protocol_small.json", ["conditions"], {"alpha": "0.1"},
+         "'alpha' must be a number"),
     ], ids=["alphabet-float", "u-card-float", "crossover-text", "crossover-bool",
-            "weight-text"])
+            "weight-text", "component-number", "target-text"])
     def test_mistyped_spec_fields_exit_2(self, tmp_path, capsys, argv, spec, path, value,
                                          message):
-        # these were truncated by int() or coerced by float() before
+        # these were truncated by int(), coerced by float() or died with a TypeError before
         doc = read_json(CONFIGS / spec)
         node = doc
         for key in path[:-1]:

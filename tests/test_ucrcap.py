@@ -2,13 +2,21 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import diagonal_source, dsbs, h2, independent_source, random_joint
+from support import (
+    bsc_family_curve,
+    diagonal_source,
+    dsbs,
+    h2,
+    independent_source,
+    random_joint,
+)
 from ucrlab import ucrcap
 from ucrlab.errors import GuardError, InternalInvariantError, ValidationError
 from ucrlab.probspace import JointPmf, as_rng, conditional_entropy_x_given_y, entropy
@@ -32,7 +40,7 @@ from ucrlab.ucrcap import (
 
 # oracle reference on DSBS(0.1) at C = 0.2 bits, u_card 3, grid step 0.02
 G1_ORACLE = 0.5059245194168636
-G1_SOLVER = 0.5060752433467277
+G1_SOLVER = 0.5060788753645655
 # criterion 03's 28th source (|U| = 2 there); at one time 2 of its 8
 # deterministic maps got other last bits inside a grid chunk than alone
 C03_SOURCE_28 = [[0.0010244352540482444, 0.10752797925113887, 0.04930480904197328],
@@ -586,6 +594,7 @@ class TestSolver:
         sol = ucr_capacity_solve(dsbs(0.1), 0.2, u_card=3)
         assert sol.value_bits == pytest.approx(G1_SOLVER, abs=1e-7)
         assert abs(sol.value_bits - G1_ORACLE) <= 5e-3
+        assert sol.value_bits <= bsc_family_curve(0.5, 0.1, 0.2) + 1e-12
 
     def test_zero_budget_on_dsbs_collapses(self):
         sol = ucr_capacity_solve(dsbs(0.1), 0.0)
@@ -611,8 +620,7 @@ class TestSolver:
                 assert sol.value_bits >= oracle.value_bits - 5e-3, (nx, c)
 
     def test_map_skeleton_alone_reaches_every_feasible_map(self):
-        # at |X| = |U| = 5 no grid finer than the maps fits the skeleton
-        # budget; the search must still report the best map within budget
+        # the search must report at least the best map within budget
         src = random_joint(as_rng(55), 5, 5)
         c_bits = 0.5 * conditional_entropy_x_given_y(src)
         best = 0.0
@@ -632,6 +640,40 @@ class TestSolver:
         monkeypatch.setattr(ucrcap, "_grid_block", built)
         with pytest.raises(GuardError, match="maps"):
             ucr_capacity_solve(random_joint(as_rng(7), 7, 7), 0.0)
+
+    def test_zero_mass_x_symbol_changes_nothing(self):
+        # a row of zero P_X(x) has no P(y|x); its P(u|x) moves no objective
+        probs = np.array([[0.3, 0.1], [0.0, 0.0], [0.15, 0.45]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ucr_capacity_solve(JointPmf(probs), 0.1, u_card=3).value_bits
+        want = ucr_capacity_solve(JointPmf(probs[[0, 2]]), 0.1, u_card=3).value_bits
+        assert abs(got - want) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3),
+           st.integers(2, 4), st.booleans())
+    @settings(max_examples=60)
+    def test_fixed_point_climb_never_loses_ground(self, seed, nx, ny, u_card, massless):
+        # at any slope s > 1 the bottleneck update never lowers value - s * gap
+        rng = as_rng(seed)
+        probs = random_joint(rng, nx, ny).probs.copy()
+        probs[rng.random(probs.shape) < 0.25] = 0.0
+        if massless:
+            probs[int(rng.integers(0, nx))] = 0.0
+        probs.flat[int(rng.integers(0, probs.size))] += 0.1
+        terms = _source_terms(probs / probs.sum())
+        maps = np.eye(u_card)[rng.integers(0, u_card, size=(4, nx))].transpose(0, 2, 1)
+        mixed = rng.dirichlet(np.ones(u_card), size=(4, nx)).transpose(0, 2, 1)
+        mixed[rng.random(mixed.shape) < 0.2] = 0.0
+        mixed[:, 0] += 1e-3
+        starts = np.concatenate([maps, mixed / mixed.sum(axis=1, keepdims=True)])
+        slopes = 1.0 + 19.0 ** rng.uniform(-6.0, 1.0, size=starts.shape[0])
+        values, gaps = _batch_objectives(starts, terms)
+        end_gaps, end_values, end = ucrcap._climb(slopes, starts, terms, 200)
+        assert np.isfinite(end).all()
+        assert np.allclose(end.sum(axis=1), 1.0, atol=1e-12)
+        loss = (values - slopes * gaps) - (end_values - slopes * end_gaps)
+        assert loss.max() <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
     @settings(max_examples=10)

@@ -230,7 +230,7 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
     diagnostics: dict = {}
 
     if json_field(config, "exact", "simulate config", bool, False):
-        res = exact_analyze(cfg)
+        res = exact_analyze(cfg, include_joint=False)
         summary["mode"] = "exact"
         summary["p_disagree"] = float(res.p_disagree)
         summary["entropy_k_bits"] = float(res.entropy_k_bits)

@@ -24,10 +24,10 @@ typicality kernel, _typical_mask. A run derives one PCG64 stream from
 subseed(seed, _TRIAL_KEY) and cuts it into substreams with PCG64's
 jump-ahead: substream k starts where PCG64.jumped(k) would, k golden-ratio
 fractions of the period into the stream. Trial t draws its source block,
-then the index channel's flip and alternative index, from substream 2t,
-and the statistical engine's conditional draws from substream 2t + 1. An
-outcome therefore depends on its trial number alone, not on the batch it
-ran in.
+then the index channel's flip and, when the flip sends it, the
+alternative index, from substream 2t, and the statistical engine's
+conditional draws from substream 2t + 1. An outcome therefore depends on
+its trial number alone, not on the batch it ran in.
 
 The key K is a word value, so duplicate words count once. One numpy
 value index per codebook, Codebook.value_index, numbers the values in
@@ -518,24 +518,30 @@ def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
     """Genie index channel: correct with probability 1 - theta, else a
     uniformly random different index in 1..n1+1.
 
-    The alternative index is drawn even when unused so that runs with
-    different theta share one randomness stream (coupled trials).
+    Every call draws the flip and the alternative, used or not, so runs
+    at different theta over one shared generator stay coupled. Monte
+    Carlo trials draw the alternative only when the flip sends it: they
+    stay coupled through their own substreams, as a trial's later draws
+    start on a substream of their own.
     """
     if not (0.0 <= theta < 1.0):
         raise ValidationError(f"theta must be in [0, 1), got {theta}")
     if not (1 <= i_star <= n1 + 1):
         raise ValidationError(f"index {i_star} outside 1..{n1 + 1}")
-    return _resolve_index(i_star, *_draw_index(as_rng(seed), n1), theta)
+    # at theta = 1 every flip sends the alternative, so both are drawn
+    return _resolve_index(i_star, *_draw_index(as_rng(seed), n1, 1.0), theta)
 
 
-def _draw_index(rng: np.random.Generator, n1: int) -> tuple[float, int]:
-    """The index channel's two draws: the flip uniform, then the alternative
-    index in 1..n1. Neither depends on the index sent.
+def _draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:
+    """The index channel's draws: the flip uniform, then, only when the
+    flip sends it (flip < theta), the alternative index in 1..n1; 0 marks
+    an alternative not drawn. Neither depends on the index sent.
 
     Every Monte Carlo engine draws through here, so all of them consume a
     trial's stream in the same order.
     """
-    return rng.random(), _uniform_int(rng, n1)
+    flip = rng.random()
+    return flip, (_uniform_int(rng, n1) if flip < theta else 0)
 
 
 def _resolve_index(i_star: int, flip: float, alt: int, theta: float) -> int:
@@ -691,7 +697,7 @@ def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
     for k, t in enumerate(ts):
         rng = stream(2 * t)
         rng.random(out=uniforms[k])
-        draws.append(_draw_index(rng, cfg.n1))
+        draws.append(_draw_index(rng, cfg.n1, cfg.theta))
     x, y = pairs_from_uniforms(cfg.source, uniforms)
     return x, y, draws
 
@@ -883,8 +889,8 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
     and the trials from its trial child, so a seed names one result.
     One generator on the trial child's PCG64 stream jumps to each trial's
     substreams in turn: trial t draws its block, then the index channel's
-    flip and alternative, from substream 2t, and the statistical engine's
-    conditional draws from substream 2t + 1 (see _trial_stream). Trials
+    flip and any alternative, from substream 2t, and the statistical
+    engine's conditional draws from substream 2t + 1 (see _trial_stream). Trials
     run in batches of max(1, 2**16 // n), and every outcome is the same
     whatever the batch layout. There are at most TRIAL_LIMIT = 2**32
     trials; the 2**33 substreams they can use start at least 2**93 draws
@@ -959,6 +965,16 @@ class ExactResult:
     joint_ky: np.ndarray | None
 
 
+def _pairwise(totals: list) -> float:
+    """Sum 2**k partial sums as a balanced tree: adjacent pairs, then pairs
+    of pairs. This is numpy's pairwise summation above its leaves, so the
+    aligned totals of the power-of-two blocks of one contiguous array add
+    up to that array's .sum() bit for bit."""
+    while len(totals) > 1:
+        totals = [a + b for a, b in zip(totals[::2], totals[1::2])]
+    return totals[0]
+
+
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
     """Exact protocol law by enumerating every (x^n, y^n) pair.
 
@@ -968,6 +984,23 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     _decode_rule. The index channel is averaged in closed form: the
     received index is correct with weight 1 - theta and uniform over the
     other rows with weight theta / N1.
+
+    No table of the pair space's size exists at once. The encoder and the
+    decode table l_tab run over blocks of sequences, at most _BATCH_SYMBOLS
+    word x sequence cells each, and the (x^n, y^n) law over blocks of
+    2**n_low x rows, _BATCH_SYMBOLS pairs each. The class-count table
+    cnt_all, classes x 2**n, stays dense: its product with the weighted
+    y law gives other bits when its rows are multiplied in parts. The K-Y
+    joint is kept over the classes K takes, and spread to every class only
+    for include_joint.
+
+    Every number has the bits of the dense computation. Each block of the
+    pair law is the same left-to-right Kronecker product, from the head
+    table's row b. Row sums (p_x) are per row; the column sums (p_y) carry
+    one running row through add.reduce, which sums rows in order; np.add.at
+    scatters each block in the order the dense bincounts did; and the
+    agreement totals of the aligned power-of-two blocks combine as a
+    balanced tree, as numpy's pairwise sum of the whole array does.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -988,46 +1021,66 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     index = cb.value_index
     u0_cls = index.first.size
     n_cls = u0_cls + 1
+    row_cls = index.cls.reshape(n1, n2)
 
-    # each sequence's encoded word, by the encoder Monte Carlo runs
-    found = _encode_batch(cb, xs)
+    # each sequence's encoded word, by the encoder Monte Carlo runs, and its
+    # decoded class per (row, y), by the decoder's own rule
+    found = np.empty(n_x, dtype=np.intp)
+    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.intp)
+    step = max(1, _BATCH_SYMBOLS // n_words)
+    for s in range(0, n_x, step):
+        seqs = xs[s:s + step]
+        found[s:s + step] = _encode_batch(cb, seqs)
+        t_uy = _typical_mask(cb.blocks, seqs, cb.pair_uy, cfg.eps_typ).reshape(-1, n1, n2)
+        lead, _ = _decode_rule(t_uy, row_cls)
+        l_tab[:n1, s:s + step] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
-
-    # decoded class per (row, y), by the decoder's own rule
-    t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)
-    row_cls = index.cls.reshape(n1, n2)
-    lead, _ = _decode_rule(t_uy, row_cls)
-    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)
-    l_tab[:n1] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
-
-    p_joint = reduce(np.kron, [cfg.source.probs] * n, np.ones((1, 1)))  # (n_x, n_x), x rows
-    p_x = p_joint.sum(axis=1)
-    p_y = p_joint.sum(axis=0)
+    cnt_all = np.zeros((n_cls, n_x))
+    np.add.at(cnt_all.reshape(-1), (l_tab * n_x + np.arange(n_x)).ravel(), 1.0)
+    k_seen, k_row = np.unique(k_cls, return_inverse=True)
 
     theta = cfg.theta
-    l_at_star = l_tab[i_star - 1]                      # (n_x_x, n_x_y)
-    eq_star = (l_at_star == k_cls[:, None]).astype(float)
-    cnt_all = np.bincount((l_tab * n_x + np.arange(n_x)).ravel(),
-                          minlength=n_cls * n_x).reshape(n_cls, n_x).astype(float)
-    eq_elsewhere = cnt_all[k_cls, :] - eq_star
-    p_agree_xy = (1.0 - theta) * eq_star + (theta / float(n1)) * eq_elsewhere
-    p_disagree = min(max(float(1.0 - (p_joint * p_agree_xy).sum()), 0.0), 1.0)
+    w_other = theta / float(n1)
+    n_low = min(n, max(1, _BATCH_SYMBOLS // n_x).bit_length() - 1)
+    rows = 2 ** n_low
+    head = reduce(np.kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
+    p_x = np.empty(n_x)
+    p_y = np.zeros((0, n_x))
+    agree_totals = []
+    joint_seen = np.zeros((k_seen.size, n_x))
+    l_kept = np.zeros(n_cls)
+    l_moved = np.zeros(n_cls)
+    for b in range(head.shape[0]):
+        x = slice(b * rows, (b + 1) * rows)
+        p_joint = reduce(np.kron, [cfg.source.probs] * n_low, head[b:b + 1])
+        p_x[x] = p_joint.sum(axis=1)
+        p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
+        l_at_star = l_tab[i_star[x] - 1]
+        eq_star = (l_at_star == k_cls[x, None]).astype(float)
+        p_agree_xy = (1.0 - theta) * eq_star + w_other * (cnt_all[k_cls[x], :] - eq_star)
+        agree_totals.append((p_joint * p_agree_xy).sum())
+        # add.at takes its fast path on flat indices
+        np.add.at(joint_seen.reshape(-1), (k_row[x, None] * n_x + np.arange(n_x)).ravel(),
+                  p_joint.ravel())
+        np.add.at(l_kept, l_at_star.ravel(), (p_joint * (1.0 - theta)).ravel())
+        np.add.at(l_moved, l_at_star.ravel(), (p_joint * w_other).ravel())
+    p_y = p_y[0]
+    p_disagree = min(max(float(1.0 - _pairwise(agree_totals)), 0.0), 1.0)
 
     p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
-    joint_ky = np.bincount((k_cls[:, None] * n_x + np.arange(n_x)).ravel(),
-                           weights=p_joint.ravel(),
-                           minlength=n_cls * n_x).reshape(n_cls, n_x)
     h_k = entropy_bits(p_k)
-    h_ky = entropy_bits(joint_ky.ravel())
+    h_ky = entropy_bits(joint_seen)
     h_y = entropy_bits(p_y)
     h_k_given_y = max(h_ky - h_y, 0.0)
+    joint_ky = None
+    if include_joint:
+        joint_ky = np.zeros((n_cls, n_x))
+        joint_ky[k_seen] = joint_seen
 
-    p_l = np.bincount(l_at_star.ravel(), weights=(p_joint * (1.0 - theta)).ravel(),
-                      minlength=n_cls)
-    p_l += cnt_all @ (p_y * (theta / float(n1)))
-    p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
-                       minlength=n_cls)
+    p_l = l_kept
+    p_l += cnt_all @ (p_y * w_other)
+    p_l -= l_moved
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))

@@ -81,3 +81,85 @@ def erasure_family_curve(px, e: float, c_bits: float) -> float:
     I(U;Y) = (1 - e) I(U;X), so the gap is e I(U;X)."""
     h_x = -sum(v * math.log2(v) for v in px if v > 0.0)
     return min(h_x, c_bits / e)
+
+
+def dense_exact_analyze(cfg, include_joint: bool = True):
+    """`protocol.exact_analyze` as one dense pass over the whole pair space:
+    every (x^n, y^n) table built at once, the sums taken by numpy over each
+    whole table. An independent reference for the blocked analyzer, which
+    must return the same bits."""
+    from functools import reduce
+    import itertools
+
+    from ucrlab.errors import InternalInvariantError
+    from ucrlab.probspace import entropy_bits
+    from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
+                                 build_codebook)
+
+    n, n1, n2 = cfg.n, cfg.n1, cfg.n2
+    n_x = 2 ** n
+    cb = build_codebook(cfg)
+    xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
+
+    index = cb.value_index
+    u0_cls = index.first.size
+    n_cls = u0_cls + 1
+
+    found = _encode_batch(cb, xs)
+    k_cls = np.where(found >= 0, index.cls[found], u0_cls)
+    i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
+
+    t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)
+    row_cls = index.cls.reshape(n1, n2)
+    lead, _ = _decode_rule(t_uy, row_cls)
+    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)
+    l_tab[:n1] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
+
+    p_joint = reduce(np.kron, [cfg.source.probs] * n, np.ones((1, 1)))  # (n_x, n_x), x rows
+    p_x = p_joint.sum(axis=1)
+    p_y = p_joint.sum(axis=0)
+
+    theta = cfg.theta
+    l_at_star = l_tab[i_star - 1]
+    eq_star = (l_at_star == k_cls[:, None]).astype(float)
+    cnt_all = np.bincount((l_tab * n_x + np.arange(n_x)).ravel(),
+                          minlength=n_cls * n_x).reshape(n_cls, n_x).astype(float)
+    eq_elsewhere = cnt_all[k_cls, :] - eq_star
+    p_agree_xy = (1.0 - theta) * eq_star + (theta / float(n1)) * eq_elsewhere
+    p_disagree = min(max(float(1.0 - (p_joint * p_agree_xy).sum()), 0.0), 1.0)
+
+    p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
+    joint_ky = np.bincount((k_cls[:, None] * n_x + np.arange(n_x)).ravel(),
+                           weights=p_joint.ravel(),
+                           minlength=n_cls * n_x).reshape(n_cls, n_x)
+    h_k = entropy_bits(p_k)
+    h_ky = entropy_bits(joint_ky.ravel())
+    h_y = entropy_bits(p_y)
+    h_k_given_y = max(h_ky - h_y, 0.0)
+
+    p_l = np.bincount(l_at_star.ravel(), weights=(p_joint * (1.0 - theta)).ravel(),
+                      minlength=n_cls)
+    p_l += cnt_all @ (p_y * (theta / float(n1)))
+    p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
+                       minlength=n_cls)
+    if abs(p_l.sum() - 1.0) > 1e-9:
+        raise InternalInvariantError(f"output law sums to {p_l.sum()}")
+    h_l = entropy_bits(np.clip(p_l, 0.0, None))
+
+    log2_card = math.log2(cfg.k_cardinality)
+    return ExactResult(
+        p_disagree=p_disagree,
+        entropy_k_bits=h_k,
+        entropy_k_given_y_bits=h_k_given_y,
+        entropy_l_bits=h_l,
+        uniformity_gap_bits=abs(h_k / n - log2_card / n),
+        k_cardinality=cfg.k_cardinality,
+        log2_k_cardinality=log2_card,
+        claim_rate_bits=h_k_given_y / n,
+        n=n,
+        n1=n1,
+        n2=n2,
+        theta=theta,
+        seed=cfg.seed,
+        joint_ky=joint_ky if include_joint else None,
+    )

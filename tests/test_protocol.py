@@ -1,5 +1,6 @@
 """Typed codebooks, encoder/decoder, Monte Carlo runs, and the exact analyzer."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import diagonal_source, dsbs, h2
+from support import dense_exact_analyze, diagonal_source, dsbs, h2
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
 from ucrlab.probspace import (JointPmf, Pmf, as_rng, pairs_from_uniforms, sample_iid, subseed,
                               type_counts)
 from ucrlab.protocol import (
     Codebook,
+    ExactResult,
     _decode_detail,
     _encode_detail,
     _count_bounds,
@@ -548,6 +550,43 @@ class TestExactAnalyzer:
         assert res.joint_ky.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(res.joint_ky >= 0.0)
 
+    @pytest.mark.parametrize("block", [None, 2 ** 11], ids=["batch", "small-blocks"])
+    @pytest.mark.parametrize("source", [dsbs(0.1), JointPmf(np.array([[0.5, 0.1], [0.05, 0.35]]))],
+                             ids=["dsbs", "asymmetric"])
+    @pytest.mark.parametrize("aux, eps", [
+        (IDENTITY_AUX, 0.3),
+        # BSC(0.1) words are never typical with x below n = 11; these are
+        (AuxiliaryChannel.from_matrix(np.array([[0.7, 0.3], [0.3, 0.7]])), 0.6),
+    ], ids=["identity", "bsc"])
+    def test_blocks_reproduce_the_dense_analysis_bit_for_bit(self, monkeypatch, block,
+                                                             source, aux, eps):
+        # 2**11 symbols cut the n = 8 pair law into 32 blocks of 8 x rows and
+        # its decode table into blocks of a few sequences
+        if block is not None:
+            monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", block)
+        for n, theta in itertools.product(range(2, 11), (0.0, 0.03)):
+            cfg = ProtocolConfig(n=n, mu=0.05, theta=theta, eps_typ=eps, aux=aux,
+                                 source=source, seed=4, allow_degenerate_rate=True)
+            got, want = exact_analyze(cfg), dense_exact_analyze(cfg)
+            for field in dataclasses.fields(ExactResult):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "joint_ky":
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (n, theta)
+                else:
+                    assert (type(a), repr(a)) == (type(b), repr(b)), (n, theta, field.name)
+
+    def test_analysis_at_n10_stays_under_16_mib(self):
+        # the benchmark's exact10 jobs; the dense pair tables peaked at 57 MiB
+        cfg = ProtocolConfig(n=10, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
+                             source=dsbs(0.1), seed=0)
+        tracemalloc.start()
+        try:
+            exact_analyze(cfg, include_joint=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
 
 class TestMonteCarlo:
     def test_agrees_with_exact_analyzer_on_ternary_aux(self):
@@ -669,7 +708,8 @@ class TestMonteCarlo:
         ProtocolConfig(n=1000, mu=0.02, theta=0.2, eps_typ=0.4, aux=IDENTITY_AUX,
                        source=dsbs(0.05), seed=11),
         # N1 = 2**30: the alternative comes from rng.integers, which leaves
-        # the upper half of a 64-bit draw cached in every trial's state
+        # the upper half of a 64-bit draw cached in the state of every trial
+        # whose flip sends it
         ProtocolConfig(n=1000, mu=0.01, theta=0.2, eps_typ=0.15, aux=IDENTITY_AUX,
                        source=diagonal_source(), seed=11),
     ], ids=["bytes", "uint32"])
@@ -686,7 +726,7 @@ class TestMonteCarlo:
             exact_type = (u == 0).sum() == cfg.u_type[0]
             encodes = exact_type and ref_batch_pair_typical(u[None, :], x, cfg.pair_ux_ext, eps)[0]
             own = exact_type and ref_batch_pair_typical(u[None, :], y, cfg.pair_uy_ext, eps)[0]
-            draw = protocol._draw_index(rng, cfg.n1)
+            draw = protocol._draw_index(rng, cfg.n1, cfg.theta)
             # the cached half of a 32-bit draw never reaches the later draws,
             # which start on their own substream
             cached += rng.bit_generator.state["has_uint32"]

@@ -1,6 +1,7 @@
-"""Smoke runs of the study scripts: each main() exits 0 and writes its CSV."""
+"""Smoke runs of the study scripts, and the benchmark recorder on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,49 @@ def test_script_writes_its_csv(tmp_path, name, argv, rows):
     assert load_script(name).main(argv + ["--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == rows + 1
+
+
+def _result_file(path, commit, workload, seed, values):
+    stamp = {"commit": commit, "nproc": 2, "python": "3.11", "numpy": "2.4",
+             "scipy": "1.16", "workload": workload, "seed": seed, "seconds": 30.0,
+             "trace": 0, "loadavg_start": "0 0 0", "loadavg_end": "0 0 0"}
+    metrics = {name: {"value": v, "unit": unit, "samples": ""}
+               for name, (v, unit) in values.items()}
+    path.write_text(json.dumps({"stamp": stamp, "metrics": metrics, "per_layer": None}))
+    return str(path)
+
+
+def test_bench_record_pairs_runs_in_order(tmp_path):
+    rss = ([105.0, 106.0, 104.0], [57.0, 58.0, 110.0])
+    files = {"parent": [], "change": []}
+    for side, commit, column in (("parent", "aaa", 0), ("change", "bbb", 1)):
+        for i in range(3):
+            files[side].append(_result_file(
+                tmp_path / f"{side}{i}.json", commit, "protocol", 1,
+                {"peak_rss_mib": (rss[column][i], "MiB"), "wall_s": (2.0, "s"),
+                 "mc_statistical_trials_per_s": (100.0 + i + column, "1/s")}))
+    argv = ["--pr", "99", "--out-dir", str(tmp_path),
+            "--parent", *files["parent"], "--change", *files["change"]]
+    assert load_script("bench_record").main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert (record["parent_commits"], record["change_commits"]) == (["aaa"], ["bbb"])
+    assert record["machine"] == {"nproc": 2, "python": "3.11", "numpy": "2.4",
+                                 "scipy": "1.16"}
+    (run,) = record["runs"]
+    assert (run["workload"], run["seed"]) == ("protocol", 1)
+    peak = run["metrics"]["peak_rss_mib"]
+    assert (peak["unit"], peak["better"], peak["pairs"], peak["pairs_won"]) == (
+        "MiB", "lower", 3, 2)
+    assert peak["parent"] == {"median": 105.0, "q1": 104.5, "q3": 105.5}
+    assert peak["change"]["median"] == 58.0
+    assert run["metrics"]["wall_s"]["pairs_won"] == 0       # ties count for neither
+    unlisted = run["metrics"]["mc_statistical_trials_per_s"]
+    assert unlisted["better"] is None and unlisted["pairs_won"] is None
+
+
+def test_bench_record_refuses_mismatched_pairs(tmp_path):
+    parent = _result_file(tmp_path / "p.json", "aaa", "protocol", 1, {"wall_s": (1.0, "s")})
+    change = _result_file(tmp_path / "c.json", "bbb", "protocol", 2, {"wall_s": (1.0, "s")})
+    argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", parent, "--change", change]
+    assert load_script("bench_record").main(argv) == 2
+    assert not (tmp_path / "BENCH_99.json").exists()

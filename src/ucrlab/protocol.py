@@ -890,9 +890,9 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
     One generator on the trial child's PCG64 stream jumps to each trial's
     substreams in turn: trial t draws its block, then the index channel's
     flip and any alternative, from substream 2t, and the statistical
-    engine's conditional draws from substream 2t + 1 (see _trial_stream). Trials
-    run in batches of max(1, 2**16 // n), and every outcome is the same
-    whatever the batch layout. There are at most TRIAL_LIMIT = 2**32
+    engine's conditional draws from substream 2t + 1 (see _trial_stream).
+    Trials run in batches of max(1, 2**16 // n), and every outcome is the
+    same whatever the batch layout. There are at most TRIAL_LIMIT = 2**32
     trials; the 2**33 substreams they can use start at least 2**93 draws
     apart, so none overlaps another.
     """
@@ -967,9 +967,10 @@ class ExactResult:
 
 def _pairwise(totals: list) -> float:
     """Sum 2**k partial sums as a balanced tree: adjacent pairs, then pairs
-    of pairs. This is numpy's pairwise summation above its leaves, so the
-    aligned totals of the power-of-two blocks of one contiguous array add
-    up to that array's .sum() bit for bit."""
+    of pairs. This is numpy's pairwise summation above its 128-element
+    leaves, so the totals of aligned power-of-two blocks of at least 128
+    elements of one contiguous array add up to that array's .sum() bit for
+    bit."""
     while len(totals) > 1:
         totals = [a + b for a, b in zip(totals[::2], totals[1::2])]
     return totals[0]
@@ -1078,9 +1079,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         joint_ky = np.zeros((n_cls, n_x))
         joint_ky[k_seen] = joint_seen
 
-    p_l = l_kept
-    p_l += cnt_all @ (p_y * w_other)
-    p_l -= l_moved
+    p_l = l_kept + cnt_all @ (p_y * w_other) - l_moved
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))

@@ -555,7 +555,7 @@ class TestExactAnalyzer:
                              ids=["dsbs", "asymmetric"])
     @pytest.mark.parametrize("aux, eps", [
         (IDENTITY_AUX, 0.3),
-        # BSC(0.1) words are never typical with x below n = 11; these are
+        # BSC(0.1) words were typical with no x at n <= 10 (eps 0.3 to 0.8)
         (AuxiliaryChannel.from_matrix(np.array([[0.7, 0.3], [0.3, 0.7]])), 0.6),
     ], ids=["identity", "bsc"])
     def test_blocks_reproduce_the_dense_analysis_bit_for_bit(self, monkeypatch, block,

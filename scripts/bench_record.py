@@ -10,7 +10,7 @@ does not list are summarised without a win count. The summary also keeps
 both sides' commits and the machine stamp of the runs.
 
 Usage:
-    python scripts/bench_record.py --pr 17 \
+    python scripts/bench_record.py --pr N \
         --parent p1.json p2.json ... --change c1.json c2.json ... \
         [--benchmark BENCHMARK.json] [--out-dir .]
 """

@@ -1,10 +1,16 @@
-"""Shared builders for canonical sources used across the test modules."""
+"""Shared builders for canonical sources used across the test modules, and
+reference implementations the tests compare against."""
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 
-from ucrlab.probspace import JointPmf
+from ucrlab.errors import InternalInvariantError
+from ucrlab.probspace import JointPmf, entropy_bits
+from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
+                             build_codebook)
 
 
 def h2(p: float) -> float:
@@ -88,14 +94,6 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
     every (x^n, y^n) table built at once, the sums taken by numpy over each
     whole table. An independent reference for the blocked analyzer, which
     must return the same bits."""
-    from functools import reduce
-    import itertools
-
-    from ucrlab.errors import InternalInvariantError
-    from ucrlab.probspace import entropy_bits
-    from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
-                                 build_codebook)
-
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     n_x = 2 ** n
     cb = build_codebook(cfg)

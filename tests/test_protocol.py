@@ -576,7 +576,7 @@ class TestExactAnalyzer:
                     assert (type(a), repr(a)) == (type(b), repr(b)), (n, theta, field.name)
 
     def test_analysis_at_n10_stays_under_16_mib(self):
-        # the benchmark's exact10 jobs; the dense pair tables peaked at 57 MiB
+        # the benchmark's exact10 jobs; the dense pair tables peaked near 58 MiB
         cfg = ProtocolConfig(n=10, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
                              source=dsbs(0.1), seed=0)
         tracemalloc.start()

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["flip", "c_bits", "value_bits", "slack_bits",
-                    "past_knee"], rows)
+                    "past_knee"], list(zip(*rows)))
     print(f"{len(rows)} rows -> {out}")
     return 0
 

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["gamma", "p_in_l", "l_floor", "l_holds", "p_in_d",
-                    "d_floor", "d_holds"], rows)
+                    "d_floor", "d_holds"], list(zip(*rows)))
     print(f"{len(rows)} rows -> {out}")
     return 0
 

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["n", "p_disagree", "entropy_rate_bits", "log2_k_card",
                     "encoder_fallback", "index_error", "decoder_miss",
-                    "engine"], rows)
+                    "engine"], list(zip(*rows)))
     print(f"{len(rows)} rows -> {out}")
     return 0
 

@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["kernel", "n", "mean_bits", "std_bits",
-                    *(f"q{int(100 * q):02d}" for q in QUANTILES)], rows)
+                    *(f"q{int(100 * q):02d}" for q in QUANTILES)], list(zip(*rows)))
     print(f"{len(rows)} rows -> {out}")
     return 0
 

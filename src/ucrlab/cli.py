@@ -30,7 +30,7 @@ from .channelcap import (
 from .converselab import (
     TelescopingInstance,
     derive_params,
-    interval_lemma_check,
+    interval_sweep,
     set_bound_checks,
     telescoping_identity_check,
     variance_bound_check,
@@ -159,10 +159,11 @@ def _exec_ucr(config: dict, out_dir: Path) -> dict:
           f"({sol.method}, slack {sol.constraint_slack:.3e})")
 
     if grid:
+        budgets, sols = zip(*points[1:])
         write_csv(out_dir / "ucr_curve.csv",
                   ["c_bits", "value_bits", "constraint_slack", "method"],
-                  [(g, s.value_bits, s.constraint_slack, s.method)
-                   for g, s in points[1:]])
+                  [budgets, [s.value_bits for s in sols],
+                   [s.constraint_slack for s in sols], [s.method for s in sols]])
         outputs["curve"] = "ucr_curve.csv"
         print(f"curve with {len(grid)} budgets -> ucr_curve.csv")
     return outputs
@@ -255,10 +256,12 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
         summary["uniformity_gap_bits"] = float(res.uniformity_gap_bits)
         diagnostics["encoder_fallback_fraction"] = (
             res.event_counts["encoder_fallback"] / trials)
+        outs = res.outcomes
         write_csv(out_dir / "trials.csv",
                   ["trial", "i_sent", "i_received", "k_is_fallback", "agreed"],
-                  [(o.trial, o.index_sent, o.index_received,
-                    o.k_index is None, o.agreed) for o in res.outcomes])
+                  [[o.trial for o in outs], [o.index_sent for o in outs],
+                   [o.index_received for o in outs], [o.k_index is None for o in outs],
+                   [o.agreed for o in outs]])
         outputs["trials"] = "trials.csv"
         print(f"{res.engine} engine, {trials} trials: "
               f"P[K != L] = {res.p_disagree:.6f}, "
@@ -306,12 +309,10 @@ def _exec_spectrum(config: dict, out_dir: Path) -> dict:
     seed = check_seed(_need(config, "seed", "spectrum config"))
 
     estimates = []
-    rows = []
     per_n = []
     for n in ns:
         est = spectrum_samples(kernel, input_pmf, n, samples, seed)
         estimates.append(est)
-        rows.extend((n, i, v) for i, v in enumerate(est.values_bits))
         per_n.append({
             "n": n,
             "num_samples": est.num_samples,
@@ -321,8 +322,10 @@ def _exec_spectrum(config: dict, out_dir: Path) -> dict:
             "max_bits": float(est.values_bits[-1]),
         })
         print(f"n = {n}: mean {est.mean():.6f} bits, std {est.std():.6f}")
-    write_csv(out_dir / "spectrum.csv",
-              ["n", "sample", "density_bits"], rows)
+    write_csv(out_dir / "spectrum.csv", ["n", "sample", "density_bits"],
+              [np.concatenate([np.full(e.num_samples, n) for n, e in zip(ns, estimates)]),
+               np.concatenate([np.arange(e.num_samples) for e in estimates]),
+               np.concatenate([e.values_bits for e in estimates])])
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -357,27 +360,15 @@ def _exec_lemmas(config: dict, out_dir: Path) -> dict:
             f"lemmas needs interval_draws and telescoping_instances >= 1, "
             f"got {interval_target} and {telescope_target}")
 
-    rng = as_rng(subseed(seed, _LEMMA_SEED_KEY))
-    valid = 0
-    passes = 0
-    attempts = 0
-    while valid < interval_target:
-        attempts += 1
-        if attempts > 100 * interval_target:
-            raise InternalInvariantError(
-                "parameter sampler failed to hit the valid region")
-        # The box holds the whole valid region. With r = sqrt(mu)(1 - sqrt(alpha)),
-        # kappa < 1/2 forces (1 - r)^2 > alpha + 1/2, so alpha < 1/2 and
-        # sqrt(mu) < (1 - sqrt(alpha + 1/2)) / (1 - sqrt(alpha)) <= 1/3 (the
-        # maximum is at alpha = 1/16); beta < mu < 1/9. Draws stay uniform
-        # over the valid region, and far fewer are rejected.
-        p = derive_params(alpha=float(rng.uniform(1e-6, 0.5)),
-                          beta=float(rng.uniform(1e-9, 1.0 / 9.0)),
-                          c=float(rng.uniform(0.0, 4.0)))
-        if not p.constraints_hold:
-            continue
-        valid += 1
-        passes += bool(interval_lemma_check(p))
+    # The box holds the whole valid region. With r = sqrt(mu)(1 - sqrt(alpha)),
+    # kappa < 1/2 forces (1 - r)^2 > alpha + 1/2, so alpha < 1/2 and
+    # sqrt(mu) < (1 - sqrt(alpha + 1/2)) / (1 - sqrt(alpha)) <= 1/3 (the
+    # maximum is at alpha = 1/16); beta < mu < 1/9. Draws stay uniform
+    # over the valid region, and far fewer are rejected.
+    sweep = interval_sweep(as_rng(subseed(seed, _LEMMA_SEED_KEY)), interval_target,
+                           ((1e-6, 0.5), (1e-9, 1.0 / 9.0), (0.0, 4.0)))
+    valid = len(sweep.draws)
+    passes = sweep.passes
 
     worst_gap = 0.0
     for t in range(telescope_target):

@@ -12,6 +12,12 @@ Three groups of tools, all exact arithmetic on explicit pmfs (no sampling):
   difference into n times a single-coordinate difference, verified exactly
   on small joint laws.
 
+The interval chain is swept over many random parameter points at once
+(interval_sweep): one numpy pass evaluates the same formulas as
+derive_params and interval_lemma_check on a whole batch of draws. The
+telescoping right side is read off marginals of the explicit joint law, one
+per coordinate, with no loop over its cells.
+
 The floors and the variance budget are asymptotic claims; at desk-scale n
 the preconditions may fail, so every checker reports margins and flags
 applicability instead of asserting. The two exact identities (the interval
@@ -21,7 +27,6 @@ chain and the telescoping decomposition) are asserted.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,8 @@ __all__ = [
     "ConverseParams",
     "derive_params",
     "interval_lemma_check",
+    "IntervalSweep",
+    "interval_sweep",
     "VarianceBoundReport",
     "variance_bound_check",
     "SetBoundReport",
@@ -126,6 +133,86 @@ def interval_lemma_check(p: ConverseParams) -> bool:
     ratio = p.chebyshev_ratio
     ceiling = 1.0 - math.sqrt(p.alpha)
     return 0.0 < ratio < ceiling < 1.0
+
+
+# draws per batch of interval_sweep; the lemmas command's box accepts about
+# one draw in six, so its 2,000-draw sweep takes two batches
+_SWEEP_BATCH = 8192
+
+
+def _interval_arrays(alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
+    """derive_params and interval_lemma_check over arrays of parameter points.
+
+    Returns (mu_beta, gamma_ab, kappa_ab, valid, passes), with valid the
+    points' constraints_hold and passes their interval_lemma_check. Every
+    constant follows ConverseParams' formula in the same order, so mu_beta
+    and gamma_ab keep their bits. numpy squares where Python's ** calls
+    pow, so gamma_ab**2 can sit 1 ulp off, and kappa_ab, whose last step
+    cancels, a few ulps of alpha + 1.
+    """
+    mu = beta + 2.0 * beta * c + beta * beta
+    root_alpha = np.sqrt(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(alpha < 1.0, 2.0 * np.sqrt(np.sqrt(mu) / (1.0 - root_alpha)), np.nan)
+        ratio = 4.0 * mu / gamma**2
+    kappa = alpha + 1.0 - (1.0 - ratio) ** 2
+    valid = ((0.0 < alpha) & (alpha < 1.0) & (0.0 < kappa) & (kappa < 0.5)
+             & (0.0 < mu) & (mu < 1.0))
+    ceiling = 1.0 - root_alpha
+    passes = np.isfinite(gamma) & (0.0 < ratio) & (ratio < ceiling) & (ceiling < 1.0)
+    return mu, gamma, kappa, valid, passes
+
+
+@dataclass(frozen=True)
+class IntervalSweep:
+    """The valid draws of an interval-chain sweep, in the order drawn.
+
+    draws[i] is the i-th valid (alpha, beta, c), passes counts the draws
+    whose interval chain holds, and attempts counts every draw up to and
+    including the last one accepted.
+    """
+
+    draws: np.ndarray
+    passes: int
+    attempts: int
+
+
+def interval_sweep(rng: np.random.Generator, target: int, box) -> IntervalSweep:
+    """The interval chain on the first `target` valid draws from a box.
+
+    box is ((alpha_lo, alpha_hi), (beta_lo, beta_hi), (c_lo, c_hi)) inside
+    derive_params' domain. Each draw takes alpha, beta and c in that order
+    as lo + (hi - lo) * u, which is what rng.uniform(lo, hi) computes, so
+    the draws and their bits are those of three scalar uniform calls per
+    draw. A draw is valid when its constraints_hold. Draws come in batches,
+    so rng moves past the last draw accepted. Raises
+    InternalInvariantError when the target-th valid draw is not among the
+    first 100 * target.
+    """
+    low, high = (np.array(b, dtype=float) for b in zip(*box))
+    if target < 1 or low.shape != (3,) or not (
+            np.all(np.isfinite(high)) and np.all(low <= high)
+            and low[0] > 0.0 and low[1] > 0.0 and low[2] >= 0.0):
+        raise ValidationError(f"interval_sweep needs target >= 1 and a box in the "
+                              f"parameter domain, got {target} and {box!r}")
+    span = high - low
+    limit = 100 * target
+    draws, verdicts = [], []
+    valid = drawn = 0
+    while valid < target:
+        if drawn >= limit:
+            raise InternalInvariantError("parameter sampler failed to hit the valid region")
+        batch = low + span * rng.random((min(_SWEEP_BATCH, limit - drawn), 3))
+        _, _, _, ok, passes = _interval_arrays(*batch.T)
+        keep = np.flatnonzero(ok)[:target - valid]
+        draws.append(batch[keep])
+        verdicts.append(passes[keep])
+        valid += keep.size
+        drawn += batch.shape[0]
+    # the last batch holds the target-th valid draw
+    return IntervalSweep(draws=np.concatenate(draws),
+                         passes=int(np.concatenate(verdicts).sum()),
+                         attempts=drawn - batch.shape[0] + int(keep[-1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -296,8 +383,9 @@ class TelescopingInstance:
     """Explicit joint law of (S, R, X-block, Y-block) on tiny alphabets.
 
     joint has shape (s_card, r_card) + (x_card,)*n + (y_card,)*n. Kept
-    small (n <= 4, per-coordinate alphabets <= 3) because the identity
-    check enumerates the full state space.
+    small (n <= 4, per-coordinate alphabets <= 3): the joint is a dense
+    array with (x_card * y_card)^n cells per (s, r), and the identity check
+    sums it 2n + 2 times, once for each side's law per coordinate.
     """
 
     joint: np.ndarray
@@ -377,36 +465,19 @@ def telescoping_identity_check(inst: TelescopingInstance,
     lhs = (_cmi(np.moveaxis(p_sxr.reshape(s_card, r_card, -1), 2, 1))
            - _cmi(np.moveaxis(p_syr.reshape(s_card, r_card, -1), 2, 1)))
 
-    # right side: accumulate the (S, coordinate-symbol, V) laws with J
-    # folded into V at weight 1/n
-    x_side: dict[tuple, float] = defaultdict(float)
-    y_side: dict[tuple, float] = defaultdict(float)
-    flat = joint.ravel()
-    shape = joint.shape
-    for idx in np.ndindex(*shape):
-        p = flat[np.ravel_multi_index(idx, shape)]
-        if p == 0.0:
-            continue
-        s, r = idx[0], idx[1]
-        xs = idx[2:2 + n]
-        ys = idx[2 + n:]
-        w = p / n
-        for j in range(n):
-            v = (xs[:j], ys[j + 1:], r, j)
-            x_side[(s, xs[j], v)] += w
-            y_side[(s, ys[j], v)] += w
-
-    v_labels = {key[2] for key in x_side} | {key[2] for key in y_side}
-    v_index = {v: i for i, v in enumerate(sorted(v_labels))}
-
-    def to_array(side: dict[tuple, float], sym_card: int) -> np.ndarray:
-        arr = np.zeros((s_card, sym_card, len(v_index)))
-        for (s, sym, v), p in side.items():
-            arr[s, sym, v_index[v]] += p
-        return arr
-
-    rhs = n * (_cmi(to_array(x_side, inst.x_card))
-               - _cmi(to_array(y_side, inst.y_card)))
+    # right side: coordinate j's (S, X_j, V) and (S, Y_j, V) laws, with
+    # V = (X before j, Y after j, R), are marginals of the joint. The X side
+    # sums out X after j and Y up to j, the Y side X from j on and Y before
+    # j; either way X_j or Y_j is left on axis 2 + j. Weighted by 1/n and
+    # set side by side along V, they are the laws with J folded into V.
+    x_laws, y_laws = [], []
+    for j in range(n):
+        for laws, drop in ((x_laws, range(3 + j, 3 + n + j)),
+                           (y_laws, range(2 + j, 2 + n + j))):
+            law = np.moveaxis(joint.sum(axis=tuple(drop)), 2 + j, 1)
+            laws.append(law.reshape(s_card, law.shape[1], -1) / n)
+    rhs = n * (_cmi(np.concatenate(x_laws, axis=2))
+               - _cmi(np.concatenate(y_laws, axis=2)))
     gap = abs(lhs - rhs)
     if gap > tol:
         raise InternalInvariantError(

@@ -3,21 +3,21 @@
 All files are UTF-8. JSON is written sorted and indented so identical
 payloads serialize byte-identically; CSV follows RFC 4180 (CRLF rows,
 quoting only where needed) with floats rendered by repr for lossless
-round-trips. Parse failures carry file/line/column context.
+round-trips; it is written from columns, each formatted in one pass.
+Parse failures carry file/line/column context.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 from .channelcap import MixedChannel, DmcProduct, bec, bsc
 from .probspace import ConditionalPmf, JointPmf, Pmf, check_seed
 from .ucrcap import AuxiliaryChannel
@@ -67,14 +67,7 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
-# the cells a trial table holds, formatted without the isinstance chain
-_EXACT_CELL = {bool: lambda v: "true" if v else "false", int: str, str: str}
-
-
 def _cell(v) -> str:
-    fmt = _EXACT_CELL.get(type(v))
-    if fmt is not None:
-        return fmt(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -82,14 +75,63 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV with a header row; floats via repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quote(field: str) -> str:
+    """The field as csv.writer writes it: quoted, with its quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if _NEEDS_QUOTES.search(field) is None:
+        return field
+    return '"' + field.replace('"', '""') + '"'
+
+
+# the formatter of a column whose cells all have one of these exact types;
+# none of them writes a field that needs quotes
+_PLAIN = {float: repr, int: str, bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _fields(column) -> list[str]:
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, cells))
+    plain = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
+    if plain is not None:
+        return list(map(plain, cells))
+    return [_quote(_cell(v)) for v in cells]
+
+
+def _lines(fields: list[list[str]]) -> str:
+    """The CRLF-ended rows of columns of formatted fields."""
+    lines = map(",".join, zip(*fields))
+    if len(fields) == 1:
+        # csv.writer quotes a lone empty field, so the row is not blank
+        lines = (line or '""' for line in lines)
+    return "\r\n".join(lines) + "\r\n"
+
+
+# rows formatted at a time, so that one block's strings are all a write holds
+_CSV_BLOCK = 1024
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """RFC 4180 CSV of a header row and one sequence or array per column.
+
+    A column whose cells share one type is formatted in one pass: floats
+    by repr, ints by str and bools as true/false; a numpy array counts by
+    its tolist(). Other columns go cell by cell, numpy floats by the repr
+    of their float, None and strings by str, and their fields are quoted
+    as csv.writer quotes them. Rows end in CRLF.
+    """
+    columns = list(columns)
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise DimensionError(
+            f"csv needs one column per header name, all of one length; got "
+            f"{len(header)} names and column lengths {[len(c) for c in columns]}")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(_lines([[_quote(name)] for name in header]))
+        for lo in range(0, max(lengths, default=0), _CSV_BLOCK):
+            f.write(_lines([_fields(column[lo:lo + _CSV_BLOCK]) for column in columns]))
 
 
 def _need(d: dict, key: str, what: str):

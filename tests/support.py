@@ -1,13 +1,18 @@
 """Shared builders for canonical sources used across the test modules, and
 reference implementations the tests compare against."""
 
+import csv
+import io
 import itertools
 import math
+from collections import defaultdict
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
 from ucrlab.errors import InternalInvariantError
+from ucrlab.converselab import _cmi
 from ucrlab.probspace import JointPmf, entropy_bits
 from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
                              build_codebook)
@@ -161,3 +166,62 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
         seed=cfg.seed,
         joint_ky=joint_ky if include_joint else None,
     )
+
+
+def telescoping_rhs_reference(inst) -> float:
+    """The telescoping identity's right side, n [I(S;X_J|V) - I(S;Y_J|V)],
+    by one pass over the joint's cells: each nonzero cell adds p / n to the
+    (S, X_j, V) and (S, Y_j, V) laws of every coordinate j, with
+    V = (X before j, Y after j, R, j) kept as a dict key."""
+    n = inst.n
+    joint = inst.joint
+    x_side: dict[tuple, float] = defaultdict(float)
+    y_side: dict[tuple, float] = defaultdict(float)
+    for idx in np.ndindex(*joint.shape):
+        p = joint[idx]
+        if p == 0.0:
+            continue
+        s, r = idx[0], idx[1]
+        xs = idx[2:2 + n]
+        ys = idx[2 + n:]
+        for j in range(n):
+            v = (xs[:j], ys[j + 1:], r, j)
+            x_side[(s, xs[j], v)] += p / n
+            y_side[(s, ys[j], v)] += p / n
+
+    v_index = {v: i for i, v in enumerate(sorted({key[2] for key in x_side}
+                                                 | {key[2] for key in y_side}))}
+
+    def to_array(side: dict[tuple, float], sym_card: int) -> np.ndarray:
+        arr = np.zeros((inst.s_card, sym_card, len(v_index)))
+        for (s, sym, v), p in side.items():
+            arr[s, sym, v_index[v]] += p
+        return arr
+
+    return n * (_cmi(to_array(x_side, inst.x_card)) - _cmi(to_array(y_side, inst.y_card)))
+
+
+_EXACT_CELL = {bool: lambda v: "true" if v else "false", int: str, str: str}
+
+
+def _row_cell(v) -> str:
+    fmt = _EXACT_CELL.get(type(v))
+    if fmt is not None:
+        return fmt(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv_rows(path, header: list[str], rows) -> None:
+    """`serialize.write_csv` one row at a time through csv.writer, each cell
+    formatted on its own: the reference the column writer must match byte
+    for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_row_cell(v) for v in row])
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")

@@ -38,8 +38,7 @@ from ucrlab.cli import EXIT_OK
 from ucrlab.cli import main as cli_main
 from ucrlab.converselab import (
     TelescopingInstance,
-    derive_params,
-    interval_lemma_check,
+    interval_sweep,
     telescoping_identity_check,
 )
 from ucrlab.probspace import (
@@ -177,20 +176,11 @@ def test_criterion_06_interval_lemma_sweep():
     mu_beta < 1. So every valid draw satisfies it, and the sweep checks
     the floating-point evaluation of the constants, not the converse.
     """
-    rng = as_rng(606)
-    valid = 0
-    passes = 0
-    attempts = 0
-    while valid < 10**4:
-        attempts += 1
-        assert attempts < 10**6, "sampler failed to reach the valid region"
-        p = derive_params(alpha=float(rng.uniform(1e-6, 1.0 - 1e-6)),
-                          beta=float(rng.uniform(1e-9, 0.5)),
-                          c=float(rng.uniform(0.0, 4.0)))
-        if not p.constraints_hold:
-            continue
-        valid += 1
-        passes += bool(interval_lemma_check(p))
+    sweep = interval_sweep(as_rng(606), 10**4,
+                           ((1e-6, 1.0 - 1e-6), (1e-9, 0.5), (0.0, 4.0)))
+    assert sweep.attempts < 10**6, "sampler failed to reach the valid region"
+    valid = len(sweep.draws)
+    passes = sweep.passes
     assert passes == valid == 10**4
     return f"{passes}/{valid} valid parameter draws satisfy the interval chain"
 

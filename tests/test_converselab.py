@@ -7,19 +7,39 @@ import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
+from ucrlab import converselab
 from ucrlab.converselab import (
     TelescopingInstance,
+    _interval_arrays,
     derive_params,
     interval_lemma_check,
+    interval_sweep,
     set_bound_checks,
     spectrum_mass_margin,
     telescoping_identity_check,
     variance_bound_check,
 )
-from ucrlab.errors import DimensionError, ValidationError
+from ucrlab.errors import DimensionError, InternalInvariantError, ValidationError
+from ucrlab.probspace import as_rng
 from ucrlab.protocol import ProtocolConfig, exact_analyze
 from ucrlab.ucrcap import AuxiliaryChannel
-from support import dsbs
+from support import dsbs, telescoping_rhs_reference
+
+# the lemmas command's proposal box, and criterion 06's wider one
+LEMMAS_BOX = ((1e-6, 0.5), (1e-9, 1.0 / 9.0), (0.0, 4.0))
+WIDE_BOX = ((1e-6, 1.0 - 1e-6), (1e-9, 0.5), (0.0, 4.0))
+
+
+def scalar_sweep(rng, target, box):
+    """The interval sweep one draw at a time: (valid draws, passes, attempts)."""
+    draws, passes, attempts = [], 0, 0
+    while len(draws) < target:
+        attempts += 1
+        p = derive_params(*(float(rng.uniform(lo, hi)) for lo, hi in box))
+        if p.constraints_hold:
+            draws.append((p.alpha, p.beta, p.c))
+            passes += bool(interval_lemma_check(p))
+    return np.array(draws), passes, attempts
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +118,62 @@ class TestIntervalLemma:
 
     def test_fails_without_a_real_gamma(self):
         assert not interval_lemma_check(derive_params(1.2, 0.1, 1.0))
+
+
+class TestIntervalSweep:
+    @pytest.mark.parametrize("box", [LEMMAS_BOX, WIDE_BOX], ids=["lemmas", "wide"])
+    def test_arrays_match_the_scalar_constants_and_verdicts(self, box):
+        rng = as_rng(18)
+        low, high = (np.array(b) for b in zip(*box))
+        draws = low + (high - low) * rng.random((24_000, 3))
+        mu, gamma, kappa, valid, passes = _interval_arrays(*draws.T)
+        scalar = [derive_params(*map(float, d)) for d in draws]
+        assert np.array_equal(valid, [p.constraints_hold for p in scalar])
+        assert np.array_equal(passes, [interval_lemma_check(p) for p in scalar])
+        assert 400 < valid.sum() < valid.size
+        assert np.array_equal(mu, [p.mu_beta for p in scalar])
+        assert np.array_equal(gamma, [p.gamma_ab for p in scalar])
+        # Python's gamma**2 calls pow where numpy squares, so the two squares
+        # can sit 1 ulp apart. kappa = (alpha + 1) - (1 - ratio)^2 cancels,
+        # so that ulp shows at the scale of alpha + 1, not of kappa.
+        want = np.array([p.kappa_ab for p in scalar])
+        assert np.all(np.abs(kappa - want) <= 4 * np.spacing(draws[:, 0] + 1.0))
+
+    def test_arrays_flag_points_outside_the_region(self):
+        alpha = np.array([1.2, 1.0, 0.5, 0.25])
+        beta = np.array([0.1, 0.1, 2.0, 0.01])
+        _, gamma, _, valid, passes = _interval_arrays(alpha, beta, np.ones(4))
+        assert np.isnan(gamma[:2]).all()
+        assert valid.tolist() == [False, False, False, True]
+        assert passes.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("box, seed, target", [
+        (LEMMAS_BOX, 5, 2000), (LEMMAS_BOX, 7, 1), (WIDE_BOX, 11, 300)])
+    def test_sweep_accepts_the_scalar_loops_draws(self, box, seed, target):
+        draws, passes, attempts = scalar_sweep(as_rng(seed), target, box)
+        sweep = interval_sweep(as_rng(seed), target, box)
+        assert np.array_equal(sweep.draws, draws)
+        assert (sweep.passes, sweep.attempts) == (passes, attempts)
+
+    def test_sweep_spanning_batches(self, monkeypatch):
+        monkeypatch.setattr(converselab, "_SWEEP_BATCH", 7)
+        draws, passes, attempts = scalar_sweep(as_rng(3), 40, LEMMAS_BOX)
+        sweep = interval_sweep(as_rng(3), 40, LEMMAS_BOX)
+        assert np.array_equal(sweep.draws, draws)
+        assert (sweep.passes, sweep.attempts) == (passes, attempts)
+
+    def test_sweep_guard_counts_a_hundred_draws_per_target(self):
+        # one box point, alpha = 0.6: never valid
+        box = ((0.6, 0.6), (0.01, 0.01), (1.0, 1.0))
+        with pytest.raises(InternalInvariantError):
+            interval_sweep(as_rng(0), 3, box)
+
+    @pytest.mark.parametrize("target, box", [
+        (0, LEMMAS_BOX), (5, ((0.0, 0.5), (1e-9, 0.1), (0.0, 4.0))),
+        (5, ((0.1, 0.5), (0.2, 0.1), (0.0, 4.0))), (5, ((0.1, 0.5), (1e-9, 0.1)))])
+    def test_sweep_refuses_an_empty_target_or_a_box_outside_the_domain(self, target, box):
+        with pytest.raises(ValidationError):
+            interval_sweep(as_rng(0), target, box)
 
 
 class TestVarianceBound:
@@ -189,6 +265,24 @@ class TestTelescoping:
         inst = TelescopingInstance.random(seed=5, n=2, x_card=3, y_card=3)
         _, _, gap = telescoping_identity_check(inst)
         assert gap <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2), (2, 2, 3, 3), (3, 1, 3, 2), (1, 3, 2, 3)])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zero-cells"])
+    def test_right_side_matches_the_cell_loop(self, n, cards, zeros):
+        s_card, r_card, x_card, y_card = cards
+        inst = TelescopingInstance.random(seed=10 * n + x_card, n=n, s_card=s_card,
+                                          r_card=r_card, x_card=x_card, y_card=y_card)
+        joint = inst.joint
+        if zeros:
+            # a zero X_0 = 0 slice and a third of the other cells
+            rng = as_rng(n)
+            joint = np.where(rng.random(joint.shape) < 1.0 / 3.0, 0.0, joint)
+            joint[:, :, 0] = 0.0
+            inst = TelescopingInstance(joint / joint.sum(), n)
+        _, rhs, gap = telescoping_identity_check(inst)
+        assert gap <= 1e-10
+        assert rhs == pytest.approx(telescoping_rhs_reference(inst), abs=1e-13)
 
     def test_random_is_deterministic(self):
         a = TelescopingInstance.random(seed=9, n=2)

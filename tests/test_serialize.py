@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import dsbs
+from support import dsbs, write_csv_rows
 from ucrlab.channelcap import MixedChannel
-from ucrlab.errors import ValidationError
+from ucrlab.errors import DimensionError, ValidationError
 from ucrlab.probspace import ConditionalPmf
 from ucrlab.serialize import (
     RunManifest,
@@ -17,6 +19,7 @@ from ucrlab.serialize import (
     load_json,
     pmf_from_dict,
     source_from_dict,
+    _CSV_BLOCK,
     source_to_dict,
     write_csv,
     write_json,
@@ -52,10 +55,30 @@ class TestJsonDocuments:
             write_json(tmp_path / "nan.json", {"x": float("nan")})
 
 
+# fields that need quoting, a lone empty field, and plain text
+_TEXT = st.text(alphabet='ab ,"\r\n\'', max_size=5)
+
+_CELLS = {
+    "float": st.floats() | st.sampled_from([-0.0, 1e-300, 5e-324, 0.1]),
+    "np_float64": st.floats().map(np.float64),
+    "np_float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-2**70, 2**70),
+    "np_int": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "np_bool": st.booleans().map(np.bool_),
+    "none": st.none(),
+    "str": _TEXT,
+}
+
+# the kinds a column may also come as, a numpy array of this dtype
+_ARRAY_DTYPES = {"float": np.float64, "np_float64": np.float64, "np_float32": np.float32,
+                 "np_int": np.int64, "bool": np.bool_, "np_bool": np.bool_, "str": np.str_}
+
+
 class TestCsv:
     def test_rfc4180_line_endings_and_cell_forms(self, tmp_path):
         f = tmp_path / "t.csv"
-        write_csv(f, ["idx", "flag", "val"], [[1, True, 0.1], [2, False, 2.0]])
+        write_csv(f, ["idx", "flag", "val"], [[1, 2], [True, False], [0.1, 2.0]])
         raw = f.read_bytes()
         assert raw == (b"idx,flag,val\r\n"
                        b"1,true,0.1\r\n"
@@ -65,6 +88,48 @@ class TestCsv:
         f = tmp_path / "q.csv"
         write_csv(f, ["name"], [["a,b"]])
         assert f.read_bytes() == b'name\r\n"a,b"\r\n'
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_write_the_bytes_of_the_row_writer(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(0, 6), label="rows")
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_CELLS) + ["mixed"]),
+                                   min_size=1, max_size=4), label="kinds")
+        columns = []
+        for kind in kinds:
+            cells = _CELLS.get(kind, st.one_of(*_CELLS.values()))
+            column = data.draw(st.lists(cells, min_size=rows, max_size=rows), label=kind)
+            if kind in _ARRAY_DTYPES and data.draw(st.booleans(), label="as array"):
+                column = np.array(column, dtype=_ARRAY_DTYPES[kind])
+            columns.append(column)
+        header = data.draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)),
+                           label="header")
+        folder = tmp_path_factory.mktemp("csv")
+        write_csv(folder / "columns.csv", header, columns)
+        write_csv_rows(folder / "rows.csv", header, zip(*columns))
+        assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    def test_blocks_of_rows_write_the_bytes_of_the_row_writer(self, tmp_path):
+        rows = 2 * _CSV_BLOCK + 5
+        rng = np.random.default_rng(18)
+        tables = {
+            "mixed": [np.arange(rows), rng.normal(size=rows), rng.random(rows) < 0.5,
+                      [None if i % 7 == 0 else f'a,"{i}"' for i in range(rows)]],
+            # one column whose last block alone holds a lone empty field
+            "lone": [["x"] * (rows - 1) + [""]],
+        }
+        for name, columns in tables.items():
+            header = [f"c{i}" for i in range(len(columns))]
+            write_csv(tmp_path / f"{name}-columns.csv", header, columns)
+            write_csv_rows(tmp_path / f"{name}-rows.csv", header, zip(*columns))
+            assert ((tmp_path / f"{name}-columns.csv").read_bytes()
+                    == (tmp_path / f"{name}-rows.csv").read_bytes()), name
+
+    def test_ragged_columns_are_refused(self, tmp_path):
+        with pytest.raises(DimensionError):
+            write_csv(tmp_path / "r.csv", ["a", "b"], [[1, 2], [3]])
+        with pytest.raises(DimensionError):
+            write_csv(tmp_path / "r.csv", ["a", "b"], [[1, 2]])
 
 
 class TestSourceSpecs:

@@ -259,9 +259,8 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
         outs = res.outcomes
         write_csv(out_dir / "trials.csv",
                   ["trial", "i_sent", "i_received", "k_is_fallback", "agreed"],
-                  [[o.trial for o in outs], [o.index_sent for o in outs],
-                   [o.index_received for o in outs], [o.k_index is None for o in outs],
-                   [o.agreed for o in outs]])
+                  [outs.trial, outs.index_sent, outs.index_received, outs.k_row == 0,
+                   outs.agreed])
         outputs["trials"] = "trials.csv"
         print(f"{res.engine} engine, {trials} trials: "
               f"P[K != L] = {res.p_disagree:.6f}, "

@@ -225,9 +225,21 @@ def sample_iid(j: JointPmf, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return pairs_from_uniforms(j, as_rng(seed).random(n))
 
 
+def _cdf_steps(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None):
+    """(k, u >= cdf step k) for the first K - 1 steps of the cdf of probs."""
+    cum = np.cumsum(probs, axis=-1)
+    for k in range(cum.shape[-1] - 1):
+        yield k, u >= (cum[k] if rows is None else cum[rows, k])
+
+
+def _cell_dtype(k: int) -> np.dtype:
+    """The smallest signed integer dtype that holds 0..k."""
+    return np.min_scalar_type(-k)
+
+
 def categorical_from_uniforms(probs: np.ndarray, u: np.ndarray,
                               rows: np.ndarray | None = None) -> np.ndarray:
-    """Map uniforms in [0, 1) of any shape to int64 cells of that shape, by
+    """Map uniforms in [0, 1) of any shape to cells of that shape, by
     inverting a cdf.
 
     probs is one pmf (K,), or a table (R, K) of them with rows, an int
@@ -237,19 +249,34 @@ def categorical_from_uniforms(probs: np.ndarray, u: np.ndarray,
     compared, so a cdf that rounds to just below 1 loses no uniform. One
     comparison pass per step beats a binary search per uniform on the
     small alphabets sampled here, and allocates no (..., K) temporary.
+    The cells are counted in the smallest signed integer dtype that holds
+    K, int8 up to K = 128: adding the step masks into it costs a fraction
+    of an int64 count.
     """
-    cum = np.cumsum(probs, axis=-1)
-    cell = np.zeros(np.shape(u), dtype=np.int64)
-    for k in range(cum.shape[-1] - 1):
-        cell += u >= (cum[k] if rows is None else cum[rows, k])
+    cell = np.zeros(np.shape(u), dtype=_cell_dtype(np.shape(probs)[-1]))
+    for _, step in _cdf_steps(probs, u, rows):
+        cell += step
     return cell
 
 
 def pairs_from_uniforms(j: JointPmf, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms in [0, 1) of any shape to (x, y) int arrays of that shape,
-    by inverting the row-major cdf of the joint pmf."""
-    cell = categorical_from_uniforms(j.probs.ravel(), u)
-    return cell // j.ny, cell % j.ny
+    """Map uniforms in [0, 1) of any shape to (x, y) arrays of that shape, by
+    inverting the row-major cdf of the joint pmf.
+
+    The cell is categorical_from_uniforms' count of flat cdf steps, in its
+    dtype. x counts the steps that end a row, k % ny == ny - 1, among them,
+    which is cell // ny, and y is cell - ny * x: one pass over the uniforms
+    per step, and no integer division.
+    """
+    ny = j.ny
+    cell = np.zeros(np.shape(u), dtype=_cell_dtype(j.probs.size))
+    x = np.zeros_like(cell)
+    for k, step in _cdf_steps(j.probs.ravel(), u, None):
+        cell += step
+        if k % ny == ny - 1:
+            x += step
+    cell -= ny * x
+    return x, cell
 
 
 def type_counts(p: Pmf | np.ndarray, n: int) -> np.ndarray:

@@ -19,15 +19,19 @@ row matches via an exact type-class match probability, so the per-trial
 law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
 
-Both engines run trials in batches of max(1, 2**16 // n), through one
-typicality kernel, _typical_mask. A run derives one PCG64 stream from
-subseed(seed, _TRIAL_KEY) and cuts it into substreams with PCG64's
-jump-ahead: substream k starts where PCG64.jumped(k) would, k golden-ratio
-fractions of the period into the stream. Trial t draws its source block,
-then the index channel's flip and, when the flip sends it, the
-alternative index, from substream 2t, and the statistical engine's
-conditional draws from substream 2t + 1. An outcome therefore depends on
-its trial number alone, not on the batch it ran in.
+Both engines run trials in batches of max(1, 2**16 // n) and return
+them as columns. One typicality rule, _count_bounds, serves every test:
+_typical_mask applies it to words scanned against sequences, and
+_types_typical to the joint types of a deterministic map's words, which
+the encoder's lookup and the statistical engine read off each block's
+joint type. A run derives one PCG64 stream from subseed(seed, _TRIAL_KEY)
+and cuts it into substreams with PCG64's jump-ahead: substream k starts
+where PCG64.jumped(k) would, k golden-ratio fractions of the period into
+the stream. Trial t draws its source block, then the index channel's
+flip and, when the flip sends it, the alternative index, from substream
+2t, and the statistical engine's conditional draws from substream
+2t + 1. An outcome therefore depends on its trial number alone, not on
+the batch it ran in.
 
 The key K is a word value, so duplicate words count once. One numpy
 value index per codebook, Codebook.value_index, numbers the values in
@@ -41,7 +45,7 @@ import hashlib
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache, partial, reduce
 from typing import NamedTuple
 
@@ -449,6 +453,29 @@ def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
     return out if batched else out[0]
 
 
+def _joint_types(x: np.ndarray, z: np.ndarray, nx: int, nz: int) -> np.ndarray:
+    """int64 (B, nx, nz): the joint type of each pair of blocks x[t], z[t],
+    (B, n) each over 0..nx-1 and 0..nz-1."""
+    cells = x.astype(np.intp) * nz + z
+    cells += (np.arange(x.shape[0]) * (nx * nz))[:, None]
+    return np.bincount(cells.ravel(), minlength=x.shape[0] * nx * nz).reshape(-1, nx, nz)
+
+
+def _mapped_types(det_map: np.ndarray, u_card: int, types: np.ndarray) -> np.ndarray:
+    """int64 (B, u_card, nz): the joint types of the words det_map[x] with z,
+    from the (x, z) types (B, nx, nz): each u sums the rows of its preimage."""
+    return (det_map == np.arange(u_card)[:, None]).astype(np.int64) @ types
+
+
+def _types_typical(types: np.ndarray, ref: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """Robust joint typicality of joint types (B, a, b) over the real symbols
+    of ref's rows, by the same rule as _typical_mask: every count lies in
+    its cell's _count_bounds. The reserved symbol's count is 0, which
+    passes."""
+    lo, hi = _count_bounds(ref, eps, n)[:, :types.shape[1]]
+    return ((lo <= types) & (types <= hi)).all(axis=(1, 2))
+
+
 def build_codebook(cfg: ProtocolConfig) -> Codebook:
     """Draw the full codebook: i.i.d. uniform draws from one type class."""
     symbols = cfg.codebook_symbols
@@ -467,26 +494,31 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     """Flat row-major index of each block's encoded word, or -1 for the fallback.
 
     xs is (B, n). A lookup codebook tests every det_map[x] against its x
-    in one kernel call and finds the typical ones in its value index; a
-    scanning codebook runs the kernel over the blocks still without a
-    typical word, _ENCODE_CHUNK words at a time, and keeps each block's first.
+    through their joint types and finds the typical ones in its value
+    index. A scanning codebook runs the kernel over blocks of at most
+    _SCAN_CELLS // _ENCODE_CHUNK sequences, each against _ENCODE_CHUNK
+    words at a time while some of its sequences lack a typical word, and
+    keeps each sequence's first.
     """
     found = np.full(xs.shape[0], -1, dtype=np.intp)
     if not cb.scans:
-        u = cb.det_map[xs]
-        typical = np.flatnonzero(_typical_mask(_indicator_blocks(u[:, None, :], cb.u_card),
-                                               xs[:, None, :], cb.pair_ux, cb.eps_typ)[:, 0, 0])
-        found[typical] = cb.find(u[typical])
+        nx = cb.pair_ux.shape[1]
+        types = _mapped_types(cb.det_map, cb.u_card, _joint_types(xs, xs, nx, nx))
+        typical = np.flatnonzero(_types_typical(types, cb.pair_ux, cb.eps_typ, cb.n))
+        found[typical] = cb.find(cb.det_map[xs[typical]])
         return found
-    pending = np.arange(xs.shape[0])
-    for start in range(0, cb.n1 * cb.n2, _ENCODE_CHUNK):
-        mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
-                             cb.pair_ux, cb.eps_typ)
-        hit = mask.any(axis=1)
-        found[pending[hit]] = start + mask[hit].argmax(axis=1)
-        pending = pending[~hit]
-        if pending.size == 0:
-            break
+    n_words = cb.n1 * cb.n2
+    step = max(1, _SCAN_CELLS // min(_ENCODE_CHUNK, n_words))
+    for lo in range(0, xs.shape[0], step):
+        pending = np.arange(lo, min(lo + step, xs.shape[0]))
+        for start in range(0, n_words, _ENCODE_CHUNK):
+            mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
+                                 cb.pair_ux, cb.eps_typ)
+            hit = mask.any(axis=1)
+            found[pending[hit]] = start + mask[hit].argmax(axis=1)
+            pending = pending[~hit]
+            if pending.size == 0:
+                break
     return found
 
 
@@ -529,7 +561,7 @@ def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
     if not (1 <= i_star <= n1 + 1):
         raise ValidationError(f"index {i_star} outside 1..{n1 + 1}")
     # at theta = 1 every flip sends the alternative, so both are drawn
-    return _resolve_index(i_star, *_draw_index(as_rng(seed), n1, 1.0), theta)
+    return int(_resolve_index(i_star, *_draw_index(as_rng(seed), n1, 1.0), theta))
 
 
 def _draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:
@@ -544,12 +576,11 @@ def _draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float,
     return flip, (_uniform_int(rng, n1) if flip < theta else 0)
 
 
-def _resolve_index(i_star: int, flip: float, alt: int, theta: float) -> int:
+def _resolve_index(i_star, flip, alt, theta: float):
     """The received index: i_star unless flip < theta, then the alternative,
-    moved past i_star so that it differs from it."""
-    if flip >= theta:
-        return i_star
-    return alt + 1 if alt >= i_star else alt
+    moved past i_star so that it differs from it. Elementwise on arrays of
+    trials, int64 or of Python ints; a 0-d array on scalars."""
+    return np.where(flip < theta, np.where(alt >= i_star, alt + 1, alt), i_star)
 
 
 def _decode_batch(cb: Codebook, ys: np.ndarray,
@@ -605,22 +636,46 @@ def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int) -> np.ndarray:
     return word
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One protocol execution.
+@dataclass(frozen=True, eq=False)
+class TrialOutcomes:
+    """A run's trials as equal-length columns; entry t is trial t's.
 
-    k_index / l_index are (row, column) of the produced word value, or
-    None for the reserved fallback word; agreement compares word VALUES
-    (duplicate draws of one value are the same common-randomness symbol).
-    Under the statistical engine a spurious match reports column 0.
+    k_row, k_col and l_row, l_col locate the word values K and L, 1-based,
+    with row 0 for the reserved fallback word; under the statistical
+    engine a spurious match reports column 0. index_sent and
+    index_received are the index channel's input and output, distinct the
+    typical values the decoder saw (the materialized engine counts up to
+    2), and agreed whether K and L are one word VALUE (duplicate draws of
+    one value are the same common-randomness symbol). The index columns
+    are int64, or Python ints in object arrays where N1 or N2 passes it.
+    Two records are equal when every column is.
     """
 
-    trial: int
-    k_index: tuple[int, int] | None
-    l_index: tuple[int, int] | None
-    index_sent: int
-    index_received: int
-    agreed: bool
+    trial: np.ndarray
+    k_row: np.ndarray
+    k_col: np.ndarray
+    index_sent: np.ndarray
+    index_received: np.ndarray
+    l_row: np.ndarray
+    l_col: np.ndarray
+    distinct: np.ndarray
+    agreed: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialOutcomes):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return self.trial.size
+
+    @classmethod
+    def concat(cls, parts: list) -> TrialOutcomes:
+        """One record of the columns of parts, in order."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 _EVENT_NAMES = ("encoder_fallback", "index_error", "decoder_miss",
@@ -651,7 +706,7 @@ class MonteCarloResult:
     theta: float
     seed: int
     engine: str
-    outcomes: tuple | None
+    outcomes: TrialOutcomes | None
 
 
 def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
@@ -670,7 +725,8 @@ _M128 = 2 ** 128 - 1
 def _trial_stream(seed: int) -> _Stream:
     """The run's trial generator, from subseed(seed, _TRIAL_KEY), as a
     function that moves it to substream k, the state PCG64.jumped(k) would
-    start from, and returns it.
+    start from, and returns it. The generator is one object for every k,
+    so a caller that knows how far it has drawn may advance it instead.
 
     Power-of-two jumps would not do: they leave the low half of the LCG
     state, and with it much of every output, the same in all substreams.
@@ -686,33 +742,68 @@ def _trial_stream(seed: int) -> _Stream:
     return substream
 
 
+def _index_dtype(cfg: ProtocolConfig) -> np.dtype:
+    """int64 when every row and column index, and N1 + 1, fits it; else
+    object, for Python ints."""
+    return np.dtype(np.int64 if max(cfg.n1, cfg.n2) < 2 ** 63 - 1 else object)
+
+
 def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
-    """The trials' source blocks, (len(ts), n) each, and their index draws.
+    """The trials' source blocks x and y, (len(ts), n) each, and their index
+    draws as columns: the flips, and the alternatives in _index_dtype, 0
+    where none was drawn.
 
     Trial t draws from substream 2t of the run's stream: its block's
-    uniforms, random(n), then _draw_index's flip and alternative.
+    uniforms, random(n), then _draw_index's flip and alternative. A trial
+    that drew no alternative used exactly n + 1 doubles, so one advance by
+    two jumps less n + 1 draws takes the generator to substream 2(t + 1).
+    After an alternative, which integers or bytes draw in a varying number
+    of words, and from which integers may keep half a word cached, the next
+    trial sets its substream absolutely, as the batch's first does.
     """
     uniforms = np.empty((len(ts), cfg.n))
-    draws = []
+    flips = np.empty(len(ts))
+    alts = np.zeros(len(ts), dtype=_index_dtype(cfg))
+    skip = (2 * _PCG64_JUMP - (cfg.n + 1)) & _M128
+    alt = 1
     for k, t in enumerate(ts):
-        rng = stream(2 * t)
+        if alt:
+            rng = stream(2 * t)
+            advance = rng.bit_generator.advance
+        else:
+            advance(skip)
         rng.random(out=uniforms[k])
-        draws.append(_draw_index(rng, cfg.n1, cfg.theta))
+        flips[k], alt = _draw_index(rng, cfg.n1, cfg.theta)
+        alts[k] = alt
     x, y = pairs_from_uniforms(cfg.source, uniforms)
-    return x, y, draws
+    return x, y, flips, alts
 
 
 def _materialized_batch(cb: Codebook, cfg: ProtocolConfig, stream: _Stream,
-                        ts: range) -> list:
-    """Raw outcomes of trials ts: one encoder and one decoder call for all of
-    them, and the index channel drawn per trial in between."""
-    xs, ys, draws = _trial_blocks(cfg, stream, ts)
-    encoded = [_encoded(cb, int(w)) for w in _encode_batch(cb, xs)]
-    i_tilde = np.array([_resolve_index(i_star, flip, alt, cfg.theta)
-                        for (flip, alt), (_, _, i_star) in zip(draws, encoded)])
+                        ts: range) -> tuple[TrialOutcomes, np.ndarray]:
+    """Outcomes of trials ts and K's value classes, -1 for the fallback.
+
+    One encoder and one decoder call serve all of them, and the index
+    channel is resolved in one pass between them. K and L agree when
+    their value classes do.
+    """
+    xs, ys, flips, alts = _trial_blocks(cfg, stream, ts)
+    w = _encode_batch(cb, xs)
+    encoded = w >= 0
+    i_star = np.where(encoded, w // cb.n2 + 1, cb.n1 + 1)
+    i_tilde = _resolve_index(i_star, flips, alts, cfg.theta)
     columns, distinct = _decode_batch(cb, ys, i_tilde - 1)
-    return [(t, *enc, int(i_t), *_decoded(cb, int(i_t), int(col), int(d)))
-            for t, enc, i_t, col, d in zip(ts, encoded, i_tilde, columns, distinct)]
+    decoded = columns >= 0
+    cls = cb.value_index.cls
+    k_cls = np.where(encoded, cls[w], -1)
+    # the flat index stays in [-1, n1 * n2) where nothing was decoded
+    l_cls = np.where(decoded, cls[(i_tilde - 1) * cb.n2 + columns], -1)
+    outcomes = TrialOutcomes(
+        trial=np.arange(ts.start, ts.stop), k_row=np.where(encoded, i_star, 0),
+        k_col=np.where(encoded, w % cb.n2 + 1, 0), index_sent=i_star,
+        index_received=i_tilde, l_row=np.where(decoded, i_tilde, 0), l_col=columns + 1,
+        distinct=distinct, agreed=k_cls == l_cls)
+    return outcomes, k_cls
 
 
 class _StatisticalEngine:
@@ -726,6 +817,12 @@ class _StatisticalEngine:
     hypergeometric overlap count. Word values that collide with the
     trial's own value are handled separately, so the engine reproduces
     the duplicate-value agreement effect of small alphabets.
+
+    A batch works from each block's joint type alone: the word det_map[x]
+    has the codebook's type, is typical with x and is typical with y as
+    its (u, x) and (u, y) types say, and y's zeros are a column sum. Only
+    the trials that encode look their word up, and only those whose
+    received index names a row reach the decoder and its draws.
     """
 
     def __init__(self, cfg: ProtocolConfig):
@@ -750,6 +847,7 @@ class _StatisticalEngine:
         self.pair_uy = cfg.pair_uy_ext[:2, :]
         self.log2_q_y = cache(self._log2_q_y)
         self._value_rows: dict[bytes, tuple[int, int] | None] = {}
+        self._value_classes: dict[bytes, int] = {}
 
     def _log2_choose(self, a: int, b: int) -> float:
         return (math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)) / _LN2
@@ -804,46 +902,69 @@ class _StatisticalEngine:
                                         _uniform_int(rng, self.cfg.n2)) if present else None)
         return self._value_rows[value]
 
-    def batch(self, stream: _Stream, ts: range) -> list:
-        """Raw outcomes of trials ts.
+    def batch(self, stream: _Stream, ts: range) -> tuple[TrialOutcomes, np.ndarray]:
+        """Outcomes of trials ts and K's value classes, -1 for the fallback;
+        the classes number the values the run's K takes as they come.
 
-        The block, its map, the exact-type test, both typicality tests and
-        the zero counts are batched; the draws that depend on earlier
-        results follow per trial, in the materialized engine's order.
+        The joint types, the typicality tests, the index channel and the
+        agreement are batched; the lookups of encoded values and the
+        decoder's draws, which depend on earlier results, follow per trial,
+        in the materialized engine's order.
         """
         cfg = self.cfg
-        eps = cfg.eps_typ
-        x, y, draws = _trial_blocks(cfg, stream, ts)
-        u = cfg.det_map[x]
-        exact_type = (u == 0).sum(axis=1) == cfg.u_type[0]
-        blocks = _indicator_blocks(u[:, None, :], cfg.u_card)
-        typical_ux = _typical_mask(blocks, x[:, None, :], cfg.pair_ux_ext, eps)[:, 0, 0]
-        typical_uy = _typical_mask(blocks, y[:, None, :], cfg.pair_uy_ext, eps)[:, 0, 0]
-        encodes = exact_type & typical_ux
-        own_typical = exact_type & typical_uy
-        zeros = (y == 0).sum(axis=1)
-        return [self._finish(t, stream, draws[k], u[k], bool(encodes[k]),
-                             bool(own_typical[k]), int(zeros[k])) for k, t in enumerate(ts)]
+        det_map, n = cfg.det_map, cfg.n
+        x, y, flips, alts = _trial_blocks(cfg, stream, ts)
+        xy = _joint_types(x, y, cfg.source.nx, cfg.source.ny)
+        # the (x, x) types: x's symbol counts on the diagonal
+        xx = xy.sum(axis=2)[:, :, None] * np.eye(cfg.source.nx, dtype=np.int64)
+        uy = _mapped_types(det_map, cfg.u_card, xy)
+        exact_type = (uy.sum(axis=2) == cfg.u_type).all(axis=1)
+        encodes = exact_type & _types_typical(_mapped_types(det_map, cfg.u_card, xx),
+                                              cfg.pair_ux_ext, cfg.eps_typ, n)
+        own_typical = exact_type & _types_typical(uy, cfg.pair_uy_ext, cfg.eps_typ, n)
+        zeros = xy[:, :, 0].sum(axis=1)
 
-    def _finish(self, t: int, stream: _Stream, draw: tuple[float, int], u_seq: np.ndarray,
-                encodes: bool, own_typical: bool, zeros: int):
-        """One trial's outcome from its batched results. Its conditional
-        draws come from substream 2t + 1 of the run's stream."""
-        cfg = self.cfg
-        value = u_seq.tobytes()
-        k_idx = self.value_rows(value) if encodes else None
-        k_word = u_seq if k_idx is not None else cfg.fallback
-        i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
-        i_tilde = _resolve_index(i_star, *draw, cfg.theta)
+        k_row, k_col = np.zeros_like(alts), np.zeros_like(alts)
+        k_cls = np.full(len(ts), -1)
+        for k in np.flatnonzero(encodes):
+            value = det_map[x[k]].tobytes()
+            k_idx = self.value_rows(value)
+            if k_idx is not None:
+                k_row[k], k_col[k] = k_idx
+                k_cls[k] = self._value_classes.setdefault(value, len(self._value_classes))
+        encoded = k_row != 0
+        i_star = np.where(encoded, k_row, cfg.n1 + 1)
+        i_tilde = _resolve_index(i_star, flips, alts, cfg.theta)
 
-        if i_tilde == cfg.n1 + 1:
-            return t, k_word, k_idx, i_star, i_tilde, cfg.fallback, None, 0
-        rng = stream(2 * t + 1)
+        l_row, l_col = np.zeros_like(alts), np.zeros_like(alts)
+        distinct = np.zeros(len(ts), dtype=np.intp)
+        own = np.zeros(len(ts), dtype=bool)
+        for k in np.flatnonzero(i_tilde <= cfg.n1):
+            k_idx = (k_row[k], k_col[k]) if encoded[k] else None
+            l_idx, distinct[k], own[k] = self._decode(
+                stream(2 * ts[k] + 1), det_map[x[k]].tobytes(), k_idx, int(i_tilde[k]),
+                bool(own_typical[k]), int(zeros[k]))
+            if l_idx is not None:
+                l_row[k], l_col[k] = l_idx
+        # L is K's own value or a spurious one where it is not the fallback
+        agreed = np.where(l_row != 0, own & encoded, ~encoded)
+        outcomes = TrialOutcomes(
+            trial=np.arange(ts.start, ts.stop), k_row=k_row, k_col=k_col, index_sent=i_star,
+            index_received=i_tilde, l_row=l_row, l_col=l_col, distinct=distinct,
+            agreed=agreed)
+        return outcomes, k_cls
 
+    def _decode(self, rng: np.random.Generator, value: bytes, k_idx: tuple | None,
+                i_tilde: int, own_typical: bool, zeros: int):
+        """(l_idx, distinct, own) of a trial whose received index i_tilde
+        names a row: L's (row, column) or None for the fallback, the typical
+        values in that row, and whether L is the trial's own value. Its draws
+        come from rng, on substream 2t + 1 of the run's stream."""
         # the trial's own value: in the scanned row either because the
         # encoder put it there, or as a duplicate occurrence elsewhere
-        own_in_row = k_idx is not None and i_tilde == k_idx[0]
-        if own_typical and not own_in_row and self.value_rows(value) is not None:
+        placed = k_idx is not None and i_tilde == k_idx[0]
+        own_in_row = placed
+        if own_typical and not placed and self.value_rows(value) is not None:
             own_in_row = rng.random() < self._p_dup
         own_hit = own_typical and own_in_row
 
@@ -858,27 +979,26 @@ class _StatisticalEngine:
             spurious = int(rng.binomial(spurious, max(1.0 - share, 0.0)))
 
         distinct = (1 if own_hit else 0) + spurious
-        if distinct == 1 and own_hit:
-            l_word, l_idx = u_seq, (i_tilde, (k_idx[1] if own_in_row and k_idx is not None
-                                              and i_tilde == k_idx[0] else 0))
-        elif distinct == 1:
-            l_word, l_idx = np.array([-1], dtype=np.int8), (i_tilde, 0)
-        else:
-            l_word, l_idx = cfg.fallback, None
-        return t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct
+        if distinct != 1:
+            return None, distinct, False
+        if own_hit:
+            return (i_tilde, k_idx[1] if placed else 0), 1, True
+        return (i_tilde, 0), 1, False
 
 
-def _raw_trials(cfg: ProtocolConfig, trials: int) -> tuple[str, Iterator[tuple]]:
-    """The engine name and the raw outcomes of trials 0..trials-1, run batch
-    by batch, max(1, _BATCH_SYMBOLS // n) trials each, as they are consumed."""
+def _raw_trials(cfg: ProtocolConfig,
+                trials: int) -> tuple[str, Iterator[tuple[TrialOutcomes, np.ndarray]]]:
+    """The engine name and, batch by batch as they are consumed, the
+    outcomes of trials 0..trials-1 with K's value classes (-1 for the
+    fallback), max(1, _BATCH_SYMBOLS // n) trials each."""
     if cfg.codebook_symbols <= MEMORY_GUARD:
         engine, batch = "materialized", partial(_materialized_batch, build_codebook(cfg), cfg)
     else:
         engine, batch = "statistical", _StatisticalEngine(cfg).batch
     stream = _trial_stream(cfg.seed)
     step = max(1, _BATCH_SYMBOLS // cfg.n)
-    return engine, itertools.chain.from_iterable(
-        batch(stream, range(lo, min(lo + step, trials))) for lo in range(0, trials, step))
+    return engine, (batch(stream, range(lo, min(lo + step, trials)))
+                    for lo in range(0, trials, step))
 
 
 def run_monte_carlo(cfg: ProtocolConfig, trials: int,
@@ -887,41 +1007,46 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
 
     The codebook is drawn once per run from the seed's codebook child,
     and the trials from its trial child, so a seed names one result.
-    One generator on the trial child's PCG64 stream jumps to each trial's
+    One generator on the trial child's PCG64 stream moves to each trial's
     substreams in turn: trial t draws its block, then the index channel's
     flip and any alternative, from substream 2t, and the statistical
-    engine's conditional draws from substream 2t + 1 (see _trial_stream).
-    Trials run in batches of max(1, 2**16 // n), and every outcome is the
-    same whatever the batch layout. There are at most TRIAL_LIMIT = 2**32
-    trials; the 2**33 substreams they can use start at least 2**93 draws
-    apart, so none overlaps another.
+    engine's conditional draws from substream 2t + 1 (see _trial_stream
+    and _trial_blocks). Trials run in batches of max(1, 2**16 // n), and
+    every outcome is the same whatever the batch layout. There are at most
+    TRIAL_LIMIT = 2**32 trials; the 2**33 substreams they can use start at
+    least 2**93 draws apart, so none overlaps another.
+
+    Each batch comes back as columns, and the events and agreements are
+    counted over them in numpy. K's values are counted in the order they
+    first occur, so the entropy estimates sum the same counts in the same
+    order whatever the batch layout. With keep_outcomes the result holds
+    every trial's columns as one TrialOutcomes.
     """
     if not 1 <= trials <= TRIAL_LIMIT:
         raise ValidationError(f"trials must lie in [1, 2**32], got {trials}")
-    engine, raw = _raw_trials(cfg, trials)
+    engine, batches = _raw_trials(cfg, trials)
 
-    events = {name: 0 for name in _EVENT_NAMES}
-    counter: dict[bytes, int] = {}
+    events = dict.fromkeys(_EVENT_NAMES, 0)
+    counter: dict[int, int] = {}
     agree = 0
-    outcomes = []
-    for t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, distinct in raw:
-        key = k_word.tobytes()
-        counter[key] = counter.get(key, 0) + 1
-        # both words share a dtype, so equal bytes mean equal shape and values
-        agreed = key == l_word.tobytes()
-        agree += agreed
-        if k_idx is None:
-            events["encoder_fallback"] += 1
-        if i_tilde != i_star:
-            events["index_error"] += 1
-        if distinct >= 2:
-            events["decoder_ambiguous"] += 1
-        if k_idx is not None and i_tilde == i_star and l_idx is None and distinct == 0:
-            events["decoder_miss"] += 1
-        if l_idx is not None and not agreed:
-            events["spurious_match"] += 1
+    kept = []
+    for out, k_cls in batches:
+        encoded = out.k_row != 0
+        sent = out.index_received == out.index_sent
+        for name, hits in (("encoder_fallback", ~encoded),
+                           ("index_error", ~sent),
+                           ("decoder_miss",
+                            encoded & sent & (out.l_row == 0) & (out.distinct == 0)),
+                           ("decoder_ambiguous", out.distinct >= 2),
+                           ("spurious_match", (out.l_row != 0) & ~out.agreed)):
+            events[name] += int(np.count_nonzero(hits))
+        agree += int(np.count_nonzero(out.agreed))
+        classes, first, counts = np.unique(k_cls, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for c, count in zip(classes[order].tolist(), counts[order].tolist()):
+            counter[c] = counter.get(c, 0) + count
         if keep_outcomes:
-            outcomes.append(TrialOutcome(t, k_idx, l_idx, i_star, i_tilde, agreed))
+            kept.append(out)
 
     mm, plugin, distinct_k = _entropy_estimates(counter, trials)
     log2_card = math.log2(cfg.k_cardinality)
@@ -941,7 +1066,7 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
         theta=cfg.theta,
         seed=cfg.seed,
         engine=engine,
-        outcomes=tuple(outcomes) if keep_outcomes else None,
+        outcomes=TrialOutcomes.concat(kept) if keep_outcomes else None,
     )
 
 
@@ -976,6 +1101,13 @@ def _pairwise(totals: list) -> float:
     return totals[0]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 2-D a and b: the same products a[i, j] * b[k, l], from one
+    broadcast multiply, without kron's general-rank bookkeeping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
     """Exact protocol law by enumerating every (x^n, y^n) pair.
 
@@ -997,11 +1129,12 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
 
     Every number has the bits of the dense computation. Each block of the
     pair law is the same left-to-right Kronecker product, from the head
-    table's row b. Row sums (p_x) are per row; the column sums (p_y) carry
-    one running row through add.reduce, which sums rows in order; np.add.at
-    scatters each block in the order the dense bincounts did; and the
-    agreement totals of the aligned power-of-two blocks combine as a
-    balanced tree, as numpy's pairwise sum of the whole array does.
+    table's row b, built by _kron. Row sums (p_x) are per row; the column
+    sums (p_y) carry one running row through add.reduce, which sums rows in
+    order; np.add.at scatters each block in the order the dense bincounts
+    did; and the agreement totals of the aligned power-of-two blocks
+    combine as a balanced tree, as numpy's pairwise sum of the whole array
+    does.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -1045,7 +1178,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     w_other = theta / float(n1)
     n_low = min(n, max(1, _BATCH_SYMBOLS // n_x).bit_length() - 1)
     rows = 2 ** n_low
-    head = reduce(np.kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
+    head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
     p_x = np.empty(n_x)
     p_y = np.zeros((0, n_x))
     agree_totals = []
@@ -1054,7 +1187,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     l_moved = np.zeros(n_cls)
     for b in range(head.shape[0]):
         x = slice(b * rows, (b + 1) * rows)
-        p_joint = reduce(np.kron, [cfg.source.probs] * n_low, head[b:b + 1])
+        p_joint = reduce(_kron, [cfg.source.probs] * n_low, head[b:b + 1])
         p_x[x] = p_joint.sum(axis=1)
         p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
         l_at_star = l_tab[i_star[x] - 1]

@@ -20,6 +20,7 @@ from ucrlab.probspace import (
     entropy,
     markov_defect,
     mutual_information,
+    categorical_from_uniforms,
     pairs_from_uniforms,
     sample_iid,
     subseed,
@@ -44,6 +45,16 @@ class PresetUniforms(np.random.Generator):
 
     def random(self, size=None, dtype=np.float64, out=None):
         return self.u.reshape(size)
+
+
+def ref_int64_cells(probs, u, rows=None) -> np.ndarray:
+    """The inverse cdf as it was counted before its small-int dtype: int64
+    cells, one comparison pass per cdf step."""
+    cum = np.cumsum(probs, axis=-1)
+    cell = np.zeros(np.shape(u), dtype=np.int64)
+    for k in range(cum.shape[-1] - 1):
+        cell += u >= (cum[k] if rows is None else cum[rows, k])
+    return cell
 
 
 def ref_cells(table, rows, u) -> np.ndarray:
@@ -206,6 +217,46 @@ class TestSampling:
             patch.setattr(np.random, "default_rng", lambda seed: PresetUniforms(u))
             spectrum_samples(flat, Pmf(table[0]), u.size, 1, 0)
         assert np.array_equal(seen[0][0], ref_cells(table, first, u))
+
+    @settings(max_examples=120)
+    @given(nx=st.integers(1, 16), ny=st.integers(1, 16), zeros=st.floats(0.0, 0.5),
+           uniform_law=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(nx=16, ny=16, zeros=0.0, uniform_law=False, seed=0)
+    @example(nx=2, ny=5, zeros=0.0, uniform_law=True, seed=0)
+    def test_small_int_cells_match_the_int64_reference(self, nx, ny, zeros, uniform_law,
+                                                       seed):
+        # a 16 x 16 joint has 256 cells: the count needs int16. A flat law of
+        # 10 cells has a cdf that rounds to just below 1.
+        rng = np.random.default_rng(seed)
+        k = nx * ny
+        if uniform_law:
+            probs = np.full(k, 1.0 / k)
+        else:
+            probs = rng.dirichlet(np.ones(k)) * (rng.random(k) >= zeros)
+            probs = probs / probs.sum() if probs.sum() > 0.0 else np.full(k, 1.0 / k)
+        cum = np.cumsum(probs)
+        steps = cum[:-1]
+        # uniforms at random, exactly on every cdf step and one ulp either side
+        u = np.concatenate([rng.random(200), steps, np.nextafter(steps, 0.0),
+                            np.nextafter(steps, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0].reshape(1, -1)
+        want = ref_int64_cells(probs, u)
+        x, y = pairs_from_uniforms(JointPmf(probs.reshape(nx, ny)), u)
+        cells = categorical_from_uniforms(probs, u)
+        for got in (x, y, cells):
+            info = np.iinfo(got.dtype)
+            assert got.dtype.kind == "i" and info.min <= -k and info.max >= k
+            assert got.shape == u.shape
+        assert (x.dtype, cells.dtype) == (np.int8 if k <= 128 else np.int16,) * 2
+        assert np.array_equal(cells, want)
+        assert np.array_equal(x, want // ny) and np.array_equal(y, want % ny)
+        # the table form: each uniform inverts the cdf of its own row
+        table = rng.dirichlet(np.ones(ny), size=nx)
+        rows = rng.integers(0, nx, size=u.shape)
+        assert np.array_equal(categorical_from_uniforms(table, u, rows),
+                              ref_int64_cells(table, u, rows))
+        if uniform_law and k == 10:
+            assert cum[-1] < 1.0 and cells[0, -1] == k - 1
 
 
 class TestTypeClasses:

@@ -27,6 +27,7 @@ from ucrlab.protocol import (
     _typical_mask,
     AchievabilityParams,
     ProtocolConfig,
+    TrialOutcomes,
     build_codebook,
     check_achievability_conditions,
     decode_psi,
@@ -145,6 +146,40 @@ def ref_typical_matrix(flat, xs, ref, eps, n):
 def same_detail(got, want) -> bool:
     return (np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
             and got[1:] == want[1:])
+
+
+def run_columns(cfg: ProtocolConfig, trials: int):
+    """The engine name, the outcome columns of trials 0..trials-1 and K's
+    value classes, joined from the batches of _raw_trials."""
+    engine, batches = protocol._raw_trials(cfg, trials)
+    parts = list(batches)
+    return (engine, TrialOutcomes.concat([out for out, _ in parts]),
+            np.concatenate([k_cls for _, k_cls in parts]))
+
+
+def outcome_row(outs: TrialOutcomes, t: int) -> tuple:
+    """Trial t's (k_index, index_sent, index_received, l_index, distinct,
+    agreed), an index None for the reserved word."""
+    def index(row, col):
+        return (int(row[t]), int(col[t])) if row[t] else None
+    return (index(outs.k_row, outs.k_col), int(outs.index_sent[t]),
+            int(outs.index_received[t]), index(outs.l_row, outs.l_col),
+            int(outs.distinct[t]), bool(outs.agreed[t]))
+
+
+def located_word(cb: Codebook, index) -> np.ndarray:
+    """The codebook word at a 1-based (row, column), or the reserved word."""
+    return cb.fallback if index is None else cb.words[index[0] - 1, index[1] - 1]
+
+
+def head(outs: TrialOutcomes, k: int) -> TrialOutcomes:
+    return TrialOutcomes(*(getattr(outs, f.name)[:k] for f in dataclasses.fields(outs)))
+
+
+def assert_same_partition(classes: np.ndarray, keys: list) -> None:
+    """classes label the trials exactly as their word keys group them."""
+    pairs = set(zip(classes.tolist(), keys))
+    assert len(pairs) == len(set(classes.tolist())) == len(set(keys))
 
 
 # sixteenths times eps in eighths put n p (1 +- eps) on integers for many n
@@ -411,19 +446,25 @@ class TestTypeCountKernel:
     def test_batched_trials_match_a_per_trial_loop(self, cfg):
         cb = build_codebook(cfg)
         eps = cfg.eps_typ
-        engine, raw = protocol._raw_trials(cfg, 300)
+        engine, outs, k_cls = run_columns(cfg, 300)
         assert engine == "materialized"
-        for t, got in enumerate(raw):
+        assert np.array_equal(outs.trial, np.arange(300))
+        keys = []
+        for t in range(300):
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
             k_word, k_idx, i_star = ref_encode(cb, x, eps)
             i_tilde = transmit_index(i_star, cfg.n1, cfg.theta, rng)
             l_word, l_idx, distinct = ref_decode(cb, y, i_tilde, eps)
             # a batched decode counts the typical values only up to 2
-            want = (t, k_word, k_idx, i_star, i_tilde, l_word, l_idx, min(distinct, 2))
-            assert got[0] == t and got[4] == i_tilde
-            assert same_detail(got[1:4], want[1:4]) and same_detail(got[5:], want[5:])
-        assert t == 299
+            agreed = k_word.tobytes() == l_word.tobytes()
+            got = outcome_row(outs, t)
+            assert got == (k_idx, i_star, i_tilde, l_idx, min(distinct, 2), agreed)
+            assert same_detail((located_word(cb, got[0]), got[0], got[1]),
+                               (k_word, k_idx, i_star))
+            assert same_detail((located_word(cb, got[3]), got[3]), (l_word, l_idx))
+            keys.append(k_word.tobytes())
+        assert_same_partition(k_cls, keys)
 
     @settings(max_examples=30)
     @given(kind=st.integers(0, 2), n=st.integers(4, 9), mu=st.floats(0.05, 0.5),
@@ -439,14 +480,40 @@ class TestTypeCountKernel:
             got = _typical_mask(cb.blocks, xs, ref, eps).T
             assert np.array_equal(got, ref_typical_matrix(flat, xs, ref, eps, n))
 
+    def test_scanning_encoder_bounds_its_mask_by_blocks_of_sequences(self, monkeypatch):
+        # chunks of 4 words and blocks of 5 sequences: every sequence keeps
+        # its first typical word across chunks, and no mask passes 20 cells
+        cfg = ternary_config()
+        cb = build_codebook(cfg)
+        assert cb.scans and cb.n1 * cb.n2 > 3 * 4
+        x, _ = sample_iid(cfg.source, 300 * cfg.n, 5)
+        xs = x.reshape(300, cfg.n)
+        want = []
+        for row in xs:
+            _, idx, _ = ref_encode(cb, row, cfg.eps_typ)
+            want.append(-1 if idx is None else (idx[0] - 1) * cb.n2 + idx[1] - 1)
+        monkeypatch.setattr(protocol, "_ENCODE_CHUNK", 4)
+        monkeypatch.setattr(protocol, "_SCAN_CELLS", 20)
+        cells = []
+
+        def recorded(*args):
+            mask = _typical_mask(*args)
+            cells.append(mask.size)
+            return mask
+        monkeypatch.setattr(protocol, "_typical_mask", recorded)
+        assert protocol._encode_batch(cb, xs).tolist() == want
+        assert max(cells) <= 20 and len(cells) >= 60
+        assert -1 in want and max(want) >= 8
+
     def test_deterministic_codebooks_never_build_full_blocks(self):
         cfg = ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2,
                              aux=IDENTITY_AUX, source=diagonal_source(),
                              seed=13, allow_degenerate_rate=True)
         cb = build_codebook(cfg)
         assert not cb.scans
-        raw = protocol._materialized_batch(cb, cfg, protocol._trial_stream(cfg.seed), range(200))
-        assert len(raw) == 200 and any(r[2] is not None for r in raw)
+        outs, _ = protocol._materialized_batch(cb, cfg, protocol._trial_stream(cfg.seed),
+                                               range(200))
+        assert len(outs) == 200 and (outs.k_row != 0).any()
         assert "blocks" not in vars(cb)
         scanning = build_codebook(ternary_config())
         assert scanning.scans and "blocks" not in vars(scanning)
@@ -697,8 +764,8 @@ class TestMonteCarlo:
             monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", batch * cfg.n)
         short = run_monte_carlo(cfg, trials)
         long = run_monte_carlo(cfg, trials + batch)
-        assert short.outcomes == long.outcomes[:trials]
-        assert {o.k_index is None for o in short.outcomes} == {True, False}
+        assert short.outcomes == head(long.outcomes, trials)
+        assert set((short.outcomes.k_row == 0).tolist()) == {True, False}
         monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", 2 ** 16)
         assert run_monte_carlo(cfg, trials) == short
 
@@ -716,28 +783,39 @@ class TestMonteCarlo:
     def test_statistical_trials_match_a_per_trial_loop(self, cfg):
         engine = protocol._StatisticalEngine(cfg)
         eps = cfg.eps_typ
-        name, raw = protocol._raw_trials(cfg, 200)
+        name, outs, k_cls = run_columns(cfg, 200)
         assert name == "statistical"
+        assert np.array_equal(outs.trial, np.arange(200))
         cached = moved = 0
-        for t, got in enumerate(raw):
+        keys = []
+        for t in range(200):
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
             u = cfg.det_map[x]
             exact_type = (u == 0).sum() == cfg.u_type[0]
             encodes = exact_type and ref_batch_pair_typical(u[None, :], x, cfg.pair_ux_ext, eps)[0]
             own = exact_type and ref_batch_pair_typical(u[None, :], y, cfg.pair_uy_ext, eps)[0]
-            draw = protocol._draw_index(rng, cfg.n1, cfg.theta)
+            flip, alt = protocol._draw_index(rng, cfg.n1, cfg.theta)
             # the cached half of a 32-bit draw never reaches the later draws,
             # which start on their own substream
             cached += rng.bit_generator.state["has_uint32"]
-            later = trial_reference(cfg, 2 * t + 1)
-            state = later.bit_generator.state
-            want = engine._finish(t, lambda k: later, draw, u, bool(encodes), bool(own),
-                                  int((y == 0).sum()))
-            moved += later.bit_generator.state != state
-            assert got[0] == t and got[2:5] == want[2:5] and got[6:] == want[6:]
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[5], want[5])
-        assert t == 199
+            k_idx = engine.value_rows(u.tobytes()) if encodes else None
+            i_star = k_idx[0] if k_idx is not None else cfg.n1 + 1
+            i_tilde = i_star if flip >= cfg.theta else alt + (alt >= i_star)
+            l_idx, distinct, own_l = None, 0, False
+            if i_tilde <= cfg.n1:
+                later = trial_reference(cfg, 2 * t + 1)
+                state = later.bit_generator.state
+                l_idx, distinct, own_l = engine._decode(later, u.tobytes(), k_idx, i_tilde,
+                                                        bool(own), int((y == 0).sum()))
+                moved += later.bit_generator.state != state
+            k_word = u if k_idx is not None else cfg.fallback
+            l_word = (u if own_l else np.array([-1], dtype=np.int8) if l_idx is not None
+                      else cfg.fallback)
+            agreed = k_word.tobytes() == l_word.tobytes()
+            assert outcome_row(outs, t) == (k_idx, i_star, i_tilde, l_idx, distinct, agreed)
+            keys.append(k_word.tobytes())
+        assert_same_partition(k_cls, keys)
         assert cached > 0 and moved > 0
 
     def test_trial_substreams_draw_uniformly_across_trials(self):
@@ -750,6 +828,53 @@ class TestMonteCarlo:
             u = np.array([draw(stream(k)) for k in range(8000)])
             counts = np.bincount((u * 16).astype(int), minlength=16)
             assert ((counts - 500) ** 2 / 500).sum() < 37.7
+
+    @pytest.mark.parametrize("cfg", [
+        # alternatives from rng.bytes: N1 is far past 2**62
+        ProtocolConfig(n=1000, mu=0.02, theta=0.3, eps_typ=0.4, aux=IDENTITY_AUX,
+                       source=dsbs(0.05), seed=11),
+        # N1 = 2**30: rng.integers leaves half a 64-bit draw cached
+        ProtocolConfig(n=1000, mu=0.01, theta=0.3, eps_typ=0.15, aux=IDENTITY_AUX,
+                       source=diagonal_source(), seed=11),
+        ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2, aux=IDENTITY_AUX,
+                       source=dsbs(0.2), seed=13, allow_degenerate_rate=True),
+    ], ids=["bytes", "uint32", "small-n"])
+    def test_trial_blocks_follow_numpys_jumped_substreams(self, cfg):
+        # one stream serves three calls whose boundaries split the trials
+        # 3..39, as consecutive batches do; each trial must draw what a fresh
+        # numpy PCG64(...).jumped(2t) draws, by an independent inverse cdf
+        stream = protocol._trial_stream(cfg.seed)
+        parts = [protocol._trial_blocks(cfg, stream, range(lo, hi))
+                 for lo, hi in ((3, 7), (7, 19), (19, 40))]
+        x, y, flips, alts = (np.concatenate(column) for column in zip(*parts))
+        steps = np.cumsum(cfg.source.probs.ravel())[:-1]
+        drew = []
+        for k, t in enumerate(range(3, 40)):
+            rng = trial_reference(cfg, 2 * t)
+            cells = np.searchsorted(steps, rng.random(cfg.n), side="right")
+            flip = rng.random()
+            alt = protocol._uniform_int(rng, cfg.n1) if flip < cfg.theta else 0
+            assert np.array_equal(x[k], cells // cfg.source.ny)
+            assert np.array_equal(y[k], cells % cfg.source.ny)
+            assert (flips[k], alts[k]) == (flip, alt)
+            drew.append(alt != 0)
+        # alternatives inside each call, so later trials of the call start
+        # from an absolute substream
+        assert sum(drew[:-1]) >= 5 and not all(drew)
+
+    def test_outcome_records_compare_every_column(self):
+        cfg = ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2, aux=IDENTITY_AUX,
+                             source=diagonal_source(), seed=13, allow_degenerate_rate=True)
+        run = run_monte_carlo(cfg, 60)
+        outs = run.outcomes
+        assert len(outs) == 60 and outs == head(outs, 60) and outs != head(outs, 59)
+        for field in dataclasses.fields(TrialOutcomes):
+            column = getattr(outs, field.name)
+            changed = column.copy()
+            changed[7] = not column[7] if column.dtype == bool else column[7] + 1
+            other = dataclasses.replace(outs, **{field.name: changed})
+            assert other != outs, field.name
+            assert dataclasses.replace(run, outcomes=other) != run, field.name
 
     def test_trial_counts_past_32_bits_are_refused_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):

@@ -667,8 +667,6 @@ class TrialOutcomes:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    __hash__ = None
-
     def __len__(self) -> int:
         return self.trial.size
 

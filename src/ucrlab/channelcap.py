@@ -6,6 +6,12 @@ channel). Capacity of a DMC comes from alternating maximization with a
 certified upper/lower bracket. The spectral side draws per-block
 information densities under an i.i.d. input and estimates the left edge of
 the limiting spectrum, which is the rate the mixture channel supports.
+
+Blocks are integer arrays: any other dtype is refused, not cast. Each
+block is validated once, where it enters, and keeps its own dtype, so the
+int8 blocks the spectrum draws are never copied to int64. A DMC scores a
+block through its flat cells t * n_out + z, held in a small-int dtype:
+one gather from the flattened log2 W per symbol, and no intp copy.
 """
 from __future__ import annotations
 
@@ -22,7 +28,8 @@ from .errors import (
     UndefinedDensityError,
     ValidationError,
 )
-from .probspace import ConditionalPmf, Pmf, as_rng, categorical_from_uniforms, subseed
+from .probspace import (ConditionalPmf, Pmf, _cell_dtype, as_rng, categorical_from_uniforms,
+                        subseed)
 
 _SPECTRUM_KEY = 11
 _SPECTRUM_BATCH_SYMBOLS = 2 ** 16
@@ -33,6 +40,9 @@ class ChannelKernel(ABC):
 
     Blocks run along the last axis: every method takes one (n,) block or a
     (B, n) batch of blocks, and scores a block as a scalar, a batch as (B,).
+    The public methods check their blocks; the underscored ones take blocks
+    that are already checked, and a kernel whose public methods check
+    overrides them to skip a second pass.
     """
 
     n_in: int
@@ -53,19 +63,61 @@ class ChannelKernel(ABC):
     def block_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         return np.exp2(self.log2_likelihood(t, z))
 
+    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_output(t, rng)
 
-def _check_block(seq: np.ndarray, alphabet: int, what: str) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.int64)
+    def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return self.log2_likelihood(t, z)
+
+    def _log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
+        return self.log2_output_prob(input_pmf, z)
+
+
+def _check_block(seq, alphabet: int, what: str) -> np.ndarray:
+    """seq as an array, once checked: a nonempty (n,) block or (B, n) batch
+    of symbols in 0..alphabet-1, in an integer dtype, which it keeps. A
+    float, bool, str or object block is refused rather than cast, so no
+    value is truncated or parsed into a symbol. The range test is one
+    min and one max, cheap on the int8 blocks the spectrum draws."""
+    seq = np.asarray(seq)
     if seq.ndim not in (1, 2) or seq.size == 0:
         raise DimensionError(f"{what} block must be a nonempty 1-D block or 2-D batch")
+    if seq.dtype.kind not in "iu":
+        raise ValidationError(f"{what} block must hold integers, got dtype {seq.dtype}")
     if seq.min() < 0 or seq.max() >= alphabet:
         raise ValidationError(f"{what} block has symbols outside 0..{alphabet - 1}")
     return seq
 
 
+def _check_pair(kernel: ChannelKernel, t, z) -> tuple[np.ndarray, np.ndarray]:
+    t = _check_block(t, kernel.n_in, "input")
+    z = _check_block(z, kernel.n_out, "output")
+    if t.shape != z.shape:
+        raise DimensionError("input and output blocks differ in shape")
+    return t, z
+
+
+def _check_input_pmf(kernel: ChannelKernel, input_pmf: Pmf) -> None:
+    if input_pmf.size != kernel.n_in:
+        raise DimensionError("input pmf does not match the channel input alphabet")
+
+
 @dataclass(frozen=True)
 class DmcProduct(ChannelKernel):
-    """Memoryless channel used independently on every letter of the block."""
+    """Memoryless channel used independently on every letter of the block.
+
+    Outputs are drawn by the inverse cdf of each letter's row, in the
+    smallest signed dtype that holds n_out (int8 up to 128 symbols). A
+    block is scored through its flat cells t * n_out + z, formed in the
+    smallest signed dtype that holds n_in * n_out: log2 P(z^n | t^n)
+    gathers log2 W at the cells and log2 P(z^n) gathers log2 q at z, each
+    into a C-contiguous float64 array summed along the block, the values
+    and the sum of 2-D indexing, so the bits are the same. Indexing with a
+    small-int array casts it in buffered chunks. An intp cell, or np.take,
+    which copies its indices to intp, would add a fresh 8-byte-per-symbol
+    array per call; on the spectrum's 2**16-symbol batches its new pages
+    cost more than the gather itself.
+    """
 
     kernel: ConditionalPmf
 
@@ -78,21 +130,26 @@ class DmcProduct(ChannelKernel):
         return self.kernel.n_out
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
-        t = _check_block(t, self.n_in, "input")
-        return categorical_from_uniforms(self.kernel.rows, as_rng(seed).random(t.shape), t)
+        return self._sample_output(_check_block(t, self.n_in, "input"), as_rng(seed))
 
     def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
-        t = _check_block(t, self.n_in, "input")
-        z = _check_block(z, self.n_out, "output")
-        if t.shape != z.shape:
-            raise DimensionError("input and output blocks differ in shape")
-        with np.errstate(divide="ignore"):
-            return np.log2(self.kernel.rows)[t, z].sum(axis=-1)
+        return self._log2_likelihood(*_check_pair(self, t, z))
 
     def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
-        if input_pmf.size != self.n_in:
-            raise DimensionError("input pmf does not match the channel input alphabet")
-        z = _check_block(z, self.n_out, "output")
+        _check_input_pmf(self, input_pmf)
+        return self._log2_output_prob(input_pmf, _check_block(z, self.n_out, "output"))
+
+    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return categorical_from_uniforms(self.kernel.rows, rng.random(t.shape), t)
+
+    def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        cell = t.astype(_cell_dtype(self.n_in * self.n_out))
+        cell *= self.n_out
+        cell += z.astype(cell.dtype, copy=False)
+        with np.errstate(divide="ignore"):
+            return np.log2(self.kernel.rows).ravel()[cell].sum(axis=-1)
+
+    def _log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log2(input_pmf.probs @ self.kernel.rows)[z].sum(axis=-1)
 
@@ -103,7 +160,8 @@ class MixedChannel(ChannelKernel):
 
     The block likelihood and output law are the weight-averaged branch laws,
     so the information density sees the mixture even though each sampled
-    block physically went through one branch.
+    block physically went through one branch. Outputs come in the smallest
+    signed dtype that holds n_out, as DmcProduct draws them.
     """
 
     components: tuple[tuple[float, ChannelKernel], ...]
@@ -128,25 +186,33 @@ class MixedChannel(ChannelKernel):
         return self.components[0][1].n_out
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
-        t = _check_block(t, self.n_in, "input")
-        rng = as_rng(seed)
+        return self._sample_output(_check_block(t, self.n_in, "input"), as_rng(seed))
+
+    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return self._log2_likelihood(*_check_pair(self, t, z))
+
+    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
+        _check_input_pmf(self, input_pmf)
+        return self._log2_output_prob(input_pmf, _check_block(z, self.n_out, "output"))
+
+    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         weights = np.array([w for w, _ in self.components])
         batch = t.reshape(-1, t.shape[-1])
         branch = rng.choice(len(self.components), size=batch.shape[0],
                             p=weights / weights.sum())
-        z = np.empty_like(batch)
+        z = np.empty(batch.shape, dtype=_cell_dtype(self.n_out))
         for k, (_, kernel) in enumerate(self.components):
             rows = branch == k
             if rows.any():
-                z[rows] = kernel.sample_output(batch[rows], rng)
+                z[rows] = kernel._sample_output(batch[rows], rng)
         return z.reshape(t.shape)
 
-    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
-        return np.logaddexp2.reduce([math.log2(w) + k.log2_likelihood(t, z)
+    def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return np.logaddexp2.reduce([math.log2(w) + k._log2_likelihood(t, z)
                                      for w, k in self.components if w > 0.0])
 
-    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
-        return np.logaddexp2.reduce([math.log2(w) + k.log2_output_prob(input_pmf, z)
+    def _log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
+        return np.logaddexp2.reduce([math.log2(w) + k._log2_output_prob(input_pmf, z)
                                      for w, k in self.components if w > 0.0])
 
 
@@ -198,14 +264,19 @@ def information_density(kernel: ChannelKernel, input_pmf: Pmf,
                         t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
     """(1/n) log2 [ P(z^n|t^n) / P(z^n) ] in bits per symbol.
 
-    A scalar for one (n,) block, shape (B,) for a (B, n) batch.
+    A scalar for one (n,) block, shape (B,) for a (B, n) batch. t and z
+    must be integer arrays; they are validated once, here, and scored
+    without a second check.
     """
-    t = _check_block(t, kernel.n_in, "input")
-    z = _check_block(z, kernel.n_out, "output")
-    if t.shape != z.shape:
-        raise DimensionError("input and output blocks differ in shape")
-    ll = kernel.log2_likelihood(t, z)
-    lo = kernel.log2_output_prob(input_pmf, z)
+    _check_input_pmf(kernel, input_pmf)
+    return _density(kernel, input_pmf, *_check_pair(kernel, t, z))
+
+
+def _density(kernel: ChannelKernel, input_pmf: Pmf, t: np.ndarray,
+             z: np.ndarray) -> float | np.ndarray:
+    """information_density of blocks already checked."""
+    ll = kernel._log2_likelihood(t, z)
+    lo = kernel._log2_output_prob(input_pmf, z)
     if np.any(ll == -np.inf) or np.any(lo == -np.inf):
         raise UndefinedDensityError("zero likelihood or output mass at this block")
     return (ll - lo) / t.shape[-1]
@@ -252,23 +323,28 @@ def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
     Blocks are drawn in batches of B = max(1, 2**16 // n), the last batch
     holding the remainder. Batch b owns the named sub-seed
     (seed, _SPECTRUM_KEY, n, b): it draws its inputs as one (B, n) array,
-    then the channel outputs. The result therefore depends only on
-    (seed, n, num_samples), and per-batch arrays stay small at any n.
+    then the channel outputs through kernel.sample_output. The result
+    therefore depends only on (seed, n, num_samples), and per-batch arrays
+    stay small at any n. The inputs come from the inverse cdf as int8 (or
+    the next small-int dtype), in range by construction; sample_output
+    checks them and the outputs are checked once, and neither is checked
+    again when scored.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
-    if input_pmf.size != kernel.n_in:
-        raise DimensionError("input pmf does not match the channel input alphabet")
+    _check_input_pmf(kernel, input_pmf)
     per_batch = max(1, _SPECTRUM_BATCH_SYMBOLS // n)
     values = []
     for b, start in enumerate(range(0, num_samples, per_batch)):
         rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, b))
         size = min(per_batch, num_samples - start)
         t = categorical_from_uniforms(input_pmf.probs, rng.random((size, n)))
-        z = kernel.sample_output(t, rng)
-        values.append(information_density(kernel, input_pmf, t, z))
+        z = _check_block(kernel.sample_output(t, rng), kernel.n_out, "output")
+        if z.shape != t.shape:
+            raise DimensionError("sample_output returned blocks of another shape")
+        values.append(_density(kernel, input_pmf, t, z))
     return SpectrumEstimate(np.concatenate(values), n)
 
 

@@ -225,11 +225,11 @@ def sample_iid(j: JointPmf, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return pairs_from_uniforms(j, as_rng(seed).random(n))
 
 
-def _cdf_steps(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None):
+def _cdf_steps(probs: np.ndarray, u: np.ndarray):
     """(k, u >= cdf step k) for the first K - 1 steps of the cdf of probs."""
     cum = np.cumsum(probs, axis=-1)
     for k in range(cum.shape[-1] - 1):
-        yield k, u >= (cum[k] if rows is None else cum[rows, k])
+        yield k, u >= cum[k]
 
 
 def _cell_dtype(k: int) -> np.dtype:
@@ -242,20 +242,33 @@ def categorical_from_uniforms(probs: np.ndarray, u: np.ndarray,
     """Map uniforms in [0, 1) of any shape to cells of that shape, by
     inverting a cdf.
 
-    probs is one pmf (K,), or a table (R, K) of them with rows, an int
+    probs is one pmf (K,), or a table (R, K) of them with rows, an integer
     array of u's shape, naming each uniform's row. A uniform's cell is the
     number of the first K - 1 cdf steps at or below it, as
     searchsorted(side="right") counts them; the last step is never
     compared, so a cdf that rounds to just below 1 loses no uniform. One
     comparison pass per step beats a binary search per uniform on the
     small alphabets sampled here, and allocates no (..., K) temporary.
+    With a table, each row r compares the uniforms where rows == r with
+    its own steps: R * (K - 1) passes of boolean masks, with rows kept in
+    its own dtype, no intp copy of it and no gathered float64 array of
+    thresholds. On the 2- and 3-row channels sampled here that beats
+    gathering each step's thresholds, whose fresh 8-byte-per-uniform
+    arrays cost more in new pages than in arithmetic.
     The cells are counted in the smallest signed integer dtype that holds
     K, int8 up to K = 128: adding the step masks into it costs a fraction
     of an int64 count.
     """
     cell = np.zeros(np.shape(u), dtype=_cell_dtype(np.shape(probs)[-1]))
-    for _, step in _cdf_steps(probs, u, rows):
-        cell += step
+    if rows is None:
+        for _, step in _cdf_steps(probs, u):
+            cell += step
+        return cell
+    cum = np.cumsum(probs, axis=-1)
+    for r in range(cum.shape[0]):
+        mine = rows == r
+        for k in range(cum.shape[1] - 1):
+            cell += mine & (u >= cum[r, k])
     return cell
 
 
@@ -271,7 +284,7 @@ def pairs_from_uniforms(j: JointPmf, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     ny = j.ny
     cell = np.zeros(np.shape(u), dtype=_cell_dtype(j.probs.size))
     x = np.zeros_like(cell)
-    for k, step in _cdf_steps(j.probs.ravel(), u, None):
+    for k, step in _cdf_steps(j.probs.ravel(), u):
         cell += step
         if k % ny == ny - 1:
             x += step

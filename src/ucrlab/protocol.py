@@ -55,6 +55,7 @@ from .errors import GuardError, InternalInvariantError, ValidationError
 from .probspace import (
     JointPmf,
     Pmf,
+    _cell_dtype,
     as_rng,
     compose_aux,
     entropy_bits,
@@ -455,10 +456,18 @@ def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
 
 def _joint_types(x: np.ndarray, z: np.ndarray, nx: int, nz: int) -> np.ndarray:
     """int64 (B, nx, nz): the joint type of each pair of blocks x[t], z[t],
-    (B, n) each over 0..nx-1 and 0..nz-1."""
-    cells = x.astype(np.intp) * nz + z
-    cells += (np.arange(x.shape[0]) * (nx * nz))[:, None]
-    return np.bincount(cells.ravel(), minlength=x.shape[0] * nx * nz).reshape(-1, nx, nz)
+    (B, n) each over 0..nx-1 and 0..nz-1.
+
+    The flat cell x * nz + z is formed in the smallest signed dtype that
+    holds nx * nz, and each cell's count is one row-wise sum of its mask:
+    nx * nz passes over small ints, with no intp copy of the blocks."""
+    cell = x.astype(_cell_dtype(nx * nz))
+    cell *= nz
+    cell += z
+    types = np.empty((x.shape[0], nx * nz), dtype=np.int64)
+    for k in range(nx * nz):
+        np.sum(cell == k, axis=1, out=types[:, k])
+    return types.reshape(-1, nx, nz)
 
 
 def _mapped_types(det_map: np.ndarray, u_card: int, types: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ucrlab.errors import InternalInvariantError
+from ucrlab.channelcap import MixedChannel
+from ucrlab.errors import InternalInvariantError, UndefinedDensityError
 from ucrlab.converselab import _cmi
-from ucrlab.probspace import JointPmf, entropy_bits
+from ucrlab.probspace import JointPmf, entropy_bits, subseed
 from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
                              build_codebook)
 
@@ -225,3 +226,77 @@ def write_csv_rows(path, header: list[str], rows) -> None:
     for row in rows:
         writer.writerow([_row_cell(v) for v in row])
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+
+
+def ref_categorical_cells(probs, u, rows=None) -> np.ndarray:
+    """The inverse cdf as it was drawn before the per-row masks: with a
+    table, each step's thresholds gathered by cum[rows, k], and the cells
+    counted in the smallest signed dtype that holds K."""
+    cum = np.cumsum(probs, axis=-1)
+    cell = np.zeros(np.shape(u), dtype=np.min_scalar_type(-cum.shape[-1]))
+    for k in range(cum.shape[-1] - 1):
+        cell += u >= (cum[k] if rows is None else cum[rows, k])
+    return cell
+
+
+def ref_log2_likelihood(kernel, t, z):
+    """log2 P(z^n | t^n) scored as it was before flat cells: int64 blocks
+    and the 2-D gather np.log2(W)[t, z], summed along the block."""
+    t, z = np.asarray(t, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    if isinstance(kernel, MixedChannel):
+        return np.logaddexp2.reduce([math.log2(w) + ref_log2_likelihood(k, t, z)
+                                     for w, k in kernel.components if w > 0.0])
+    with np.errstate(divide="ignore"):
+        return np.log2(kernel.kernel.rows)[t, z].sum(axis=-1)
+
+
+def ref_log2_output_prob(kernel, input_pmf, z):
+    """log2 P(z^n) as it was scored before: int64 z and np.log2(q)[z]."""
+    z = np.asarray(z, dtype=np.int64)
+    if isinstance(kernel, MixedChannel):
+        return np.logaddexp2.reduce([math.log2(w) + ref_log2_output_prob(k, input_pmf, z)
+                                     for w, k in kernel.components if w > 0.0])
+    with np.errstate(divide="ignore"):
+        return np.log2(input_pmf.probs @ kernel.kernel.rows)[z].sum(axis=-1)
+
+
+def ref_information_density(kernel, input_pmf, t, z):
+    ll = ref_log2_likelihood(kernel, t, z)
+    lo = ref_log2_output_prob(kernel, input_pmf, z)
+    if np.any(ll == -np.inf) or np.any(lo == -np.inf):
+        raise UndefinedDensityError("zero likelihood or output mass at this block")
+    return (ll - lo) / np.shape(t)[-1]
+
+
+def ref_sample_output(kernel, t, rng):
+    """The channel draw from the same generator: a mixture draws one branch
+    per block, then each branch its blocks' outputs, in the smallest signed
+    dtype that holds the output alphabet."""
+    t = np.asarray(t, dtype=np.int64)
+    if not isinstance(kernel, MixedChannel):
+        return ref_categorical_cells(kernel.kernel.rows, rng.random(t.shape), t)
+    weights = np.array([w for w, _ in kernel.components])
+    batch = t.reshape(-1, t.shape[-1])
+    branch = rng.choice(len(kernel.components), size=batch.shape[0],
+                        p=weights / weights.sum())
+    z = np.empty(batch.shape, dtype=np.min_scalar_type(-kernel.n_out))
+    for k, (_, component) in enumerate(kernel.components):
+        rows = branch == k
+        if rows.any():
+            z[rows] = ref_sample_output(component, batch[rows], rng)
+    return z.reshape(t.shape)
+
+
+def ref_spectrum_samples(kernel, input_pmf, n: int, num_samples: int, seed: int) -> np.ndarray:
+    """The unsorted densities of the documented batch layout: batches of
+    max(1, 2**16 // n) blocks, batch b seeded by subseed(seed, 11, n, b),
+    inputs drawn first, then the outputs."""
+    per_batch = max(1, 2 ** 16 // n)
+    values = []
+    for b, start in enumerate(range(0, num_samples, per_batch)):
+        rng = np.random.default_rng(subseed(seed, 11, n, b))
+        size = min(per_batch, num_samples - start)
+        t = ref_categorical_cells(input_pmf.probs, rng.random((size, n)))
+        z = ref_sample_output(kernel, t, rng)
+        values.append(ref_information_density(kernel, input_pmf, t, z))
+    return np.concatenate(values)

@@ -4,10 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import h2
+from support import (
+    h2,
+    ref_information_density,
+    ref_log2_likelihood,
+    ref_log2_output_prob,
+    ref_sample_output,
+    ref_spectrum_samples,
+)
 from ucrlab.channelcap import (
     DmcProduct,
     MixedChannel,
@@ -28,6 +35,29 @@ from ucrlab.probspace import ConditionalPmf, Pmf
 
 UNIFORM2 = Pmf(np.array([0.5, 0.5]))
 IDENTITY2 = DmcProduct(ConditionalPmf(np.eye(2)))
+BLOCK_DTYPES = (np.int8, np.int16, np.int64)
+
+
+def sparse_pmfs(rng, rows: int, size: int, zeros: float) -> np.ndarray:
+    """rows random pmfs over size cells, each cell zeroed with probability
+    zeros; a row left empty puts its mass on one cell."""
+    probs = rng.dirichlet(np.ones(size), size=rows) * (rng.random((rows, size)) >= zeros)
+    empty = np.flatnonzero(probs.sum(axis=1) == 0.0)
+    probs[empty, rng.integers(0, size, size=empty.size)] = 1.0
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def same_outcome(got, want) -> None:
+    """got() returns want()'s bits, or both raise UndefinedDensityError."""
+    try:
+        expected = want()
+    except UndefinedDensityError:
+        with pytest.raises(UndefinedDensityError):
+            got()
+        return
+    value = got()
+    assert np.asarray(value).dtype == np.asarray(expected).dtype
+    assert np.shape(value) == np.shape(expected) and np.array_equal(value, expected)
 
 
 class TestCapacity:
@@ -108,14 +138,123 @@ class TestBlockKernels:
         assert set(z.tolist()) <= {0, 1, 2}
 
     def test_mixed_sample_output_matches_alphabet(self):
-        # a single block leaves one branch with no rows; these seeds draw both
+        # a single block leaves one branch with no rows; these seeds draw both.
+        # Outputs come in the smallest dtype that holds the output alphabet,
+        # as DmcProduct draws them, whatever the input's dtype.
         k = MixedChannel(((0.5, DmcProduct(bec(0.3))),
                           (0.5, DmcProduct(bec(0.6)))))
         for seed in range(6):
             for t in (np.array([0, 1, 0, 1]), np.array([[0, 1, 0], [1, 1, 0]])):
                 z = k.sample_output(t, seed=seed)
-                assert z.shape == t.shape and z.dtype == np.int64
+                assert z.shape == t.shape and z.dtype == np.int8
                 assert set(z.ravel().tolist()) <= {0, 1, 2}
+
+
+class TestBlockGuards:
+    KERNELS = [DmcProduct(bsc(0.1)),
+               MixedChannel(((0.5, DmcProduct(bsc(0.1))), (0.5, DmcProduct(bsc(0.3)))))]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bad", [
+        np.array([0.7, 1.9]),                  # float: once truncated to [0, 1]
+        np.array([1.0, 0.0]),                  # float, even with integral values
+        np.array([True, False]),
+        np.array(["1", "0"]),                  # once parsed as symbols
+        np.array([1, 0], dtype=object),
+    ], ids=["float", "integral-float", "bool", "str", "object"])
+    def test_non_integer_blocks_are_refused(self, kernel, bad):
+        good = np.array([0, 1])
+        calls = [
+            lambda: information_density(kernel, UNIFORM2, bad, good),
+            lambda: information_density(kernel, UNIFORM2, good, bad),
+            lambda: kernel.log2_likelihood(bad, good),
+            lambda: kernel.log2_likelihood(good, bad),
+            lambda: kernel.log2_output_prob(UNIFORM2, bad),
+            lambda: kernel.block_likelihood(bad, good),
+            lambda: kernel.sample_output(bad, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_python_int_lists_still_pass(self, kernel):
+        t, z = [0, 1, 1], [0, 1, 0]
+        assert information_density(kernel, UNIFORM2, t, z) == information_density(
+            kernel, UNIFORM2, np.array(t), np.array(z))
+        assert kernel.sample_output(t, 4).tolist() == kernel.sample_output(
+            np.array(t), 4).tolist()
+
+    def test_out_of_range_and_empty_blocks_are_refused(self):
+        k = DmcProduct(bsc(0.1))
+        for t in (np.array([0, 2]), np.array([-1, 0], dtype=np.int8),
+                  np.array([0, 300], dtype=np.uint16)):
+            with pytest.raises(ValidationError):
+                information_density(k, UNIFORM2, t, np.array([0, 1]))
+        for t in (np.array([], dtype=np.int64), np.zeros((1, 1, 2), dtype=np.int8)):
+            with pytest.raises(DimensionError):
+                k.log2_likelihood(t, t)
+
+
+class TestFlatCellScoring:
+    """Every kernel path returns the bits of the references in support.py:
+    the 2-D gather np.log2(W)[t, z] on int64 blocks and the cum[rows, k]
+    inverse cdf."""
+
+    @settings(max_examples=150)
+    @given(n_in=st.integers(1, 8), n_out=st.integers(1, 8), zeros=st.floats(0.0, 0.6),
+           kind=st.sampled_from(["dmc", "mixture", "bsc-pair"]), mixed=st.integers(2, 3),
+           shape=st.sampled_from([(1,), (9,), (1, 4), (7, 13)]),
+           dtype=st.sampled_from(BLOCK_DTYPES), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_in=2, n_out=2, zeros=0.0, kind="bsc-pair", mixed=2, shape=(7, 13),
+             dtype=np.int8, seed=0)
+    @example(n_in=8, n_out=8, zeros=0.5, kind="mixture", mixed=3, shape=(7, 13),
+             dtype=np.int16, seed=1)
+    def test_kernels_match_the_references(self, n_in, n_out, zeros, kind, mixed, shape,
+                                          dtype, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "bsc-pair":
+            n_in = n_out = 2
+            w = float(rng.random())
+            kernel = MixedChannel(((w, DmcProduct(bsc(0.0))), (1.0 - w, DmcProduct(bsc(0.5)))))
+        elif kind == "dmc":
+            kernel = DmcProduct(ConditionalPmf(sparse_pmfs(rng, n_in, n_out, zeros)))
+        else:
+            weights = sparse_pmfs(rng, 1, mixed, zeros)[0]
+            kernel = MixedChannel(tuple(
+                (float(w), DmcProduct(ConditionalPmf(sparse_pmfs(rng, n_in, n_out, zeros))))
+                for w in weights))
+        pmf = Pmf(sparse_pmfs(rng, 1, n_in, zeros)[0])
+        t = rng.integers(0, n_in, size=shape).astype(dtype)
+        z = rng.integers(0, n_out, size=shape).astype(dtype)
+
+        assert np.array_equal(kernel.log2_likelihood(t, z), ref_log2_likelihood(kernel, t, z))
+        assert np.array_equal(kernel.log2_output_prob(pmf, z),
+                              ref_log2_output_prob(kernel, pmf, z))
+        same_outcome(lambda: information_density(kernel, pmf, t, z),
+                     lambda: ref_information_density(kernel, pmf, t, z))
+
+        drawn = kernel.sample_output(t, np.random.default_rng(seed))
+        want = ref_sample_output(kernel, t, np.random.default_rng(seed))
+        assert drawn.dtype == want.dtype == np.int8 and np.array_equal(drawn, want)
+        same_outcome(lambda: information_density(kernel, pmf, t, drawn),
+                     lambda: ref_information_density(kernel, pmf, t, want))
+
+        n, num_samples = shape[-1], int(rng.integers(1, 40))
+        same_outcome(lambda: spectrum_samples(kernel, pmf, n, num_samples, seed).values_bits,
+                     lambda: np.sort(ref_spectrum_samples(kernel, pmf, n, num_samples, seed)))
+
+    @pytest.mark.parametrize("kernel, pmf", [
+        (DmcProduct(bsc(0.12)), UNIFORM2),
+        (DmcProduct(ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
+                                             [0.25, 0.25, 0.5]]))), Pmf(np.full(3, 1 / 3))),
+        (MixedChannel(((0.4, DmcProduct(bsc(0.0))), (0.6, DmcProduct(bsc(0.5))))), UNIFORM2),
+    ], ids=["bsc", "dmc3", "mixture"])
+    def test_spectrum_matches_the_reference_across_batches(self, kernel, pmf):
+        # at n = 2**14 + 1 a batch holds 3 blocks: 7 samples span three batches
+        n = 2 ** 14 + 1
+        est = spectrum_samples(kernel, pmf, n, 7, seed=5)
+        assert np.array_equal(est.values_bits, np.sort(ref_spectrum_samples(kernel, pmf, n, 7, 5)))
 
 
 class TestInformationDensity:

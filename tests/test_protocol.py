@@ -24,6 +24,7 @@ from ucrlab.protocol import (
     _encode_detail,
     _count_bounds,
     _indicator_blocks,
+    _joint_types,
     _typical_mask,
     AchievabilityParams,
     ProtocolConfig,
@@ -352,6 +353,21 @@ class TestTypeCountKernel:
         got = _typical_mask(_indicator_blocks(own, u_card), seqs[:, None, :], ref, eps)
         want = np.stack([ref_batch_pair_typical(w, s, ref, eps) for w, s in zip(own, seqs)])
         assert np.array_equal(got[:, 0], want)
+
+    @settings(max_examples=120)
+    @given(nx=st.integers(1, 5), nz=st.integers(1, 7), b=st.integers(1, 6),
+           n=st.integers(1, 40), dtype=st.sampled_from([np.int8, np.int16, np.int64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(nx=12, nz=12, b=3, n=200, dtype=np.int16, seed=0)
+    def test_joint_types_count_every_cell(self, nx, nz, b, n, dtype, seed):
+        # nx != nz catches a wrong cell stride; 144 cells need an int16 cell
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, nx, size=(b, n)).astype(dtype)
+        z = rng.integers(0, nz, size=(b, n)).astype(dtype)
+        want = np.zeros((b, nx, nz), dtype=np.int64)
+        np.add.at(want, (np.arange(b)[:, None], x, z), 1)
+        got = _joint_types(x, z, nx, nz)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @settings(max_examples=200)
     @given(cells=st.lists(st.one_of(DYADIC, st.floats(0.0, 1.0)), min_size=4, max_size=4),

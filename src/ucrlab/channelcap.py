@@ -40,9 +40,9 @@ class ChannelKernel(ABC):
 
     Blocks run along the last axis: every method takes one (n,) block or a
     (B, n) batch of blocks, and scores a block as a scalar, a batch as (B,).
-    The public methods check their blocks; the underscored ones take blocks
-    that are already checked, and a kernel whose public methods check
-    overrides them to skip a second pass.
+    The public methods check their blocks. _log2_likelihood and
+    _log2_output_prob take blocks that are already checked; a kernel whose
+    public methods check overrides them to skip a second pass.
     """
 
     n_in: int
@@ -62,9 +62,6 @@ class ChannelKernel(ABC):
 
     def block_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         return np.exp2(self.log2_likelihood(t, z))
-
-    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_output(t, rng)
 
     def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         return self.log2_likelihood(t, z)
@@ -130,7 +127,8 @@ class DmcProduct(ChannelKernel):
         return self.kernel.n_out
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
-        return self._sample_output(_check_block(t, self.n_in, "input"), as_rng(seed))
+        t = _check_block(t, self.n_in, "input")
+        return categorical_from_uniforms(self.kernel.rows, as_rng(seed).random(t.shape), t)
 
     def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         return self._log2_likelihood(*_check_pair(self, t, z))
@@ -138,9 +136,6 @@ class DmcProduct(ChannelKernel):
     def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
         _check_input_pmf(self, input_pmf)
         return self._log2_output_prob(input_pmf, _check_block(z, self.n_out, "output"))
-
-    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return categorical_from_uniforms(self.kernel.rows, rng.random(t.shape), t)
 
     def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         cell = t.astype(_cell_dtype(self.n_in * self.n_out))
@@ -186,16 +181,8 @@ class MixedChannel(ChannelKernel):
         return self.components[0][1].n_out
 
     def sample_output(self, t: np.ndarray, seed) -> np.ndarray:
-        return self._sample_output(_check_block(t, self.n_in, "input"), as_rng(seed))
-
-    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
-        return self._log2_likelihood(*_check_pair(self, t, z))
-
-    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
-        _check_input_pmf(self, input_pmf)
-        return self._log2_output_prob(input_pmf, _check_block(z, self.n_out, "output"))
-
-    def _sample_output(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        t = _check_block(t, self.n_in, "input")
+        rng = as_rng(seed)
         weights = np.array([w for w, _ in self.components])
         batch = t.reshape(-1, t.shape[-1])
         branch = rng.choice(len(self.components), size=batch.shape[0],
@@ -204,8 +191,15 @@ class MixedChannel(ChannelKernel):
         for k, (_, kernel) in enumerate(self.components):
             rows = branch == k
             if rows.any():
-                z[rows] = kernel._sample_output(batch[rows], rng)
+                z[rows] = kernel.sample_output(batch[rows], rng)
         return z.reshape(t.shape)
+
+    def log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
+        return self._log2_likelihood(*_check_pair(self, t, z))
+
+    def log2_output_prob(self, input_pmf: Pmf, z: np.ndarray) -> float | np.ndarray:
+        _check_input_pmf(self, input_pmf)
+        return self._log2_output_prob(input_pmf, _check_block(z, self.n_out, "output"))
 
     def _log2_likelihood(self, t: np.ndarray, z: np.ndarray) -> float | np.ndarray:
         return np.logaddexp2.reduce([math.log2(w) + k._log2_likelihood(t, z)
@@ -266,15 +260,10 @@ def information_density(kernel: ChannelKernel, input_pmf: Pmf,
 
     A scalar for one (n,) block, shape (B,) for a (B, n) batch. t and z
     must be integer arrays; they are validated once, here, and scored
-    without a second check.
+    through the kernel's unchecked methods without a second check.
     """
     _check_input_pmf(kernel, input_pmf)
-    return _density(kernel, input_pmf, *_check_pair(kernel, t, z))
-
-
-def _density(kernel: ChannelKernel, input_pmf: Pmf, t: np.ndarray,
-             z: np.ndarray) -> float | np.ndarray:
-    """information_density of blocks already checked."""
+    t, z = _check_pair(kernel, t, z)
     ll = kernel._log2_likelihood(t, z)
     lo = kernel._log2_output_prob(input_pmf, z)
     if np.any(ll == -np.inf) or np.any(lo == -np.inf):
@@ -325,10 +314,10 @@ def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
     (seed, _SPECTRUM_KEY, n, b): it draws its inputs as one (B, n) array,
     then the channel outputs through kernel.sample_output. The result
     therefore depends only on (seed, n, num_samples), and per-batch arrays
-    stay small at any n. The inputs come from the inverse cdf as int8 (or
-    the next small-int dtype), in range by construction; sample_output
-    checks them and the outputs are checked once, and neither is checked
-    again when scored.
+    stay small at any n. Inputs and outputs stay in the inverse cdf's
+    small-int dtype (int8 up to 128 symbols); sample_output and
+    information_density each check their blocks once with a min and a max,
+    and the scoring under them checks nothing again.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
@@ -341,10 +330,8 @@ def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
         rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, b))
         size = min(per_batch, num_samples - start)
         t = categorical_from_uniforms(input_pmf.probs, rng.random((size, n)))
-        z = _check_block(kernel.sample_output(t, rng), kernel.n_out, "output")
-        if z.shape != t.shape:
-            raise DimensionError("sample_output returned blocks of another shape")
-        values.append(_density(kernel, input_pmf, t, z))
+        z = kernel.sample_output(t, rng)
+        values.append(information_density(kernel, input_pmf, t, z))
     return SpectrumEstimate(np.concatenate(values), n)
 
 

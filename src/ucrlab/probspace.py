@@ -233,7 +233,8 @@ def _cdf_steps(probs: np.ndarray, u: np.ndarray):
 
 
 def _cell_dtype(k: int) -> np.dtype:
-    """The smallest signed integer dtype that holds 0..k."""
+    """The smallest signed integer dtype that holds -k..k - 1, and so
+    every cell 0..k - 1 of a k-cell alphabet."""
     return np.min_scalar_type(-k)
 
 

@@ -223,6 +223,7 @@ class TestSampling:
            uniform_law=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @example(nx=16, ny=16, zeros=0.0, uniform_law=False, seed=0)
     @example(nx=2, ny=5, zeros=0.0, uniform_law=True, seed=0)
+    @example(nx=8, ny=16, zeros=0.0, uniform_law=False, seed=0)
     def test_small_int_cells_match_the_int64_reference(self, nx, ny, zeros, uniform_law,
                                                        seed):
         # a 16 x 16 joint has 256 cells: the count needs int16. A flat law of
@@ -245,7 +246,8 @@ class TestSampling:
         cells = categorical_from_uniforms(probs, u)
         for got in (x, y, cells):
             info = np.iinfo(got.dtype)
-            assert got.dtype.kind == "i" and info.min <= -k and info.max >= k
+            # the cells run 0..k - 1: int8 holds all 128 of an 8 x 16 joint
+            assert got.dtype.kind == "i" and info.min <= -k and info.max >= k - 1
             assert got.shape == u.shape
         assert (x.dtype, cells.dtype) == (np.int8 if k <= 128 else np.int16,) * 2
         assert np.array_equal(cells, want)

@@ -112,11 +112,17 @@ def _exec_capacity(config: dict, out_dir: Path) -> dict:
         "upper_bits": float(res.upper_bits),
         "iterations": int(res.iterations),
         "input_pmf": [float(v) for v in res.input_pmf.probs],
+        "diagnostics": {
+            "newton_steps": int(res.newton_steps),
+            "alternating_steps": int(res.alternating_steps),
+            "certificate_bits": float(res.certificate_bits),
+        },
     }
     write_json(out_dir / "capacity.json", payload)
     print(f"C = {res.value_bits:.9f} bits "
           f"(bracket [{res.lower_bits:.9f}, {res.upper_bits:.9f}], "
-          f"{res.iterations} iterations)")
+          f"{res.iterations} iterations: {res.newton_steps} Newton, "
+          f"{res.alternating_steps} alternating)")
     print("optimal input: " + ", ".join(f"{v:.6f}" for v in res.input_pmf.probs))
     return {"capacity": "capacity.json"}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +92,32 @@ def _quote(field: str) -> str:
 _PLAIN = {float: repr, int: str, bool: {True: "true", False: "false"}.__getitem__}
 
 
-def _fields(column) -> list[str]:
-    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+def _cell_fields(cells: list) -> list[str]:
     kinds = set(map(type, cells))
     plain = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
     if plain is not None:
         return list(map(plain, cells))
     return [_quote(_cell(v)) for v in cells]
+
+
+def _run_fields(column: np.ndarray) -> list[str]:
+    """The fields of a 1-D bool or numeric array, each run of equal
+    consecutive cells formatted once. Cells are equal when their bits are,
+    so 0.0 next to -0.0, and NaNs, keep their own repr."""
+    bits = column.view(f"u{column.itemsize}")
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    heads = _cell_fields(column[np.concatenate(([0], starts))].tolist())
+    if len(heads) == len(column):
+        return heads
+    counts = np.diff(starts, prepend=0, append=len(column)).tolist()
+    return list(chain.from_iterable(map(repeat, heads, counts)))
+
+
+def _fields(column) -> list[str]:
+    if (isinstance(column, np.ndarray) and column.ndim == 1 and column.size
+            and column.dtype.kind in "biuf" and column.itemsize in (1, 2, 4, 8)):
+        return _run_fields(column)
+    return _cell_fields(column.tolist() if isinstance(column, np.ndarray) else list(column))
 
 
 def _lines(fields: list[list[str]]) -> str:
@@ -118,7 +138,8 @@ def write_csv(path, header: list[str], columns) -> None:
 
     A column whose cells share one type is formatted in one pass: floats
     by repr, ints by str and bools as true/false; a numpy array counts by
-    its tolist(). Other columns go cell by cell, numpy floats by the repr
+    its tolist(), and a 1-D bool or numeric one formats each run of equal
+    consecutive cells once. Other columns go cell by cell, numpy floats by the repr
     of their float, None and strings by str, and their fields are quoted
     as csv.writer quotes them. Rows end in CRLF.
     """

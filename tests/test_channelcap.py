@@ -1,6 +1,7 @@
 """Capacity iteration, information density, and spectrum estimation."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,47 @@ def same_outcome(got, want) -> None:
     assert np.shape(value) == np.shape(expected) and np.array_equal(value, expected)
 
 
+_NEAR = 1e-6
+# channels on which alternating maximization alone is slow or never certifies
+HARD_CHANNELS = {
+    "near-duplicate-3x2": [[0.0, 1.0], [_NEAR, 1.0 - _NEAR], [0.66, 0.34]],
+    "near-duplicate-6x2": [[0.9, 0.1], [0.9 - _NEAR, 0.1 + _NEAR], [0.3, 0.7],
+                           [0.6, 0.4], [0.05, 0.95], [0.5, 0.5]],
+    # the last row is the average of the other two
+    "average-row": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.45, 0.1, 0.45]],
+    "dominated-8x2": [[a, 1.0 - a] for a in (0.97, 0.02, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9)],
+    # only the last input reaches output 0; Newton points set its weight to
+    # exactly 0, and only the alternating step can bring it back
+    "sparse-5x3": [[0.0, 0.74, 0.26], [0.0, 0.0, 1.0], [0.0, 1.4e-4, 1.0 - 1.4e-4],
+                   [0.0, 0.64, 0.36], [4.4e-5, 3.5e-3, 1.0 - 3.5e-3 - 4.4e-5]],
+    # a spectrum-lemmas benchmark DMC (seed 2, group 2): one optimal weight
+    # is near 0.005, and alternating maximization needs 15,609 steps
+    "benchmark-3x3": [
+        [0.21047266751607824, 0.32900483330669633, 0.4605224991772252],
+        [0.3078653194284853, 0.5367989105430235, 0.15533577002849117],
+        [0.382977826317933, 0.28377526019705274, 0.33324691348501423]],
+}
+# the inputs whose optimal weight is 0
+ZERO_WEIGHT = {"near-duplicate-3x2": [1], "near-duplicate-6x2": [1, 2, 3, 5],
+               "average-row": [2], "dominated-8x2": list(range(2, 8)), "sparse-5x3": [2, 3, 4],
+               "benchmark-3x3": []}
+
+
+def _assert_certified(w: np.ndarray, res, tol: float) -> None:
+    """The bracket is [I(r; W), max_x D(W_x || rW)] of the returned input,
+    recomputed here, and is at most tol wide around the value."""
+    r = res.input_pmf.probs
+    q = r @ w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        div = np.array([sum(wy * np.log2(wy / qy) for wy, qy in zip(row, q) if wy > 0.0)
+                        for row in w])
+    mutual = float(sum(rx * dx for rx, dx in zip(r, div) if rx > 0.0))
+    assert res.upper_bits == pytest.approx(float(div.max()), abs=1e-12)
+    assert res.lower_bits == pytest.approx(min(mutual, res.upper_bits), abs=1e-12)
+    assert res.lower_bits <= res.value_bits <= res.upper_bits
+    assert res.upper_bits - res.lower_bits <= tol
+
+
 class TestCapacity:
     def test_bsc_golden(self):
         res = dmc_capacity(bsc(0.11))
@@ -99,6 +141,41 @@ class TestCapacity:
                         w.rows > 0, w.rows * np.log2(ratio), 0.0)))
                 best = max(best, mi)
             assert cap == pytest.approx(best, abs=1e-5)
+
+    def test_iterations_count_both_kinds_of_step(self):
+        res = dmc_capacity(ConditionalPmf(np.array(HARD_CHANNELS["benchmark-3x3"])))
+        assert res.iterations == 1 + res.newton_steps + res.alternating_steps
+        assert res.certificate_bits == res.upper_bits - res.lower_bits
+        # the uniform start is optimal for a symmetric channel
+        res = dmc_capacity(bsc(0.2))
+        assert (res.iterations, res.newton_steps, res.alternating_steps) == (1, 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(HARD_CHANNELS))
+    def test_hard_channels_certify_fast(self, name):
+        w = np.array(HARD_CHANNELS[name])
+        start = time.perf_counter()
+        res = dmc_capacity(ConditionalPmf(w), tol=1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert res.iterations <= 20
+        _assert_certified(w, res, 1e-9)
+        assert res.input_pmf.probs[ZERO_WEIGHT[name]] == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_newton_point_past_the_peak_is_cut_back(self):
+        # on this 10x8 channel, full Newton points often lower I; taking the
+        # alternating step instead needs about 1,000 steps
+        w = np.random.default_rng(279).dirichlet(np.full(8, 0.05), size=10)
+        res = dmc_capacity(ConditionalPmf(w), tol=1e-9)
+        assert res.iterations <= 20
+        _assert_certified(w, res, 1e-9)
+
+    def test_seeded_random_channels_certify(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            nx, ny = rng.integers(2, 9, size=2)
+            w = rng.dirichlet(np.full(ny, rng.choice([0.2, 1.0, 5.0])), size=nx)
+            res = dmc_capacity(ConditionalPmf(w), tol=1e-9)
+            assert res.iterations <= 100, w
+            _assert_certified(w, res, 1e-9)
 
     @pytest.mark.parametrize("p", [-0.1, 1.2])
     def test_bsc_crossover_validation(self, p):

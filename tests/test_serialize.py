@@ -75,6 +75,18 @@ _ARRAY_DTYPES = {"float": np.float64, "np_float64": np.float64, "np_float32": np
                  "np_int": np.int64, "bool": np.bool_, "np_bool": np.bool_, "str": np.str_}
 
 
+# cell values of run-length columns by dtype; floats put 0.0 next to -0.0,
+# NaNs of both signs and infinities among the draws
+_SIGNED = st.sampled_from([0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf")])
+_RUN_VALUES = {
+    "float64": _SIGNED | st.floats(),
+    "float32": _SIGNED | st.floats(width=32),
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "uint8": st.integers(0, 255),
+    "bool": st.booleans(),
+}
+
+
 class TestCsv:
     def test_rfc4180_line_endings_and_cell_forms(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -105,6 +117,25 @@ class TestCsv:
         header = data.draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)),
                            label="header")
         folder = tmp_path_factory.mktemp("csv")
+        write_csv(folder / "columns.csv", header, columns)
+        write_csv_rows(folder / "rows.csv", header, zip(*columns))
+        assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_of_runs_write_the_bytes_of_the_row_writer(self, tmp_path_factory, data):
+        columns = []
+        for _ in range(data.draw(st.integers(1, 3), label="columns")):
+            dtype = data.draw(st.sampled_from(sorted(_RUN_VALUES)), label="dtype")
+            values = data.draw(st.lists(_RUN_VALUES[dtype], min_size=1, max_size=8),
+                               label="values")
+            counts = data.draw(st.lists(st.integers(1, 700), min_size=len(values),
+                                        max_size=len(values)), label="counts")
+            columns.append(np.repeat(np.array(values, dtype=dtype), counts))
+        rows = min(map(len, columns))
+        columns = [column[:rows] for column in columns]
+        header = [f"c{i}" for i in range(len(columns))]
+        folder = tmp_path_factory.mktemp("runs")
         write_csv(folder / "columns.csv", header, columns)
         write_csv_rows(folder / "rows.csv", header, zip(*columns))
         assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()

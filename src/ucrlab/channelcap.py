@@ -282,19 +282,17 @@ def _newton_point(w, point: _Point) -> np.ndarray | None:
 
     Linearised at q, d_x(r') = d_x + 1/ln 2 - (W_S diag(1/q) W_S^T r')_x / ln 2,
     so one solve gives r' and the level. S is every input above
-    _ACTIVE_SHARE of the largest weight, every supported input whose
-    divergence is within one certificate width below I, and argmax d. The
-    system is singular when the rows of W_S are dependent (always when
-    |S| > |Y|); it is solved by least squares, and if that leaves a
-    divergence below the level, that input leaves S. An input whose weight
-    comes out at 0 or below leaves S too, the most negative first.
+    _ACTIVE_SHARE of the largest weight, and argmax d. The system is
+    singular when the rows of W_S are dependent (always when |S| > |Y|); it
+    is solved by least squares, and if that leaves a divergence below the
+    level, the input furthest below leaves S. An input whose weight comes
+    out at 0 or below leaves S too, the most negative first.
     """
-    r, q, d, info = point
+    r, q, d, _ = point
     if not np.all(np.isfinite(d)):
         return None
-    top = int(np.argmax(d))
-    active = (r > _ACTIVE_SHARE * r.max()) | ((r > 0.0) & (d >= 2.0 * info - d[top]))
-    active[top] = True
+    active = r > _ACTIVE_SHARE * r.max()
+    active[np.argmax(d)] = True
     seen = q > 0.0
     while active.any():
         idx = np.flatnonzero(active)
@@ -346,14 +344,16 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
     """Capacity of a DMC in bits by safeguarded Newton steps on the
     Kuhn-Tucker conditions.
 
-    From the uniform input, each step forms two candidates, one
-    alternating-maximization step and one Newton point (_newton_point), and
-    keeps the one with the larger I(r; W). Newton converges in a few steps
+    From the uniform input, each step forms two candidates and keeps the
+    one with the larger I(r; W): one alternating-maximization step, and one
+    Newton point on an active set (_newton_point), cut back to I's peak on
+    the segment to it when it overshoots. Newton converges in a few steps
     where its active set is right; the alternating step keeps I rising
     where it is not. It stops once the classical bracket
-    max_x D(W_x || q) - I(r; W) is at most tol, so the returned value is
-    within tol of the true capacity, and raises GuardError if max_iter
-    points do not get there.
+    [I(r; W), max_x D(W_x || rW)] is at most tol wide, so the returned
+    value is within tol of the true capacity, and raises GuardError if
+    max_iter points do not get there. iterations counts both kinds of step
+    and the start.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")

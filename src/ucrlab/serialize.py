@@ -139,9 +139,9 @@ def write_csv(path, header: list[str], columns) -> None:
     A column whose cells share one type is formatted in one pass: floats
     by repr, ints by str and bools as true/false; a numpy array counts by
     its tolist(), and a 1-D bool or numeric one formats each run of equal
-    consecutive cells once. Other columns go cell by cell, numpy floats by the repr
-    of their float, None and strings by str, and their fields are quoted
-    as csv.writer quotes them. Rows end in CRLF.
+    consecutive cells once. Other columns go cell by cell, numpy floats by
+    the repr of their float, None and strings by str, and their fields are
+    quoted as csv.writer quotes them. Rows end in CRLF.
     """
     columns = list(columns)
     lengths = {len(column) for column in columns}

@@ -9,10 +9,17 @@ metric's `better` field in BENCHMARK.json. Metrics that BENCHMARK.json
 does not list are summarised without a win count. The summary also keeps
 both sides' commits and the machine stamp of the runs.
 
+Absolute medians drift between sessions on the same machine, so a record
+can carry anchor runs: result files of one fixed commit, taken in the same
+session as the pairs. Each workload and seed of the pairs must have anchor
+runs, and the anchor no others. For each metric the record then holds the
+anchor's median and quartiles and each side's median as a ratio to the
+anchor's median, which compare across BENCH files.
+
 Usage:
     python scripts/bench_record.py --pr N \
         --parent p1.json p2.json ... --change c1.json c2.json ... \
-        [--benchmark BENCHMARK.json] [--out-dir .]
+        [--anchor a1.json a2.json ...] [--benchmark BENCHMARK.json] [--out-dir .]
 """
 
 import argparse
@@ -42,8 +49,14 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(parents: list[dict], changes: list[dict], better: dict) -> dict:
-    """The record of paired runs; better maps a metric to "lower" or "higher"."""
+def summarise(parents: list[dict], changes: list[dict], better: dict,
+              anchors: list[dict] | None = None) -> dict:
+    """The record of paired runs; better maps a metric to "lower" or "higher".
+
+    With anchors (runs of one commit), every workload and seed of the pairs
+    must have anchor runs and no other may; each metric gains the anchor's
+    spread and each side's median over the anchor's median.
+    """
     if len(parents) != len(changes) or not parents:
         raise ValueError(f"need as many parent as change files, and at least one; "
                          f"got {len(parents)} and {len(changes)}")
@@ -54,6 +67,16 @@ def summarise(parents: list[dict], changes: list[dict], better: dict) -> dict:
             raise ValueError(f"parent run {key} is paired with change run "
                              f"{(c['stamp']['workload'], c['stamp']['seed'])}")
         groups.setdefault(key, []).append((p, c))
+    anchored: dict[tuple, list] = {}
+    for a in anchors or []:
+        anchored.setdefault((a["stamp"]["workload"], a["stamp"]["seed"]), []).append(a)
+    if anchors:
+        commits = sorted({a["stamp"]["commit"] for a in anchors})
+        if len(commits) != 1:
+            raise ValueError(f"anchor runs must come from one commit, got {commits}")
+        if set(anchored) != set(groups):
+            raise ValueError(f"anchor runs cover {sorted(anchored)}, "
+                             f"the pairs {sorted(groups)}")
     runs = []
     for (workload, seed), pairs in groups.items():
         metrics = {}
@@ -72,15 +95,27 @@ def summarise(parents: list[dict], changes: list[dict], better: dict) -> dict:
                 "change": _spread(after),
                 "pairs_won": won if side else None,
             }
+            base = [a["metrics"][name]["value"] for a in anchored.get((workload, seed), [])
+                    if name in a["metrics"]]
+            if base:
+                anchor = _spread(base)
+                metrics[name]["anchor"] = dict(anchor, runs=len(base))
+                for which in ("parent", "change"):
+                    median = metrics[name][which]["median"]
+                    metrics[name][f"{which}_to_anchor"] = (
+                        median / anchor["median"] if anchor["median"] else None)
         runs.append({"workload": workload, "seed": seed, "metrics": metrics})
     first = parents[0]["stamp"]
-    return {
+    record = {
         "parent_commits": sorted({p["stamp"]["commit"] for p in parents}),
         "change_commits": sorted({c["stamp"]["commit"] for c in changes}),
         "machine": {k: v for k, v in first.items() if k not in RUN_FIELDS},
         "seconds": sorted({r["stamp"]["seconds"] for r in parents + changes}),
         "runs": runs,
     }
+    if anchors:
+        record["anchor_commit"] = anchors[0]["stamp"]["commit"]
+    return record
 
 
 def main(argv=None) -> int:
@@ -88,6 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--parent", nargs="+", required=True, metavar="FILE")
     parser.add_argument("--change", nargs="+", required=True, metavar="FILE")
+    parser.add_argument("--anchor", nargs="+", default=[], metavar="FILE",
+                        help="runs of one fixed commit from the same session")
     parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     parser.add_argument("--out-dir", default=str(ROOT))
     args = parser.parse_args(argv)
@@ -96,7 +133,7 @@ def main(argv=None) -> int:
               for m in spec[section]}
     try:
         record = summarise([_load(f) for f in args.parent], [_load(f) for f in args.change],
-                           better)
+                           better, [_load(f) for f in args.anchor])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

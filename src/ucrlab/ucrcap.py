@@ -19,7 +19,8 @@ exceeds 1, it climbs I(U;X) - s * gap from the segment's end points and
 their midpoint. At s > 1 that objective is the information-bottleneck
 Lagrangian at beta = s / (s - 1), whose self-consistent update never
 lowers it, so the climbs are deterministic and the solver draws no random
-numbers. For slopes in [0, 1] the objective is convex in P(u|x) and the
+numbers. A round's climbers step together in one flat (x, u·M) array, so
+each contraction is one 2-D matmul for all of them. For slopes in [0, 1] the objective is convex in P(u|x) and the
 maximizer is a deterministic map, which the skeleton already holds.
 Both paths build their point cloud once, as (gaps, values, mats) arrays,
 scored by one kernel over (x, u, M) stacks that gives each matrix the same
@@ -485,25 +486,43 @@ def _climb(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int):
     never lowers its objective; the climbers are scored once, at the end.
     A u with P(y|u) = 0 where P(y|x) > 0 gets P(u|x) = 0, and a row of
     zero P_X(x) becomes P(u), as nothing reads it. starts are shaped
-    (M, u, x); returns (gaps, values, mats) of the end points.
+    (M, u, x); returns (gaps, values, mats) of the end points, mats in the
+    same shape.
+
+    The M climbers run side by side in one flat (x, u·M) array, column
+    u·M + m holding climber m's P(u|x) over x, so each contraction over x
+    or y is one 2-D matmul for the whole batch; the max over u, exp2 and
+    the normalisation run on its (x, u, M) view, which `_objectives`
+    scores as it is.
     """
     px, pxy, _, _ = terms
     cond = np.divide(pxy, px[:, None], out=np.zeros_like(pxy), where=px[:, None] > 0.0)
-    beta = (slope_vec / (slope_vec - 1.0))[:, None, None]
-    cur = starts.copy()
-    for _ in range(steps):
-        pu = cur @ px  # (M, u)
-        puy = cur @ pxy  # (M, u, y)
-        log_pu = np.log2(pu, out=np.full_like(pu, -np.inf), where=pu > 0.0)
-        log_q = np.log2(puy, out=np.zeros_like(puy), where=puy > 0.0)
-        log_q -= np.where(puy > 0.0, log_pu[..., None], 0.0)
-        # up to a constant in u, -D(P(y|x) || P(y|u)) = sum_y P(y|x) log2 P(y|u)
-        logit = log_pu[..., None] + beta * (log_q @ cond.T)  # (M, u, x)
-        logit[(puy == 0.0) @ (cond.T > 0.0)] = -np.inf
-        cur = np.exp2(logit - logit.max(axis=1, keepdims=True))
-        cur /= cur.sum(axis=1, keepdims=True)
-    values, gaps = _batch_objectives(cur, terms)
-    return gaps, values, cur
+    seen = cond > 0.0  # (x, y)
+    count, u_card, x_card = starts.shape
+    beta = np.tile(slope_vec / (slope_vec - 1.0), u_card)  # (u·M,)
+    cur = starts.transpose(2, 1, 0).copy()  # (x, u, M)
+    flat = cur.reshape(x_card, u_card * count)
+    # log2(0) = -inf is wanted; its differences are nan only in cells set to 0 below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            pu = px @ flat  # (u·M,)
+            puy = pxy.T @ flat  # (y, u·M)
+            dead = puy == 0.0
+            log_pu = np.log2(pu)
+            log_q = np.log2(puy)
+            log_q -= log_pu
+            log_q[dead] = 0.0
+            # up to a constant in u, -D(P(y|x) || P(y|u)) = sum_y P(y|x) log2 P(y|u)
+            logit = cond @ log_q  # (x, u·M)
+            logit *= beta
+            logit += log_pu
+            logit[seen @ dead] = -np.inf
+            logit = logit.reshape(cur.shape)
+            logit -= logit.max(axis=1, keepdims=True)
+            np.exp2(logit, out=cur)
+            cur /= cur.sum(axis=1, keepdims=True)
+    values, gaps = _objectives(cur, terms)
+    return gaps, values, cur.transpose(2, 1, 0)
 
 
 def _collect_points(source: JointPmf, u_card: int):

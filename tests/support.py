@@ -95,6 +95,27 @@ def erasure_family_curve(px, e: float, c_bits: float) -> float:
     return min(h_x, c_bits / e)
 
 
+def climb_reference(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int) -> np.ndarray:
+    """The information-bottleneck fixed-point update of `ucrcap._climb`, one
+    climber at a time: starts and the result are (M, u, x) stacks, and every
+    contraction is a matmul per climber. terms comes from `_source_terms`."""
+    px, pxy, _, _ = terms
+    cond = np.divide(pxy, px[:, None], out=np.zeros_like(pxy), where=px[:, None] > 0.0)
+    beta = (slope_vec / (slope_vec - 1.0))[:, None, None]
+    cur = starts.copy()
+    for _ in range(steps):
+        pu = cur @ px  # (M, u)
+        puy = cur @ pxy  # (M, u, y)
+        log_pu = np.log2(pu, out=np.full_like(pu, -np.inf), where=pu > 0.0)
+        log_q = np.log2(puy, out=np.zeros_like(puy), where=puy > 0.0)
+        log_q -= np.where(puy > 0.0, log_pu[..., None], 0.0)
+        logit = log_pu[..., None] + beta * (log_q @ cond.T)  # (M, u, x)
+        logit[(puy == 0.0) @ (cond.T > 0.0)] = -np.inf
+        cur = np.exp2(logit - logit.max(axis=1, keepdims=True))
+        cur /= cur.sum(axis=1, keepdims=True)
+    return cur
+
+
 def dense_exact_analyze(cfg, include_joint: bool = True):
     """`protocol.exact_analyze` as one dense pass over the whole pair space:
     every (x^n, y^n) table built at once, the sums taken by numpy over each

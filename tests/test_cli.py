@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,34 @@ class TestReplay:
                          "--out-dir", str(out), "--threads", threads])
             assert code == EXIT_OK
             assert outputs_of(out) == baseline
+
+    @pytest.mark.parametrize("probs, u_card", [
+        ([0.45, 0.05, 0.05, 0.45], "3"),
+        ([0.02, 0.15, 0.05, 0.12, 0.2, 0.06, 0.25, 0.05, 0.1], "2"),
+    ], ids=["dsbs", "ternary"])
+    def test_solver_replay_is_byte_identical(self, tmp_path, monkeypatch, probs, u_card):
+        climbs = []
+        climb = ucrcap._climb
+
+        def counted(*args):
+            climbs.append(1)
+            return climb(*args)
+
+        monkeypatch.setattr(ucrcap, "_climb", counted)
+        side = math.isqrt(len(probs))
+        spec = tmp_path / "source.json"
+        spec.write_text(json.dumps({"alphabet_x": side, "alphabet_y": side, "probs": probs}),
+                        encoding="utf-8")
+        first = tmp_path / "first"
+        assert main(["ucr", str(spec), "--C", "0.2", "--grid", "0.05,0.1,0.3",
+                     "--u-card", u_card, "--out-dir", str(first)]) == EXIT_OK
+        assert climbs
+        again = tmp_path / "again"
+        assert main(["replay", str(first / "manifest.json"),
+                     "--out-dir", str(again)]) == EXIT_OK
+        for name in ("ucr.json", "ucr_curve.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert outputs_of(again) == outputs_of(first)
 
     @pytest.mark.parametrize("argv, edit", [
         (["lemmas", "--instances", "5", "--telescoping", "2"],

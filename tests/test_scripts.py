@@ -73,3 +73,65 @@ def test_bench_record_refuses_mismatched_pairs(tmp_path):
     argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", parent, "--change", change]
     assert load_script("bench_record").main(argv) == 2
     assert not (tmp_path / "BENCH_99.json").exists()
+
+
+def test_bench_record_writes_medians_over_the_anchor(tmp_path):
+    walls = {"parent": [2.0, 2.2, 2.4], "change": [1.0, 1.1, 1.2], "anchor": [4.0, 4.4, 5.0]}
+    files = {side: [_result_file(tmp_path / f"{side}{i}.json", side[0] * 3, "ucr-certify", 1,
+                                 {"wall_s": (wall, "s"), "fail_frac": (0.0, "fraction")})
+                    for i, wall in enumerate(values)]
+             for side, values in walls.items()}
+    argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", *files["parent"],
+            "--change", *files["change"], "--anchor", *files["anchor"]]
+    assert load_script("bench_record").main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert record["anchor_commit"] == "aaa"
+    (run,) = record["runs"]
+    wall = run["metrics"]["wall_s"]
+    assert wall["anchor"] == {"median": 4.4, "q1": 4.2, "q3": 4.7, "runs": 3}
+    assert wall["parent_to_anchor"] == pytest.approx(2.2 / 4.4)
+    assert wall["change_to_anchor"] == pytest.approx(1.1 / 4.4)
+    # a metric whose anchor median is 0 has no ratio
+    zero = run["metrics"]["fail_frac"]
+    assert zero["anchor"]["median"] == 0.0
+    assert zero["parent_to_anchor"] is None and zero["change_to_anchor"] is None
+
+
+def test_bench_record_without_an_anchor_writes_no_ratio(tmp_path):
+    parent = _result_file(tmp_path / "p.json", "aaa", "protocol", 1, {"wall_s": (2.0, "s")})
+    change = _result_file(tmp_path / "c.json", "bbb", "protocol", 1, {"wall_s": (1.0, "s")})
+    argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", parent, "--change", change]
+    assert load_script("bench_record").main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert "anchor_commit" not in record
+    assert not {"anchor", "parent_to_anchor"} & set(record["runs"][0]["metrics"]["wall_s"])
+
+
+@pytest.mark.parametrize("pair_keys, anchor_keys", [
+    ([("protocol", 1)], [("protocol", 2)]),                       # other seed
+    ([("protocol", 1)], [("spectrum-lemmas", 1)]),                # other workload
+    ([("protocol", 1), ("protocol", 2)], [("protocol", 1)]),      # one key missing
+    ([("protocol", 1)], [("protocol", 1), ("protocol", 2)]),      # one key extra
+], ids=["seed", "workload", "missing", "extra"])
+def test_bench_record_refuses_an_anchor_off_the_pairs(tmp_path, pair_keys, anchor_keys):
+    def files(side, keys):
+        return [_result_file(tmp_path / f"{side}{i}.json", side[0] * 3, workload, seed,
+                             {"wall_s": (1.0, "s")})
+                for i, (workload, seed) in enumerate(keys)]
+
+    argv = ["--pr", "99", "--out-dir", str(tmp_path),
+            "--parent", *files("parent", pair_keys), "--change", *files("change", pair_keys),
+            "--anchor", *files("anchor", anchor_keys)]
+    assert load_script("bench_record").main(argv) == 2
+    assert not (tmp_path / "BENCH_99.json").exists()
+
+
+def test_bench_record_refuses_anchor_runs_of_two_commits(tmp_path):
+    def run(name, commit):
+        return _result_file(tmp_path / name, commit, "protocol", 1, {"wall_s": (1.0, "s")})
+
+    argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", run("p.json", "ppp"),
+            "--change", run("c.json", "ccc"),
+            "--anchor", run("a0.json", "aaa"), run("a1.json", "abc")]
+    assert load_script("bench_record").main(argv) == 2
+    assert not (tmp_path / "BENCH_99.json").exists()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from support import (
     bsc_family_curve,
+    climb_reference,
     diagonal_source,
     dsbs,
     h2,
@@ -56,6 +57,26 @@ def achieved_point(source, achiever) -> tuple[float, float]:
         w = achiever.weight
         return w * v1 + (1 - w) * v2, w * g1 + (1 - w) * g2
     return ucr_objective(source, achiever)
+
+
+def climb_case(seed, nx, ny, u_card, massless):
+    """(terms, starts, slopes) for a climb: a random source with zero cells,
+    and a zero-mass X row if massless; four maps and four mixed starts with
+    zero cells; slopes from 1 + 19^-6 to 20."""
+    rng = as_rng(seed)
+    probs = random_joint(rng, nx, ny).probs.copy()
+    probs[rng.random(probs.shape) < 0.25] = 0.0
+    if massless:
+        probs[int(rng.integers(0, nx))] = 0.0
+    probs.flat[int(rng.integers(0, probs.size))] += 0.1
+    terms = _source_terms(probs / probs.sum())
+    maps = np.eye(u_card)[rng.integers(0, u_card, size=(4, nx))].transpose(0, 2, 1)
+    mixed = rng.dirichlet(np.ones(u_card), size=(4, nx)).transpose(0, 2, 1)
+    mixed[rng.random(mixed.shape) < 0.2] = 0.0
+    mixed[:, 0] += 1e-3
+    starts = np.concatenate([maps, mixed / mixed.sum(axis=1, keepdims=True)])
+    slopes = 1.0 + 19.0 ** rng.uniform(-6.0, 1.0, size=starts.shape[0])
+    return terms, starts, slopes
 
 
 def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
@@ -655,25 +676,28 @@ class TestSolver:
     @settings(max_examples=60)
     def test_fixed_point_climb_never_loses_ground(self, seed, nx, ny, u_card, massless):
         # at any slope s > 1 the bottleneck update never lowers value - s * gap
-        rng = as_rng(seed)
-        probs = random_joint(rng, nx, ny).probs.copy()
-        probs[rng.random(probs.shape) < 0.25] = 0.0
-        if massless:
-            probs[int(rng.integers(0, nx))] = 0.0
-        probs.flat[int(rng.integers(0, probs.size))] += 0.1
-        terms = _source_terms(probs / probs.sum())
-        maps = np.eye(u_card)[rng.integers(0, u_card, size=(4, nx))].transpose(0, 2, 1)
-        mixed = rng.dirichlet(np.ones(u_card), size=(4, nx)).transpose(0, 2, 1)
-        mixed[rng.random(mixed.shape) < 0.2] = 0.0
-        mixed[:, 0] += 1e-3
-        starts = np.concatenate([maps, mixed / mixed.sum(axis=1, keepdims=True)])
-        slopes = 1.0 + 19.0 ** rng.uniform(-6.0, 1.0, size=starts.shape[0])
+        terms, starts, slopes = climb_case(seed, nx, ny, u_card, massless)
         values, gaps = _batch_objectives(starts, terms)
         end_gaps, end_values, end = ucrcap._climb(slopes, starts, terms, 200)
         assert np.isfinite(end).all()
         assert np.allclose(end.sum(axis=1), 1.0, atol=1e-12)
         loss = (values - slopes * gaps) - (end_values - slopes * end_gaps)
         assert loss.max() <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3),
+           st.integers(2, 4), st.booleans())
+    @settings(max_examples=60)
+    def test_climb_follows_the_reference_update(self, seed, nx, ny, u_card, massless):
+        # the batched step is the per-climber update of `climb_reference`
+        terms, starts, slopes = climb_case(seed, nx, ny, u_card, massless)
+        for steps in (1, 50):
+            end_gaps, end_values, end = ucrcap._climb(slopes, starts, terms, steps)
+            want = climb_reference(slopes, starts, terms, steps)
+            assert end.shape == starts.shape
+            assert np.abs(end - want).max() <= 1e-8
+            values, gaps = _batch_objectives(want, terms)
+            assert np.abs(end_values - values).max() <= 1e-8
+            assert np.abs(end_gaps - gaps).max() <= 1e-8
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
     @settings(max_examples=10)

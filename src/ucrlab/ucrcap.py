@@ -20,8 +20,9 @@ their midpoint. At s > 1 that objective is the information-bottleneck
 Lagrangian at beta = s / (s - 1), whose self-consistent update never
 lowers it, so the climbs are deterministic and the solver draws no random
 numbers. A round's climbers step together in one flat (x, u·M) array, so
-each contraction is one 2-D matmul for all of them. For slopes in [0, 1] the objective is convex in P(u|x) and the
-maximizer is a deterministic map, which the skeleton already holds.
+each contraction is one 2-D matmul for all of them. For slopes in [0, 1]
+the objective is convex in P(u|x) and the maximizer is a deterministic
+map, which the skeleton already holds.
 Both paths build their point cloud once, as (gaps, values, mats) arrays,
 scored by one kernel over (x, u, M) stacks that gives each matrix the same
 bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,

@@ -65,6 +65,9 @@ def test_bench_record_pairs_runs_in_order(tmp_path):
     assert run["metrics"]["wall_s"]["pairs_won"] == 0       # ties count for neither
     unlisted = run["metrics"]["mc_statistical_trials_per_s"]
     assert unlisted["better"] is None and unlisted["pairs_won"] is None
+    # without --anchor the record carries no anchor figures
+    assert "anchor_commit" not in record
+    assert not {"anchor", "parent_to_anchor", "change_to_anchor"} & set(peak)
 
 
 def test_bench_record_refuses_mismatched_pairs(tmp_path):
@@ -95,16 +98,6 @@ def test_bench_record_writes_medians_over_the_anchor(tmp_path):
     zero = run["metrics"]["fail_frac"]
     assert zero["anchor"]["median"] == 0.0
     assert zero["parent_to_anchor"] is None and zero["change_to_anchor"] is None
-
-
-def test_bench_record_without_an_anchor_writes_no_ratio(tmp_path):
-    parent = _result_file(tmp_path / "p.json", "aaa", "protocol", 1, {"wall_s": (2.0, "s")})
-    change = _result_file(tmp_path / "c.json", "bbb", "protocol", 1, {"wall_s": (1.0, "s")})
-    argv = ["--pr", "99", "--out-dir", str(tmp_path), "--parent", parent, "--change", change]
-    assert load_script("bench_record").main(argv) == 0
-    record = json.loads((tmp_path / "BENCH_99.json").read_text())
-    assert "anchor_commit" not in record
-    assert not {"anchor", "parent_to_anchor"} & set(record["runs"][0]["metrics"]["wall_s"])
 
 
 @pytest.mark.parametrize("pair_keys, anchor_keys", [

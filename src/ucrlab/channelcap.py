@@ -355,7 +355,7 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
     max_iter points do not get there. iterations counts both kinds of step
     and the start.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     w = kernel.rows
     n_in = kernel.n_in

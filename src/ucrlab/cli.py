@@ -27,14 +27,7 @@ from .channelcap import (
     inf_info_rate_estimate,
     spectrum_samples,
 )
-from .converselab import (
-    TelescopingInstance,
-    derive_params,
-    interval_sweep,
-    set_bound_checks,
-    telescoping_identity_check,
-    variance_bound_check,
-)
+from .converselab import TelescopingInstance, interval_sweep, telescoping_identity_check
 from .errors import (
     GuardError,
     InternalInvariantError,
@@ -382,37 +375,6 @@ def _exec_lemmas(config: dict, out_dir: Path) -> dict:
         _, _, gap = telescoping_identity_check(inst)
         worst_gap = max(worst_gap, gap)
 
-    variance_entries = []
-    uniform = np.full(16, 1.0 / 16.0)
-    rep = variance_bound_check(uniform, n=8, beta=0.05, c=1.0)
-    variance_entries.append({
-        "case": "uniform_16",
-        "lhs": float(rep.lhs), "rhs": float(rep.rhs),
-        "applicable": bool(rep.applicable),
-        "holds": (bool(rep.holds) if rep.holds is not None else None),
-    })
-    rep = variance_bound_check(np.array([0.5, 0.5]), n=4, beta=0.2, c=1.0)
-    variance_entries.append({
-        "case": "two_point_not_applicable",
-        "lhs": float(rep.lhs), "rhs": float(rep.rhs),
-        "applicable": bool(rep.applicable),
-        "holds": (bool(rep.holds) if rep.holds is not None else None),
-    })
-
-    joint = np.outer(np.full(8, 1.0 / 8.0), np.array([0.3, 0.7]))
-    sb_params = derive_params(0.01, 0.001, 1.0)
-    sb = set_bound_checks(joint, n=3, params=sb_params)
-    set_bounds = {
-        "case": "uniform_independent",
-        "p_in_l": float(sb.p_in_l),
-        "l_lower_bound": float(sb.l_lower_bound),
-        "p_in_d": float(sb.p_in_d),
-        "d_lower_bound": float(sb.d_lower_bound),
-        "applicable": bool(sb.applicable),
-        "l_holds": (bool(sb.l_holds) if sb.l_holds is not None else None),
-        "d_holds": (bool(sb.d_holds) if sb.d_holds is not None else None),
-    }
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -426,15 +388,10 @@ def _exec_lemmas(config: dict, out_dir: Path) -> dict:
             "max_gap": float(worst_gap),
             "tolerance": 1e-10,
         },
-        "variance": variance_entries,
-        "set_bounds": set_bounds,
     }
     write_json(out_dir / "lemmas.json", payload)
     print(f"interval chain: {passes}/{valid} valid draws pass")
     print(f"telescoping: max gap {worst_gap:.3e} over {telescope_target} instances")
-    print("variance: " + ", ".join(
-        f"{e['case']}={'n/a' if e['holds'] is None else e['holds']}"
-        for e in variance_entries))
     return {"report": "lemmas.json"}
 
 

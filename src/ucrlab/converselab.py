@@ -46,7 +46,6 @@ __all__ = [
     "set_bound_checks",
     "TelescopingInstance",
     "telescoping_identity_check",
-    "spectrum_mass_margin",
 ]
 
 
@@ -61,15 +60,13 @@ class ConverseParams:
         gamma_ab = 2*sqrt(sqrt(mu_beta) / (1 - sqrt(alpha)))
         kappa_ab = alpha + 1 - (1 - 4*mu_beta/gamma_ab^2)^2
 
-    epsilon is a user-supplied spectrum slack carried along for reporting;
-    nothing here computes with it. gamma_ab and kappa_ab are NaN when
-    alpha >= 1 (the defining expressions have no real value there).
+    gamma_ab and kappa_ab are NaN when alpha >= 1 (the defining
+    expressions have no real value there).
     """
 
     alpha: float
     beta: float
     c: float
-    epsilon: float | None = None
     mu_beta: float = field(init=False)
     gamma_ab: float = field(init=False)
     kappa_ab: float = field(init=False)
@@ -81,8 +78,6 @@ class ConverseParams:
             raise ValidationError(f"beta must be positive, got {self.beta}")
         if not (self.c >= 0.0 and math.isfinite(self.c)):
             raise ValidationError(f"c must be nonnegative, got {self.c}")
-        if self.epsilon is not None and not (self.epsilon > 0.0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         mu = self.beta + 2.0 * self.beta * self.c + self.beta * self.beta
         if self.alpha < 1.0:
             gamma = 2.0 * math.sqrt(math.sqrt(mu) / (1.0 - math.sqrt(self.alpha)))
@@ -116,10 +111,9 @@ class ConverseParams:
         return 4.0 * self.mu_beta / self.gamma_ab**2
 
 
-def derive_params(alpha: float, beta: float, c: float,
-                  epsilon: float | None = None) -> ConverseParams:
+def derive_params(alpha: float, beta: float, c: float) -> ConverseParams:
     """Compute the derived slack constants; range violations are flags."""
-    return ConverseParams(alpha=alpha, beta=beta, c=c, epsilon=epsilon)
+    return ConverseParams(alpha=alpha, beta=beta, c=c)
 
 
 def interval_lemma_check(p: ConverseParams) -> bool:
@@ -484,14 +478,3 @@ def telescoping_identity_check(inst: TelescopingInstance,
             f"telescoping identity violated: |{lhs} - {rhs}| = {gap:.3e}")
     return lhs, rhs, gap
 
-
-def spectrum_mass_margin(params: ConverseParams, empirical_mass: float) -> float:
-    """Margin of the spectrum condition 2*kappa_ab < P[density <= rate + eps].
-
-    Positive means the empirical mass clears the requirement. Finite
-    experiments cannot certify the infinitely-often form of the condition,
-    so only the margin is reported, never a theorem-grade verdict.
-    """
-    if not (0.0 <= empirical_mass <= 1.0):
-        raise ValidationError(f"empirical_mass must be in [0, 1], got {empirical_mass}")
-    return empirical_mass - 2.0 * params.kappa_ab

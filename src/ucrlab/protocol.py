@@ -35,9 +35,10 @@ the batch it ran in.
 
 The key K is a word value, so duplicate words count once. One numpy
 value index per codebook, Codebook.value_index, numbers the values in
-first-occurrence order and keeps their sorted keys: the encoder looks
-det_map[x] up in it, and the decoder and the exact analyzer apply one
-rule, _decode_rule, to its classes.
+first-occurrence order and keeps their sorted keys: the encoder phi,
+_encode_batch, looks det_map[x] up in it, and the decoder psi,
+_decode_batch, and the exact analyzer apply one rule, _decode_rule, to
+its classes. Both work on batches of blocks; there is no per-word path.
 """
 from __future__ import annotations
 
@@ -80,7 +81,6 @@ TRIAL_LIMIT = 2 ** 32           # substreams below 2**33 start >= 2**93 draws ap
 # binomial SE in ambiguous decodes, while configs with N2 of 65, 119 and
 # 294 stay within 1.5 SE.
 STATISTICAL_MIN_N2 = 64
-FALLBACK = None                 # index marker for the reserved word
 
 
 def pow2_floor(bits: float) -> int:
@@ -277,17 +277,16 @@ class _ValueIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Codebook:
-    """N1 x N2 words of one exact quantized type, plus the reserved word.
+    """N1 x N2 words of one exact quantized type.
 
-    The fallback word repeats the extra symbol u_card, which has zero mass
-    under the reference pair law; robust typicality therefore rejects it
-    against every sequence, as the construction requires. value_index
-    says which words share a value, for the encoder, the decoder and the
-    exact analyzer alike.
+    The reserved word (ProtocolConfig.fallback) is not stored. Its symbol
+    u_card has zero mass under the reference pair laws, so robust
+    typicality would reject it against every sequence, as the
+    construction requires. value_index says which words share a value,
+    for the encoder, the decoder and the exact analyzer alike.
     """
 
     words: np.ndarray
-    fallback: np.ndarray
     n1: int
     n2: int
     pair_ux: np.ndarray
@@ -495,14 +494,16 @@ def build_codebook(cfg: ProtocolConfig) -> Codebook:
     base = np.repeat(np.arange(cfg.u_card, dtype=cfg.fallback.dtype), cfg.u_type)
     rng = as_rng(subseed(cfg.seed, _CODEBOOK_KEY))
     words = rng.permuted(np.tile(base, (cfg.n1 * cfg.n2, 1)), axis=1)
-    return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), cfg.fallback, cfg.n1, cfg.n2,
+    return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), cfg.n1, cfg.n2,
                     cfg.pair_ux_ext, cfg.pair_uy_ext, cfg.eps_typ, cfg.det_map)
 
 
 def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
-    """Flat row-major index of each block's encoded word, or -1 for the fallback.
+    """The encoder phi: flat row-major index of each block's first jointly
+    typical word, or -1 for the fallback, which index N1 + 1 sends.
 
-    xs is (B, n). A lookup codebook tests every det_map[x] against its x
+    The materialized engine and exact_analyze encode through here. xs is
+    (B, n). A lookup codebook tests every det_map[x] against its x
     through their joint types and finds the typical ones in its value
     index. A scanning codebook runs the kernel over blocks of at most
     _SCAN_CELLS // _ENCODE_CHUNK sequences, each against _ENCODE_CHUNK
@@ -529,30 +530,6 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
             if pending.size == 0:
                 break
     return found
-
-
-def _encoded(cb: Codebook, w: int):
-    """(word_value, (i, j) or FALLBACK, i_star) of flat word index w, -1 the fallback."""
-    if w < 0:
-        return cb.fallback, FALLBACK, cb.n1 + 1
-    i, j = w // cb.n2 + 1, w % cb.n2 + 1
-    return cb.words[i - 1, j - 1], (i, j), i
-
-
-def _encode_detail(cb: Codebook, x: np.ndarray):
-    """Returns (word_value, (i, j) or FALLBACK, i_star)."""
-    if x.shape[0] != cb.n:
-        raise ValidationError(f"sequence length {x.shape[0]} != block length {cb.n}")
-    return _encoded(cb, int(_encode_batch(cb, x[None, :])[0]))
-
-
-def encode_phi(cb: Codebook, x: np.ndarray):
-    """First jointly typical word in row-major order, or the fallback.
-
-    Returns (word, i_star) with i_star = N1 + 1 signalling the fallback.
-    """
-    word, _, i_star = _encode_detail(cb, np.asarray(x))
-    return word, i_star
 
 
 def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
@@ -594,11 +571,15 @@ def _resolve_index(i_star, flip, alt, theta: float):
 
 def _decode_batch(cb: Codebook, ys: np.ndarray,
                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each block ys[t] against codebook row rows[t], 0-based; row n1
-    is the reserved index, which scans nothing and decodes to the fallback.
+    """The decoder psi: decode each block ys[t] against codebook row
+    rows[t], 0-based, to the unique jointly typical word value in that
+    row; row n1 is the reserved index, which scans nothing and decodes to
+    the fallback. Duplicate words of one value count once.
 
-    Returns _decode_rule's (lead column, distinct count up to 2) for each
-    block. The kernel sees every block's own row, at most _SCAN_CELLS word
+    The materialized engine decodes through here, and exact_analyze
+    applies the same _decode_rule to whole typicality matrices. Returns
+    _decode_rule's (lead column, distinct count up to 2) for each block.
+    The kernel sees every block's own row, at most _SCAN_CELLS word
     symbols at a time.
     """
     columns = np.full(ys.shape[0], -1, dtype=np.intp)
@@ -611,38 +592,6 @@ def _decode_batch(cb: Codebook, ys: np.ndarray,
                              ys[part, None, :], cb.pair_uy, cb.eps_typ)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
-
-
-def _decoded(cb: Codebook, i_tilde: int, column: int, distinct: int):
-    """(word_value, (i, j) or FALLBACK, distinct) of a decode."""
-    if column < 0:
-        return cb.fallback, FALLBACK, distinct
-    return cb.words[i_tilde - 1, column], (i_tilde, column + 1), distinct
-
-
-def _decode_detail(cb: Codebook, y: np.ndarray, i_tilde: int):
-    """Returns (word_value, (i, j) or FALLBACK, distinct_typical_count)."""
-    if y.shape[0] != cb.n:
-        raise ValidationError(f"sequence length {y.shape[0]} != block length {cb.n}")
-    if not (1 <= i_tilde <= cb.n1 + 1):
-        raise ValidationError(f"received index {i_tilde} outside 1..{cb.n1 + 1}")
-    if i_tilde == cb.n1 + 1:
-        return _decoded(cb, i_tilde, -1, 0)
-    mask = _typical_mask(_indicator_blocks(cb.words[i_tilde - 1], cb.u_card), y[None, :],
-                         cb.pair_uy, cb.eps_typ)[0]
-    row_cls = cb.value_index.cls.reshape(cb.n1, cb.n2)[i_tilde - 1]
-    lead, _ = _decode_rule(mask, row_cls)
-    return _decoded(cb, i_tilde, int(lead), np.unique(row_cls[mask]).size)
-
-
-def decode_psi(cb: Codebook, y: np.ndarray, i_tilde: int) -> np.ndarray:
-    """Unique jointly typical word value in the received row, else fallback.
-
-    Duplicate words with the same value count once: ambiguity means two or
-    more distinct values pass the typicality test.
-    """
-    word, _, _ = _decode_detail(cb, np.asarray(y), i_tilde)
-    return word
 
 
 @dataclass(frozen=True, eq=False)

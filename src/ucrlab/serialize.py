@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -48,8 +49,12 @@ def load_json(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+    def refuse(name: str):
+        # json.loads reads NaN, Infinity and -Infinity, which JSON lacks
+        raise ValidationError(f"{path}: {name} is not a JSON number")
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -168,7 +173,9 @@ _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
 
 
 def _is_json(value, kind: type) -> bool:
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, _KINDS[kind][0])
+    """Whether value is of kind; a number must be finite as a float."""
+    return (isinstance(value, bool) == (kind is bool) and isinstance(value, _KINDS[kind][0])
+            and (kind is not float or abs(value) <= sys.float_info.max))
 
 
 def json_field(d: dict, key: str, what: str, kind, default=None):

@@ -412,7 +412,7 @@ def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
 
 
 def _common_inputs(source: JointPmf, c_bits: float, u_card: int | None):
-    if c_bits < 0.0:
+    if not c_bits >= 0.0:
         raise ValidationError(f"rate budget must be >= 0, got {c_bits}")
     x_card = source.nx
     if u_card is None:
@@ -585,7 +585,7 @@ def ucr_curve(source: JointPmf, c_grid,
     search.
     """
     c_grid = [float(c) for c in c_grid]
-    if any(c < 0.0 for c in c_grid):
+    if not all(c >= 0.0 for c in c_grid):
         raise ValidationError("rate budgets must be >= 0")
     x_card, u_card = _common_inputs(source, max(c_grid, default=0.0), u_card)
     h_x = entropy_bits(source.probs.sum(axis=1))

@@ -122,8 +122,9 @@ class TestCapacity:
         assert res.lower_bits - 1e-12 <= res.value_bits <= res.upper_bits + 1e-12
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            dmc_capacity(bsc(0.2), tol=0.0)
+        for tol in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValidationError):
+                dmc_capacity(bsc(0.2), tol=tol)
 
     def test_matches_fine_input_grid_on_2x2(self):
         rng = np.random.default_rng(14)

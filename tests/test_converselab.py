@@ -15,7 +15,6 @@ from ucrlab.converselab import (
     interval_lemma_check,
     interval_sweep,
     set_bound_checks,
-    spectrum_mass_margin,
     telescoping_identity_check,
     variance_bound_check,
 )
@@ -65,8 +64,7 @@ class TestDerivedConstants:
         assert p.kappa_ab == pytest.approx(0.81 + 1.0 - 0.95**2, abs=1e-12)
 
     def test_validation(self):
-        for bad in (dict(alpha=0.0), dict(beta=0.0), dict(c=-0.1),
-                    dict(epsilon=0.0)):
+        for bad in (dict(alpha=0.0), dict(beta=0.0), dict(c=-0.1)):
             kwargs = dict(alpha=0.1, beta=0.1, c=1.0)
             kwargs.update(bad)
             with pytest.raises(ValidationError):
@@ -212,6 +210,15 @@ class TestSetBounds:
         assert report.d_lower_bound == pytest.approx(0.8767588621006924,
                                                      abs=1e-12)
 
+    def test_uniform_independent_law_meets_its_floors(self):
+        # K uniform on 8 values, independent of a biased binary Y
+        joint = np.outer(np.full(8, 1.0 / 8.0), np.array([0.3, 0.7]))
+        report = set_bound_checks(joint, n=3, params=derive_params(0.01, 0.001, 1.0))
+        assert report.applicable
+        assert report.l_holds is True and report.d_holds is True
+        assert report.p_in_l == pytest.approx(1.0, abs=1e-12)
+        assert report.p_in_d == pytest.approx(1.0, abs=1e-12)
+
     def test_reference_law_masses_clear_the_floors_but_gate_closed(
             self, reference_joint):
         # same loose parameters; the near-uniformity precondition fails
@@ -303,14 +310,3 @@ class TestTelescoping:
         with pytest.raises(DimensionError):
             TelescopingInstance(np.full(shape, 1.0 / np.prod(shape)), 2)
 
-
-class TestSpectrumMargin:
-    def test_margin_formula(self):
-        p = derive_params(0.01, 0.001, 2.0)
-        assert spectrum_mass_margin(p, 0.9) == pytest.approx(
-            0.9 - 2.0 * p.kappa_ab, abs=1e-12)
-
-    def test_mass_validation(self):
-        p = derive_params(0.01, 0.001, 2.0)
-        with pytest.raises(ValidationError):
-            spectrum_mass_margin(p, 1.2)

@@ -20,8 +20,6 @@ from ucrlab.probspace import (JointPmf, Pmf, as_rng, pairs_from_uniforms, sample
 from ucrlab.protocol import (
     Codebook,
     ExactResult,
-    _decode_detail,
-    _encode_detail,
     _count_bounds,
     _indicator_blocks,
     _joint_types,
@@ -31,8 +29,6 @@ from ucrlab.protocol import (
     TrialOutcomes,
     build_codebook,
     check_achievability_conditions,
-    decode_psi,
-    encode_phi,
     exact_analyze,
     pow2_floor,
     rate_feasibility,
@@ -105,6 +101,11 @@ def ref_first_index(cb):
     return _ref_first_index(cb.words.tobytes(), cb.words.dtype.str, cb.n1, cb.n2)
 
 
+def reserved_word(cb: Codebook) -> np.ndarray:
+    """The fallback word: n copies of the reserved symbol, in the words' dtype."""
+    return np.full(cb.n, cb.u_card, dtype=cb.words.dtype)
+
+
 def ref_encode(cb, x, eps):
     if cb.det_map is not None:
         u_seq = cb.det_map[x]
@@ -112,25 +113,25 @@ def ref_encode(cb, x, eps):
             hit = ref_first_index(cb).get(u_seq.tobytes())
             if hit is not None:
                 return u_seq, hit, hit[0]
-        return cb.fallback, None, cb.n1 + 1
+        return reserved_word(cb), None, cb.n1 + 1
     flat = cb.words.reshape(cb.n1 * cb.n2, cb.n)
     mask = ref_batch_pair_typical(flat, x, cb.pair_ux, eps)
     if mask.any():
         w = int(np.argmax(mask))
         return flat[w], (w // cb.n2 + 1, w % cb.n2 + 1), w // cb.n2 + 1
-    return cb.fallback, None, cb.n1 + 1
+    return reserved_word(cb), None, cb.n1 + 1
 
 
 def ref_decode(cb, y, i_tilde, eps):
     if i_tilde == cb.n1 + 1:
-        return cb.fallback, None, 0
+        return reserved_word(cb), None, 0
     row = cb.words[i_tilde - 1]
     hits = np.flatnonzero(ref_batch_pair_typical(row, y, cb.pair_uy, eps))
     if hits.size == 0:
-        return cb.fallback, None, 0
+        return reserved_word(cb), None, 0
     values = np.unique(row[hits], axis=0)
     if values.shape[0] != 1:
-        return cb.fallback, None, int(values.shape[0])
+        return reserved_word(cb), None, int(values.shape[0])
     return row[hits[0]], (i_tilde, int(hits[0]) + 1), 1
 
 
@@ -147,6 +148,36 @@ def ref_typical_matrix(flat, xs, ref, eps, n):
 def same_detail(got, want) -> bool:
     return (np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
             and got[1:] == want[1:])
+
+
+def capped(detail: tuple) -> tuple:
+    """ref_decode's detail with its distinct count capped at 2, as
+    _decode_rule reports it."""
+    return detail[:2] + (min(detail[2], 2),)
+
+
+def encode_details(cb: Codebook, xs: np.ndarray) -> list:
+    """The encoder kernel's result on blocks xs (B, n), one ref_encode
+    detail per block: (word, (i, j) or None, index sent)."""
+    details = []
+    for w in protocol._encode_batch(cb, xs).tolist():
+        index = None if w < 0 else (w // cb.n2 + 1, w % cb.n2 + 1)
+        details.append((located_word(cb, index), index,
+                        cb.n1 + 1 if index is None else index[0]))
+    return details
+
+
+def decode_details(cb: Codebook, ys: np.ndarray, received) -> list:
+    """The decoder kernel's result on blocks ys (B, n) at 1-based received
+    indices, one ref_decode detail per block: (word, (i, j) or None,
+    distinct count up to 2)."""
+    received = np.asarray(received)
+    columns, distinct = protocol._decode_batch(cb, ys, received - 1)
+    details = []
+    for i, col, d in zip(received.tolist(), columns.tolist(), distinct.tolist()):
+        index = None if col < 0 else (i, col + 1)
+        details.append((located_word(cb, index), index, d))
+    return details
 
 
 def run_columns(cfg: ProtocolConfig, trials: int):
@@ -170,7 +201,7 @@ def outcome_row(outs: TrialOutcomes, t: int) -> tuple:
 
 def located_word(cb: Codebook, index) -> np.ndarray:
     """The codebook word at a 1-based (row, column), or the reserved word."""
-    return cb.fallback if index is None else cb.words[index[0] - 1, index[1] - 1]
+    return reserved_word(cb) if index is None else cb.words[index[0] - 1, index[1] - 1]
 
 
 def head(outs: TrialOutcomes, k: int) -> TrialOutcomes:
@@ -255,8 +286,9 @@ class TestCodebook:
             assert np.array_equal(np.bincount(word, minlength=cfg.u_card), target)
 
     def test_fallback_word_uses_the_reserved_symbol(self):
-        cb = build_codebook(ternary_config())
-        assert set(cb.fallback.tolist()) == {TERNARY_AUX.u_card}
+        cfg = ternary_config()
+        assert set(cfg.fallback.tolist()) == {TERNARY_AUX.u_card}
+        assert cfg.fallback.dtype == build_codebook(cfg).words.dtype
 
     def test_guard_refuses_oversized_codebooks(self):
         cfg = ProtocolConfig(n=400, mu=0.05, theta=0.0, eps_typ=0.2,
@@ -276,7 +308,7 @@ class TestCodebook:
         if n > 8:
             words[..., :n - 2] = words[0, 0, :n - 2]     # equal first key columns
         ref = np.zeros((u_card + 1, 2))
-        cb = Codebook(words, np.full(n, u_card, dtype=np.int8), n1, n2, ref, ref, 0.5, None)
+        cb = Codebook(words, n1, n2, ref, ref, 0.5, None)
         want = ref_first_index(cb)
         flat = words.reshape(n1 * n2, n)
         index = cb.value_index
@@ -307,25 +339,20 @@ class TestEncodeDecode:
                              aux=IDENTITY_AUX, source=diagonal_source(),
                              seed=13, allow_degenerate_rate=True)
         cb = build_codebook(cfg)
-        word = cb.words[0, 0]
-        x = np.asarray(word, dtype=np.int64)
-        k_word, i_star = encode_phi(cb, x)
+        x = np.asarray(cb.words[:1, 0], dtype=np.int64)
+        [(k_word, _, i_star)] = encode_details(cb, x)
         assert i_star <= cfg.n1
-        l_word = decode_psi(cb, x, i_star)
-        assert np.array_equal(k_word, l_word)
+        [(l_word, l_idx, _)] = decode_details(cb, x, [i_star])
+        assert l_idx is not None and np.array_equal(k_word, l_word)
 
     def test_atypical_input_falls_back(self):
         cfg = ternary_config()
         cb = build_codebook(cfg)
-        x = np.zeros(cfg.n, dtype=np.int64)  # constant block is far from type
-        word, i_star = encode_phi(cb, x)
-        assert i_star == cfg.n1 + 1
-        assert np.array_equal(word, cb.fallback)
-
-    def test_decoder_rejects_bad_index(self):
-        cb = build_codebook(ternary_config())
-        with pytest.raises(ValidationError):
-            decode_psi(cb, np.zeros(8, dtype=np.int64), cb.n1 + 2)
+        x = np.zeros((1, cfg.n), dtype=np.int64)  # constant block is far from type
+        assert protocol._encode_batch(cb, x).tolist() == [-1]
+        assert encode_details(cb, x)[0][1:] == (None, cfg.n1 + 1)
+        # the reserved index scans nothing and decodes to the fallback
+        assert decode_details(cb, x, [cfg.n1 + 1])[0][1:] == (None, 0)
 
 
 class TestTypeCountKernel:
@@ -422,12 +449,17 @@ class TestTypeCountKernel:
         if cfg.codebook_symbols > 2 * 10 ** 5:
             return
         cb = build_codebook(cfg)
-        for t in range(6):
-            x, y = sample_iid(cfg.source, n, as_rng(subseed(seed, t)))
-            enc = _encode_detail(cb, x)
+        xs, ys = map(np.stack, zip(*(sample_iid(cfg.source, n, as_rng(subseed(seed, t)))
+                                     for t in range(6))))
+        encs = encode_details(cb, xs)
+        for x, enc in zip(xs, encs):
             assert same_detail(enc, ref_encode(cb, x, eps))
-            for i in {1, enc[2], int(rng.integers(1, cb.n1 + 1)), cb.n1 + 1}:
-                assert same_detail(_decode_detail(cb, y, i), ref_decode(cb, y, i, eps))
+        # each block against row 1, the row it was sent, a random row and the reserved one
+        pairs = [(t, i) for t, enc in enumerate(encs)
+                 for i in sorted({1, enc[2], int(rng.integers(1, cb.n1 + 1)), cb.n1 + 1})]
+        decs = decode_details(cb, ys[[t for t, _ in pairs]], [i for _, i in pairs])
+        for (t, i), dec in zip(pairs, decs):
+            assert same_detail(dec, capped(ref_decode(cb, ys[t], i, eps)))
 
     @pytest.mark.parametrize("cfg, outcomes", [
         (ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
@@ -439,18 +471,18 @@ class TestTypeCountKernel:
     def test_protocol_trials_match_the_reference(self, cfg, outcomes):
         cb = build_codebook(cfg)
         eps = cfg.eps_typ
-        seen_hit, seen_distinct = set(), set()
-        for t in range(300):
-            x, y = sample_iid(cfg.source, cfg.n, as_rng(subseed(7, t)))
-            enc = _encode_detail(cb, x)
+        xs, ys = map(np.stack, zip(*(sample_iid(cfg.source, cfg.n, as_rng(subseed(7, t)))
+                                     for t in range(300))))
+        encs = encode_details(cb, xs)
+        for x, enc in zip(xs, encs):
             assert same_detail(enc, ref_encode(cb, x, eps))
-            seen_hit.add(enc[1] is not None)
-            for i in (enc[2], t % cb.n1 + 1):
-                dec = _decode_detail(cb, y, i)
-                assert same_detail(dec, ref_decode(cb, y, i, eps))
-                seen_distinct.add(min(dec[2], 2))
-        assert seen_hit == {True, False}
-        assert seen_distinct == outcomes
+        # each block against the row it was sent and row t % N1 + 1
+        pairs = [(t, i) for t, enc in enumerate(encs) for i in (enc[2], t % cb.n1 + 1)]
+        decs = decode_details(cb, ys[[t for t, _ in pairs]], [i for _, i in pairs])
+        for (t, i), dec in zip(pairs, decs):
+            assert same_detail(dec, capped(ref_decode(cb, ys[t], i, eps)))
+        assert {enc[1] is not None for enc in encs} == {True, False}
+        assert {dec[2] for dec in decs} == outcomes
 
     @pytest.mark.parametrize("cfg", [
         ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
@@ -533,7 +565,7 @@ class TestTypeCountKernel:
         assert "blocks" not in vars(cb)
         scanning = build_codebook(ternary_config())
         assert scanning.scans and "blocks" not in vars(scanning)
-        encode_phi(scanning, np.zeros(8, dtype=np.int64))
+        protocol._encode_batch(scanning, np.zeros((1, 8), dtype=np.int64))
         assert vars(scanning)["blocks"].shape == (2, 8, scanning.n1 * scanning.n2)
 
     def test_block_length_past_float32_counts_is_refused(self):

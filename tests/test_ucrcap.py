@@ -732,5 +732,9 @@ class TestCurve:
         assert values[-1] == pytest.approx(1.0, abs=1e-12)  # 0.6 > h2(0.1)
 
     def test_rejects_negative_budgets(self):
-        with pytest.raises(ValidationError):
-            ucr_curve(dsbs(0.1), [-0.2, 0.1])
+        for bad in (-0.2, math.nan):
+            for grid in ([bad, 0.1], [0.1, bad]):
+                with pytest.raises(ValidationError):
+                    ucr_curve(dsbs(0.1), grid)
+            with pytest.raises(ValidationError):
+                ucrcap.ucr_capacity_oracle(dsbs(0.1), bad, 2, grid_step=0.5)

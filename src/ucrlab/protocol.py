@@ -38,7 +38,7 @@ value index per codebook, Codebook.value_index, numbers the values in
 first-occurrence order and keeps their sorted keys: the encoder phi,
 _encode_batch, looks det_map[x] up in it, and the decoder psi,
 _decode_batch, and the exact analyzer apply one rule, _decode_rule, to
-its classes. Both work on batches of blocks; there is no per-word path.
+its classes. Both work on batches of blocks.
 """
 from __future__ import annotations
 

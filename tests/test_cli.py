@@ -396,7 +396,7 @@ class TestSpecFields:
         (["capacity", "bsc011.json", "--tol", "nan"], "'tol' must be a number, got nan"),
     ], ids=["budget-nan", "budget-inf", "grid-nan", "tol-nan"])
     def test_non_finite_flags_exit_2(self, tmp_path, capsys, argv, message):
-        # these died in write_json, or iterated to the guard, before
+        # JSON has no NaN or infinity, so neither may reach a result document
         out = tmp_path / "run"
         code = main(argv[:1] + [str(CONFIGS / argv[1])] + argv[2:] + ["--out-dir", str(out)])
         assert code == EXIT_VALIDATION

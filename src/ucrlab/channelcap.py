@@ -36,6 +36,11 @@ from .probspace import (ConditionalPmf, Pmf, _cell_dtype, as_rng, categorical_fr
 
 _SPECTRUM_KEY = 11
 _SPECTRUM_BATCH_SYMBOLS = 2 ** 16
+# dmc_capacity forms at most this many points before it raises GuardError
+CAPACITY_STEP_LIMIT = 200_000
+# inf_info_rate_estimate's rate grid, and the left-tail mass it lets through
+SPECTRUM_GRID_STEP = 0.01
+SPECTRUM_DROP_TOL = 0.01
 
 
 class ChannelKernel(ABC):
@@ -339,8 +344,7 @@ def _newton_step(w, log2w, point: _Point) -> _Point | None:
     return new
 
 
-def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
-                 max_iter: int = 200_000) -> CapacityResult:
+def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9) -> CapacityResult:
     """Capacity of a DMC in bits by safeguarded Newton steps on the
     Kuhn-Tucker conditions.
 
@@ -352,8 +356,8 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
     where it is not. It stops once the classical bracket
     [I(r; W), max_x D(W_x || rW)] is at most tol wide, so the returned
     value is within tol of the true capacity, and raises GuardError if
-    max_iter points do not get there. iterations counts both kinds of step
-    and the start.
+    CAPACITY_STEP_LIMIT points do not get there. iterations counts both
+    kinds of step and the start.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -362,7 +366,7 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
     log2w = np.where(w > 0.0, np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
     point = _point(w, log2w, np.full(n_in, 1.0 / n_in))
     newton_steps = alternating_steps = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, CAPACITY_STEP_LIMIT + 1):
         # 0 <= C <= max d, so rounding at an exact Kuhn-Tucker point cannot
         # turn the bracket over
         upper = max(float(np.max(point.d)), 0.0)
@@ -371,7 +375,7 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
             value = 0.5 * (lower + upper)
             return CapacityResult(max(value, 0.0), Pmf(point.r), lower, upper, it,
                                   newton_steps, alternating_steps)
-        if it == max_iter:
+        if it == CAPACITY_STEP_LIMIT:
             break
         newton = _newton_step(w, log2w, point)
         point = _alternating_step(w, log2w, point)
@@ -381,7 +385,7 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9,
         else:
             alternating_steps += 1
     raise GuardError(
-        f"capacity iteration did not reach bracket {tol} in {max_iter} steps "
+        f"capacity iteration did not reach bracket {tol} in {CAPACITY_STEP_LIMIT} steps "
         f"(current bracket {upper - lower:.3e})")
 
 
@@ -472,16 +476,14 @@ class SpectralRateEstimate:
 
     value_bits: float
     conclusive: bool
-    drop_tol: float
-    grid_step: float
 
 
-def inf_info_rate_estimate(spectra: list[SpectrumEstimate], drop_tol: float = 0.01,
-                           grid_step: float = 0.01) -> SpectralRateEstimate:
+def inf_info_rate_estimate(spectra: list[SpectrumEstimate]) -> SpectralRateEstimate:
     """Estimate the largest rate whose left-tail spectrum mass dies out.
 
-    Scans a rate grid and takes the largest R whose mass_below at the largest
-    block length is <= drop_tol. The estimate is conclusive when that mass is
+    Scans the rate grid of step SPECTRUM_GRID_STEP and takes the largest R
+    whose mass_below at the largest block length is <= SPECTRUM_DROP_TOL.
+    The estimate is conclusive when that mass is
     also non-increasing across the provided block lengths; otherwise it is
     returned flagged.
     """
@@ -492,19 +494,19 @@ def inf_info_rate_estimate(spectra: list[SpectrumEstimate], drop_tol: float = 0.
         raise ValidationError("spectra must come at strictly increasing block lengths")
     lo = min(float(s.values_bits[0]) for s in spectra)
     hi = max(float(s.values_bits[-1]) for s in spectra)
-    k_lo = int(math.floor(lo / grid_step)) - 1
-    k_hi = int(math.ceil(hi / grid_step)) + 1
+    k_lo = int(math.floor(lo / SPECTRUM_GRID_STEP)) - 1
+    k_hi = int(math.ceil(hi / SPECTRUM_GRID_STEP)) + 1
     best = None
     for k in range(k_hi, k_lo - 1, -1):
-        r = k * grid_step
-        if spectra[-1].mass_below(r) <= drop_tol:
+        r = k * SPECTRUM_GRID_STEP
+        if spectra[-1].mass_below(r) <= SPECTRUM_DROP_TOL:
             best = r
             break
     if best is None:
         raise InternalInvariantError("grid failed to cover the sample range")
     masses = [s.mass_below(best) for s in spectra]
     monotone = all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
-    return SpectralRateEstimate(best, monotone, drop_tol, grid_step)
+    return SpectralRateEstimate(best, monotone)
 
 
 def bsc(p: float) -> ConditionalPmf:

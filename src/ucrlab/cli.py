@@ -21,13 +21,16 @@ import numpy as np
 
 from . import __version__
 from .channelcap import (
+    SPECTRUM_DROP_TOL,
+    SPECTRUM_GRID_STEP,
     DmcProduct,
     MixedChannel,
     dmc_capacity,
     inf_info_rate_estimate,
     spectrum_samples,
 )
-from .converselab import TelescopingInstance, interval_sweep, telescoping_identity_check
+from .converselab import (TELESCOPING_TOL, TelescopingInstance, interval_sweep,
+                          telescoping_identity_check)
 from .errors import (
     GuardError,
     InternalInvariantError,
@@ -336,8 +339,8 @@ def _exec_spectrum(config: dict, out_dir: Path) -> dict:
         payload["inf_info_rate"] = {
             "value_bits": float(rate.value_bits),
             "conclusive": bool(rate.conclusive),
-            "drop_tol": float(rate.drop_tol),
-            "grid_step": float(rate.grid_step),
+            "drop_tol": SPECTRUM_DROP_TOL,
+            "grid_step": SPECTRUM_GRID_STEP,
         }
         print(f"inf-information rate estimate: {rate.value_bits:.6f} bits "
               f"({'conclusive' if rate.conclusive else 'inconclusive'})")
@@ -386,7 +389,7 @@ def _exec_lemmas(config: dict, out_dir: Path) -> dict:
         "telescoping": {
             "instances": telescope_target,
             "max_gap": float(worst_gap),
-            "tolerance": 1e-10,
+            "tolerance": TELESCOPING_TOL,
         },
     }
     write_json(out_dir / "lemmas.json", payload)

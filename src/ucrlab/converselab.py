@@ -370,6 +370,8 @@ def set_bound_checks(joint_ky: np.ndarray, n: int, params: ConverseParams,
 
 
 _TELESCOPE_CELL_GUARD = 4 * 10**6
+# telescoping_identity_check raises when the two sides differ by more
+TELESCOPING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -439,15 +441,14 @@ def _cmi(p_abc: np.ndarray) -> float:
     return h_ac + h_bc - h_abc - h_c
 
 
-def telescoping_identity_check(inst: TelescopingInstance,
-                               tol: float = 1e-10) -> tuple[float, float, float]:
+def telescoping_identity_check(inst: TelescopingInstance) -> tuple[float, float, float]:
     """Both sides of the blockwise-to-single-coordinate identity.
 
     Left side: I(S;X-block|R) - I(S;Y-block|R) computed on the explicit
     joint. Right side: n*[I(S;X_J|V) - I(S;Y_J|V)] with J uniform on the
     coordinates, independent of everything, and V the tuple (X-prefix
     before J, Y-suffix after J, R, J). Returns (lhs, rhs, gap) and raises
-    when the gap exceeds tol: equality is an identity, so a violation
+    when the gap exceeds TELESCOPING_TOL: equality is an identity, so a violation
     means broken arithmetic, not an unlucky instance.
     """
     n = inst.n
@@ -473,7 +474,7 @@ def telescoping_identity_check(inst: TelescopingInstance,
     rhs = n * (_cmi(np.concatenate(x_laws, axis=2))
                - _cmi(np.concatenate(y_laws, axis=2)))
     gap = abs(lhs - rhs)
-    if gap > tol:
+    if gap > TELESCOPING_TOL:
         raise InternalInvariantError(
             f"telescoping identity violated: |{lhs} - {rhs}| = {gap:.3e}")
     return lhs, rhs, gap

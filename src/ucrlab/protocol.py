@@ -5,7 +5,8 @@ word jointly typical with it, and ships the word's row index through an
 index channel that delivers correctly except with probability theta. The
 other terminal observes the correlated block plus the received row index
 and bets on the unique jointly typical word inside that row. Both sides
-fall back to a reserved constant word when nothing (or too much) matches.
+fall back to the reserved value that index N1 + 1 sends when nothing (or
+too much) matches.
 The two outputs form the common-randomness pair (K, L) whose agreement,
 cardinality, and uniformity this module measures, by Monte Carlo for
 large blocks and by exact enumeration for small binary ones.
@@ -20,18 +21,19 @@ law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
 
 Both engines run trials in batches of max(1, 2**16 // n) and return
-them as columns. One typicality rule, _count_bounds, serves every test:
-_typical_mask applies it to words scanned against sequences, and
-_types_typical to the joint types of a deterministic map's words, which
-the encoder's lookup and the statistical engine read off each block's
-joint type. A run derives one PCG64 stream from subseed(seed, _TRIAL_KEY)
-and cuts it into substreams with PCG64's jump-ahead: substream k starts
-where PCG64.jumped(k) would, k golden-ratio fractions of the period into
-the stream. Trial t draws its source block, then the index channel's
-flip and, when the flip sends it, the alternative index, from substream
-2t, and the statistical engine's conditional draws from substream
-2t + 1. An outcome therefore depends on its trial number alone, not on
-the batch it ran in.
+them as columns. One typicality rule, _count_bounds, serves every test,
+through the (u, x) and (u, y) tables ProtocolConfig computes once:
+_typical_mask applies them to words scanned against sequences,
+_types_typical to the joint types of a deterministic map's words, and
+the statistical engine's row-match probability reads its overlap
+interval off the (u, y) table. A run derives one PCG64 stream from
+subseed(seed, _TRIAL_KEY) and cuts it into substreams with PCG64's
+jump-ahead: substream k starts where PCG64.jumped(k) would, k
+golden-ratio fractions of the period into the stream. Trial t draws its
+source block, then the index channel's flip and, when the flip sends it,
+the alternative index, from substream 2t, and the statistical engine's
+conditional draws from substream 2t + 1. An outcome therefore depends on
+its trial number alone, not on the batch it ran in.
 
 The key K is a word value, so duplicate words count once. One numpy
 value index per codebook, Codebook.value_index, numbers the values in
@@ -47,7 +49,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
-from functools import cache, cached_property, lru_cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -131,8 +133,8 @@ class ProtocolConfig:
     rows at rate I(U;X) - I(U;Y) + 3*mu and N2 columns at I(U;Y) - 2*mu.
     A raw N2 < 1 means the margin swallowed the column rate; that config
     is rejected unless allow_degenerate_rate clamps N2 to 1. The words'
-    type u_type, the reserved word fallback and the deterministic map
-    det_map are derived here once, for both engines.
+    type u_type, the deterministic map det_map and the typicality tables
+    ux_bounds and uy_bounds are derived here once, for both engines.
     """
 
     n: int
@@ -184,18 +186,12 @@ class ProtocolConfig:
         return type_counts(Pmf(self.p_u), self.n)
 
     @cached_property
-    def fallback(self) -> np.ndarray:
-        """The reserved word: n copies of the extra symbol u_card, in the
-        dtype every codebook word and every engine's word share."""
-        return np.full(self.n, self.u_card, dtype=np.int8 if self.u_card < 127 else np.int16)
-
-    @cached_property
     def det_map(self) -> np.ndarray | None:
         """The auxiliary's map x -> u in the words' dtype, if it is deterministic."""
         cond = self.aux.cond
         if not cond.is_deterministic():
             return None
-        return cond.rows.argmax(axis=1).astype(self.fallback.dtype)
+        return cond.rows.argmax(axis=1).astype(_cell_dtype(self.u_card))
 
     @cached_property
     def n1(self) -> int:
@@ -214,15 +210,14 @@ class ProtocolConfig:
         return self.aux.u_card
 
     @cached_property
-    def pair_ux_ext(self) -> np.ndarray:
-        """Reference (u, x) law with a zero row for the reserved symbol."""
-        probs = self._triple.pair_ux().probs
-        return np.vstack([probs, np.zeros((1, probs.shape[1]))])
+    def ux_bounds(self) -> np.ndarray:
+        """_count_bounds of the (u, x) law: the encoder's typicality test."""
+        return _count_bounds(self._triple.pair_ux().probs, self.eps_typ, self.n)
 
     @cached_property
-    def pair_uy_ext(self) -> np.ndarray:
-        probs = self._triple.pair_uy().probs
-        return np.vstack([probs, np.zeros((1, probs.shape[1]))])
+    def uy_bounds(self) -> np.ndarray:
+        """_count_bounds of the (u, y) law: the decoder's typicality test."""
+        return _count_bounds(self._triple.pair_uy().probs, self.eps_typ, self.n)
 
     @property
     def k_cardinality(self) -> int:
@@ -277,21 +272,18 @@ class _ValueIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Codebook:
-    """N1 x N2 words of one exact quantized type.
+    """N1 x N2 words of one exact quantized type, with the config's
+    typicality tables ux_bounds and uy_bounds (see _count_bounds).
 
-    The reserved word (ProtocolConfig.fallback) is not stored. Its symbol
-    u_card has zero mass under the reference pair laws, so robust
-    typicality would reject it against every sequence, as the
-    construction requires. value_index says which words share a value,
-    for the encoder, the decoder and the exact analyzer alike.
+    value_index says which words share a value, for the encoder, the
+    decoder and the exact analyzer alike.
     """
 
     words: np.ndarray
     n1: int
     n2: int
-    pair_ux: np.ndarray
-    pair_uy: np.ndarray
-    eps_typ: float
+    ux_bounds: np.ndarray
+    uy_bounds: np.ndarray
     det_map: np.ndarray | None
 
     @property
@@ -300,7 +292,7 @@ class Codebook:
 
     @property
     def u_card(self) -> int:
-        return self.pair_ux.shape[0] - 1
+        return self.ux_bounds.shape[1]
 
     @property
     def scans(self) -> bool:
@@ -365,59 +357,47 @@ def _indicator_blocks(words: np.ndarray, u_card: int) -> np.ndarray:
     """0/1 float32 blocks (..., u_card - 1, n, W) of words (..., W, n): block a
     marks symbol a in each word.
 
-    The last real symbol needs no block, since its counts are the
-    complement of the others; the reserved symbol never occurs in a
-    codebook word, so it needs none either.
+    The last symbol needs no block, since its counts are the complement of
+    the others.
     """
     symbols = np.arange(u_card - 1, dtype=words.dtype)[:, None, None]
     return (np.swapaxes(words, -1, -2)[..., None, :, :] == symbols).astype(
         np.float32, order="C")
 
 
-@lru_cache(maxsize=64)
-def _cached_count_bounds(ref_bytes: bytes, shape: tuple, eps: float, n: int) -> np.ndarray:
-    p = np.frombuffer(ref_bytes, dtype=np.float64).reshape(shape)[:, :, None]
+def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """float32 (2, u_card, n_b): cell (a, b) of the pair law ref is robustly
+    typical at block length n exactly for the counts c in
+    [lo, hi] = bounds[:, a, b]. Read-only.
+
+    Read off the typicality test itself, |c - n p| <= eps n p, at every
+    count 0..n. The passing counts form an interval because fl(c - n p)
+    is monotone in c; a cell no count passes gets lo = n + 1 > hi = -1.
+    """
+    p = np.asarray(ref, dtype=np.float64)[:, :, None]
     c = np.arange(n + 1)
     table = np.abs(c - n * p) <= eps * n * p
-    if not table[-1, :, 0].all():
-        raise InternalInvariantError("reserved symbol has positive reference mass")
     passes = table.any(axis=2)
     lo = np.where(passes, table.argmax(axis=2), n + 1)
     hi = np.where(passes, n - table[:, :, ::-1].argmax(axis=2), -1)
     if not np.array_equal(table.sum(axis=2), np.maximum(hi - lo + 1, 0)):
         raise InternalInvariantError("the typical counts of a cell do not form an interval")
-    bounds = np.stack([lo[:-1], hi[:-1]]).astype(np.float32)
+    bounds = np.stack([lo, hi]).astype(np.float32)
     bounds.flags.writeable = False
     return bounds
 
 
-def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
-    """float32 (2, u_card, n_b): cell (a, b) of a real symbol a is robustly
-    typical exactly for the counts c in [lo, hi] = bounds[:, a, b].
-
-    Read off the typicality test itself, |c - n p| <= eps n p, at every
-    count 0..n. The passing counts form an interval because fl(c - n p)
-    is monotone in c; a cell no count passes gets lo = n + 1 > hi = -1.
-    The last row of ref is the reserved symbol, of zero mass: it passes
-    at count 0 only.
-    """
-    ref = np.ascontiguousarray(ref, dtype=np.float64)
-    return _cached_count_bounds(ref.tobytes(), ref.shape, float(eps), int(n))
-
-
-def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
-                  eps: float) -> np.ndarray:
+def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Robust joint typicality of every word against every sequence.
 
     blocks holds the words' _indicator_blocks, (n_a, n, W), and seqs is
-    (S, n) over the columns of ref; the result is bool (S, W). With a
-    leading batch axis on both, (B, n_a, n, W) and (B, S, n), entry t
-    tests seqs[t] against its own words blocks[t] and the result is
-    (B, S, W). The joint counts #(u=a, x=b) are one matmul of 0/1 float32
-    indicators, exact for n < 2**24; the last real symbol's count is
-    #(x=b) minus the others, and the reserved symbol's is 0, which passes,
-    since no codebook word holds it. A word is typical when every count
-    lies in its cell's _count_bounds.
+    (S, n) over the columns of bounds, the _count_bounds of a pair law at
+    block length n; the result is bool (S, W). With a leading batch axis
+    on both, (B, n_a, n, W) and (B, S, n), entry t tests seqs[t] against
+    its own words blocks[t] and the result is (B, S, W). The joint counts
+    #(u=a, x=b) are one matmul of 0/1 float32 indicators, exact for
+    n < 2**24; the last symbol's count is #(x=b) minus the others. A word
+    is typical when every count lies in its cell's bounds.
     """
     batched = blocks.ndim == 4
     if not batched:
@@ -426,8 +406,8 @@ def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, ref: np.ndarray,
     if n >= _F32_EXACT:
         raise GuardError(f"block length {n} is too long to count joint types exactly")
     n_a, n_w = blocks.shape[1], blocks.shape[3]
-    n_b = ref.shape[1]
-    lo, hi = _count_bounds(ref, eps, n)
+    lo, hi = bounds
+    n_b = lo.shape[1]
     out = np.empty((n_t, n_s, n_w), dtype=bool)
     s_step = max(1, _SCAN_CELLS // max(n_w, 1))
     t_step = max(1, _SCAN_CELLS // max(n_w * n_s, 1))
@@ -469,19 +449,20 @@ def _joint_types(x: np.ndarray, z: np.ndarray, nx: int, nz: int) -> np.ndarray:
     return types.reshape(-1, nx, nz)
 
 
-def _mapped_types(det_map: np.ndarray, u_card: int, types: np.ndarray) -> np.ndarray:
-    """int64 (B, u_card, nz): the joint types of the words det_map[x] with z,
-    from the (x, z) types (B, nx, nz): each u sums the rows of its preimage."""
-    return (det_map == np.arange(u_card)[:, None]).astype(np.int64) @ types
-
-
-def _types_typical(types: np.ndarray, ref: np.ndarray, eps: float, n: int) -> np.ndarray:
-    """Robust joint typicality of joint types (B, a, b) over the real symbols
-    of ref's rows, by the same rule as _typical_mask: every count lies in
-    its cell's _count_bounds. The reserved symbol's count is 0, which
-    passes."""
-    lo, hi = _count_bounds(ref, eps, n)[:, :types.shape[1]]
+def _types_typical(types: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Robust joint typicality of joint types (B, a, b), by the same rule as
+    _typical_mask: every count lies in its cell's bounds."""
+    lo, hi = bounds
     return ((lo <= types) & (types <= hi)).all(axis=(1, 2))
+
+
+def _lookup_typical(det_map: np.ndarray, ux_bounds: np.ndarray,
+                    x_counts: np.ndarray) -> np.ndarray:
+    """Whether each word det_map[x] is robustly typical with its block x,
+    from x's symbol counts (B, nx): their joint type holds x's count of b
+    at (det_map[b], b) and 0 elsewhere."""
+    preimages = det_map == np.arange(ux_bounds.shape[1])[:, None]     # (u, x)
+    return _types_typical(preimages * x_counts[:, None, :], ux_bounds)
 
 
 def build_codebook(cfg: ProtocolConfig) -> Codebook:
@@ -491,11 +472,11 @@ def build_codebook(cfg: ProtocolConfig) -> Codebook:
         raise GuardError(
             f"codebook holds {float(symbols):.3e} symbols (> {MEMORY_GUARD:.0e}); lower n "
             "or mu, or rely on run_monte_carlo's statistical engine for this config")
-    base = np.repeat(np.arange(cfg.u_card, dtype=cfg.fallback.dtype), cfg.u_type)
+    base = np.repeat(np.arange(cfg.u_card, dtype=_cell_dtype(cfg.u_card)), cfg.u_type)
     rng = as_rng(subseed(cfg.seed, _CODEBOOK_KEY))
     words = rng.permuted(np.tile(base, (cfg.n1 * cfg.n2, 1)), axis=1)
     return Codebook(words.reshape(cfg.n1, cfg.n2, cfg.n), cfg.n1, cfg.n2,
-                    cfg.pair_ux_ext, cfg.pair_uy_ext, cfg.eps_typ, cfg.det_map)
+                    cfg.ux_bounds, cfg.uy_bounds, cfg.det_map)
 
 
 def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
@@ -503,18 +484,17 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     typical word, or -1 for the fallback, which index N1 + 1 sends.
 
     The materialized engine and exact_analyze encode through here. xs is
-    (B, n). A lookup codebook tests every det_map[x] against its x
-    through their joint types and finds the typical ones in its value
-    index. A scanning codebook runs the kernel over blocks of at most
-    _SCAN_CELLS // _ENCODE_CHUNK sequences, each against _ENCODE_CHUNK
-    words at a time while some of its sequences lack a typical word, and
-    keeps each sequence's first.
+    (B, n). A lookup codebook tests every det_map[x] against its x from
+    x's symbol counts (_lookup_typical) and finds the typical ones in its
+    value index. A scanning codebook runs the kernel over blocks of at
+    most _SCAN_CELLS // _ENCODE_CHUNK sequences, each against
+    _ENCODE_CHUNK words at a time while some of its sequences lack a
+    typical word, and keeps each sequence's first.
     """
     found = np.full(xs.shape[0], -1, dtype=np.intp)
     if not cb.scans:
-        nx = cb.pair_ux.shape[1]
-        types = _mapped_types(cb.det_map, cb.u_card, _joint_types(xs, xs, nx, nx))
-        typical = np.flatnonzero(_types_typical(types, cb.pair_ux, cb.eps_typ, cb.n))
+        x_counts = (xs[:, :, None] == np.arange(cb.ux_bounds.shape[2])).sum(axis=1)
+        typical = np.flatnonzero(_lookup_typical(cb.det_map, cb.ux_bounds, x_counts))
         found[typical] = cb.find(cb.det_map[xs[typical]])
         return found
     n_words = cb.n1 * cb.n2
@@ -523,7 +503,7 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
         pending = np.arange(lo, min(lo + step, xs.shape[0]))
         for start in range(0, n_words, _ENCODE_CHUNK):
             mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
-                                 cb.pair_ux, cb.eps_typ)
+                                 cb.ux_bounds)
             hit = mask.any(axis=1)
             found[pending[hit]] = start + mask[hit].argmax(axis=1)
             pending = pending[~hit]
@@ -589,7 +569,7 @@ def _decode_batch(cb: Codebook, ys: np.ndarray,
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
     for part in np.split(sent, range(step, sent.size, step)):
         mask = _typical_mask(_indicator_blocks(cb.words[rows[part]], cb.u_card),
-                             ys[part, None, :], cb.pair_uy, cb.eps_typ)[:, 0]
+                             ys[part, None, :], cb.uy_bounds)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
 
@@ -800,7 +780,6 @@ class _StatisticalEngine:
         self.log2_n1 = math.log2(cfg.n1)
         self.log2_n2 = math.log2(cfg.n2)
         self._p_dup = self._prob_from_log2(self.log2_n2 - self.log2_t)
-        self.pair_uy = cfg.pair_uy_ext[:2, :]
         self.log2_q_y = cache(self._log2_q_y)
         self._value_rows: dict[bytes, tuple[int, int] | None] = {}
         self._value_classes: dict[bytes, int] = {}
@@ -810,24 +789,20 @@ class _StatisticalEngine:
 
     def _log2_q_y(self, k_zeros: int) -> float:
         """log2 P[uniform type-class word jointly typical with y]; y has
-        k_zeros zeros. -inf when no overlap count passes."""
+        k_zeros zeros. -inf when no overlap count passes.
+
+        The counts are functions of the overlap a = #(u=0, y=0):
+        c00 = a, c01 = t0 - a, c10 = k - a and c11 = n - k - t0 + a, so
+        each cell's interval in cfg.uy_bounds bounds a. Every lo is at
+        least 0, so the counts it admits are never negative.
+        """
         n = self.cfg.n
         t0 = int(self.cfg.u_type[0])
-        eps = self.cfg.eps_typ
-        a_lo = max(0, t0 - (n - k_zeros))
-        a_hi = min(t0, k_zeros)
-        # counts as functions of the overlap a = #(u=0, y=0):
-        # c00 = a; c01 = t0 - a; c10 = k - a; c11 = n - k - t0 + a
-        specs = ((self.pair_uy[0, 0], 1, 0), (self.pair_uy[0, 1], -1, t0),
-                 (self.pair_uy[1, 0], -1, k_zeros), (self.pair_uy[1, 1], 1, n - k_zeros - t0))
-        for p, sign, off in specs:
-            lo, hi = n * p - eps * n * p, n * p + eps * n * p
-            if sign == 1:
-                cell_lo, cell_hi = math.ceil(lo - off), math.floor(hi - off)
-            else:
-                cell_lo, cell_hi = math.ceil(off - hi), math.floor(off - lo)
-            a_lo = max(a_lo, cell_lo)
-            a_hi = min(a_hi, cell_hi)
+        rest = n - k_zeros - t0
+        (lo00, lo01), (lo10, lo11) = self.cfg.uy_bounds[0].astype(int).tolist()
+        (hi00, hi01), (hi10, hi11) = self.cfg.uy_bounds[1].astype(int).tolist()
+        a_lo = max(lo00, t0 - hi01, k_zeros - hi10, lo11 - rest)
+        a_hi = min(hi00, t0 - lo01, k_zeros - lo10, hi11 - rest)
         if a_lo > a_hi:
             return -math.inf
         denom = self._log2_choose(n, t0)
@@ -868,16 +843,14 @@ class _StatisticalEngine:
         in the materialized engine's order.
         """
         cfg = self.cfg
-        det_map, n = cfg.det_map, cfg.n
+        det_map = cfg.det_map
         x, y, flips, alts = _trial_blocks(cfg, stream, ts)
         xy = _joint_types(x, y, cfg.source.nx, cfg.source.ny)
-        # the (x, x) types: x's symbol counts on the diagonal
-        xx = xy.sum(axis=2)[:, :, None] * np.eye(cfg.source.nx, dtype=np.int64)
-        uy = _mapped_types(det_map, cfg.u_card, xy)
+        # each u's (u, y) counts sum the (x, y) rows of its preimage
+        uy = (det_map == np.arange(cfg.u_card)[:, None]).astype(np.int64) @ xy
         exact_type = (uy.sum(axis=2) == cfg.u_type).all(axis=1)
-        encodes = exact_type & _types_typical(_mapped_types(det_map, cfg.u_card, xx),
-                                              cfg.pair_ux_ext, cfg.eps_typ, n)
-        own_typical = exact_type & _types_typical(uy, cfg.pair_uy_ext, cfg.eps_typ, n)
+        encodes = exact_type & _lookup_typical(det_map, cfg.ux_bounds, xy.sum(axis=2))
+        own_typical = exact_type & _types_typical(uy, cfg.uy_bounds)
         zeros = xy[:, :, 0].sum(axis=1)
 
         k_row, k_col = np.zeros_like(alts), np.zeros_like(alts)
@@ -1121,7 +1094,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     for s in range(0, n_x, step):
         seqs = xs[s:s + step]
         found[s:s + step] = _encode_batch(cb, seqs)
-        t_uy = _typical_mask(cb.blocks, seqs, cb.pair_uy, cfg.eps_typ).reshape(-1, n1, n2)
+        t_uy = _typical_mask(cb.blocks, seqs, cb.uy_bounds).reshape(-1, n1, n2)
         lead, _ = _decode_rule(t_uy, row_cls)
         l_tab[:n1, s:s + step] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
@@ -1271,13 +1244,12 @@ class RateCheck:
         return self.capacity_bits - self.mu_prime - self.index_rate_bits
 
 
-def rate_feasibility(cfg: ProtocolConfig, kernel, mu_prime: float,
-                     tol: float = 1e-9) -> RateCheck:
+def rate_feasibility(cfg: ProtocolConfig, kernel, mu_prime: float) -> RateCheck:
     """Check log2(N1 + 1)/n against the index channel's capacity margin."""
     from .channelcap import dmc_capacity
     if mu_prime < 0.0:
         raise ValidationError(f"mu_prime must be >= 0, got {mu_prime}")
-    cap = dmc_capacity(kernel, tol=tol)
+    cap = dmc_capacity(kernel)
     rate = math.log2(cfg.n1 + 1) / cfg.n
     return RateCheck(rate <= cap.value_bits - mu_prime + 1e-12, rate,
                      cap.value_bits, mu_prime)

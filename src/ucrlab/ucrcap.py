@@ -23,8 +23,9 @@ numbers. A round's climbers step together in one flat (x, u·M) array, so
 each contraction is one 2-D matmul for all of them. For slopes in [0, 1]
 the objective is convex in P(u|x) and the maximizer is a deterministic
 map, which the skeleton already holds.
-Both paths build their point cloud once, as (gaps, values, mats) arrays,
-scored by one kernel over (x, u, M) stacks that gives each matrix the same
+Both paths build their point cloud once, as (gaps, values, mats) arrays
+with mats an (x, u, M) stack, scored by one kernel over such stacks that
+gives each matrix the same
 bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
 so the constant map anchors every envelope at gap 0. The oracle scores one
 grid matrix per U-relabelling orbit (relabelling U moves neither I(U;X) nor
@@ -66,7 +67,7 @@ _CLIMB_STEPS = 200
 # survivors)
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
-# _batch_objectives sets gaps and values at or below this to exactly 0:
+# _objectives sets gaps and values at or below this to exactly 0:
 # rounding leaves a few ulp on maps whose true gap or value is 0, the
 # constant map among them (the gap never exceeds the value, so the gap of a
 # snapped value is snapped too)
@@ -227,11 +228,6 @@ def _objectives(w: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     return i_ux, gap
 
 
-def _batch_objectives(mats: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
-    """`_objectives` for a stack of matrices shaped (M, u, x)."""
-    return _objectives(np.ascontiguousarray(mats.transpose(2, 1, 0)), terms)
-
-
 def _simplex_grid(m: int, k: int) -> np.ndarray:
     """All compositions of m into k nonnegative parts, divided by m."""
     out = []
@@ -358,7 +354,7 @@ def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> n
 
 def _grid_hull(row_pts: np.ndarray, x_card: int, flat: np.ndarray, terms, floor=None):
     """`_upper_hull` of the grid channels with the given flat indices as
-    (gaps, values, mats), mats shaped (M, u, x) and built for those alone,
+    (gaps, values, mats), mats shaped (x, u, M) and built for those alone,
     _KERNEL_BLOCK at a time; with a floor, channels wholly below it keep
     nothing. The oracle's grid chunks pass one index per U-relabelling orbit
     (`_orbit_indices`); the maps X -> U, which the solver and the oracle
@@ -368,27 +364,27 @@ def _grid_hull(row_pts: np.ndarray, x_card: int, flat: np.ndarray, terms, floor=
         block = slice(lo, lo + _KERNEL_BLOCK)
         values[block], gaps[block] = _objectives(_grid_block(row_pts, x_card, flat[block]), terms)
     keep = np.array(_upper_hull(gaps, values, floor), dtype=np.int64)
-    return gaps[keep], values[keep], _grid_block(row_pts, x_card, flat[keep]).transpose(2, 1, 0)
+    return gaps[keep], values[keep], _grid_block(row_pts, x_card, flat[keep])
 
 
 def _stack(parts):
     """Concatenate (gaps, values, mats) parts into one point cloud."""
     gaps, values, mats = zip(*parts)
-    return np.concatenate(gaps), np.concatenate(values), np.concatenate(mats)
+    return np.concatenate(gaps), np.concatenate(values), np.concatenate(mats, axis=2)
 
 
 def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
     """Upper concave envelope of the (gaps, values, mats) cloud at c_bits.
 
-    mats are in the (u, x) layout of the batch evaluator; achievers are
-    built in the x-indexed AuxiliaryChannel convention. The cloud must hold
+    mats is an (x, u, M) stack, so mats[:, :, i] is point i's channel in
+    the x-indexed AuxiliaryChannel convention. The cloud must hold
     a point at gap exactly 0, as the constant map always is, so every
     c_bits >= 0 lies on or above the hull's first vertex.
     """
     gaps, values, mats = cloud
 
     def aux(i: int) -> AuxiliaryChannel:
-        return AuxiliaryChannel.from_matrix(mats[i].T)
+        return AuxiliaryChannel.from_matrix(mats[:, :, i])
 
     hull = _upper_hull(gaps, values)
     hg = gaps[hull]
@@ -412,8 +408,8 @@ def _evaluate_envelope(cloud, c_bits: float, method: str) -> UcrSolution:
 
 
 def _common_inputs(source: JointPmf, c_bits: float, u_card: int | None):
-    if not c_bits >= 0.0:
-        raise ValidationError(f"rate budget must be >= 0, got {c_bits}")
+    if not 0.0 <= c_bits < math.inf:
+        raise ValidationError(f"rate budget must be finite and >= 0, got {c_bits}")
     x_card = source.nx
     if u_card is None:
         u_card = x_card + 1
@@ -462,10 +458,10 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     # draws' hull; the draws still join the cloud last, as ties go to the lower index
     maps = _grid_hull(np.eye(u_card), x_card, np.arange(u_card ** x_card), terms)
     mats = as_rng(seed).dirichlet(np.ones(u_card), size=(_ORACLE_DRAWS, x_card))
-    mats = mats.transpose(0, 2, 1)
-    values, gaps = _batch_objectives(mats, terms)
+    mats = mats.transpose(1, 2, 0)
+    values, gaps = _objectives(mats, terms)
     keep = _upper_hull(gaps, values)
-    draws = gaps[keep], values[keep], mats[keep]
+    draws = gaps[keep], values[keep], mats[:, :, keep]
     gaps, values, _ = _stack([maps, draws])
     parts = []
     for start in range(0, total, _ORACLE_CHUNK):
@@ -487,7 +483,7 @@ def _climb(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int):
     never lowers its objective; the climbers are scored once, at the end.
     A u with P(y|u) = 0 where P(y|x) > 0 gets P(u|x) = 0, and a row of
     zero P_X(x) becomes P(u), as nothing reads it. starts are shaped
-    (M, u, x); returns (gaps, values, mats) of the end points, mats in the
+    (x, u, M); returns (gaps, values, mats) of the end points, mats in the
     same shape.
 
     The M climbers run side by side in one flat (x, u·M) array, column
@@ -499,9 +495,9 @@ def _climb(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int):
     px, pxy, _, _ = terms
     cond = np.divide(pxy, px[:, None], out=np.zeros_like(pxy), where=px[:, None] > 0.0)
     seen = cond > 0.0  # (x, y)
-    count, u_card, x_card = starts.shape
+    x_card, u_card, count = starts.shape
     beta = np.tile(slope_vec / (slope_vec - 1.0), u_card)  # (u·M,)
-    cur = starts.transpose(2, 1, 0).copy()  # (x, u, M)
+    cur = starts.copy()
     flat = cur.reshape(x_card, u_card * count)
     # log2(0) = -inf is wanted; its differences are nan only in cells set to 0 below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -523,7 +519,7 @@ def _climb(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int):
             np.exp2(logit, out=cur)
             cur /= cur.sum(axis=1, keepdims=True)
     values, gaps = _objectives(cur, terms)
-    return gaps, values, cur.transpose(2, 1, 0)
+    return gaps, values, cur
 
 
 def _collect_points(source: JointPmf, u_card: int):
@@ -535,7 +531,7 @@ def _collect_points(source: JointPmf, u_card: int):
     and their midpoint; a climber that ends above the chord splits the
     segment. At s <= 1 the objective is (1 - s) I(U;X) + s I(U;Y), convex
     in P(u|x), so a map maximises it and the segment is left alone. Returns
-    the cloud as (gaps, values, mats) arrays, mats shaped (M, u, x).
+    the cloud as (gaps, values, mats) arrays, mats shaped (x, u, M).
     """
     x_card = source.nx
     terms = _source_terms(source.probs)
@@ -555,7 +551,8 @@ def _collect_points(source: JointPmf, u_card: int):
         if not steep.any():
             break
         left, right = left[steep], right[steep]
-        starts = np.concatenate([mats[left], mats[right], 0.5 * (mats[left] + mats[right])])
+        ends = mats[:, :, left], mats[:, :, right]
+        starts = np.concatenate([*ends, 0.5 * (ends[0] + ends[1])], axis=2)
         cloud = _stack([cloud, _climb(np.tile(slopes[steep], 3), starts, terms, _CLIMB_STEPS)])
     return cloud
 

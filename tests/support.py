@@ -134,7 +134,7 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
 
-    t_uy = _typical_mask(cb.blocks, xs, cb.pair_uy, cfg.eps_typ).reshape(n_x, n1, n2)
+    t_uy = _typical_mask(cb.blocks, xs, cb.uy_bounds).reshape(n_x, n1, n2)
     row_cls = index.cls.reshape(n1, n2)
     lead, _ = _decode_rule(t_uy, row_cls)
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucrlab import protocol, ucrcap
+from ucrlab import channelcap, protocol, ucrcap
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
 from ucrlab.serialize import load_json, source_from_dict
 
@@ -37,6 +37,23 @@ class TestCapacityCommand:
         manifest = read_json(out / "manifest.json")
         assert manifest["command"] == "capacity"
         assert manifest["config"]["channel"]["kind"] == "bsc"
+
+    def test_step_limit_exits_3_without_a_result(self, tmp_path, capsys, monkeypatch):
+        # the Z-channel's optimum is not uniform: its third point reaches it
+        spec = tmp_path / "z.json"
+        spec.write_text(json.dumps({"kind": "dmc",
+                                    "payload": {"rows": [[1.0, 0.0], [0.5, 0.5]]}}),
+                        encoding="utf-8")
+        monkeypatch.setattr(channelcap, "CAPACITY_STEP_LIMIT", 2)
+        out = tmp_path / "capped"
+        assert main(["capacity", str(spec), "--out-dir", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("infeasible: ")] == err and err
+        assert not (out / "capacity.json").exists()
+        monkeypatch.undo()
+        out = tmp_path / "run"
+        assert main(["capacity", str(spec), "--out-dir", str(out)]) == EXIT_OK
+        assert read_json(out / "capacity.json")["iterations"] == 3
 
     def test_mixed_channel_is_rejected(self, tmp_path):
         code = main(["capacity", str(CONFIGS / "mixed_half.json"),

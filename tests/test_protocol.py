@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from support import dense_exact_analyze, diagonal_source, dsbs, h2
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
-from ucrlab.probspace import (JointPmf, Pmf, as_rng, pairs_from_uniforms, sample_iid, subseed,
-                              type_counts)
+from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, pairs_from_uniforms,
+                              sample_iid, subseed, type_counts)
 from ucrlab.protocol import (
     Codebook,
     ExactResult,
@@ -101,42 +101,51 @@ def ref_first_index(cb):
     return _ref_first_index(cb.words.tobytes(), cb.words.dtype.str, cb.n1, cb.n2)
 
 
-def reserved_word(cb: Codebook) -> np.ndarray:
-    """The fallback word: n copies of the reserved symbol, in the words' dtype."""
-    return np.full(cb.n, cb.u_card, dtype=cb.words.dtype)
+def pair_laws(cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The config's reference (u, x) and (u, y) laws."""
+    triple = compose_aux(cfg.source, cfg.aux.cond)
+    return triple.pair_ux().probs, triple.pair_uy().probs
 
 
-def ref_encode(cb, x, eps):
+def reserved_word(n: int, u_card: int) -> np.ndarray:
+    """A stand-in for the fallback value: n copies of u_card, a symbol no
+    codebook word holds."""
+    return np.full(n, u_card, dtype=np.int16)
+
+
+def ref_encode(cfg, cb, x):
+    ref, eps = pair_laws(cfg)[0], cfg.eps_typ
     if cb.det_map is not None:
         u_seq = cb.det_map[x]
-        if ref_batch_pair_typical(u_seq[None, :], x, cb.pair_ux, eps)[0]:
+        if ref_batch_pair_typical(u_seq[None, :], x, ref, eps)[0]:
             hit = ref_first_index(cb).get(u_seq.tobytes())
             if hit is not None:
                 return u_seq, hit, hit[0]
-        return reserved_word(cb), None, cb.n1 + 1
+        return reserved_word(cb.n, cb.u_card), None, cb.n1 + 1
     flat = cb.words.reshape(cb.n1 * cb.n2, cb.n)
-    mask = ref_batch_pair_typical(flat, x, cb.pair_ux, eps)
+    mask = ref_batch_pair_typical(flat, x, ref, eps)
     if mask.any():
         w = int(np.argmax(mask))
         return flat[w], (w // cb.n2 + 1, w % cb.n2 + 1), w // cb.n2 + 1
-    return reserved_word(cb), None, cb.n1 + 1
+    return reserved_word(cb.n, cb.u_card), None, cb.n1 + 1
 
 
-def ref_decode(cb, y, i_tilde, eps):
+def ref_decode(cfg, cb, y, i_tilde):
+    fallback = reserved_word(cb.n, cb.u_card)
     if i_tilde == cb.n1 + 1:
-        return reserved_word(cb), None, 0
+        return fallback, None, 0
     row = cb.words[i_tilde - 1]
-    hits = np.flatnonzero(ref_batch_pair_typical(row, y, cb.pair_uy, eps))
+    hits = np.flatnonzero(ref_batch_pair_typical(row, y, pair_laws(cfg)[1], cfg.eps_typ))
     if hits.size == 0:
-        return reserved_word(cb), None, 0
+        return fallback, None, 0
     values = np.unique(row[hits], axis=0)
     if values.shape[0] != 1:
-        return reserved_word(cb), None, int(values.shape[0])
+        return fallback, None, int(values.shape[0])
     return row[hits[0]], (i_tilde, int(hits[0]) + 1), 1
 
 
 def ref_typical_matrix(flat, xs, ref, eps, n):
-    u_card = ref.shape[0] - 1
+    u_card = ref.shape[0]
     out = np.ones((flat.shape[0], xs.shape[0]), dtype=bool)
     for a in range(u_card):
         for b in range(2):
@@ -201,7 +210,8 @@ def outcome_row(outs: TrialOutcomes, t: int) -> tuple:
 
 def located_word(cb: Codebook, index) -> np.ndarray:
     """The codebook word at a 1-based (row, column), or the reserved word."""
-    return reserved_word(cb) if index is None else cb.words[index[0] - 1, index[1] - 1]
+    return (reserved_word(cb.n, cb.u_card) if index is None
+            else cb.words[index[0] - 1, index[1] - 1])
 
 
 def head(outs: TrialOutcomes, k: int) -> TrialOutcomes:
@@ -285,11 +295,6 @@ class TestCodebook:
         for word in flat:
             assert np.array_equal(np.bincount(word, minlength=cfg.u_card), target)
 
-    def test_fallback_word_uses_the_reserved_symbol(self):
-        cfg = ternary_config()
-        assert set(cfg.fallback.tolist()) == {TERNARY_AUX.u_card}
-        assert cfg.fallback.dtype == build_codebook(cfg).words.dtype
-
     def test_guard_refuses_oversized_codebooks(self):
         cfg = ProtocolConfig(n=400, mu=0.05, theta=0.0, eps_typ=0.2,
                              aux=IDENTITY_AUX, source=diagonal_source(),
@@ -307,8 +312,8 @@ class TestCodebook:
         words = rng.integers(0, u_card, size=(n1, n2, n)).astype(np.int8)
         if n > 8:
             words[..., :n - 2] = words[0, 0, :n - 2]     # equal first key columns
-        ref = np.zeros((u_card + 1, 2))
-        cb = Codebook(words, n1, n2, ref, ref, 0.5, None)
+        bounds = _count_bounds(np.zeros((u_card, 2)), 0.5, n)
+        cb = Codebook(words, n1, n2, bounds, bounds, None)
         want = ref_first_index(cb)
         flat = words.reshape(n1 * n2, n)
         index = cb.value_index
@@ -367,16 +372,16 @@ class TestTypeCountKernel:
     def test_masks_match_the_reference(self, u_card, n_b, n, n_words, n_seqs, cells,
                                        eps, seed):
         rng = np.random.default_rng(seed)
-        ref = np.zeros((u_card + 1, n_b))          # last row: the reserved symbol
-        ref[:u_card] = np.array(cells[:u_card * n_b]).reshape(u_card, n_b)
+        ref = np.array(cells[:u_card * n_b]).reshape(u_card, n_b)
+        bounds = _count_bounds(ref, eps, n)
         words = rng.integers(0, u_card, size=(n_words, n)).astype(np.int8)
         seqs = rng.integers(0, n_b, size=(n_seqs, n))
-        got = _typical_mask(_indicator_blocks(words, u_card), seqs, ref, eps)
+        got = _typical_mask(_indicator_blocks(words, u_card), seqs, bounds)
         want = np.stack([ref_batch_pair_typical(words, s, ref, eps) for s in seqs])
         assert np.array_equal(got, want)
         # batch axis: entry t tests seqs[t] against words of its own
         own = rng.integers(0, u_card, size=(n_seqs, n_words, n)).astype(np.int8)
-        got = _typical_mask(_indicator_blocks(own, u_card), seqs[:, None, :], ref, eps)
+        got = _typical_mask(_indicator_blocks(own, u_card), seqs[:, None, :], bounds)
         want = np.stack([ref_batch_pair_typical(w, s, ref, eps) for w, s in zip(own, seqs)])
         assert np.array_equal(got[:, 0], want)
 
@@ -401,40 +406,41 @@ class TestTypeCountKernel:
     @example(cells=[0.05, 0.25, 0.0, 0.7], eps=0.5, n=10)    # n p = 0.5: no count passes
     @example(cells=[0.25, 0.25, 0.25, 0.25], eps=0.5, n=8)   # counts 1 and 3 on the edge
     def test_count_bounds_equal_the_pass_table(self, cells, eps, n):
-        ref = np.vstack([np.array(cells).reshape(2, 2), np.zeros((1, 2))])
+        ref = np.array(cells).reshape(2, 2)
         lo, hi = _count_bounds(ref, eps, n)
         c = np.arange(n + 1)
-        table = np.abs(c - n * ref[:2, :, None]) <= eps * n * ref[:2, :, None]
+        table = np.abs(c - n * ref[:, :, None]) <= eps * n * ref[:, :, None]
         assert np.array_equal((lo[:, :, None] <= c) & (c <= hi[:, :, None]), table)
 
     def test_counts_on_the_tolerance_edge_are_typical(self):
         # n p = 2 and eps n p = 1: counts 1 and 3 sit exactly on the edge
-        ref = np.vstack([np.full((2, 2), 0.25), np.zeros((1, 2))])
+        ref = np.full((2, 2), 0.25)
         words = np.array(list(itertools.product(range(2), repeat=8)), dtype=np.int8)
         seq = np.array([0, 1] * 4)
-        counts = ref_pair_counts(words, seq, 3, 2)
-        assert (counts[:, :4] == 1).any() and (counts[:, :4] == 3).any()
+        counts = ref_pair_counts(words, seq, 2, 2)
+        assert (counts == 1).any() and (counts == 3).any()
         want = ref_batch_pair_typical(words, seq, ref, 0.5)
-        got = _typical_mask(_indicator_blocks(words, 2), seq[None, :], ref, 0.5)[0]
+        got = _typical_mask(_indicator_blocks(words, 2), seq[None, :],
+                            _count_bounds(ref, 0.5, 8))[0]
         assert np.array_equal(got, want) and want.any() and not want.all()
 
     def test_exact_type_is_typical_at_any_tolerance(self):
         # joint counts (1, 3, 2, 2) are exactly n p
-        ref = np.array([[0.125, 0.375], [0.25, 0.25], [0.0, 0.0]])
+        ref = np.array([[0.125, 0.375], [0.25, 0.25]])
         word = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int8)
         seq = np.array([0, 1, 1, 1, 0, 0, 1, 1])
         for eps in (0.01, 0.2, 0.9):
-            assert _typical_mask(_indicator_blocks(word[None, :], 2), seq[None, :], ref, eps)[0, 0]
+            assert _typical_mask(_indicator_blocks(word[None, :], 2), seq[None, :],
+                                 _count_bounds(ref, eps, 8))[0, 0]
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_monotone_in_tolerance(self, seed):
         # a block that passes at some eps passes at every larger eps
         source = dsbs(0.1)
-        ref = np.vstack([source.probs, np.zeros((1, 2))])
         x, y = pairs_from_uniforms(source, np.random.default_rng(seed).random((64, 400)))
         blocks = _indicator_blocks(x[:, None, :].astype(np.int8), 2)
-        masks = [_typical_mask(blocks, y[:, None, :], ref, eps)
+        masks = [_typical_mask(blocks, y[:, None, :], _count_bounds(source.probs, eps, 400))
                  for eps in (0.05, 0.1, 0.2, 0.4, 0.8)]
         for tight, loose in zip(masks, masks[1:]):
             assert not (tight & ~loose).any()
@@ -452,13 +458,13 @@ class TestTypeCountKernel:
                                      for t in range(6))))
         encs = encode_details(cb, xs)
         for x, enc in zip(xs, encs):
-            assert same_detail(enc, ref_encode(cb, x, eps))
+            assert same_detail(enc, ref_encode(cfg, cb, x))
         # each block against row 1, the row it was sent, a random row and the reserved one
         pairs = [(t, i) for t, enc in enumerate(encs)
                  for i in sorted({1, enc[2], int(rng.integers(1, cb.n1 + 1)), cb.n1 + 1})]
         decs = decode_details(cb, ys[[t for t, _ in pairs]], [i for _, i in pairs])
         for (t, i), dec in zip(pairs, decs):
-            assert same_detail(dec, capped(ref_decode(cb, ys[t], i, eps)))
+            assert same_detail(dec, capped(ref_decode(cfg, cb, ys[t], i)))
 
     @pytest.mark.parametrize("cfg, outcomes", [
         (ProtocolConfig(n=14, mu=0.05, theta=0.1, eps_typ=0.8, aux=IDENTITY_AUX,
@@ -469,17 +475,16 @@ class TestTypeCountKernel:
     ], ids=["identity", "bsc", "ternary"])
     def test_protocol_trials_match_the_reference(self, cfg, outcomes):
         cb = build_codebook(cfg)
-        eps = cfg.eps_typ
         xs, ys = map(np.stack, zip(*(sample_iid(cfg.source, cfg.n, as_rng(subseed(7, t)))
                                      for t in range(300))))
         encs = encode_details(cb, xs)
         for x, enc in zip(xs, encs):
-            assert same_detail(enc, ref_encode(cb, x, eps))
+            assert same_detail(enc, ref_encode(cfg, cb, x))
         # each block against the row it was sent and row t % N1 + 1
         pairs = [(t, i) for t, enc in enumerate(encs) for i in (enc[2], t % cb.n1 + 1)]
         decs = decode_details(cb, ys[[t for t, _ in pairs]], [i for _, i in pairs])
         for (t, i), dec in zip(pairs, decs):
-            assert same_detail(dec, capped(ref_decode(cb, ys[t], i, eps)))
+            assert same_detail(dec, capped(ref_decode(cfg, cb, ys[t], i)))
         assert {enc[1] is not None for enc in encs} == {True, False}
         assert {dec[2] for dec in decs} == outcomes
 
@@ -492,7 +497,6 @@ class TestTypeCountKernel:
     ], ids=["identity", "bsc", "ternary"])
     def test_batched_trials_match_a_per_trial_loop(self, cfg):
         cb = build_codebook(cfg)
-        eps = cfg.eps_typ
         engine, outs, k_cls = run_columns(cfg, 300)
         assert engine == "materialized"
         assert np.array_equal(outs.trial, np.arange(300))
@@ -500,9 +504,9 @@ class TestTypeCountKernel:
         for t in range(300):
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
-            k_word, k_idx, i_star = ref_encode(cb, x, eps)
+            k_word, k_idx, i_star = ref_encode(cfg, cb, x)
             i_tilde = transmit_index(i_star, cfg.n1, cfg.theta, rng)
-            l_word, l_idx, distinct = ref_decode(cb, y, i_tilde, eps)
+            l_word, l_idx, distinct = ref_decode(cfg, cb, y, i_tilde)
             # a batched decode counts the typical values only up to 2
             agreed = k_word.tobytes() == l_word.tobytes()
             got = outcome_row(outs, t)
@@ -523,8 +527,8 @@ class TestTypeCountKernel:
         cb = build_codebook(cfg)
         flat = cb.words.reshape(-1, n)
         xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
-        for ref in (cb.pair_ux, cb.pair_uy):
-            got = _typical_mask(cb.blocks, xs, ref, eps).T
+        for ref, bounds in zip(pair_laws(cfg), (cb.ux_bounds, cb.uy_bounds)):
+            got = _typical_mask(cb.blocks, xs, bounds).T
             assert np.array_equal(got, ref_typical_matrix(flat, xs, ref, eps, n))
 
     def test_scanning_encoder_bounds_its_mask_by_blocks_of_sequences(self, monkeypatch):
@@ -537,7 +541,7 @@ class TestTypeCountKernel:
         xs = x.reshape(300, cfg.n)
         want = []
         for row in xs:
-            _, idx, _ = ref_encode(cb, row, cfg.eps_typ)
+            _, idx, _ = ref_encode(cfg, cb, row)
             want.append(-1 if idx is None else (idx[0] - 1) * cb.n2 + idx[1] - 1)
         monkeypatch.setattr(protocol, "_ENCODE_CHUNK", 4)
         monkeypatch.setattr(protocol, "_SCAN_CELLS", 20)
@@ -571,7 +575,7 @@ class TestTypeCountKernel:
         seqs = np.zeros((1, 2 ** 24), dtype=np.int8)
         blocks = np.zeros((1, 2 ** 24, 0), dtype=np.float32)
         with pytest.raises(GuardError):
-            _typical_mask(blocks, seqs, np.zeros((3, 2)), 0.1)
+            _typical_mask(blocks, seqs, np.zeros((2, 1, 2), dtype=np.float32))
 
 
 class TestGenieChannel:
@@ -794,6 +798,35 @@ class TestMonteCarlo:
         with pytest.raises(GuardError, match="N2"):
             run_monte_carlo(cfg, 10)
 
+    @pytest.mark.parametrize("source, mu, eps, typical_k", [
+        # n p of the off-diagonal cells is 0.3: no word is typical with any y
+        (dsbs(0.05), 0.01, 0.5, []),
+        (dsbs(0.1), 0.005, 0.9, [6]),
+        (JointPmf(np.array([[0.5, 0.06], [0.0, 0.44]])), 0.01, 0.5, [6]),
+    ], ids=["dsbs-0.05", "dsbs-0.1", "zero-cell"])
+    def test_row_match_probability_counts_the_type_class(self, source, mu, eps, typical_k):
+        # every word of the codebook's type class at n = 12 against a y with k
+        # zeros, for every k: 2**_log2_q_y(k) is the fraction the reference
+        # test calls typical, and -inf where it calls none typical
+        cfg = ProtocolConfig(n=12, mu=mu, theta=0.0, eps_typ=eps, aux=IDENTITY_AUX,
+                             source=source, seed=0)
+        engine = protocol._StatisticalEngine(cfg)
+        words = np.array([w for w in itertools.product(range(2), repeat=cfg.n)
+                          if w.count(0) == cfg.u_type[0]], dtype=np.int8)
+        assert len(words) == math.comb(cfg.n, int(cfg.u_type[0]))
+        ref_uy = pair_laws(cfg)[1]
+        seen = []
+        for k in range(cfg.n + 1):
+            y = np.array([0] * k + [1] * (cfg.n - k))
+            fraction = ref_batch_pair_typical(words, y, ref_uy, eps).mean()
+            log2_q = engine._log2_q_y(k)
+            if fraction == 0.0:
+                assert log2_q == -math.inf, k
+            else:
+                assert 2.0 ** log2_q == pytest.approx(fraction, rel=1e-12), k
+                seen.append(k)
+        assert seen == typical_k
+
     @pytest.mark.parametrize("cfg, trials, batch", [
         (ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2, aux=IDENTITY_AUX,
                         source=diagonal_source(), seed=13, allow_degenerate_rate=True),
@@ -830,6 +863,8 @@ class TestMonteCarlo:
     def test_statistical_trials_match_a_per_trial_loop(self, cfg):
         engine = protocol._StatisticalEngine(cfg)
         eps = cfg.eps_typ
+        ref_ux, ref_uy = pair_laws(cfg)
+        fallback = reserved_word(cfg.n, cfg.u_card)
         name, outs, k_cls = run_columns(cfg, 200)
         assert name == "statistical"
         assert np.array_equal(outs.trial, np.arange(200))
@@ -840,8 +875,8 @@ class TestMonteCarlo:
             x, y = sample_iid(cfg.source, cfg.n, rng)
             u = cfg.det_map[x]
             exact_type = (u == 0).sum() == cfg.u_type[0]
-            encodes = exact_type and ref_batch_pair_typical(u[None, :], x, cfg.pair_ux_ext, eps)[0]
-            own = exact_type and ref_batch_pair_typical(u[None, :], y, cfg.pair_uy_ext, eps)[0]
+            encodes = exact_type and ref_batch_pair_typical(u[None, :], x, ref_ux, eps)[0]
+            own = exact_type and ref_batch_pair_typical(u[None, :], y, ref_uy, eps)[0]
             flip, alt = protocol._draw_index(rng, cfg.n1, cfg.theta)
             # the cached half of a 32-bit draw never reaches the later draws,
             # which start on their own substream
@@ -856,9 +891,9 @@ class TestMonteCarlo:
                 l_idx, distinct, own_l = engine._decode(later, u.tobytes(), k_idx, i_tilde,
                                                         bool(own), int((y == 0).sum()))
                 moved += later.bit_generator.state != state
-            k_word = u if k_idx is not None else cfg.fallback
+            k_word = u if k_idx is not None else fallback
             l_word = (u if own_l else np.array([-1], dtype=np.int8) if l_idx is not None
-                      else cfg.fallback)
+                      else fallback)
             agreed = k_word.tobytes() == l_word.tobytes()
             assert outcome_row(outs, t) == (k_idx, i_star, i_tilde, l_idx, distinct, agreed)
             keys.append(k_word.tobytes())

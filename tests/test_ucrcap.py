@@ -25,9 +25,9 @@ from ucrlab.ucrcap import (
     _PREFILTER_MIN,
     AuxiliaryChannel,
     TimeSharedAux,
-    _batch_objectives,
     _evaluate_envelope,
     _hull_scan,
+    _objectives,
     _orbit_indices,
     _simplex_grid,
     _source_terms,
@@ -62,7 +62,7 @@ def achieved_point(source, achiever) -> tuple[float, float]:
 def climb_case(seed, nx, ny, u_card, massless):
     """(terms, starts, slopes) for a climb: a random source with zero cells,
     and a zero-mass X row if massless; four maps and four mixed starts with
-    zero cells; slopes from 1 + 19^-6 to 20."""
+    zero cells, as an (x, u, M) stack; slopes from 1 + 19^-6 to 20."""
     rng = as_rng(seed)
     probs = random_joint(rng, nx, ny).probs.copy()
     probs[rng.random(probs.shape) < 0.25] = 0.0
@@ -76,7 +76,7 @@ def climb_case(seed, nx, ny, u_card, massless):
     mixed[:, 0] += 1e-3
     starts = np.concatenate([maps, mixed / mixed.sum(axis=1, keepdims=True)])
     slopes = 1.0 + 19.0 ** rng.uniform(-6.0, 1.0, size=starts.shape[0])
-    return terms, starts, slopes
+    return terms, starts.transpose(2, 1, 0), slopes
 
 
 def hull_cloud(seed: int, zeros: bool, duplicates: bool, jitter: bool,
@@ -194,9 +194,9 @@ def ref_oracle(source: JointPmf, c_bits: float, u_card: int, grid_step: float,
     parts = []
 
     def keep_hull(mats):
-        values, gaps = _batch_objectives(mats, terms)
+        values, gaps = _objectives(mats.transpose(2, 1, 0), terms)
         keep = np.sort(np.array(_upper_hull(gaps, values), dtype=np.int64))
-        parts.append((gaps[keep], values[keep], mats[keep]))
+        parts.append((gaps[keep], values[keep], mats[keep].transpose(2, 1, 0)))
 
     for start in range(0, total, ucrcap._ORACLE_CHUNK):
         mats = grid_chunk(row_pts, source.nx, start, min(start + ucrcap._ORACLE_CHUNK, total))
@@ -231,10 +231,10 @@ def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None
     det = grid_chunk(_simplex_grid(1, u_card), x_card, 0, u_card ** x_card)
     picks = rng.integers(0, total, size=16)
     mats = np.concatenate([det] + [grid_chunk(row_pts, x_card, k, k + 1) for k in picks])
-    value, gap = _batch_objectives(mats, terms)
+    value, gap = _objectives(mats.transpose(2, 1, 0), terms)
 
     def check(batch, idx):
-        v, g = _batch_objectives(batch, terms)
+        v, g = _objectives(batch.transpose(2, 1, 0), terms)
         assert v.tobytes() == value[idx].tobytes()
         assert g.tobytes() == gap[idx].tobytes()
 
@@ -249,7 +249,7 @@ def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None
         k = int(grid_indices(row_pts, mat[None])[0])
         start = max(0, k - int(rng.integers(0, 40)))
         chunk = grid_chunk(row_pts, x_card, start, min(total, k + 1 + int(rng.integers(0, 40))))
-        v, g = _batch_objectives(chunk, terms)
+        v, g = _objectives(chunk.transpose(2, 1, 0), terms)
         assert (v[k - start], g[k - start]) == (value[i], gap[i])
 
 
@@ -378,7 +378,7 @@ class TestObjective:
         assert_layout_invariant(np.array(C03_SOURCE_28), 2, 50, as_rng(28))
 
     def test_empty_batch_scores_to_empty_arrays(self):
-        values, gaps = _batch_objectives(np.zeros((0, 3, 2)), _source_terms(dsbs(0.1).probs))
+        values, gaps = _objectives(np.zeros((2, 3, 0)), _source_terms(dsbs(0.1).probs))
         assert values.shape == gaps.shape == (0,)
 
     @given(st.integers(0, 2**32 - 1))
@@ -677,7 +677,7 @@ class TestSolver:
     def test_fixed_point_climb_never_loses_ground(self, seed, nx, ny, u_card, massless):
         # at any slope s > 1 the bottleneck update never lowers value - s * gap
         terms, starts, slopes = climb_case(seed, nx, ny, u_card, massless)
-        values, gaps = _batch_objectives(starts, terms)
+        values, gaps = _objectives(starts, terms)
         end_gaps, end_values, end = ucrcap._climb(slopes, starts, terms, 200)
         assert np.isfinite(end).all()
         assert np.allclose(end.sum(axis=1), 1.0, atol=1e-12)
@@ -692,10 +692,11 @@ class TestSolver:
         terms, starts, slopes = climb_case(seed, nx, ny, u_card, massless)
         for steps in (1, 50):
             end_gaps, end_values, end = ucrcap._climb(slopes, starts, terms, steps)
-            want = climb_reference(slopes, starts, terms, steps)
+            want = climb_reference(slopes, starts.transpose(2, 1, 0), terms,
+                                   steps).transpose(2, 1, 0)
             assert end.shape == starts.shape
             assert np.abs(end - want).max() <= 1e-8
-            values, gaps = _batch_objectives(want, terms)
+            values, gaps = _objectives(want, terms)
             assert np.abs(end_values - values).max() <= 1e-8
             assert np.abs(end_gaps - gaps).max() <= 1e-8
 
@@ -732,9 +733,11 @@ class TestCurve:
         assert values[-1] == pytest.approx(1.0, abs=1e-12)  # 0.6 > h2(0.1)
 
     def test_rejects_negative_budgets(self):
-        for bad in (-0.2, math.nan):
+        for bad in (-0.2, math.nan, math.inf):
             for grid in ([bad, 0.1], [0.1, bad]):
                 with pytest.raises(ValidationError):
                     ucr_curve(dsbs(0.1), grid)
+            with pytest.raises(ValidationError):
+                ucr_capacity_solve(dsbs(0.1), bad)
             with pytest.raises(ValidationError):
                 ucrcap.ucr_capacity_oracle(dsbs(0.1), bad, 2, grid_step=0.5)

@@ -483,9 +483,8 @@ def inf_info_rate_estimate(spectra: list[SpectrumEstimate]) -> SpectralRateEstim
 
     Scans the rate grid of step SPECTRUM_GRID_STEP and takes the largest R
     whose mass_below at the largest block length is <= SPECTRUM_DROP_TOL.
-    The estimate is conclusive when that mass is
-    also non-increasing across the provided block lengths; otherwise it is
-    returned flagged.
+    The estimate is conclusive when that mass is also non-increasing
+    across the provided block lengths; otherwise it is returned flagged.
     """
     if len(spectra) < 2:
         raise ValidationError("need spectra at two or more block lengths")

@@ -448,8 +448,8 @@ def telescoping_identity_check(inst: TelescopingInstance) -> tuple[float, float,
     joint. Right side: n*[I(S;X_J|V) - I(S;Y_J|V)] with J uniform on the
     coordinates, independent of everything, and V the tuple (X-prefix
     before J, Y-suffix after J, R, J). Returns (lhs, rhs, gap) and raises
-    when the gap exceeds TELESCOPING_TOL: equality is an identity, so a violation
-    means broken arithmetic, not an unlucky instance.
+    when the gap exceeds TELESCOPING_TOL: equality is an identity, so a
+    violation means broken arithmetic, not an unlucky instance.
     """
     n = inst.n
     joint = inst.joint

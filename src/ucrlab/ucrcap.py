@@ -25,15 +25,14 @@ the objective is convex in P(u|x) and the maximizer is a deterministic
 map, which the skeleton already holds.
 Both paths build their point cloud once, as (gaps, values, mats) arrays
 with mats an (x, u, M) stack, scored by one kernel over such stacks that
-gives each matrix the same
-bits in any batch and sets gaps and values at or below 1e-12 to exactly 0,
-so the constant map anchors every envelope at gap 0. The oracle scores one
-grid matrix per U-relabelling orbit (relabelling U moves neither I(U;X) nor
-the gap), though ORACLE_GUARD counts the full grid it walks. It keeps each
-grid chunk's hull, with the hull kept so far as a floor: a chunk with no
-point near or above it keeps nothing, any other keeps its whole hull. The
-oracle is the arbiter; the solver is validated against it, never trusted
-alone.
+gives each matrix the same bits in any batch and sets gaps and values at
+or below 1e-12 to exactly 0, so the constant map anchors every envelope
+at gap 0. The oracle scores one grid matrix per U-relabelling orbit
+(relabelling U moves neither I(U;X) nor the gap), though ORACLE_GUARD
+counts the full grid it walks. It keeps each grid chunk's hull, with the
+hull kept so far as a floor: a chunk with no point near or above it keeps
+nothing, any other keeps its whole hull. The oracle is the arbiter; the
+solver is validated against it, never trusted alone.
 """
 from __future__ import annotations
 

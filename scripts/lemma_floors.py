@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     for gamma in (float(g) for g in args.gammas.split(",")):
         prm = params_for_gamma(args.alpha, gamma)
         rep = set_bound_checks(res.joint_ky, cfg.n, prm,
-                               res.log2_k_cardinality)
+                               cfg.log2_k_cardinality)
         # raw mass-vs-floor comparison; the formal verdict fields stay None
         # here because this law is far from uniform at n = 8
         l_ok = rep.p_in_l >= rep.l_lower_bound

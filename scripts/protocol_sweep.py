@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         mc = run_monte_carlo(cfg, args.trials, keep_outcomes=False)
         dt = time.perf_counter() - t0
         rate = mc.entropy_k_bits / n
-        rows.append((n, mc.p_disagree, rate, mc.log2_k_cardinality,
+        rows.append((n, mc.p_disagree, rate, cfg.log2_k_cardinality,
                      mc.event_counts["encoder_fallback"],
                      mc.event_counts["index_error"],
                      mc.event_counts["decoder_miss"], mc.engine))

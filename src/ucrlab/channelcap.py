@@ -230,9 +230,12 @@ class CapacityResult:
     input_pmf: Pmf
     lower_bits: float
     upper_bits: float
-    iterations: int
     newton_steps: int
     alternating_steps: int
+
+    @property
+    def iterations(self) -> int:
+        return 1 + self.newton_steps + self.alternating_steps
 
     @property
     def certificate_bits(self) -> float:
@@ -373,7 +376,7 @@ def dmc_capacity(kernel: ConditionalPmf, tol: float = 1e-9) -> CapacityResult:
         lower = min(point.info, upper)
         if upper - lower <= tol:
             value = 0.5 * (lower + upper)
-            return CapacityResult(max(value, 0.0), Pmf(point.r), lower, upper, it,
+            return CapacityResult(max(value, 0.0), Pmf(point.r), lower, upper,
                                   newton_steps, alternating_steps)
         if it == CAPACITY_STEP_LIMIT:
             break

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ def _single_letter_kernel(spec: dict, what: str):
 
 
 def _exec_capacity(config: dict, out_dir: Path) -> dict:
-    kernel = _single_letter_kernel(config["channel"], "capacity")
+    kernel = _single_letter_kernel(_need(config, "channel", "capacity config"), "capacity")
     res = dmc_capacity(kernel, tol=json_field(config, "tol", "capacity config", float))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -124,7 +125,7 @@ def _exec_capacity(config: dict, out_dir: Path) -> dict:
 
 
 def _exec_ucr(config: dict, out_dir: Path) -> dict:
-    source = source_from_dict(config["source"])
+    source = source_from_dict(_need(config, "source", "ucr config"))
     seed = check_seed(_need(config, "seed", "ucr config"))
     # a null u_card is the default alphabet, and a null grid no curve
     u_card = None if config.get("u_card") is None else json_field(
@@ -235,12 +236,6 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
     if json_field(config, "exact", "simulate config", bool, False):
         res = exact_analyze(cfg, include_joint=False)
         summary["mode"] = "exact"
-        summary["p_disagree"] = float(res.p_disagree)
-        summary["entropy_k_bits"] = float(res.entropy_k_bits)
-        summary["entropy_k_given_y_bits"] = float(res.entropy_k_given_y_bits)
-        summary["entropy_l_bits"] = float(res.entropy_l_bits)
-        summary["uniformity_gap_bits"] = float(res.uniformity_gap_bits)
-        summary["claim_rate_bits"] = float(res.claim_rate_bits)
         print(f"exact: P[K != L] = {res.p_disagree:.9f}, "
               f"H(K) = {res.entropy_k_bits:.6f} bits, "
               f"H(K|Y^n) = {res.entropy_k_given_y_bits:.6f} bits")
@@ -248,14 +243,6 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
         trials = json_field(config, "trials", "simulate config", int)
         res = run_monte_carlo(cfg, trials)
         summary["mode"] = "monte_carlo"
-        summary["engine"] = res.engine
-        summary["trials"] = trials
-        summary["p_disagree"] = float(res.p_disagree)
-        summary["event_counts"] = {k: int(v) for k, v in res.event_counts.items()}
-        summary["entropy_k_bits"] = float(res.entropy_k_bits)
-        summary["entropy_k_plugin_bits"] = float(res.entropy_k_plugin_bits)
-        summary["distinct_k"] = int(res.distinct_k)
-        summary["uniformity_gap_bits"] = float(res.uniformity_gap_bits)
         diagnostics["encoder_fallback_fraction"] = (
             res.event_counts["encoder_fallback"] / trials)
         outs = res.outcomes
@@ -268,10 +255,14 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
               f"P[K != L] = {res.p_disagree:.6f}, "
               f"events {res.event_counts}")
 
+    # the measured numbers, each under its result field's name; the
+    # config's keys above say what was run, and no name is in both
+    summary.update((f.name, getattr(res, f.name)) for f in fields(res)
+                   if f.name not in ("joint_ky", "outcomes"))
     diagnostics["rate_bits"] = float(res.entropy_k_bits / cfg.n)
     diagnostics["target_rate_bits"] = float(cfg.i_ux)
     summary["diagnostics"] = diagnostics
-    report = check_achievability_conditions(res, params)
+    report = check_achievability_conditions(cfg, res, params)
     summary["conditions"] = _report_to_dict(report)
 
     if "index_channel" in desc:
@@ -296,7 +287,7 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
 
 
 def _exec_spectrum(config: dict, out_dir: Path) -> dict:
-    kernel = channel_from_dict(config["channel"])
+    kernel = channel_from_dict(_need(config, "channel", "spectrum config"))
     if not isinstance(kernel, MixedChannel):
         kernel = DmcProduct(kernel)
     if config.get("input") is not None:

@@ -512,24 +512,6 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     return found
 
 
-def transmit_index(i_star: int, n1: int, theta: float, seed) -> int:
-    """Genie index channel: correct with probability 1 - theta, else a
-    uniformly random different index in 1..n1+1.
-
-    Every call draws the flip and the alternative, used or not, so runs
-    at different theta over one shared generator stay coupled. Monte
-    Carlo trials draw the alternative only when the flip sends it: they
-    stay coupled through their own substreams, as a trial's later draws
-    start on a substream of their own.
-    """
-    if not (0.0 <= theta < 1.0):
-        raise ValidationError(f"theta must be in [0, 1), got {theta}")
-    if not (1 <= i_star <= n1 + 1):
-        raise ValidationError(f"index {i_star} outside 1..{n1 + 1}")
-    # at theta = 1 every flip sends the alternative, so both are drawn
-    return int(_resolve_index(i_star, *_draw_index(as_rng(seed), n1, 1.0), theta))
-
-
 def _draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:
     """The index channel's draws: the flip uniform, then, only when the
     flip sends it (flip < theta), the alternative index in 1..n1; 0 marks
@@ -620,7 +602,8 @@ _EVENT_NAMES = ("encoder_fallback", "index_error", "decoder_miss",
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregate of run_monte_carlo.
+    """What run_monte_carlo measured; the ProtocolConfig it ran holds what
+    was run (n, N1, N2, |K|, theta and the seed).
 
     entropy_k_bits carries the Miller-Madow correction on top of the
     plug-in estimate; both are biased low for severely undersampled K, so
@@ -633,14 +616,7 @@ class MonteCarloResult:
     entropy_k_bits: float
     entropy_k_plugin_bits: float
     distinct_k: int
-    n: int
-    n1: int
-    n2: int
-    k_cardinality: int
-    log2_k_cardinality: float
     uniformity_gap_bits: float
-    theta: float
-    seed: int
     engine: str
     outcomes: TrialOutcomes | None
 
@@ -978,7 +954,6 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
             kept.append(out)
 
     mm, plugin, distinct_k = _entropy_estimates(counter, trials)
-    log2_card = math.log2(cfg.k_cardinality)
     return MonteCarloResult(
         trials=trials,
         p_disagree=1.0 - agree / trials,
@@ -986,14 +961,7 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
         entropy_k_bits=mm,
         entropy_k_plugin_bits=plugin,
         distinct_k=distinct_k,
-        n=cfg.n,
-        n1=cfg.n1,
-        n2=cfg.n2,
-        k_cardinality=cfg.k_cardinality,
-        log2_k_cardinality=log2_card,
-        uniformity_gap_bits=abs(mm / cfg.n - log2_card / cfg.n),
-        theta=cfg.theta,
-        seed=cfg.seed,
+        uniformity_gap_bits=abs(mm / cfg.n - cfg.log2_k_cardinality / cfg.n),
         engine=engine,
         outcomes=TrialOutcomes.concat(kept) if keep_outcomes else None,
     )
@@ -1001,21 +969,16 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Closed-form push of the protocol through all source blocks."""
+    """What exact_analyze measured, the closed-form push of the protocol
+    through all source blocks; the ProtocolConfig it ran holds what was run
+    (n, N1, N2, |K|, theta and the seed)."""
 
     p_disagree: float
     entropy_k_bits: float
     entropy_k_given_y_bits: float
     entropy_l_bits: float
     uniformity_gap_bits: float
-    k_cardinality: int
-    log2_k_cardinality: float
     claim_rate_bits: float
-    n: int
-    n1: int
-    n2: int
-    theta: float
-    seed: int
     joint_ky: np.ndarray | None
 
 
@@ -1146,22 +1109,14 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))
 
-    log2_card = math.log2(cfg.k_cardinality)
     return ExactResult(
         p_disagree=p_disagree,
         entropy_k_bits=h_k,
         entropy_k_given_y_bits=h_k_given_y,
         entropy_l_bits=h_l,
-        uniformity_gap_bits=abs(h_k / n - log2_card / n),
-        k_cardinality=cfg.k_cardinality,
-        log2_k_cardinality=log2_card,
+        uniformity_gap_bits=abs(h_k / n - cfg.log2_k_cardinality / n),
         claim_rate_bits=h_k_given_y / n,
-        n=n,
-        n1=n1,
-        n2=n2,
-        theta=theta,
-        seed=cfg.seed,
-        joint_ky=joint_ky if include_joint else None,
+        joint_ky=joint_ky,
     )
 
 
@@ -1204,15 +1159,17 @@ class AchievabilityReport:
         return all(c.holds for c in self.conditions)
 
 
-def check_achievability_conditions(result, params: AchievabilityParams) -> AchievabilityReport:
-    """Evaluate the four operating conditions plus the entropy remark.
+def check_achievability_conditions(cfg: ProtocolConfig, result,
+                                   params: AchievabilityParams) -> AchievabilityReport:
+    """Evaluate the four operating conditions plus the entropy remark for a
+    result of a run of cfg, which gives n, log2|K| and theta.
 
     Works on both exact and Monte Carlo results; the remark comparison
     appears only when the result carries the second terminal's entropy.
     """
-    n = result.n
+    n = cfg.n
     rate_k = result.entropy_k_bits / n
-    log_card = result.log2_k_cardinality
+    log_card = cfg.log2_k_cardinality
     checks = (
         ConditionCheck("error", result.p_disagree <= params.alpha,
                        params.alpha - result.p_disagree),
@@ -1229,7 +1186,7 @@ def check_achievability_conditions(result, params: AchievabilityParams) -> Achie
         gap = abs(rate_k - h_l / n)
         remark = ConditionCheck("entropy_match", gap <= params.epsilon,
                                 params.epsilon - gap)
-    return AchievabilityReport(checks, remark, result.theta <= params.alpha / 2.0)
+    return AchievabilityReport(checks, remark, cfg.theta <= params.alpha / 2.0)
 
 
 @dataclass(frozen=True)

@@ -320,11 +320,15 @@ class RunManifest:
             raise ValidationError(
                 f"manifest schema_version {version} unsupported "
                 f"(this build reads {SCHEMA_VERSION})")
+        config, outputs = _need(d, "config", "manifest"), d.get("outputs", {})
+        for key, value in (("config", config), ("outputs", outputs)):
+            if not isinstance(value, dict):
+                raise ValidationError(f"manifest: {key!r} must be a JSON object, got {value!r}")
         return RunManifest(
             command=str(_need(d, "command", "manifest")),
-            config=_need(d, "config", "manifest"),
+            config=config,
             seed=check_seed(_need(d, "seed", "manifest")),
-            outputs=dict(d.get("outputs", {})),
-            duration_seconds=float(d.get("duration_seconds", 0.0)),
+            outputs=outputs,
+            duration_seconds=json_field(d, "duration_seconds", "manifest", float, 0.0),
             tool_version=str(d.get("tool_version", __version__)),
         )

@@ -178,14 +178,7 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
         entropy_k_given_y_bits=h_k_given_y,
         entropy_l_bits=h_l,
         uniformity_gap_bits=abs(h_k / n - log2_card / n),
-        k_cardinality=cfg.k_cardinality,
-        log2_k_cardinality=log2_card,
         claim_rate_bits=h_k_given_y / n,
-        n=n,
-        n1=n1,
-        n2=n2,
-        theta=theta,
-        seed=cfg.seed,
         joint_ky=joint_ky if include_joint else None,
     )
 

@@ -1,5 +1,6 @@
 """Command-line surface: documents on disk, exit codes, replay fidelity."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucrlab import channelcap, protocol, ucrcap
+from ucrlab import channelcap, cli, protocol, ucrcap
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
 from ucrlab.serialize import load_json, source_from_dict
 
@@ -217,6 +218,36 @@ class TestSimulateCommand:
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in hashes}
         assert got == hashes
+
+    @pytest.mark.parametrize("config, mode, engine", [
+        ("protocol_small.json", ["--exact"], "exact_analyze"),
+        ("protocol_small.json", ["--trials", "200"], "run_monte_carlo"),
+        ("protocol_desk.json", ["--trials", "100"], "run_monte_carlo"),
+    ], ids=["exact", "materialized", "statistical"])
+    def test_document_is_the_config_keys_and_the_result_fields(
+            self, tmp_path, monkeypatch, config, mode, engine):
+        # what was run comes from the config, what was measured from the
+        # result, each under its own name and each once
+        results = []
+        run = getattr(cli, engine)
+
+        def recorded(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(cli, engine, recorded)
+        out = tmp_path / "run"
+        assert main(["simulate", str(CONFIGS / config), *mode,
+                     "--out-dir", str(out)]) == EXIT_OK
+        doc = read_json(out / "simulate.json")
+        (res,) = results
+        measured = {f.name for f in dataclasses.fields(res)} - {"joint_ky", "outcomes"}
+        config_keys = {"schema_version", "n", "n1", "n2", "log2_k_cardinality",
+                       "cardinality_bound_log2", "cardinality_ok", "theta", "seed"}
+        assert not config_keys & measured
+        assert set(doc) == config_keys | measured | {"mode", "diagnostics", "conditions"}
+        assert {name: doc[name] for name in measured} == {
+            name: getattr(res, name) for name in measured}
+        assert all(isinstance(v, (int, float, str, bool, dict)) for v in doc.values())
 
     def test_diagnostics_put_the_key_rate_against_its_target(self, tmp_path):
         for args, keys in ((["--exact"], {"rate_bits", "target_rate_bits"}),
@@ -584,6 +615,36 @@ class TestReplay:
         assert code == EXIT_VALIDATION
         assert "seed must be an integer" in capsys.readouterr().err
         assert not any(out.glob("*.json"))
+
+    @pytest.mark.parametrize("argv, edit, message", [
+        (["capacity", str(CONFIGS / "bsc011.json")],
+         lambda m: m["config"].pop("channel"), "missing required key 'channel'"),
+        (["capacity", str(CONFIGS / "bsc011.json")],
+         lambda m: m.update(config=[m["config"]]), "'config' must be a JSON object"),
+        (["capacity", str(CONFIGS / "bsc011.json")],
+         lambda m: m.update(outputs=5), "'outputs' must be a JSON object"),
+        (["capacity", str(CONFIGS / "bsc011.json")],
+         lambda m: m.update(duration_seconds="x"), "'duration_seconds' must be a number"),
+        (["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+         lambda m: m["config"].pop("source"), "missing required key 'source'"),
+        (["spectrum", str(CONFIGS / "bsc011.json"), "--n", "8", "--samples", "8"],
+         lambda m: m["config"].pop("channel"), "missing required key 'channel'"),
+    ], ids=["capacity-no-channel", "config-list", "outputs-number", "duration-text",
+            "ucr-no-source", "spectrum-no-channel"])
+    def test_replay_of_a_malformed_manifest_exits_2(self, tmp_path, capsys, argv, edit,
+                                                    message):
+        first = tmp_path / "first"
+        assert main(argv + ["--out-dir", str(first)]) == EXIT_OK
+        manifest = read_json(first / "manifest.json")
+        edit(manifest)
+        (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "again"
+        capsys.readouterr()
+        code = main(["replay", str(first / "manifest.json"), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(out.glob("*"))
 
     def test_replay_survives_config_file_deletion(self, tmp_path):
         spec = tmp_path / "chan.json"

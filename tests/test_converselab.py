@@ -42,12 +42,17 @@ def scalar_sweep(rng, target, box):
 
 
 @pytest.fixture(scope="module")
-def reference_joint():
-    """Exact (K, Y-block) law of the small reference run (n = 8)."""
-    cfg = ProtocolConfig(n=8, mu=0.3, theta=0.0, eps_typ=0.15,
-                         aux=AuxiliaryChannel.identity(2), source=dsbs(0.1),
-                         seed=0, allow_degenerate_rate=True)
-    return exact_analyze(cfg)
+def reference_cfg():
+    """The small reference run (n = 8)."""
+    return ProtocolConfig(n=8, mu=0.3, theta=0.0, eps_typ=0.15,
+                          aux=AuxiliaryChannel.identity(2), source=dsbs(0.1),
+                          seed=0, allow_degenerate_rate=True)
+
+
+@pytest.fixture(scope="module")
+def reference_joint(reference_cfg):
+    """Exact (K, Y-block) law of the small reference run."""
+    return exact_analyze(reference_cfg)
 
 
 class TestDerivedConstants:
@@ -220,13 +225,13 @@ class TestSetBounds:
         assert report.p_in_d == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_law_masses_clear_the_floors_but_gate_closed(
-            self, reference_joint):
+            self, reference_cfg, reference_joint):
         # same loose parameters; the near-uniformity precondition fails
         # (H(K)/n = 0.315 vs log2|K|/n = 1.369 with beta = 0.001), so the
         # verdicts stay None even though the raw masses clear the floors
         p = derive_params(0.01, 0.001, 2.0)
         report = set_bound_checks(reference_joint.joint_ky, 8, p,
-                                  reference_joint.log2_k_cardinality)
+                                  reference_cfg.log2_k_cardinality)
         assert report.p_in_l == pytest.approx(1.0, abs=1e-9)
         assert report.p_in_d == pytest.approx(1.0, abs=1e-9)
         assert report.p_in_l >= report.l_lower_bound
@@ -235,14 +240,14 @@ class TestSetBounds:
         assert not report.applicable
         assert report.l_holds is None and report.d_holds is None
 
-    def test_tight_parameters_expose_the_small_n_gap(self, reference_joint):
+    def test_tight_parameters_expose_the_small_n_gap(self, reference_cfg, reference_joint):
         # gamma pinned to 0.05 via mu = (gamma/2)^4 * (1 - sqrt(alpha))^2
         mu_target = (0.05 / 2.0) ** 4 * 0.25
         beta = (-1.0 + math.sqrt(1.0 + 4.0 * mu_target)) / 2.0
         p = derive_params(0.25, beta, 0.0)
         assert p.gamma_ab == pytest.approx(0.05, abs=1e-9)
         report = set_bound_checks(reference_joint.joint_ky, 8, p,
-                                  reference_joint.log2_k_cardinality)
+                                  reference_cfg.log2_k_cardinality)
         assert report.p_in_l == pytest.approx(70 / 256, abs=1e-12)
         assert report.p_in_d == pytest.approx(0.4052691835937501, abs=1e-12)
         assert report.p_in_l < report.l_lower_bound

@@ -33,7 +33,6 @@ from ucrlab.protocol import (
     pow2_floor,
     rate_feasibility,
     run_monte_carlo,
-    transmit_index,
 )
 from ucrlab.channelcap import bsc
 from ucrlab.ucrcap import AuxiliaryChannel
@@ -505,7 +504,8 @@ class TestTypeCountKernel:
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
             k_word, k_idx, i_star = ref_encode(cfg, cb, x)
-            i_tilde = transmit_index(i_star, cfg.n1, cfg.theta, rng)
+            flip, alt = protocol._draw_index(rng, cfg.n1, cfg.theta)
+            i_tilde = i_star if flip >= cfg.theta else alt + (alt >= i_star)
             l_word, l_idx, distinct = ref_decode(cfg, cb, y, i_tilde)
             # a batched decode counts the typical values only up to 2
             agreed = k_word.tobytes() == l_word.tobytes()
@@ -578,31 +578,34 @@ class TestTypeCountKernel:
             _typical_mask(blocks, seqs, np.zeros((2, 1, 2), dtype=np.float32))
 
 
+def sent_through_index_channel(i_star: int, n1: int, theta: float, rng) -> int:
+    """The index received for i_star, drawn and resolved as the engines do."""
+    return int(protocol._resolve_index(i_star, *protocol._draw_index(rng, n1, theta), theta))
+
+
 class TestGenieChannel:
     def test_noiseless_theta_is_identity(self):
-        assert transmit_index(4, 10, 0.0, seed=0) == 4
+        assert protocol._draw_index(as_rng(0), 10, 0.0)[1] == 0
+        assert sent_through_index_channel(4, 10, 0.0, as_rng(0)) == 4
 
     def test_flip_frequency_reference_run(self):
         rng = as_rng(subseed(101, 1))
-        flips = sum(transmit_index(3, 10, 0.5, rng) != 3 for _ in range(10**4))
-        assert flips == 5028
+        flips = sum(sent_through_index_channel(3, 10, 0.5, rng) != 3 for _ in range(10**4))
+        assert flips == 5050
+        # a Binomial(10**4, 1/2) count, within 4 standard errors (50) of its mean
+        assert abs(flips - 5000) <= 4 * 50
 
     def test_wrong_index_lands_inside_the_extended_range(self):
         rng = as_rng(7)
         for _ in range(200):
-            got = transmit_index(2, 5, 0.9, rng)
+            got = sent_through_index_channel(2, 5, 0.9, rng)
             assert 1 <= got <= 6
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            transmit_index(0, 5, 0.1, seed=0)
-        with pytest.raises(ValidationError):
-            transmit_index(2, 5, 1.0, seed=0)
 
 
 class TestExactAnalyzer:
     def test_reference_triple_is_frozen(self):
-        res = exact_analyze(small_exact_config())
+        cfg = small_exact_config()
+        res = exact_analyze(cfg)
         assert res.p_disagree == pytest.approx(70 / 256, abs=1e-12)
         assert res.entropy_k_bits == pytest.approx(2.5223299263043213, abs=1e-9)
         assert res.entropy_k_given_y_bits == pytest.approx(
@@ -611,7 +614,7 @@ class TestExactAnalyzer:
         assert res.uniformity_gap_bits == pytest.approx(
             1.0537104048231456, abs=1e-9)
         assert res.claim_rate_bits == pytest.approx(0.16635461300405208, abs=1e-9)
-        assert (res.n1, res.n2) == (1980, 1)
+        assert (cfg.n1, cfg.n2) == (1980, 1)
 
     def test_deterministic_aux_makes_the_seed_irrelevant(self):
         a = exact_analyze(small_exact_config(seed=0))
@@ -754,7 +757,7 @@ class TestMonteCarlo:
         assert mc.event_counts["encoder_fallback"] == 1938
         assert mc.event_counts["index_error"] == 25
         assert mc.event_counts["decoder_miss"] == 43
-        assert mc.log2_k_cardinality == pytest.approx(1100.0, abs=1e-9)
+        assert cfg.log2_k_cardinality == pytest.approx(1100.0, abs=1e-9)
 
     def test_statistical_engine_same_seed_gives_the_same_run(self):
         cfg = ProtocolConfig(n=1000, mu=0.1, theta=0.01, eps_typ=0.15,
@@ -989,10 +992,11 @@ class TestMonteCarlo:
 
 class TestConditions:
     def test_reference_exact_run_against_targets(self):
-        res = exact_analyze(small_exact_config())
+        cfg = small_exact_config()
+        res = exact_analyze(cfg)
         params = AchievabilityParams(alpha=0.3, c=2.0, beta=1.1, delta=1.0,
                                      h_target=1.0, epsilon=0.2)
-        report = check_achievability_conditions(res, params)
+        report = check_achievability_conditions(cfg, res, params)
         names = [c.name for c in report.conditions]
         assert names == ["error", "cardinality", "uniformity", "rate"]
         assert report.all_hold
@@ -1000,10 +1004,11 @@ class TestConditions:
         assert report.remark is not None and not report.remark.holds
 
     def test_margins_have_the_documented_sign(self):
-        res = exact_analyze(small_exact_config())
+        cfg = small_exact_config()
+        res = exact_analyze(cfg)
         params = AchievabilityParams(alpha=0.2, c=2.0, beta=1.1, delta=1.0,
                                      h_target=1.0)
-        report = check_achievability_conditions(res, params)
+        report = check_achievability_conditions(cfg, res, params)
         error = report.conditions[0]
         assert not error.holds and error.margin < 0.0
 

@@ -452,15 +452,19 @@ def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
     (seed, _SPECTRUM_KEY, n, b): it draws its inputs as one (B, n) array,
     then the channel outputs through kernel.sample_output. The result
     therefore depends only on (seed, n, num_samples), and per-batch arrays
-    stay small at any n. Inputs and outputs stay in the inverse cdf's
-    small-int dtype (int8 up to 128 symbols); sample_output and
-    information_density each check their blocks once with a min and a max,
-    and the scoring under them checks nothing again.
+    stay small: a block longer than one batch is refused (GuardError).
+    Inputs and outputs stay in the inverse cdf's small-int dtype (int8 up
+    to 128 symbols); sample_output and information_density each check
+    their blocks once with a min and a max, and the scoring under them
+    checks nothing again.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
+    if n > _SPECTRUM_BATCH_SYMBOLS:
+        raise GuardError(
+            f"block length {n} exceeds a batch of {_SPECTRUM_BATCH_SYMBOLS} symbols")
     _check_input_pmf(kernel, input_pmf)
     per_batch = max(1, _SPECTRUM_BATCH_SYMBOLS // n)
     values = []

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .probspace import Pmf, as_rng, check_seed, subseed
 from .protocol import (
+    TRIAL_LIMIT,
     AchievabilityParams,
     ProtocolConfig,
     check_achievability_conditions,
@@ -217,6 +218,10 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
                                          False),
     )
     params = _conditions_from(desc, cfg)
+    # the index channel is checked before the run, so a bad one leaves no file
+    rc = None if "index_channel" not in desc else rate_feasibility(
+        cfg, _single_letter_kernel(desc["index_channel"], "rate check"),
+        json_field(desc, "mu_prime", "descriptor", float, 0.0))
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "n": cfg.n,
@@ -265,9 +270,7 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
     report = check_achievability_conditions(cfg, res, params)
     summary["conditions"] = _report_to_dict(report)
 
-    if "index_channel" in desc:
-        kernel = _single_letter_kernel(desc["index_channel"], "rate check")
-        rc = rate_feasibility(cfg, kernel, json_field(desc, "mu_prime", "descriptor", float, 0.0))
+    if rc is not None:
         summary["rate_check"] = {
             "ok": bool(rc.ok),
             "index_rate_bits": float(rc.index_rate_bits),
@@ -298,6 +301,8 @@ def _exec_spectrum(config: dict, out_dir: Path) -> dict:
     if not ns or sorted(set(ns)) != ns:
         raise ValidationError(f"block lengths must be strictly increasing integers, got {ns!r}")
     samples = json_field(config, "samples", "spectrum config", int)
+    if samples > TRIAL_LIMIT:  # the bound on a Monte Carlo run's trials
+        raise ValidationError(f"samples must be at most 2**32, got {samples}")
     seed = check_seed(_need(config, "seed", "spectrum config"))
 
     estimates = []
@@ -345,11 +350,11 @@ def _exec_lemmas(config: dict, out_dir: Path) -> dict:
     seed = check_seed(_need(config, "seed", "lemmas config"))
     interval_target = json_field(config, "interval_draws", "lemmas config", int)
     telescope_target = json_field(config, "telescoping_instances", "lemmas config", int)
-    # a sweep over no draws would report "all_pass" vacuously; the parser
-    # refuses such counts, and a replayed manifest must too
-    if interval_target < 1 or telescope_target < 1:
+    # a sweep over no draws would report "all_pass" vacuously, and counts are
+    # bounded as a Monte Carlo run's trials are; a replayed manifest is held to both
+    if not (1 <= interval_target <= TRIAL_LIMIT and 1 <= telescope_target <= TRIAL_LIMIT):
         raise ValidationError(
-            f"lemmas needs interval_draws and telescoping_instances >= 1, "
+            f"lemmas needs interval_draws and telescoping_instances in [1, 2**32], "
             f"got {interval_target} and {telescope_target}")
 
     # The box holds the whole valid region. With r = sqrt(mu)(1 - sqrt(alpha)),

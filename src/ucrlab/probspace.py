@@ -208,16 +208,6 @@ def compose_aux(source: JointPmf, aux: ConditionalPmf) -> TriplePmf:
     return TriplePmf(probs)
 
 
-def markov_defect(t: TriplePmf) -> float:
-    """I(U;Y|X) in bits for a (U, X, Y) triple; zero when U - X - Y holds."""
-    p = t.probs
-    h_ux = entropy_bits(p.sum(axis=2))
-    h_xy = entropy_bits(p.sum(axis=0))
-    h_uxy = entropy_bits(p)
-    h_x = entropy_bits(p.sum(axis=(0, 2)))
-    return h_ux + h_xy - h_uxy - h_x
-
-
 def sample_iid(j: JointPmf, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw n i.i.d. symbol pairs from a joint pmf; returns (x, y) int arrays."""
     if n < 1:

@@ -74,6 +74,9 @@ _CODEBOOK_KEY = 23
 _TRIAL_KEY = 29
 _ROW_KEY = 31
 MEMORY_GUARD = 10 ** 9          # codebook symbols
+# bits of N1 or N2, which are written in decimal: CPython refuses to write
+# an int of more than 4,300 digits, and 2**14284 has 4,300
+INDEX_BITS_GUARD = 14284
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
 TRIAL_LIMIT = 2 ** 32           # substreams below 2**33 start >= 2**93 draws apart
@@ -159,6 +162,10 @@ class ProtocolConfig:
             raise ValidationError(
                 f"aux input alphabet {self.aux.x_card} does not match source X alphabet "
                 f"{self.source.nx}")
+        rate = max(self.i_ux - self.i_uy + 3.0 * self.mu, self.i_uy - 2.0 * self.mu)
+        if rate >= INDEX_BITS_GUARD / self.n:  # n * rate overflows a float past n = 1e308
+            raise GuardError(f"N1 or N2 needs {INDEX_BITS_GUARD} bits or more at n = {self.n} "
+                             f"and {rate:.6f} bits a symbol; lower n or mu")
         if self.n2_raw < 1 and not self.allow_degenerate_rate:
             raise ValidationError(
                 f"I(U;Y) - 2*mu = {self.i_uy - 2 * self.mu:.6f} yields N2 = 0; shrink mu "

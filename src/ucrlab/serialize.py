@@ -33,7 +33,6 @@ __all__ = [
     "write_json",
     "write_csv",
     "source_from_dict",
-    "source_to_dict",
     "pmf_from_dict",
     "channel_from_dict",
     "aux_from_dict",
@@ -58,6 +57,8 @@ def load_json(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+        raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return data
@@ -182,7 +183,8 @@ def json_field(d: dict, key: str, what: str, kind, default=None):
     """d[key] as kind, required unless a default is given. int takes a JSON
     integer, float any JSON number and bool only true or false; a bool is
     neither an integer nor a number, and a string is none of them.
-    list[int] and list[float] take a JSON array of such items."""
+    list[int] and list[float] take a JSON array of such items, and
+    list[list[float]] a non-empty array of equal-length arrays of numbers."""
     if default is None or not isinstance(d, dict):
         value = _need(d, key, what)
     else:
@@ -192,6 +194,12 @@ def json_field(d: dict, key: str, what: str, kind, default=None):
         if not _is_json(value, kind):
             raise ValidationError(f"{what}: {key!r} must be {_KINDS[kind][1]}, got {value!r}")
         return kind(value)
+    if item not in _KINDS:  # list[list[...]], each row read as item
+        if not (isinstance(value, list) and value and all(
+                isinstance(row, list) and len(row) == len(value[0]) for row in value)):
+            raise ValidationError(f"{what}: {key!r} must be a non-empty list of equal-length "
+                                  f"lists, got {value!r}")
+        return [json_field({key: row}, key, what, item) for row in value]
     if not isinstance(value, list) or not all(_is_json(v, item) for v in value):
         raise ValidationError(
             f"{what}: {key!r} must be a list, each item {_KINDS[item][1]}, got {value!r}")
@@ -199,33 +207,22 @@ def json_field(d: dict, key: str, what: str, kind, default=None):
 
 
 def source_from_dict(d: dict) -> JointPmf:
-    """{alphabet_x, alphabet_y, probs row-major} -> joint source law."""
+    """{alphabet_x, alphabet_y, probs flat row-major or one row per x} -> joint law."""
     nx = json_field(d, "alphabet_x", "source spec", int)
     ny = json_field(d, "alphabet_y", "source spec", int)
-    probs = np.asarray(_need(d, "probs", "source spec"), dtype=float)
-    if probs.ndim == 1:
-        if probs.size != nx * ny:
-            raise ValidationError(
-                f"source spec: probs has {probs.size} entries, need {nx * ny}")
-        probs = probs.reshape(nx, ny)
-    elif probs.shape != (nx, ny):
+    probs = _need(d, "probs", "source spec")
+    nested = isinstance(probs, list) and any(isinstance(v, list) for v in probs)
+    probs = json_field(d, "probs", "source spec", list[list[float]] if nested else list[float])
+    if min(nx, ny) < 1 or np.shape(probs) not in ((nx * ny,), (nx, ny)):
         raise ValidationError(
-            f"source spec: probs shape {probs.shape} does not match "
-            f"({nx}, {ny})")
-    return JointPmf(probs)
-
-
-def source_to_dict(j: JointPmf) -> dict:
-    return {
-        "alphabet_x": j.nx,
-        "alphabet_y": j.ny,
-        "probs": [float(v) for v in j.probs.ravel()],
-    }
+            f"source spec: probs has {np.size(probs)} entries in shape {np.shape(probs)}, "
+            f"need {nx * ny} in shape ({nx * ny},) or ({nx}, {ny})")
+    return JointPmf(np.reshape(probs, (nx, ny)))
 
 
 def pmf_from_dict(d: dict) -> Pmf:
     """{probs: [...]} -> pmf."""
-    return Pmf(np.asarray(_need(d, "probs", "pmf spec"), dtype=float))
+    return Pmf(json_field(d, "probs", "pmf spec", list[float]))
 
 
 def channel_from_dict(d: dict) -> ConditionalPmf | MixedChannel:
@@ -239,10 +236,7 @@ def channel_from_dict(d: dict) -> ConditionalPmf | MixedChannel:
     if not isinstance(payload, dict):
         raise ValidationError("channel spec: payload must be an object")
     if kind == "dmc":
-        rows = np.asarray(_need(payload, "rows", "dmc payload"), dtype=float)
-        if rows.ndim != 2:
-            raise ValidationError("dmc payload: rows must be a 2-D matrix")
-        return ConditionalPmf(rows)
+        return ConditionalPmf(json_field(payload, "rows", "dmc payload", list[list[float]]))
     if kind == "bsc":
         return bsc(json_field(payload, "p", "bsc payload", float))
     if kind == "bec":
@@ -270,8 +264,7 @@ def aux_from_dict(d: dict, x_card: int) -> AuxiliaryChannel:
     if kind == "constant":
         return AuxiliaryChannel.constant(x_card, json_field(d, "u_card", "aux spec", int, 1))
     if kind == "matrix":
-        rows = np.asarray(_need(d, "rows", "aux spec"), dtype=float)
-        aux = AuxiliaryChannel.from_matrix(rows)
+        aux = AuxiliaryChannel.from_matrix(json_field(d, "rows", "aux spec", list[list[float]]))
         if aux.x_card != x_card:
             raise ValidationError(
                 f"aux spec: matrix has {aux.x_card} input rows, source has "

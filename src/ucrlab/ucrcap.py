@@ -47,10 +47,8 @@ from .probspace import (
     JointPmf,
     Pmf,
     as_rng,
-    compose_aux,
     conditional_entropy_x_given_y,
     entropy_bits,
-    mutual_information,
 )
 
 FEAS_TOL = 1e-9
@@ -111,19 +109,20 @@ class AuxiliaryChannel:
         u_card = x_card if u_card is None else u_card
         if u_card < x_card:
             raise ValidationError("identity auxiliary needs u_card >= x_card")
-        rows = np.zeros((x_card, u_card))
-        rows[np.arange(x_card), np.arange(x_card)] = 1.0
-        return AuxiliaryChannel(ConditionalPmf(rows))
+        return AuxiliaryChannel.deterministic(range(x_card), u_card)
 
     @staticmethod
     def constant(x_card: int, u_card: int = 1) -> "AuxiliaryChannel":
-        rows = np.zeros((x_card, u_card))
-        rows[:, 0] = 1.0
-        return AuxiliaryChannel(ConditionalPmf(rows))
+        return AuxiliaryChannel.deterministic([0] * x_card, u_card)
 
     @staticmethod
     def deterministic(mapping, u_card: int) -> "AuxiliaryChannel":
         mapping = list(mapping)
+        if u_card < 1:
+            raise ValidationError(f"an auxiliary needs u_card >= 1, got {u_card}")
+        if len(mapping) * u_card > _MAP_GUARD:
+            raise GuardError(f"an auxiliary of {len(mapping)} x {u_card} cells is past "
+                             f"{_MAP_GUARD}; use a smaller u_card")
         rows = np.zeros((len(mapping), u_card))
         rows[np.arange(len(mapping)), mapping] = 1.0
         return AuxiliaryChannel(ConditionalPmf(rows))
@@ -169,18 +168,6 @@ class UcrSolution:
         if self.constraint_slack < -FEAS_TOL:
             raise InternalInvariantError(
                 f"solution violates the rate constraint by {-self.constraint_slack:.3e}")
-
-
-def ucr_objective(source: JointPmf, aux: AuxiliaryChannel) -> tuple[float, float]:
-    """Return (I(U;X), I(U;X) - I(U;Y)) in bits for one auxiliary channel."""
-    triple = compose_aux(source, aux.cond)
-    i_ux = mutual_information(triple.pair_ux())
-    i_uy = mutual_information(triple.pair_uy())
-    gap = i_ux - i_uy
-    if gap < -FEAS_TOL:
-        raise InternalInvariantError(
-            f"I(U;X) - I(U;Y) = {gap} < 0 despite the Markov chain")
-    return i_ux, max(gap, 0.0)
 
 
 def _entropies(p: np.ndarray) -> np.ndarray:
@@ -439,18 +426,19 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     integer to within 1e-9.
     """
     x_card, u_card = _common_inputs(source, c_bits, u_card)
-    if not (0.0 < grid_step <= 0.5):
-        raise ValidationError(f"grid_step must be in (0, 0.5], got {grid_step}")
+    if not (0.0 < grid_step <= 0.5 and math.isfinite(1.0 / grid_step)):
+        raise ValidationError(f"grid_step must be 1/m for an integer m >= 2, got {grid_step}")
     m = int(round(1.0 / grid_step))
     if abs(1.0 / grid_step - m) > 1e-9:
         raise ValidationError(
             f"grid_step must be 1/m for an integer m, got {grid_step} (1/{1.0 / grid_step:.6g})")
-    row_pts = _simplex_grid(m, u_card)
-    total = row_pts.shape[0] ** x_card
+    total = math.comb(m + u_card - 1, u_card - 1) ** x_card
     if total > ORACLE_GUARD:
         raise GuardError(
-            f"oracle grid would hold {total:.3e} matrices (> {ORACLE_GUARD:.0e}); "
+            f"oracle grid would hold C({m + u_card - 1}, {u_card - 1})^{x_card} matrices "
+            f"(> {ORACLE_GUARD:.0e}); "
             "use a coarser grid_step or smaller u_card, or call ucr_capacity_solve")
+    row_pts = _simplex_grid(m, u_card)
 
     terms = _source_terms(source.probs)
     # the running hull starts from the maps (grid points with the same bits) and the

@@ -14,9 +14,11 @@ import numpy as np
 from ucrlab.channelcap import MixedChannel
 from ucrlab.errors import InternalInvariantError, UndefinedDensityError
 from ucrlab.converselab import _cmi
-from ucrlab.probspace import JointPmf, entropy_bits, subseed
+from ucrlab.probspace import (JointPmf, TriplePmf, compose_aux, entropy_bits,
+                              mutual_information, subseed)
 from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
                              build_codebook)
+from ucrlab.ucrcap import FEAS_TOL
 
 
 def h2(p: float) -> float:
@@ -46,6 +48,38 @@ def random_joint(rng: np.random.Generator, nx: int, ny: int,
                  concentration: float = 1.0) -> JointPmf:
     probs = rng.dirichlet(np.full(nx * ny, concentration)).reshape(nx, ny)
     return JointPmf(probs)
+
+
+def source_to_dict(j: JointPmf) -> dict:
+    """The source spec `source_from_dict` reads back as j, probs flat."""
+    return {
+        "alphabet_x": j.nx,
+        "alphabet_y": j.ny,
+        "probs": [float(v) for v in j.probs.ravel()],
+    }
+
+
+def markov_defect(t: TriplePmf) -> float:
+    """I(U;Y|X) in bits for a (U, X, Y) triple; zero when U - X - Y holds."""
+    p = t.probs
+    h_ux = entropy_bits(p.sum(axis=2))
+    h_xy = entropy_bits(p.sum(axis=0))
+    h_uxy = entropy_bits(p)
+    h_x = entropy_bits(p.sum(axis=(0, 2)))
+    return h_ux + h_xy - h_uxy - h_x
+
+
+def ucr_objective(source: JointPmf, aux) -> tuple[float, float]:
+    """(I(U;X), I(U;X) - I(U;Y)) in bits for one auxiliary channel, straight
+    from the composed (U, X, Y) law."""
+    triple = compose_aux(source, aux.cond)
+    i_ux = mutual_information(triple.pair_ux())
+    i_uy = mutual_information(triple.pair_uy())
+    gap = i_ux - i_uy
+    if gap < -FEAS_TOL:
+        raise InternalInvariantError(
+            f"I(U;X) - I(U;Y) = {gap} < 0 despite the Markov chain")
+    return i_ux, max(gap, 0.0)
 
 
 def bsc_family(q: float, p: float) -> JointPmf:

@@ -29,6 +29,7 @@ from ucrlab.channelcap import (
 )
 from ucrlab.errors import (
     DimensionError,
+    GuardError,
     UndefinedDensityError,
     ValidationError,
 )
@@ -405,6 +406,11 @@ class TestSpectrum:
     def test_block_length_validation(self):
         with pytest.raises(ValidationError):
             spectrum_samples(IDENTITY2, UNIFORM2, 0, 4, seed=0)
+
+    @pytest.mark.parametrize("n", [2 ** 16 + 1, 10 ** 30])
+    def test_block_longer_than_a_batch_is_refused(self, n):
+        with pytest.raises(GuardError, match="batch"):
+            spectrum_samples(IDENTITY2, UNIFORM2, n, 1, seed=0)
 
     def test_input_alphabet_validation(self):
         with pytest.raises(DimensionError):

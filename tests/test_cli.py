@@ -1,13 +1,19 @@
 """Command-line surface: documents on disk, exit codes, replay fidelity."""
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucrlab import channelcap, cli, protocol, ucrcap
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
@@ -656,3 +662,156 @@ class TestReplay:
         assert main(["replay", str(first / "manifest.json"),
                      "--out-dir", str(out)]) == EXIT_OK
         assert outputs_of(out) == outputs_of(first)
+
+
+# the place in an argv where the edited document's file goes
+SPEC = "<spec>"
+# a value that deletes its key or list item instead of replacing it
+DROP = "<drop>"
+SIMULATE_DOC = {
+    "source": {"alphabet_x": 2, "alphabet_y": 2, "probs": [0.45, 0.05, 0.05, 0.45]},
+    "aux": {"kind": "matrix", "rows": [[0.9, 0.1], [0.1, 0.9]]},
+    "n": 8, "mu": 0.3, "theta": 0.0, "eps_typ": 0.15, "trials": 20, "seed": 0,
+    "allow_degenerate_rate": True,
+    "index_channel": {"kind": "bsc", "payload": {"p": 0.01}}, "mu_prime": 0.0,
+    "conditions": {"alpha": 0.1, "beta": 1.5, "delta": 1.0},
+}
+
+
+def run_edited(argv: list, doc: dict, edits: list, work: Path) -> tuple[int, str, list]:
+    """Run argv with SPEC naming doc after edits, each a (key path, value)
+    pair; returns the exit code, stderr and the files left in the out-dir."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    spec, out = work / "spec.json", work / "out"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(spec) if a == SPEC else a for a in argv] + ["--out-dir", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue(), sorted(out.iterdir()) if out.exists() else []
+
+
+def assert_refused(code: int, err: str, left: list) -> None:
+    """Exit 2 or 3 says why on an error: or infeasible: line and writes nothing."""
+    head = {EXIT_VALIDATION: "error: ", EXIT_GUARD: "infeasible: "}[code]
+    assert any(line.startswith(head) for line in err.splitlines()), err
+    assert left == []
+
+
+# a value that replaces one in a valid document: first the twelve kinds of
+# bad value (text, null, a bool, empty and mixed containers, numbers out of
+# range or past any guard, a ragged matrix, a fraction), or a dropped key;
+# then small JSON values, kept small so that no edit asks for a long run
+EDITS = st.sampled_from(["x", None, True, [], {}, [1, "a"], -1, 0, 10 ** 30, 1e300,
+                         [[0.5, 0.5], [0.1]], 2.5, DROP]) | st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-2.0, 2.0) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=4)
+
+
+class TestExitCodeContract:
+    """No input exits 1: a bad one exits 2 or 3, says why and writes no result."""
+
+    @pytest.mark.parametrize("argv, doc, edits, code", [
+        (["ucr", SPEC, "--C", "0.3"], "dsbs010.json", [(["probs"], ["a", "b", "c", "d"])],
+         EXIT_VALIDATION),
+        (["ucr", SPEC, "--C", "0.3"], "dsbs010.json", [(["probs"], [[0.45, 0.05], [0.5]])],
+         EXIT_VALIDATION),
+        (["capacity", SPEC], "bsc011.json",
+         [(["kind"], "dmc"), (["payload"], {"rows": [[0.9, 0.1], [0.2]]})], EXIT_VALIDATION),
+        (["simulate", SPEC], "protocol_small.json", [(["aux"], {"kind": "matrix", "rows": "x"})],
+         EXIT_VALIDATION),
+        (["ucr", SPEC, "--C", "0.3"], "dsbs010.json", [(["probs"], [True, 0, 0, 0])],
+         EXIT_VALIDATION),
+        (["simulate", SPEC], "protocol_small.json",
+         [(["aux"], {"kind": "matrix", "rows": [[True, 0], [0, True]]})], EXIT_VALIDATION),
+        (["spectrum", str(CONFIGS / "bsc011.json"), "--input", SPEC, "--n", "8",
+          "--samples", "8"], {"probs": ["0.5", "0.5"]}, [], EXIT_VALIDATION),
+        (["simulate", SPEC], "protocol_small.json", [(["n"], 10 ** 30)], EXIT_GUARD),
+        (["simulate", SPEC, "--trials", "5"], "protocol_desk.json", [(["n"], 100000)],
+         EXIT_GUARD),
+        (["simulate", SPEC], "protocol_small.json",
+         [(["index_channel"], {"kind": "mixed", "payload": {"components": [
+             {"weight": 1.0, "channel": {"kind": "bsc", "payload": {"p": 0.1}}}]}})],
+         EXIT_VALIDATION),
+        (["simulate", SPEC], "protocol_small.json",
+         [(["index_channel"], {"kind": "bsc", "payload": {"p": 0.1}}), (["mu_prime"], -1)],
+         EXIT_VALIDATION),
+        (["spectrum", SPEC, "--n", str(10 ** 30), "--samples", "2"], "bsc011.json", [],
+         EXIT_GUARD),
+        (["ucr", SPEC, "--C", "2", "--u-card", str(10 ** 30)], "dsbs010.json", [], EXIT_GUARD),
+        (["ucr", SPEC, "--C", "0.3", "--oracle", "--grid-step", "5e-324"], "dsbs010.json", [],
+         EXIT_VALIDATION),
+        (["simulate", SPEC], "protocol_small.json", [(["aux", "u_card"], 10 ** 30)], EXIT_GUARD),
+        (["simulate", SPEC], "protocol_small.json", [(["aux"], {"kind": "constant", "u_card": 0})],
+         EXIT_VALIDATION),
+        (["replay", SPEC], {"schema_version": 1, "command": "lemmas", "seed": 0, "config": {
+            "interval_draws": 10 ** 30, "telescoping_instances": 2, "seed": 0}}, [],
+         EXIT_VALIDATION),
+        (["replay", SPEC], {"schema_version": 1, "command": "spectrum", "seed": 0, "config": {
+            "channel": {"kind": "bsc", "payload": {"p": 0.1}}, "ns": [8], "samples": 10 ** 30,
+            "seed": 0}}, [], EXIT_VALIDATION),
+    ], ids=["probs-text", "probs-ragged", "dmc-rows-ragged", "aux-rows-text", "probs-bool",
+            "aux-matrix-bool", "input-text", "n-1e30", "desk-n-100000",
+            "index-channel-mixed", "mu-prime-negative", "block-length-1e30",
+            "u-card-1e30-fast-path", "grid-step-denormal", "aux-u-card-1e30",
+            "aux-constant-u-card-0", "replay-draws-1e30", "replay-samples-1e30"])
+    def test_bad_input_exits_2_or_3_without_a_result(self, tmp_path, argv, doc, edits, code):
+        # each used to exit 1, exit 0, run for days or leave trials.csv behind
+        doc = read_json(CONFIGS / doc) if isinstance(doc, str) else doc
+        got = run_edited(argv, doc, edits, tmp_path)
+        assert got[0] == code, got[1]
+        assert_refused(*got)
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory) -> dict:
+        """{name: (argv, valid document)}: spec files, and a manifest of each command."""
+        docs = {
+            "capacity": (["capacity", SPEC],
+                         {"kind": "dmc", "payload": {"rows": [[0.9, 0.1], [0.2, 0.8]]}}),
+            "ucr": (["ucr", SPEC, "--C", "0.3", "--grid-step", "0.25"],
+                    read_json(CONFIGS / "dsbs010.json")),
+            "simulate": (["simulate", SPEC], SIMULATE_DOC),
+            "simulate-exact": (["simulate", SPEC, "--exact"],
+                               dict(SIMULATE_DOC, aux={"kind": "identity", "u_card": 2})),
+            "spectrum-channel": (["spectrum", SPEC, "--n", "8,16", "--samples", "16"],
+                                 read_json(CONFIGS / "mixed_half.json")),
+            "spectrum-input": (["spectrum", str(CONFIGS / "bsc011.json"), "--input", SPEC,
+                                "--n", "8,16", "--samples", "16"], {"probs": [0.3, 0.7]}),
+        }
+        lemmas = (["lemmas", "--instances", "16", "--telescoping", "2"], {})
+        for name, (argv, doc) in [*docs.items(), ("lemmas", lemmas)]:
+            work = tmp_path_factory.mktemp(name)
+            assert run_edited(argv, doc, [], work)[0] == EXIT_OK
+            docs[f"replay-{name}"] = (["replay", SPEC], read_json(work / "out" / "manifest.json"))
+        return docs
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_edit_exits_0_2_or_3(self, documents, data):
+        argv, doc = documents[data.draw(st.sampled_from(sorted(documents)))]
+        path = data.draw(st.sampled_from(list(key_paths(doc))))
+        with tempfile.TemporaryDirectory() as work:
+            code, err, left = run_edited(argv, doc, [(path, data.draw(EDITS))], Path(work))
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_GUARD), err
+        if code != EXIT_OK:
+            assert_refused(code, err, left)
+
+
+def key_paths(node, path=()):
+    """The key path of every value under node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path + (key,))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import diagonal_source, dsbs, h2, independent_source, random_joint
+from support import (diagonal_source, dsbs, h2, independent_source, markov_defect,
+                     random_joint)
 from ucrlab.channelcap import DmcProduct, spectrum_samples
 from ucrlab.errors import DimensionError, GuardError, ValidationError
 from ucrlab.probspace import (
@@ -18,7 +19,6 @@ from ucrlab.probspace import (
     compose_aux,
     conditional_entropy_x_given_y,
     entropy,
-    markov_defect,
     mutual_information,
     categorical_from_uniforms,
     pairs_from_uniforms,

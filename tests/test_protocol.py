@@ -278,6 +278,19 @@ class TestConfigArithmetic:
         with pytest.raises(ValidationError):
             ProtocolConfig(**base)
 
+    def test_index_bits_guard(self):
+        # DSBS(0.05), identity auxiliary, mu = 0.1: N1 grows at h(0.05) + 0.3 bits a symbol
+        base = dict(mu=0.1, theta=0.0, eps_typ=0.15, aux=IDENTITY_AUX, source=dsbs(0.05))
+        rate = h2(0.05) + 0.3
+        edge = math.floor(protocol.INDEX_BITS_GUARD / rate)
+        cfg = ProtocolConfig(n=edge - 1, **base)
+        assert len(str(cfg.n1)) <= 4300 and len(str(cfg.n2)) <= 4300
+        for n in (edge + 1, 100000, 10 ** 30, 10 ** 400):
+            with pytest.raises(GuardError, match="N1 or N2"):
+                ProtocolConfig(n=n, **base)
+        with pytest.raises(GuardError, match="N1 or N2"):
+            ProtocolConfig(n=8, **dict(base, mu=1e300))
+
     def test_aux_source_alphabet_mismatch(self):
         with pytest.raises(ValidationError):
             ProtocolConfig(n=8, mu=0.3, theta=0.0, eps_typ=0.15,

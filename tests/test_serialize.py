@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import dsbs, write_csv_rows
+from support import dsbs, source_to_dict, write_csv_rows
 from ucrlab.channelcap import MixedChannel
 from ucrlab.errors import DimensionError, ValidationError
 from ucrlab.probspace import ConditionalPmf
@@ -16,11 +16,11 @@ from ucrlab.serialize import (
     SCHEMA_VERSION,
     aux_from_dict,
     channel_from_dict,
+    json_field,
     load_json,
     pmf_from_dict,
     source_from_dict,
     _CSV_BLOCK,
-    source_to_dict,
     write_csv,
     write_json,
 )
@@ -42,6 +42,17 @@ class TestJsonDocuments:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_json(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + "}",
+                                      '{"n": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}"],
+                             ids=["digits", "depth"])
+    def test_json_past_what_json_loads_reads(self, tmp_path, text):
+        # past CPython's 4,300 digits or its recursion limit, json.loads
+        # raises a bare ValueError or RecursionError
+        f = tmp_path / "long.json"
+        f.write_text(text + "\n")
+        with pytest.raises(ValidationError, match="long.json"):
+            load_json(f)
 
     def test_write_json_is_deterministic(self, tmp_path):
         f = tmp_path / "doc.json"
@@ -189,6 +200,49 @@ class TestSourceSpecs:
     def test_pmf_spec(self):
         assert pmf_from_dict({"probs": [0.25, 0.75]}).probs.tolist() == [0.25, 0.75]
 
+    @pytest.mark.parametrize("probs", [
+        [[0.45, 0.05, 0.05, 0.45]], [[0.45], [0.05], [0.05], [0.45]],
+        [[0.45, 0.05, 0.05], [0.45]], [0.45, [0.05, 0.05, 0.45]],
+    ], ids=["one-row", "four-rows", "ragged", "mixed"])
+    def test_rows_must_match_the_alphabets(self, probs):
+        with pytest.raises(ValidationError, match="probs"):
+            source_from_dict({"alphabet_x": 2, "alphabet_y": 2, "probs": probs})
+
+    def test_spec_arrays_read_as_float64(self):
+        # integers read as float64, nested or flat
+        src = source_from_dict({"alphabet_x": 2, "alphabet_y": 2, "probs": [[1, 0], [0, 0]]})
+        assert src.probs.dtype == np.float64 and src.probs.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        pmf = pmf_from_dict({"probs": [1, 0]})
+        assert pmf.probs.dtype == np.float64 and pmf.probs.tolist() == [1.0, 0.0]
+
+
+class TestJsonField:
+    @pytest.mark.parametrize("value", [
+        [], [[0.5, 0.5], [0.1]], [[0.5, 0.5], 0.5], [[True, 0.0]], [["0.5", 0.5]],
+        [[0.5, None]], [[10 ** 400, 0.0]], "x", [0.5, 0.5], {"0": [0.5]},
+    ], ids=["empty", "ragged", "mixed", "bool", "text", "null", "past-float", "text-matrix",
+            "flat", "object"])
+    def test_matrix_refuses(self, value):
+        with pytest.raises(ValidationError, match="'rows'"):
+            json_field({"rows": value}, "rows", "spec", list[list[float]])
+
+    def test_matrix_reads_equal_rows_of_numbers(self):
+        rows = json_field({"rows": [[1, 0.5], [0, 2]]}, "rows", "spec", list[list[float]])
+        assert rows == [[1.0, 0.5], [0.0, 2.0]]
+        assert all(type(v) is float for row in rows for v in row)
+
+    @pytest.mark.parametrize("read", [
+        lambda v: pmf_from_dict({"probs": v}),
+        lambda v: channel_from_dict({"kind": "dmc", "payload": {"rows": [v, v]}}),
+        lambda v: aux_from_dict({"kind": "matrix", "rows": [v, v]}, x_card=2),
+        lambda v: source_from_dict({"alphabet_x": 1, "alphabet_y": 2, "probs": v}),
+    ], ids=["pmf", "dmc", "aux", "source"])
+    @pytest.mark.parametrize("row", [[True, False], ["0.5", "0.5"], [0.5, None]],
+                             ids=["bool", "text", "null"])
+    def test_every_spec_array_refuses_non_numbers(self, read, row):
+        with pytest.raises(ValidationError, match="must be a"):
+            read(row)
+
 
 class TestChannelSpecs:
     def test_bsc_kind(self):
@@ -237,6 +291,11 @@ class TestAuxSpecs:
     def test_matrix_kind_checks_the_input_alphabet(self):
         with pytest.raises(ValidationError, match="input rows"):
             aux_from_dict({"kind": "matrix", "rows": [[0.5, 0.5]]}, x_card=2)
+
+    def test_matrix_kind_keeps_its_floats(self):
+        aux = aux_from_dict({"kind": "matrix", "rows": [[0.9, 0.1], [0, 1]]}, x_card=2)
+        assert aux.cond.rows.dtype == np.float64
+        assert aux.cond.rows.tolist() == [[0.9, 0.1], [0.0, 1.0]]
 
     def test_constant_kind(self):
         aux = aux_from_dict({"kind": "constant"}, x_card=3)

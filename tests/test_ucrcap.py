@@ -17,6 +17,7 @@ from support import (
     h2,
     independent_source,
     random_joint,
+    ucr_objective,
 )
 from ucrlab import ucrcap
 from ucrlab.errors import GuardError, InternalInvariantError, ValidationError
@@ -36,7 +37,6 @@ from ucrlab.ucrcap import (
     ucr_capacity_oracle,
     ucr_capacity_solve,
     ucr_curve,
-    ucr_objective,
 )
 
 # oracle reference on DSBS(0.1) at C = 0.2 bits, u_card 3, grid step 0.02
@@ -555,6 +555,16 @@ class TestOracle:
         with pytest.raises(GuardError):
             ucr_capacity_oracle(src, 0.1, u_card=4, grid_step=0.02)
 
+    @pytest.mark.parametrize("u_card", [7, 10 ** 30])
+    def test_grid_guard_fires_before_the_grid_is_listed(self, monkeypatch, u_card):
+        # at u_card = 7 the grid would list C(56, 6) = 32,468,436 rows first
+        def listed(*args):
+            raise AssertionError("the oracle listed its grid past its guard")
+
+        monkeypatch.setattr(ucrcap, "_simplex_grid", listed)
+        with pytest.raises(GuardError, match="oracle grid"):
+            ucr_capacity_oracle(dsbs(0.1), 0.1, u_card=u_card, grid_step=0.02)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ucr_capacity_oracle(dsbs(0.1), -0.1)
@@ -661,6 +671,13 @@ class TestSolver:
         monkeypatch.setattr(ucrcap, "_grid_block", built)
         with pytest.raises(GuardError, match="maps"):
             ucr_capacity_solve(random_joint(as_rng(7), 7, 7), 0.0)
+
+    @pytest.mark.parametrize("u_card", [2 ** 19 + 1, 10 ** 30])
+    def test_fast_path_auxiliary_is_guarded(self, u_card):
+        # a budget past H(X|Y) builds no skeleton, but its identity is |X| x |U|
+        with pytest.raises(GuardError, match="cells"):
+            ucr_capacity_solve(dsbs(0.1), 2.0, u_card=u_card)
+        assert ucr_capacity_solve(dsbs(0.1), 2.0, u_card=2 ** 19).value_bits == 1.0
 
     def test_zero_mass_x_symbol_changes_nothing(self):
         # a row of zero P_X(x) has no P(y|x); its P(u|x) moves no objective

@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -523,7 +524,10 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves
+    it as it was, so every main call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=None,
                         help="master seed (64-bit unsigned); command default otherwise")

@@ -25,8 +25,13 @@ them as columns. One typicality rule, _count_bounds, serves every test,
 through the (u, x) and (u, y) tables ProtocolConfig computes once:
 _typical_mask applies them to words scanned against sequences,
 _types_typical to the joint types of a deterministic map's words, and
+_overlap_range to the joint types a word of a binary codebook's one type
+can form with a block of given symbol counts. Typicality depends on the
+joint type alone, so a block no such type fits is typical with no word:
+for a binary U the encoder's and decoder's scans and exact_analyze's
+decode table pass only the blocks Codebook.admits to _typical_mask, and
 the statistical engine's row-match probability reads its overlap
-interval off the (u, y) table. A run derives one PCG64 stream from
+interval off the same range. A run derives one PCG64 stream from
 subseed(seed, _TRIAL_KEY) and cuts it into substreams with PCG64's
 jump-ahead: substream k starts where PCG64.jumped(k) would, k
 golden-ratio fractions of the period into the stream. Trial t draws its
@@ -283,7 +288,11 @@ class Codebook:
     typicality tables ux_bounds and uy_bounds (see _count_bounds).
 
     value_index says which words share a value, for the encoder, the
-    decoder and the exact analyzer alike.
+    decoder and the exact analyzer alike. word_type is the type every word
+    has, read off the words; admits tells from a block's symbol counts
+    whether any word of that type can be typical with it, so the scans
+    skip the blocks it refuses. It refuses blocks only for a binary U
+    whose words share one type, as build_codebook's do.
     """
 
     words: np.ndarray
@@ -330,6 +339,27 @@ class Codebook:
         word_cls = np.empty(order.size, dtype=np.int32)
         word_cls[order] = key_cls[np.cumsum(new, dtype=np.int32) - 1]
         return _ValueIndex(word_cls, np.sort(firsts), keys, key_cls)
+
+    @cached_property
+    def word_type(self) -> np.ndarray | None:
+        """The symbol counts (u_card,) every word has, or None when two
+        words' types differ."""
+        flat = self.words.reshape(self.n1 * self.n2, self.n)
+        counts = np.stack([np.count_nonzero(flat == a, axis=1) for a in range(self.u_card)],
+                          axis=1)
+        return counts[0] if (counts == counts[0]).all() else None
+
+    def admits(self, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """bool (S,): whether some joint type of a word of word_type with
+        each sequence of seqs (S, n) lies inside bounds, a _count_bounds
+        table with seqs' alphabet as its columns. A refused sequence is
+        typical with no word. For a U that is not binary, or words of
+        differing types, every sequence is admitted."""
+        if self.u_card != 2 or self.word_type is None:
+            return np.ones(seqs.shape[0], dtype=bool)
+        counts = (seqs[:, :, None] == np.arange(bounds.shape[2])).sum(axis=1)
+        lo, hi = _overlap_range(int(self.word_type[0]), bounds, counts)
+        return (lo <= hi).all(axis=1)
 
     def find(self, words: np.ndarray) -> np.ndarray:
         """Flat index of the first word equal to each of words (Q, n), or -1."""
@@ -392,6 +422,28 @@ def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
     bounds = np.stack([lo, hi]).astype(np.float32)
     bounds.flags.writeable = False
     return bounds
+
+
+def _overlap_range(t0: int, bounds: np.ndarray,
+                   counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The overlaps c[0, b] = #(u=0, z=b) a binary U allows: int64 (lo, hi),
+    (B, n_b) each, the least and greatest c[0, b] over the joint types of a
+    word with t0 zeros and a block with symbol counts counts[t] (B, n_b)
+    whose every cell lies in bounds, a (2, 2, n_b) _count_bounds table.
+
+    Such a type is fixed by its overlaps: c[1, b] = counts[t, b] - c[0, b],
+    and the c[0, b] sum to t0. Each column's two cells bound c[0, b] to an
+    interval, and the sum narrows each interval by the others' ends. A
+    type exists exactly when every range is non-empty, lo <= hi. Every lo
+    of bounds is at least 0, so the counts a range admits are never
+    negative.
+    """
+    lo, hi = bounds.astype(np.int64)
+    c_lo = np.maximum(lo[0], counts - hi[1])
+    c_hi = np.minimum(hi[0], counts - lo[1])
+    lo_sum = c_lo.sum(axis=1, keepdims=True)
+    hi_sum = c_hi.sum(axis=1, keepdims=True)
+    return np.maximum(c_lo, t0 - (hi_sum - c_hi)), np.minimum(c_hi, t0 - (lo_sum - c_lo))
 
 
 def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -493,8 +545,8 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     The materialized engine and exact_analyze encode through here. xs is
     (B, n). A lookup codebook tests every det_map[x] against its x from
     x's symbol counts (_lookup_typical) and finds the typical ones in its
-    value index. A scanning codebook runs the kernel over blocks of at
-    most _SCAN_CELLS // _ENCODE_CHUNK sequences, each against
+    value index. A scanning codebook runs the kernel over the blocks it
+    admits, at most _SCAN_CELLS // _ENCODE_CHUNK at a time, each against
     _ENCODE_CHUNK words at a time while some of its sequences lack a
     typical word, and keeps each sequence's first.
     """
@@ -506,8 +558,9 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
         return found
     n_words = cb.n1 * cb.n2
     step = max(1, _SCAN_CELLS // min(_ENCODE_CHUNK, n_words))
-    for lo in range(0, xs.shape[0], step):
-        pending = np.arange(lo, min(lo + step, xs.shape[0]))
+    admitted = np.flatnonzero(cb.admits(xs, cb.ux_bounds))
+    for lo in range(0, admitted.size, step):
+        pending = admitted[lo:lo + step]
         for start in range(0, n_words, _ENCODE_CHUNK):
             mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
                                  cb.ux_bounds)
@@ -517,18 +570,6 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
             if pending.size == 0:
                 break
     return found
-
-
-def _draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:
-    """The index channel's draws: the flip uniform, then, only when the
-    flip sends it (flip < theta), the alternative index in 1..n1; 0 marks
-    an alternative not drawn. Neither depends on the index sent.
-
-    Every Monte Carlo engine draws through here, so all of them consume a
-    trial's stream in the same order.
-    """
-    flip = rng.random()
-    return flip, (_uniform_int(rng, n1) if flip < theta else 0)
 
 
 def _resolve_index(i_star, flip, alt, theta: float):
@@ -548,15 +589,17 @@ def _decode_batch(cb: Codebook, ys: np.ndarray,
     The materialized engine decodes through here, and exact_analyze
     applies the same _decode_rule to whole typicality matrices. Returns
     _decode_rule's (lead column, distinct count up to 2) for each block.
-    The kernel sees every block's own row, at most _SCAN_CELLS word
-    symbols at a time.
+    The kernel sees each block the codebook admits against its own row,
+    at most _SCAN_CELLS word symbols at a time; the others decode to the
+    fallback with no typical value, as an all-false mask would.
     """
     columns = np.full(ys.shape[0], -1, dtype=np.intp)
     distinct = np.zeros(ys.shape[0], dtype=np.intp)
-    sent = np.flatnonzero(rows < cb.n1)
+    sent = np.flatnonzero((rows < cb.n1) & cb.admits(ys, cb.uy_bounds))
     row_cls = cb.value_index.cls.reshape(cb.n1, cb.n2)
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
-    for part in np.split(sent, range(step, sent.size, step)):
+    for lo in range(0, sent.size, step):
+        part = sent[lo:lo + step]
         mask = _typical_mask(_indicator_blocks(cb.words[rows[part]], cb.u_card),
                              ys[part, None, :], cb.uy_bounds)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
@@ -672,29 +715,31 @@ def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
     draws as columns: the flips, and the alternatives in _index_dtype, 0
     where none was drawn.
 
-    Trial t draws from substream 2t of the run's stream: its block's
-    uniforms, random(n), then _draw_index's flip and alternative. A trial
-    that drew no alternative used exactly n + 1 doubles, so one advance by
-    two jumps less n + 1 draws takes the generator to substream 2(t + 1).
-    After an alternative, which integers or bytes draw in a varying number
-    of words, and from which integers may keep half a word cached, the next
-    trial sets its substream absolutely, as the batch's first does.
+    Trial t draws from substream 2t of the run's stream: n + 1 doubles,
+    its block's uniforms and then the index channel's flip, and, only when
+    the flip sends it (flip < theta), the alternative index in 1..N1 by
+    _uniform_int. Neither depends on the index sent. One pass fills every
+    trial's n + 1 doubles with one call each, moving from one trial's
+    substream to the next by one advance of two jumps less n + 1 draws. A
+    second pass draws the alternatives, which integers or bytes draw in a
+    varying number of words: each sets its trial's substream absolutely
+    and advances it past the n + 1 doubles.
     """
-    uniforms = np.empty((len(ts), cfg.n))
-    flips = np.empty(len(ts))
+    n = cfg.n
+    draws = np.empty((len(ts), n + 1))
     alts = np.zeros(len(ts), dtype=_index_dtype(cfg))
-    skip = (2 * _PCG64_JUMP - (cfg.n + 1)) & _M128
-    alt = 1
-    for k, t in enumerate(ts):
-        if alt:
-            rng = stream(2 * t)
-            advance = rng.bit_generator.advance
-        else:
-            advance(skip)
-        rng.random(out=uniforms[k])
-        flips[k], alt = _draw_index(rng, cfg.n1, cfg.theta)
-        alts[k] = alt
-    x, y = pairs_from_uniforms(cfg.source, uniforms)
+    skip = (2 * _PCG64_JUMP - (n + 1)) & _M128
+    rng = stream(2 * ts.start)
+    for k in range(len(ts)):
+        if k:
+            rng.bit_generator.advance(skip)
+        rng.random(out=draws[k])
+    flips = draws[:, n]
+    for k in np.flatnonzero(flips < cfg.theta).tolist():
+        rng = stream(2 * ts[k])
+        rng.bit_generator.advance(n + 1)
+        alts[k] = _uniform_int(rng, cfg.n1)
+    x, y = pairs_from_uniforms(cfg.source, draws[:, :n])
     return x, y, flips, alts
 
 
@@ -774,18 +819,15 @@ class _StatisticalEngine:
         """log2 P[uniform type-class word jointly typical with y]; y has
         k_zeros zeros. -inf when no overlap count passes.
 
-        The counts are functions of the overlap a = #(u=0, y=0):
-        c00 = a, c01 = t0 - a, c10 = k - a and c11 = n - k - t0 + a, so
-        each cell's interval in cfg.uy_bounds bounds a. Every lo is at
-        least 0, so the counts it admits are never negative.
+        The joint type is a function of the overlap a = #(u=0, y=0), and
+        _overlap_range gives the overlaps cfg.uy_bounds allows, the same
+        rule by which a materialized codebook admits y to its scans. With
+        two columns, a's range is empty exactly when some range is.
         """
         n = self.cfg.n
         t0 = int(self.cfg.u_type[0])
-        rest = n - k_zeros - t0
-        (lo00, lo01), (lo10, lo11) = self.cfg.uy_bounds[0].astype(int).tolist()
-        (hi00, hi01), (hi10, hi11) = self.cfg.uy_bounds[1].astype(int).tolist()
-        a_lo = max(lo00, t0 - hi01, k_zeros - hi10, lo11 - rest)
-        a_hi = min(hi00, t0 - lo01, k_zeros - lo10, hi11 - rest)
+        lo, hi = _overlap_range(t0, self.cfg.uy_bounds, np.array([[k_zeros, n - k_zeros]]))
+        a_lo, a_hi = int(lo[0, 0]), int(hi[0, 0])
         if a_lo > a_hi:
             return -math.inf
         denom = self._log2_choose(n, t0)
@@ -1017,9 +1059,11 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     received index is correct with weight 1 - theta and uniform over the
     other rows with weight theta / N1.
 
-    No table of the pair space's size exists at once. The encoder and the
-    decode table l_tab run over blocks of sequences, at most _BATCH_SYMBOLS
-    word x sequence cells each, and the (x^n, y^n) law over blocks of
+    No table of the pair space's size exists at once. The encoder bounds
+    its own scans; the decode table l_tab runs over blocks of the
+    sequences the codebook admits under the (u, y) table, at most
+    _BATCH_SYMBOLS word x sequence cells each, and leaves the others at
+    the fallback class. The (x^n, y^n) law runs over blocks of
     2**n_low x rows, _BATCH_SYMBOLS pairs each. The class-count table
     cnt_all, classes x 2**n, stays dense: its product with the weighted
     y law gives other bits when its rows are multiplied in parts. The K-Y
@@ -1058,15 +1102,15 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
 
     # each sequence's encoded word, by the encoder Monte Carlo runs, and its
     # decoded class per (row, y), by the decoder's own rule
-    found = np.empty(n_x, dtype=np.intp)
+    found = _encode_batch(cb, xs)
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.intp)
+    admitted = np.flatnonzero(cb.admits(xs, cb.uy_bounds))
     step = max(1, _BATCH_SYMBOLS // n_words)
-    for s in range(0, n_x, step):
-        seqs = xs[s:s + step]
-        found[s:s + step] = _encode_batch(cb, seqs)
-        t_uy = _typical_mask(cb.blocks, seqs, cb.uy_bounds).reshape(-1, n1, n2)
+    for s in range(0, admitted.size, step):
+        part = admitted[s:s + step]
+        t_uy = _typical_mask(cb.blocks, xs[part], cb.uy_bounds).reshape(-1, n1, n2)
         lead, _ = _decode_rule(t_uy, row_cls)
-        l_tab[:n1, s:s + step] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
+        l_tab[:n1, part] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
     cnt_all = np.zeros((n_cls, n_x))

@@ -308,7 +308,7 @@ class RunManifest:
     @staticmethod
     def load(path) -> "RunManifest":
         d = load_json(path)
-        version = _need(d, "schema_version", "manifest")
+        version = json_field(d, "schema_version", "manifest", int)
         if version != SCHEMA_VERSION:
             raise ValidationError(
                 f"manifest schema_version {version} unsupported "

@@ -17,7 +17,7 @@ from ucrlab.converselab import _cmi
 from ucrlab.probspace import (JointPmf, TriplePmf, compose_aux, entropy_bits,
                               mutual_information, subseed)
 from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
-                             build_codebook)
+                             _uniform_int, build_codebook)
 from ucrlab.ucrcap import FEAS_TOL
 
 
@@ -148,6 +148,15 @@ def climb_reference(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int
         cur = np.exp2(logit - logit.max(axis=1, keepdims=True))
         cur /= cur.sum(axis=1, keepdims=True)
     return cur
+
+
+def draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:
+    """The index channel's draws, one trial at a time: the flip uniform,
+    then, only when the flip sends it (flip < theta), the alternative index
+    in 1..n1; 0 marks an alternative not drawn. The reference for the
+    order in which `protocol._trial_blocks` consumes a trial's stream."""
+    flip = rng.random()
+    return flip, (_uniform_int(rng, n1) if flip < theta else 0)
 
 
 def dense_exact_analyze(cfg, include_joint: bool = True):

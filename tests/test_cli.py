@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucrlab import channelcap, cli, protocol, ucrcap
+from ucrlab import __version__, channelcap, cli, protocol, ucrcap
 from ucrlab.cli import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, main
 from ucrlab.serialize import load_json, source_from_dict
 
@@ -499,6 +499,48 @@ class TestThreadsFlag:
         assert not out.exists()
 
 
+class TestParserReuse:
+    CALLS = [
+        ["capacity", str(CONFIGS / "bsc011.json"), "--format", "json"],
+        ["--version"],
+        ["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "64"],
+        ["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "64", "--bogus"],
+        ["ucr", str(CONFIGS / "dsbs010.json"), "--C", "0.2", "--u-card", "2"],
+        ["lemmas", "--instances", "5", "--telescoping", "2"],
+        ["capacity", str(CONFIGS / "bsc011.json")],
+        ["simulate", str(CONFIGS / "protocol_small.json"), "--exact"],
+    ]
+
+    def run_calls(self, root: Path, capsys) -> list:
+        """Each call's exit code, stdout, stderr and result files, in order,
+        all in this one process."""
+        seen = []
+        for k, argv in enumerate(self.CALLS):
+            out = root / str(k)
+            try:
+                code = main(argv + ["--out-dir", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            seen.append((code, printed.out, printed.err,
+                         outputs_of(out) if out.exists() else None))
+        return seen
+
+    def test_calls_in_one_process_match_a_parser_built_per_call(
+            self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self.run_calls(tmp_path / "shared", capsys)
+        assert [code for code, *_ in shared] == [EXIT_OK, 0, EXIT_OK, EXIT_VALIDATION,
+                                                EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert shared[1][1] == f"ucrlab {__version__}\n"
+        assert "unrecognized arguments: --bogus" in shared[3][2] and shared[3][3] is None
+        # --format json echoes the document once, and not into the next call
+        assert '"value_bits"' in shared[0][1] and '"value_bits"' not in shared[6][1]
+        assert shared[0][3] == shared[6][3]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self.run_calls(tmp_path / "fresh", capsys) == shared
+
+
 class TestReplay:
     @pytest.mark.parametrize("argv", [
         ["capacity", "bsc011.json"],
@@ -635,8 +677,12 @@ class TestReplay:
          lambda m: m["config"].pop("source"), "missing required key 'source'"),
         (["spectrum", str(CONFIGS / "bsc011.json"), "--n", "8", "--samples", "8"],
          lambda m: m["config"].pop("channel"), "missing required key 'channel'"),
+        (["capacity", str(CONFIGS / "bsc011.json")],
+         lambda m: m.update(schema_version=True), "'schema_version' must be an integer"),
+        (["simulate", str(CONFIGS / "protocol_small.json"), "--trials", "16"],
+         lambda m: m.update(schema_version=1.0), "'schema_version' must be an integer"),
     ], ids=["capacity-no-channel", "config-list", "outputs-number", "duration-text",
-            "ucr-no-source", "spectrum-no-channel"])
+            "ucr-no-source", "spectrum-no-channel", "version-true", "version-float"])
     def test_replay_of_a_malformed_manifest_exits_2(self, tmp_path, capsys, argv, edit,
                                                     message):
         first = tmp_path / "first"

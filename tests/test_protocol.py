@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import dense_exact_analyze, diagonal_source, dsbs, h2
+from support import dense_exact_analyze, diagonal_source, draw_index, dsbs, h2
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
 from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, pairs_from_uniforms,
@@ -517,7 +517,7 @@ class TestTypeCountKernel:
             rng = trial_reference(cfg, 2 * t)
             x, y = sample_iid(cfg.source, cfg.n, rng)
             k_word, k_idx, i_star = ref_encode(cfg, cb, x)
-            flip, alt = protocol._draw_index(rng, cfg.n1, cfg.theta)
+            flip, alt = draw_index(rng, cfg.n1, cfg.theta)
             i_tilde = i_star if flip >= cfg.theta else alt + (alt >= i_star)
             l_word, l_idx, distinct = ref_decode(cfg, cb, y, i_tilde)
             # a batched decode counts the typical values only up to 2
@@ -591,14 +591,164 @@ class TestTypeCountKernel:
             _typical_mask(blocks, seqs, np.zeros((2, 1, 2), dtype=np.float32))
 
 
+def ref_overlaps(t0: int, bounds: np.ndarray, counts) -> list:
+    """Every first row (c[0, b]) of a joint type whose rows sum to
+    (t0, n - t0), whose columns sum to counts and whose every cell lies in
+    bounds, by listing all first rows under counts."""
+    lo, hi = bounds
+    rows = []
+    for first in itertools.product(*(range(k + 1) for k in counts)):
+        table = np.array([first, [k - f for k, f in zip(counts, first)]])
+        if sum(first) == t0 and ((lo <= table) & (table <= hi)).all():
+            rows.append(first)
+    return rows
+
+
+def one_type_codebook(cfg: ProtocolConfig) -> Codebook:
+    """build_codebook's codebook, checked to be a binary one of one type."""
+    cb = build_codebook(cfg)
+    assert cb.u_card == 2 and np.array_equal(cb.word_type, cfg.u_type)
+    return cb
+
+
+def spy_on_the_kernel(monkeypatch, cb: Codebook) -> list:
+    """Replace the typicality kernel by one that records, for each block it
+    receives, whether a joint type of it with a word of the codebook's type
+    fits the bounds it is tested under; the list of those records."""
+    seen = []
+
+    def recorded(blocks, seqs, bounds):
+        for seq in seqs.reshape(-1, seqs.shape[-1]):
+            counts = np.bincount(seq, minlength=bounds.shape[2])
+            seen.append(bool(ref_overlaps(int(cb.word_type[0]), bounds, counts)))
+        return _typical_mask(blocks, seqs, bounds)
+    monkeypatch.setattr(protocol, "_typical_mask", recorded)
+    return seen
+
+
+def assert_same_bits(got: ExactResult, want: ExactResult) -> None:
+    for field in dataclasses.fields(ExactResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "joint_ky":
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), field.name
+
+
+# |U| = 2 configs that scan: a binary and a ternary X
+BINARY_U_CONFIGS = [
+    ProtocolConfig(n=9, mu=0.05, theta=0.1, eps_typ=0.8,
+                   aux=AuxiliaryChannel.from_matrix(np.array([[0.85, 0.15], [0.15, 0.85]])),
+                   source=dsbs(0.1), seed=5, allow_degenerate_rate=True),
+    ProtocolConfig(n=10, mu=0.05, theta=0.1, eps_typ=0.8,
+                   aux=AuxiliaryChannel.from_matrix(
+                       np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]])),
+                   source=JointPmf(np.array([[0.3, 0.05], [0.1, 0.15], [0.05, 0.35]])),
+                   seed=6, allow_degenerate_rate=True),
+]
+
+
+class TestAdmission:
+    @settings(max_examples=300)
+    @given(nx=st.sampled_from([2, 3]), n=st.integers(1, 8), law=st.booleans(),
+           data=st.data())
+    def test_admitted_exactly_when_a_joint_type_fits(self, nx, n, law, data):
+        # a word with t0 zeros against a block of the drawn counts, under
+        # a _count_bounds table or under any intervals at all
+        t0 = data.draw(st.integers(0, n))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=nx - 1,
+                                         max_size=nx - 1)))
+        counts = np.diff([0, *cuts, n])
+        if law:
+            probs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * nx,
+                                                max_size=2 * nx)))
+            probs[0] += probs.sum() == 0.0
+            bounds = _count_bounds((probs / probs.sum()).reshape(2, nx), data.draw(EPS), n)
+        else:
+            lo = np.array(data.draw(st.lists(st.integers(0, n), min_size=2 * nx,
+                                             max_size=2 * nx)))
+            width = np.array(data.draw(st.lists(st.integers(-1, n), min_size=2 * nx,
+                                                max_size=2 * nx)))
+            bounds = np.stack([lo, np.minimum(lo + width, n)]).reshape(2, 2, nx)
+            bounds = bounds.astype(np.float32)
+        word = (np.arange(n) >= t0).astype(np.int8).reshape(1, 1, n)
+        cb = Codebook(word, 1, 1, bounds, bounds, None)
+        seq = np.repeat(np.arange(nx), counts)[None, :]
+        rows = ref_overlaps(t0, bounds, counts)
+        assert cb.admits(seq, bounds).tolist() == [bool(rows)]
+        if rows:
+            lo, hi = protocol._overlap_range(t0, bounds, counts[None, :])
+            assert lo[0].tolist() == np.min(rows, axis=0).tolist()
+            assert hi[0].tolist() == np.max(rows, axis=0).tolist()
+
+    def test_words_of_differing_types_admit_every_block(self):
+        words = np.array([[[0, 0, 1, 1], [0, 1, 1, 1]]], dtype=np.int8)
+        bounds = _count_bounds(np.array([[0.5, 0.0], [0.0, 0.5]]), 0.1, 4)
+        cb = Codebook(words, 1, 2, bounds, bounds, None)
+        seqs = np.array(list(itertools.product(range(2), repeat=4)))
+        assert cb.word_type is None and cb.admits(seqs, bounds).all()
+        one_type = Codebook(words[:, :1], 1, 1, bounds, bounds, None)
+        assert one_type.word_type.tolist() == [2, 2]
+        # the law pins the joint type to (2, 0, 0, 2): blocks with two zeros
+        assert one_type.admits(seqs, bounds).tolist() == (seqs.sum(axis=1) == 2).tolist()
+
+    @pytest.mark.parametrize("cfg", BINARY_U_CONFIGS, ids=["binary-x", "ternary-x"])
+    def test_scans_match_the_reference_and_see_only_admitted_blocks(self, cfg, monkeypatch):
+        cb = one_type_codebook(cfg)
+        assert cb.scans
+        xs, ys = map(np.stack, zip(*(sample_iid(cfg.source, cfg.n, as_rng(subseed(9, t)))
+                                     for t in range(300))))
+        for seqs, bounds in ((xs, cb.ux_bounds), (ys, cb.uy_bounds)):
+            admitted = cb.admits(seqs, bounds)
+            assert 0 < admitted.sum() < admitted.size
+        seen = spy_on_the_kernel(monkeypatch, cb)
+        encs = encode_details(cb, xs)
+        for x, enc in zip(xs, encs):
+            assert same_detail(enc, ref_encode(cfg, cb, x))
+        # each block against the row it was sent, row t % N1 + 1 and the reserved row
+        pairs = [(t, i) for t, enc in enumerate(encs)
+                 for i in sorted({enc[2], t % cb.n1 + 1, cb.n1 + 1})]
+        decs = decode_details(cb, ys[[t for t, _ in pairs]], [i for _, i in pairs])
+        for (t, i), dec in zip(pairs, decs):
+            assert same_detail(dec, capped(ref_decode(cfg, cb, ys[t], i)))
+        assert {enc[1] is not None for enc in encs} == {True, False}
+        assert {dec[1] is not None for dec in decs} == {True, False}
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_exact_analysis_matches_the_dense_reference(self, n, monkeypatch):
+        cfg = dataclasses.replace(BINARY_U_CONFIGS[0], n=n)
+        cb = one_type_codebook(cfg)
+        xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
+        admitted = cb.admits(xs, cb.uy_bounds)
+        assert 0 < admitted.sum() < admitted.size
+        want = dense_exact_analyze(cfg)
+        seen = spy_on_the_kernel(monkeypatch, cb)
+        assert_same_bits(exact_analyze(cfg), want)
+        assert seen and all(seen)
+
+    def test_a_config_no_block_fits_never_calls_the_kernel(self, monkeypatch):
+        # identity auxiliary at eps 0.15: n p(u=0, y=1) = 0.5 lets no count
+        # of that cell pass, so no (u, y) pair is typical and the decode
+        # table is left at the fallback without one scan
+        cfg = small_exact_config()
+        cb = one_type_codebook(cfg)
+        assert not cb.admits(np.array(list(itertools.product(range(2), repeat=cfg.n))),
+                             cb.uy_bounds).any()
+        want = dense_exact_analyze(cfg)
+        seen = spy_on_the_kernel(monkeypatch, cb)
+        assert_same_bits(exact_analyze(cfg), want)
+        assert seen == []
+
+
 def sent_through_index_channel(i_star: int, n1: int, theta: float, rng) -> int:
     """The index received for i_star, drawn and resolved as the engines do."""
-    return int(protocol._resolve_index(i_star, *protocol._draw_index(rng, n1, theta), theta))
+    return int(protocol._resolve_index(i_star, *draw_index(rng, n1, theta), theta))
 
 
 class TestGenieChannel:
     def test_noiseless_theta_is_identity(self):
-        assert protocol._draw_index(as_rng(0), 10, 0.0)[1] == 0
+        assert draw_index(as_rng(0), 10, 0.0)[1] == 0
         assert sent_through_index_channel(4, 10, 0.0, as_rng(0)) == 4
 
     def test_flip_frequency_reference_run(self):
@@ -893,7 +1043,7 @@ class TestMonteCarlo:
             exact_type = (u == 0).sum() == cfg.u_type[0]
             encodes = exact_type and ref_batch_pair_typical(u[None, :], x, ref_ux, eps)[0]
             own = exact_type and ref_batch_pair_typical(u[None, :], y, ref_uy, eps)[0]
-            flip, alt = protocol._draw_index(rng, cfg.n1, cfg.theta)
+            flip, alt = draw_index(rng, cfg.n1, cfg.theta)
             # the cached half of a 32-bit draw never reaches the later draws,
             # which start on their own substream
             cached += rng.bit_generator.state["has_uint32"]

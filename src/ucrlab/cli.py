@@ -42,8 +42,8 @@ from .errors import (
 from .probspace import Pmf, as_rng, check_seed, subseed
 from .protocol import (
     TRIAL_LIMIT,
-    AchievabilityParams,
     ProtocolConfig,
+    achievability_targets,
     check_achievability_conditions,
     exact_analyze,
     rate_feasibility,
@@ -174,35 +174,6 @@ def _exec_ucr(config: dict, out_dir: Path) -> dict:
     return outputs
 
 
-def _conditions_from(desc: dict, cfg: ProtocolConfig) -> AchievabilityParams:
-    given = desc.get("conditions", {})
-    defaults = {"alpha": 0.1, "c": cfg.i_ux + cfg.mu + 1.0, "beta": 1.5, "delta": 1.0,
-                "h_target": cfg.i_ux}
-    return AchievabilityParams(
-        **{key: json_field(given, key, "conditions", float, v) for key, v in defaults.items()},
-        epsilon=(json_field(given, "epsilon", "conditions", float)
-                 if "epsilon" in given else None),
-    )
-
-
-def _report_to_dict(report) -> dict:
-    out = {
-        "all_hold": bool(report.all_hold),
-        "theta_pairing_ok": bool(report.theta_pairing_ok),
-        "conditions": [
-            {"name": c.name, "holds": bool(c.holds), "margin": float(c.margin)}
-            for c in report.conditions
-        ],
-    }
-    if report.remark is not None:
-        out["remark"] = {
-            "name": report.remark.name,
-            "holds": bool(report.remark.holds),
-            "margin": float(report.remark.margin),
-        }
-    return out
-
-
 def _exec_simulate(config: dict, out_dir: Path) -> dict:
     desc = _need(config, "descriptor", "simulate config")
     source = source_from_dict(_need(desc, "source", "descriptor"))
@@ -218,7 +189,11 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
         allow_degenerate_rate=json_field(desc, "allow_degenerate_rate", "descriptor", bool,
                                          False),
     )
-    params = _conditions_from(desc, cfg)
+    given = desc.get("conditions", {})
+    # epsilon has no default: absent, the entropy remark is left out
+    targets = achievability_targets(cfg, lambda name, default: (
+        json_field(given, name, "conditions", float, default)
+        if default is not None or name in given else None))
     # the index channel is checked before the run, so a bad one leaves no file
     rc = None if "index_channel" not in desc else rate_feasibility(
         cfg, _single_letter_kernel(desc["index_channel"], "rate check"),
@@ -268,25 +243,18 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
     diagnostics["rate_bits"] = float(res.entropy_k_bits / cfg.n)
     diagnostics["target_rate_bits"] = float(cfg.i_ux)
     summary["diagnostics"] = diagnostics
-    report = check_achievability_conditions(cfg, res, params)
-    summary["conditions"] = _report_to_dict(report)
+    report = summary["conditions"] = check_achievability_conditions(cfg, res, targets)
 
     if rc is not None:
-        summary["rate_check"] = {
-            "ok": bool(rc.ok),
-            "index_rate_bits": float(rc.index_rate_bits),
-            "capacity_bits": float(rc.capacity_bits),
-            "mu_prime": float(rc.mu_prime),
-            "margin": float(rc.margin),
-        }
+        summary["rate_check"] = rc
         print("index rate %.6f bits/symbol vs C - mu' = %.6f: %s"
-              % (rc.index_rate_bits, rc.capacity_bits - rc.mu_prime,
-                 "ok" if rc.ok else "INFEASIBLE"))
+              % (rc["index_rate_bits"], rc["capacity_bits"] - rc["mu_prime"],
+                 "ok" if rc["ok"] else "INFEASIBLE"))
 
     write_json(out_dir / "simulate.json", summary)
-    verdict = "pass" if report.all_hold else "fail"
+    verdict = "pass" if report["all_hold"] else "fail"
     print(f"conditions: {verdict} "
-          f"({sum(c.holds for c in report.conditions)}/4 hold)")
+          f"({sum(c['holds'] for c in report['conditions'])}/4 hold)")
     return outputs
 
 

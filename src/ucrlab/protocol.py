@@ -20,7 +20,7 @@ row matches via an exact type-class match probability, so the per-trial
 law matches a materialized run up to collision terms that are negligible
 in exactly the regimes that need this engine.
 
-Both engines run trials in batches of max(1, 2**16 // n) and return
+Both engines run trials in batches of max(1, 2**18 // n) and return
 them as columns. One typicality rule, _count_bounds, serves every test,
 through the (u, x) and (u, y) tables ProtocolConfig computes once:
 _typical_mask applies them to words scanned against sequences,
@@ -387,7 +387,8 @@ def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndar
 _F32_EXACT = 2 ** 24            # float32 holds every integer count below this
 _SCAN_CELLS = 2 ** 18           # word x sequence cells per kernel step
 _ENCODE_CHUNK = 65536           # codebook words per encoder scan step
-_BATCH_SYMBOLS = 2 ** 16        # source symbols per Monte Carlo batch
+_TRIAL_BATCH_SYMBOLS = 2 ** 18  # source symbols per Monte Carlo batch
+_EXACT_BLOCK = 2 ** 16          # cells or pairs per block of exact_analyze
 
 
 def _indicator_blocks(words: np.ndarray, u_card: int) -> np.ndarray:
@@ -944,13 +945,13 @@ def _raw_trials(cfg: ProtocolConfig,
                 trials: int) -> tuple[str, Iterator[tuple[TrialOutcomes, np.ndarray]]]:
     """The engine name and, batch by batch as they are consumed, the
     outcomes of trials 0..trials-1 with K's value classes (-1 for the
-    fallback), max(1, _BATCH_SYMBOLS // n) trials each."""
+    fallback), max(1, _TRIAL_BATCH_SYMBOLS // n) trials each."""
     if cfg.codebook_symbols <= MEMORY_GUARD:
         engine, batch = "materialized", partial(_materialized_batch, build_codebook(cfg), cfg)
     else:
         engine, batch = "statistical", _StatisticalEngine(cfg).batch
     stream = _trial_stream(cfg.seed)
-    step = max(1, _BATCH_SYMBOLS // cfg.n)
+    step = max(1, _TRIAL_BATCH_SYMBOLS // cfg.n)
     return engine, (batch(stream, range(lo, min(lo + step, trials)))
                     for lo in range(0, trials, step))
 
@@ -965,7 +966,7 @@ def run_monte_carlo(cfg: ProtocolConfig, trials: int,
     substreams in turn: trial t draws its block, then the index channel's
     flip and any alternative, from substream 2t, and the statistical
     engine's conditional draws from substream 2t + 1 (see _trial_stream
-    and _trial_blocks). Trials run in batches of max(1, 2**16 // n), and
+    and _trial_blocks). Trials run in batches of max(1, 2**18 // n), and
     every outcome is the same whatever the batch layout. There are at most
     TRIAL_LIMIT = 2**32 trials; the 2**33 substreams they can use start at
     least 2**93 draws apart, so none overlaps another.
@@ -1062,22 +1063,23 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     No table of the pair space's size exists at once. The encoder bounds
     its own scans; the decode table l_tab runs over blocks of the
     sequences the codebook admits under the (u, y) table, at most
-    _BATCH_SYMBOLS word x sequence cells each, and leaves the others at
+    _EXACT_BLOCK word x sequence cells each, and leaves the others at
     the fallback class. The (x^n, y^n) law runs over blocks of
-    2**n_low x rows, _BATCH_SYMBOLS pairs each. The class-count table
-    cnt_all, classes x 2**n, stays dense: its product with the weighted
-    y law gives other bits when its rows are multiplied in parts. The K-Y
-    joint is kept over the classes K takes, and spread to every class only
-    for include_joint.
+    2**n_low x rows, _EXACT_BLOCK pairs each. The class-count table
+    cnt_all, classes x 2**n, stays dense, in int32, counted over blocks of
+    l_tab's rows: its product with the weighted y law gives other bits
+    when its rows are multiplied in parts. The K-Y joint is kept over the
+    classes K takes, and spread to every class only for include_joint.
 
     Every number has the bits of the dense computation. Each block of the
     pair law is the same left-to-right Kronecker product, from the head
     table's row b, built by _kron. Row sums (p_x) are per row; the column
     sums (p_y) carry one running row through add.reduce, which sums rows in
-    order; np.add.at scatters each block in the order the dense bincounts
-    did; and the agreement totals of the aligned power-of-two blocks
-    combine as a balanced tree, as numpy's pairwise sum of the whole array
-    does.
+    order; the K-Y joint adds x rows in order and np.add.at scatters the
+    L law in the order the dense bincounts did; integer counts turn to
+    floats exactly; and the agreement totals of the aligned power-of-two
+    blocks combine as a balanced tree, as numpy's pairwise sum of the
+    whole array does.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -1103,9 +1105,9 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     # each sequence's encoded word, by the encoder Monte Carlo runs, and its
     # decoded class per (row, y), by the decoder's own rule
     found = _encode_batch(cb, xs)
-    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.intp)
+    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int32)
     admitted = np.flatnonzero(cb.admits(xs, cb.uy_bounds))
-    step = max(1, _BATCH_SYMBOLS // n_words)
+    step = max(1, _EXACT_BLOCK // n_words)
     for s in range(0, admitted.size, step):
         part = admitted[s:s + step]
         t_uy = _typical_mask(cb.blocks, xs[part], cb.uy_bounds).reshape(-1, n1, n2)
@@ -1113,13 +1115,18 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         l_tab[:n1, part] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
-    cnt_all = np.zeros((n_cls, n_x))
-    np.add.at(cnt_all.reshape(-1), (l_tab * n_x + np.arange(n_x)).ravel(), 1.0)
+    # integer counts are exact in any order, so l_tab is counted in blocks;
+    # a Python int 1 would send add.at down its slow casting path
+    cnt_all = np.zeros((n_cls, n_x), dtype=np.int32)
+    step = max(1, _EXACT_BLOCK // n_x)
+    for r in range(0, n1 + 1, step):
+        np.add.at(cnt_all.reshape(-1), (l_tab[r:r + step] * n_x + np.arange(n_x)).ravel(),
+                  np.int32(1))
     k_seen, k_row = np.unique(k_cls, return_inverse=True)
 
     theta = cfg.theta
     w_other = theta / float(n1)
-    n_low = min(n, max(1, _BATCH_SYMBOLS // n_x).bit_length() - 1)
+    n_low = min(n, max(1, _EXACT_BLOCK // n_x).bit_length() - 1)
     rows = 2 ** n_low
     head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
     p_x = np.empty(n_x)
@@ -1135,11 +1142,15 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
         l_at_star = l_tab[i_star[x] - 1]
         eq_star = (l_at_star == k_cls[x, None]).astype(float)
-        p_agree_xy = (1.0 - theta) * eq_star + w_other * (cnt_all[k_cls[x], :] - eq_star)
-        agree_totals.append((p_joint * p_agree_xy).sum())
-        # add.at takes its fast path on flat indices
-        np.add.at(joint_seen.reshape(-1), (k_row[x, None] * n_x + np.arange(n_x)).ravel(),
-                  p_joint.ravel())
+        # (1 - theta) * eq_star + w_other * (cnt - eq_star), times p_joint, in place
+        agree = cnt_all[k_cls[x]].astype(float)
+        agree -= eq_star
+        agree *= w_other
+        agree += (1.0 - theta) * eq_star
+        agree *= p_joint
+        agree_totals.append(agree.sum())
+        for k, p_row in zip(k_row[x], p_joint):
+            joint_seen[k] += p_row
         np.add.at(l_kept, l_at_star.ravel(), (p_joint * (1.0 - theta)).ravel())
         np.add.at(l_moved, l_at_star.ravel(), (p_joint * w_other).ravel())
     p_y = p_y[0]
@@ -1155,7 +1166,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         joint_ky = np.zeros((n_cls, n_x))
         joint_ky[k_seen] = joint_seen
 
-    p_l = l_kept + cnt_all @ (p_y * w_other) - l_moved
+    p_l = l_kept + cnt_all.astype(float) @ (p_y * w_other) - l_moved
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))
@@ -1171,93 +1182,68 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     )
 
 
-@dataclass(frozen=True)
-class AchievabilityParams:
-    """Targets for the four operating conditions of a common-randomness
-    pair: error bound alpha, cardinality exponent c, uniformity slack
-    beta, rate slack delta against the target rate, and an optional
-    epsilon for the two-terminal entropy comparison."""
-
-    alpha: float
-    c: float
-    beta: float
-    delta: float
-    h_target: float
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0 and self.delta > 0.0):
-            raise ValidationError("alpha, beta, delta must all be > 0")
-        if self.c < 0.0:
-            raise ValidationError(f"cardinality exponent must be >= 0, got {self.c}")
+def achievability_targets(cfg: ProtocolConfig,
+                          read: Callable[[str, float | None], float | None] = {}.get) -> dict:
+    """The targets of the four operating conditions of a run of cfg, each
+    read(name, default): error bound alpha (0.1), cardinality exponent c
+    (I(U;X) + mu + 1), uniformity slack beta (1.5), rate slack delta (1.0)
+    against the target rate h_target (I(U;X)), and epsilon for the
+    two-terminal entropy comparison (None: no comparison)."""
+    targets = {name: read(name, default) for name, default in (
+        ("alpha", 0.1), ("c", cfg.i_ux + cfg.mu + 1.0), ("beta", 1.5), ("delta", 1.0),
+        ("h_target", cfg.i_ux), ("epsilon", None))}
+    if not min(targets["alpha"], targets["beta"], targets["delta"]) > 0.0:
+        raise ValidationError("alpha, beta, delta must all be > 0")
+    if targets["c"] < 0.0:
+        raise ValidationError(f"cardinality exponent must be >= 0, got {targets['c']}")
+    return targets
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    holds: bool
-    margin: float
+def _condition(name: str, holds, margin) -> dict:
+    return {"name": name, "holds": bool(holds), "margin": float(margin)}
 
 
-@dataclass(frozen=True)
-class AchievabilityReport:
-    conditions: tuple
-    remark: ConditionCheck | None
-    theta_pairing_ok: bool
+def check_achievability_conditions(cfg: ProtocolConfig, result, targets: dict) -> dict:
+    """The four operating conditions of a result of a run of cfg, which
+    gives n, log2|K| and theta, against achievability_targets: whether all
+    hold, whether theta <= alpha / 2, and each condition's name, verdict and
+    margin (positive when it holds).
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.conditions)
-
-
-def check_achievability_conditions(cfg: ProtocolConfig, result,
-                                   params: AchievabilityParams) -> AchievabilityReport:
-    """Evaluate the four operating conditions plus the entropy remark for a
-    result of a run of cfg, which gives n, log2|K| and theta.
-
-    Works on both exact and Monte Carlo results; the remark comparison
-    appears only when the result carries the second terminal's entropy.
+    Works on both exact and Monte Carlo results; the entropy remark is
+    added only when the result carries the second terminal's entropy and
+    epsilon is set.
     """
     n = cfg.n
     rate_k = result.entropy_k_bits / n
     log_card = cfg.log2_k_cardinality
-    checks = (
-        ConditionCheck("error", result.p_disagree <= params.alpha,
-                       params.alpha - result.p_disagree),
-        ConditionCheck("cardinality", log_card <= params.c * n,
-                       params.c * n - log_card),
-        ConditionCheck("uniformity", result.uniformity_gap_bits <= params.beta,
-                       params.beta - result.uniformity_gap_bits),
-        ConditionCheck("rate", rate_k > params.h_target - params.delta,
-                       rate_k - (params.h_target - params.delta)),
-    )
-    remark = None
-    h_l = getattr(result, "entropy_l_bits", None)
-    if h_l is not None and params.epsilon is not None:
+    alpha, c, beta = targets["alpha"], targets["c"], targets["beta"]
+    rate_floor = targets["h_target"] - targets["delta"]
+    checks = [
+        _condition("error", result.p_disagree <= alpha, alpha - result.p_disagree),
+        _condition("cardinality", log_card <= c * n, c * n - log_card),
+        _condition("uniformity", result.uniformity_gap_bits <= beta,
+                   beta - result.uniformity_gap_bits),
+        _condition("rate", rate_k > rate_floor, rate_k - rate_floor),
+    ]
+    report = {"all_hold": all(check["holds"] for check in checks),
+              "theta_pairing_ok": bool(cfg.theta <= alpha / 2.0),
+              "conditions": checks}
+    h_l, epsilon = getattr(result, "entropy_l_bits", None), targets["epsilon"]
+    if h_l is not None and epsilon is not None:
         gap = abs(rate_k - h_l / n)
-        remark = ConditionCheck("entropy_match", gap <= params.epsilon,
-                                params.epsilon - gap)
-    return AchievabilityReport(checks, remark, cfg.theta <= params.alpha / 2.0)
+        report["remark"] = _condition("entropy_match", gap <= epsilon, epsilon - gap)
+    return report
 
 
-@dataclass(frozen=True)
-class RateCheck:
-    ok: bool
-    index_rate_bits: float
-    capacity_bits: float
-    mu_prime: float
-
-    @property
-    def margin(self) -> float:
-        return self.capacity_bits - self.mu_prime - self.index_rate_bits
-
-
-def rate_feasibility(cfg: ProtocolConfig, kernel, mu_prime: float) -> RateCheck:
-    """Check log2(N1 + 1)/n against the index channel's capacity margin."""
+def rate_feasibility(cfg: ProtocolConfig, kernel, mu_prime: float) -> dict:
+    """log2(N1 + 1)/n against the index channel's capacity less mu_prime:
+    whether it fits, the rate, the capacity, mu_prime and the margin
+    capacity - mu_prime - rate."""
     from .channelcap import dmc_capacity
     if mu_prime < 0.0:
         raise ValidationError(f"mu_prime must be >= 0, got {mu_prime}")
-    cap = dmc_capacity(kernel)
+    capacity = float(dmc_capacity(kernel).value_bits)
     rate = math.log2(cfg.n1 + 1) / cfg.n
-    return RateCheck(rate <= cap.value_bits - mu_prime + 1e-12, rate,
-                     cap.value_bits, mu_prime)
+    return {"ok": rate <= capacity - mu_prime + 1e-12, "index_rate_bits": rate,
+            "capacity_bits": capacity, "mu_prime": float(mu_prime),
+            "margin": capacity - mu_prime - rate}

@@ -225,6 +225,32 @@ class TestSimulateCommand:
                for name in hashes}
         assert got == hashes
 
+    @pytest.mark.parametrize("doc, mode, hashes", [
+        ({"source": {"alphabet_x": 2, "alphabet_y": 2, "probs": [0.375, 0.125, 0.125, 0.375]},
+          "n": 8, "mu": 0.1, "theta": 0.02, "seed": 5,
+          "index_channel": {"kind": "bsc", "payload": {"p": 0.01}}, "mu_prime": 0.05,
+          "conditions": {"alpha": 0.3, "beta": 1.1, "epsilon": 0.2}}, ["--exact"],
+         {"simulate.json": "2a56991479b800ece4bea3938bb33cace131ef1f5270be6f07a80dac7098741c"}),
+        ({"source": {"alphabet_x": 2, "alphabet_y": 2, "probs": [0.45, 0.05, 0.05, 0.45]},
+          "n": 8, "mu": 0.3, "theta": 0.05, "seed": 3,
+          "index_channel": {"kind": "bec", "payload": {"e": 0.1}},
+          "conditions": {"c": 2.0, "delta": 0.5, "h_target": 0.9, "epsilon": 0.1}},
+         ["--trials", "400"],
+         {"simulate.json": "f8ce3fdcb8630a863f9f4dca80ab2275b1f7b2298c1daf4f3d8b1129890c9ff6",
+          "trials.csv": "e5f8a736b45a99844d2a32fe94703e50f3e24a6e4160c994e180c3fc21ee07ac"}),
+    ], ids=["exact-remark", "monte-carlo"])
+    def test_condition_and_rate_check_bytes_are_pinned(self, tmp_path, doc, mode, hashes):
+        # every target given or defaulted, the entropy remark, and the index
+        # channel's rate check, as simulate.json stores them
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"aux": {"kind": "identity"}, "eps_typ": 0.15,
+                                    "allow_degenerate_rate": True, **doc}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["simulate", str(spec), *mode, "--out-dir", str(out)]) == EXIT_OK
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in hashes}
+        assert got == hashes
+
     @pytest.mark.parametrize("config, mode, engine", [
         ("protocol_small.json", ["--exact"], "exact_analyze"),
         ("protocol_small.json", ["--trials", "200"], "run_monte_carlo"),

@@ -24,9 +24,9 @@ from ucrlab.protocol import (
     _indicator_blocks,
     _joint_types,
     _typical_mask,
-    AchievabilityParams,
     ProtocolConfig,
     TrialOutcomes,
+    achievability_targets,
     build_codebook,
     check_achievability_conditions,
     exact_analyze,
@@ -847,7 +847,7 @@ class TestExactAnalyzer:
         # 2**11 symbols cut the n = 8 pair law into 32 blocks of 8 x rows and
         # its decode table into blocks of a few sequences
         if block is not None:
-            monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", block)
+            monkeypatch.setattr(protocol, "_EXACT_BLOCK", block)
         for n, theta in itertools.product(range(2, 11), (0.0, 0.03)):
             cfg = ProtocolConfig(n=n, mu=0.05, theta=theta, eps_typ=eps, aux=aux,
                                  source=source, seed=4, allow_degenerate_rate=True)
@@ -880,6 +880,21 @@ class TestMonteCarlo:
         se = (exact.p_disagree * (1 - exact.p_disagree) / 20000) ** 0.5
         assert abs(mc.p_disagree - exact.p_disagree) <= 3.0 * se
         assert mc.engine == "materialized"
+
+    def test_agrees_with_exact_analyzer_where_the_decoder_decodes(self):
+        # criterion 07's config admits no y sequence, so its decoder always
+        # falls back; at DSBS(0.25) 70 of the 256 are admitted
+        cfg = ProtocolConfig(n=8, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
+                             source=dsbs(0.25), seed=5, allow_degenerate_rate=True)
+        cb = one_type_codebook(cfg)
+        ys = np.array(list(itertools.product(range(2), repeat=cfg.n)))
+        assert np.count_nonzero(cb.admits(ys, cb.uy_bounds)) == 70
+        exact = exact_analyze(cfg, include_joint=False)
+        mc = run_monte_carlo(cfg, 20000)
+        se = (exact.p_disagree * (1 - exact.p_disagree) / 20000) ** 0.5
+        assert abs(mc.p_disagree - exact.p_disagree) <= 3.0 * se
+        decoded = mc.outcomes.l_row != 0
+        assert np.count_nonzero(decoded & mc.outcomes.agreed) > 0
 
     def test_same_seed_gives_the_same_run(self):
         cfg = ternary_config()
@@ -1005,14 +1020,13 @@ class TestMonteCarlo:
     def test_outcomes_do_not_depend_on_the_batch_layout(self, monkeypatch, cfg, trials,
                                                         batch):
         # the first `trials` outcomes cross two boundaries of `batch`-trial
-        # batches; at small n the batches are shrunk to get there
-        if protocol._BATCH_SYMBOLS // cfg.n != batch:
-            monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", batch * cfg.n)
+        # batches; the batches are shrunk to get there
+        monkeypatch.setattr(protocol, "_TRIAL_BATCH_SYMBOLS", batch * cfg.n)
         short = run_monte_carlo(cfg, trials)
         long = run_monte_carlo(cfg, trials + batch)
         assert short.outcomes == head(long.outcomes, trials)
         assert set((short.outcomes.k_row == 0).tolist()) == {True, False}
-        monkeypatch.setattr(protocol, "_BATCH_SYMBOLS", 2 ** 16)
+        monkeypatch.undo()  # the default layout
         assert run_monte_carlo(cfg, trials) == short
 
     @pytest.mark.parametrize("cfg", [
@@ -1157,43 +1171,44 @@ class TestConditions:
     def test_reference_exact_run_against_targets(self):
         cfg = small_exact_config()
         res = exact_analyze(cfg)
-        params = AchievabilityParams(alpha=0.3, c=2.0, beta=1.1, delta=1.0,
-                                     h_target=1.0, epsilon=0.2)
-        report = check_achievability_conditions(cfg, res, params)
-        names = [c.name for c in report.conditions]
+        targets = achievability_targets(cfg, dict(alpha=0.3, c=2.0, beta=1.1, delta=1.0,
+                                                  h_target=1.0, epsilon=0.2).get)
+        report = check_achievability_conditions(cfg, res, targets)
+        names = [c["name"] for c in report["conditions"]]
         assert names == ["error", "cardinality", "uniformity", "rate"]
-        assert report.all_hold
-        assert report.theta_pairing_ok  # theta = 0 <= alpha / 2
-        assert report.remark is not None and not report.remark.holds
+        assert report["all_hold"]
+        assert report["theta_pairing_ok"]  # theta = 0 <= alpha / 2
+        assert report.get("remark") is not None and not report["remark"]["holds"]
 
     def test_margins_have_the_documented_sign(self):
         cfg = small_exact_config()
         res = exact_analyze(cfg)
-        params = AchievabilityParams(alpha=0.2, c=2.0, beta=1.1, delta=1.0,
-                                     h_target=1.0)
-        report = check_achievability_conditions(cfg, res, params)
-        error = report.conditions[0]
-        assert not error.holds and error.margin < 0.0
+        targets = achievability_targets(cfg, dict(alpha=0.2, c=2.0, beta=1.1, delta=1.0,
+                                                  h_target=1.0).get)
+        report = check_achievability_conditions(cfg, res, targets)
+        error = report["conditions"][0]
+        assert not error["holds"] and error["margin"] < 0.0
 
     def test_parameter_validation(self):
+        cfg = small_exact_config()
         with pytest.raises(ValidationError):
-            AchievabilityParams(alpha=0.0, c=1.0, beta=0.1, delta=0.1,
-                                h_target=1.0)
+            achievability_targets(cfg, dict(alpha=0.0, c=1.0, beta=0.1, delta=0.1,
+                                            h_target=1.0).get)
         with pytest.raises(ValidationError):
-            AchievabilityParams(alpha=0.1, c=-1.0, beta=0.1, delta=0.1,
-                                h_target=1.0)
+            achievability_targets(cfg, dict(alpha=0.1, c=-1.0, beta=0.1, delta=0.1,
+                                            h_target=1.0).get)
 
 
 class TestRateFeasibility:
     def test_small_index_set_fits_a_clean_channel(self):
         cfg = small_exact_config()  # log2(1981) / 8 bits per symbol
         check = rate_feasibility(cfg, bsc(0.0), mu_prime=0.05)
-        assert not check.ok  # 1.369 bits/use exceeds 1 - 0.05
+        assert not check["ok"]  # 1.369 bits/use exceeds 1 - 0.05
         wide = ProtocolConfig(n=24, mu=0.05, theta=0.0, eps_typ=0.2,
                               aux=IDENTITY_AUX, source=dsbs(0.1), seed=0)
         check2 = rate_feasibility(wide, bsc(0.0), mu_prime=0.05)
-        assert check2.ok == (check2.index_rate_bits
-                             <= check2.capacity_bits - 0.05 + 1e-12)
+        assert check2["ok"] == (check2["index_rate_bits"]
+                                <= check2["capacity_bits"] - 0.05 + 1e-12)
 
     def test_mu_prime_validation(self):
         with pytest.raises(ValidationError):

@@ -1192,7 +1192,7 @@ def achievability_targets(cfg: ProtocolConfig,
     targets = {name: read(name, default) for name, default in (
         ("alpha", 0.1), ("c", cfg.i_ux + cfg.mu + 1.0), ("beta", 1.5), ("delta", 1.0),
         ("h_target", cfg.i_ux), ("epsilon", None))}
-    if not min(targets["alpha"], targets["beta"], targets["delta"]) > 0.0:
+    if not all(targets[name] > 0.0 for name in ("alpha", "beta", "delta")):
         raise ValidationError("alpha, beta, delta must all be > 0")
     if targets["c"] < 0.0:
         raise ValidationError(f"cardinality exponent must be >= 0, got {targets['c']}")

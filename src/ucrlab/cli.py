@@ -194,10 +194,16 @@ def _exec_simulate(config: dict, out_dir: Path) -> dict:
     targets = achievability_targets(cfg, lambda name, default: (
         json_field(given, name, "conditions", float, default)
         if default is not None or name in given else None))
-    # the index channel is checked before the run, so a bad one leaves no file
+    unknown = sorted(set(given) - set(targets))
+    if unknown:
+        raise ValidationError(f"conditions: unknown key(s) {', '.join(map(repr, unknown))}; "
+                              f"the targets are {', '.join(targets)}")
+    # the index channel and mu' are checked before the run, so a bad one leaves no file
+    mu_prime = json_field(desc, "mu_prime", "descriptor", float, 0.0)
+    if mu_prime < 0.0:
+        raise ValidationError(f"descriptor: mu_prime must be >= 0, got {mu_prime}")
     rc = None if "index_channel" not in desc else rate_feasibility(
-        cfg, _single_letter_kernel(desc["index_channel"], "rate check"),
-        json_field(desc, "mu_prime", "descriptor", float, 0.0))
+        cfg, _single_letter_kernel(desc["index_channel"], "rate check"), mu_prime)
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "n": cfg.n,

@@ -385,7 +385,7 @@ def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 _F32_EXACT = 2 ** 24            # float32 holds every integer count below this
-_SCAN_CELLS = 2 ** 18           # word x sequence cells per kernel step
+_SCAN_CELLS = 2 ** 16           # word x sequence cells per kernel step
 _ENCODE_CHUNK = 65536           # codebook words per encoder scan step
 _TRIAL_BATCH_SYMBOLS = 2 ** 18  # source symbols per Monte Carlo batch
 _EXACT_BLOCK = 2 ** 16          # cells or pairs per block of exact_analyze
@@ -735,7 +735,7 @@ def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
         if k:
             rng.bit_generator.advance(skip)
         rng.random(out=draws[k])
-    flips = draws[:, n]
+    flips = draws[:, n].copy()  # a column of its own, so that draws can go
     for k in np.flatnonzero(flips < cfg.theta).tolist():
         rng = stream(2 * ts[k])
         rng.bit_generator.advance(n + 1)
@@ -1060,26 +1060,32 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     received index is correct with weight 1 - theta and uniform over the
     other rows with weight theta / N1.
 
-    No table of the pair space's size exists at once. The encoder bounds
-    its own scans; the decode table l_tab runs over blocks of the
+    No table has a row for every codebook row, and none exists twice. The
+    encoder bounds its own scans. The decoder runs over blocks of the
     sequences the codebook admits under the (u, y) table, at most
-    _EXACT_BLOCK word x sequence cells each, and leaves the others at
-    the fallback class. The (x^n, y^n) law runs over blocks of
-    2**n_low x rows, _EXACT_BLOCK pairs each. The class-count table
-    cnt_all, classes x 2**n, stays dense, in int32, counted over blocks of
-    l_tab's rows: its product with the weighted y law gives other bits
-    when its rows are multiplied in parts. The K-Y joint is kept over the
-    classes K takes, and spread to every class only for include_joint.
+    _EXACT_BLOCK word x sequence cells each. Each block's decoded class in
+    every row is counted into cnt_all, classes x 2**n, and kept in the
+    decode table l_sent only for the rows the encoder sends, at most
+    min(N1, 2**n) + 1 of them; a refused sequence decodes to the fallback
+    class in every row. Both tables take _cell_dtype's smallest integer
+    dtype. The (x^n, y^n) law runs over blocks of 2**n_low x rows,
+    _EXACT_BLOCK // 4 pairs each, whose temporaries live for one block.
+    The K-Y joint is kept over the classes K takes, and spread to every
+    class only for include_joint. H(K, Y)'s p log2 p terms are formed in
+    the joint's own buffer, and the joint is dropped before the tail: the
+    float product of cnt_all with the weighted y law, which stays one
+    dense product because multiplying its rows in parts gives other bits.
 
-    Every number has the bits of the dense computation. Each block of the
-    pair law is the same left-to-right Kronecker product, from the head
-    table's row b, built by _kron. Row sums (p_x) are per row; the column
-    sums (p_y) carry one running row through add.reduce, which sums rows in
-    order; the K-Y joint adds x rows in order and np.add.at scatters the
-    L law in the order the dense bincounts did; integer counts turn to
-    floats exactly; and the agreement totals of the aligned power-of-two
-    blocks combine as a balanced tree, as numpy's pairwise sum of the
-    whole array does.
+    Every number has the bits of the dense computation. Integer counts are
+    exact in any order. Each block of the pair law is the same
+    left-to-right Kronecker product, from the head table's row b, built by
+    _kron. Row sums (p_x) are per row; the column sums (p_y) carry one
+    running row through add.reduce, which sums rows in order; the K-Y
+    joint adds x rows in order and np.add.at scatters the L law in the
+    order the dense bincounts did; integer counts turn to floats exactly;
+    the agreement totals of the aligned power-of-two blocks combine as a
+    balanced tree, as numpy's pairwise sum of the whole array does; and
+    H(K, Y)'s terms are the ones entropy_bits forms, summed over one array.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -1102,33 +1108,37 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     n_cls = u0_cls + 1
     row_cls = index.cls.reshape(n1, n2)
 
-    # each sequence's encoded word, by the encoder Monte Carlo runs, and its
-    # decoded class per (row, y), by the decoder's own rule
+    # each sequence's encoded word, by the encoder Monte Carlo runs, the rows
+    # it sends, 0-based with n1 the reserved one, and each x's among them
     found = _encode_batch(cb, xs)
-    l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int32)
-    admitted = np.flatnonzero(cb.admits(xs, cb.uy_bounds))
+    k_cls = np.where(found >= 0, index.cls[found], u0_cls)
+    sent, star = np.unique(np.where(found >= 0, found // n2, n1), return_inverse=True)
+    scanned = sent[sent < n1]   # sent is sorted: the reserved row, if sent, is last
+
+    # each y's decoded class per row, by the decoder's own rule: counted
+    # into cnt_all over all n1 + 1 rows, and kept in l_sent for the sent ones
+    admitted = cb.admits(xs, cb.uy_bounds)
+    l_sent = np.full((sent.size, n_x), u0_cls, dtype=_cell_dtype(n_cls))
+    cnt_all = np.zeros((n_cls, n_x), dtype=_cell_dtype(n1 + 2))
+    cnt_all[u0_cls] = np.where(admitted, 1, n1 + 1)
     step = max(1, _EXACT_BLOCK // n_words)
+    admitted = np.flatnonzero(admitted)
     for s in range(0, admitted.size, step):
         part = admitted[s:s + step]
         t_uy = _typical_mask(cb.blocks, xs[part], cb.uy_bounds).reshape(-1, n1, n2)
         lead, _ = _decode_rule(t_uy, row_cls)
-        l_tab[:n1, part] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
-    k_cls = np.where(found >= 0, index.cls[found], u0_cls)
-    i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
-    # integer counts are exact in any order, so l_tab is counted in blocks;
-    # a Python int 1 would send add.at down its slow casting path
-    cnt_all = np.zeros((n_cls, n_x), dtype=np.int32)
-    step = max(1, _EXACT_BLOCK // n_x)
-    for r in range(0, n1 + 1, step):
-        np.add.at(cnt_all.reshape(-1), (l_tab[r:r + step] * n_x + np.arange(n_x)).ravel(),
-                  np.int32(1))
-    k_seen, k_row = np.unique(k_cls, return_inverse=True)
+        l_part = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls)
+        cnt_all[:, part] += np.bincount(
+            (l_part * part.size + np.arange(part.size)[:, None]).ravel(),
+            minlength=n_cls * part.size).reshape(n_cls, part.size)
+        l_sent[:scanned.size, part] = l_part[:, scanned].T
 
     theta = cfg.theta
     w_other = theta / float(n1)
-    n_low = min(n, max(1, _EXACT_BLOCK // n_x).bit_length() - 1)
+    n_low = min(n, max(1, _EXACT_BLOCK // 4 // n_x).bit_length() - 1)
     rows = 2 ** n_low
     head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
+    k_seen, k_row = np.unique(k_cls, return_inverse=True)
     p_x = np.empty(n_x)
     p_y = np.zeros((0, n_x))
     agree_totals = []
@@ -1140,7 +1150,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         p_joint = reduce(_kron, [cfg.source.probs] * n_low, head[b:b + 1])
         p_x[x] = p_joint.sum(axis=1)
         p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
-        l_at_star = l_tab[i_star[x] - 1]
+        l_at_star = l_sent[star[x]]
         eq_star = (l_at_star == k_cls[x, None]).astype(float)
         # (1 - theta) * eq_star + w_other * (cnt - eq_star), times p_joint, in place
         agree = cnt_all[k_cls[x]].astype(float)
@@ -1151,20 +1161,28 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         agree_totals.append(agree.sum())
         for k, p_row in zip(k_row[x], p_joint):
             joint_seen[k] += p_row
-        np.add.at(l_kept, l_at_star.ravel(), (p_joint * (1.0 - theta)).ravel())
-        np.add.at(l_moved, l_at_star.ravel(), (p_joint * w_other).ravel())
+        # eq_star's buffer holds the two add.at weights in turn
+        for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
+            np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
     p_y = p_y[0]
     p_disagree = min(max(float(1.0 - _pairwise(agree_totals)), 0.0), 1.0)
 
     p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
     h_k = entropy_bits(p_k)
-    h_ky = entropy_bits(joint_seen)
     h_y = entropy_bits(p_y)
-    h_k_given_y = max(h_ky - h_y, 0.0)
     joint_ky = None
     if include_joint:
         joint_ky = np.zeros((n_cls, n_x))
         joint_ky[k_seen] = joint_seen
+    # entropy_bits(joint_seen) bit for bit, its p log2 p terms formed in place
+    terms = joint_seen.reshape(-1)
+    if not (terms > 0.0).all():
+        terms = terms[terms > 0.0]
+    for lo in range(0, terms.size, _EXACT_BLOCK):
+        terms[lo:lo + _EXACT_BLOCK] *= np.log2(terms[lo:lo + _EXACT_BLOCK])
+    h_ky = max(float(-terms.sum()), 0.0)
+    h_k_given_y = max(h_ky - h_y, 0.0)
+    del joint_seen, terms
 
     p_l = l_kept + cnt_all.astype(float) @ (p_y * w_other) - l_moved
     if abs(p_l.sum() - 1.0) > 1e-9:

@@ -845,6 +845,20 @@ class TestExitCodeContract:
         assert got[0] == code, got[1]
         assert_refused(*got)
 
+    @pytest.mark.parametrize("edits, named", [
+        ([(["conditions"], {"alpha": 0.1, "alhpa": 0.01})], "'alhpa'"),
+        ([(["mu_prime"], -1)], "mu_prime"),
+    ], ids=["conditions-unknown-key", "mu-prime-negative-without-index-channel"])
+    def test_simulate_refuses_a_key_it_would_ignore(self, tmp_path, edits, named):
+        # each ran and exited 0: the misspelt target was never read, and
+        # mu_prime was read only next to an index_channel
+        doc = read_json(CONFIGS / "protocol_small.json")
+        assert "index_channel" not in doc
+        code, err, left = run_edited(["simulate", SPEC, "--exact"], doc, edits, tmp_path)
+        assert code == EXIT_VALIDATION, err
+        assert_refused(code, err, left)
+        assert any(line.startswith("error: ") and named in line for line in err.splitlines())
+
     @pytest.fixture(scope="class")
     def documents(self, tmp_path_factory) -> dict:
         """{name: (argv, valid document)}: spec files, and a manifest of each command."""

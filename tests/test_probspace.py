@@ -1,6 +1,7 @@
 """Distribution containers, information measures, sampling, and type quantization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ucrlab.probspace import (
     compose_aux,
     conditional_entropy_x_given_y,
     entropy,
+    entropy_bits,
     mutual_information,
     categorical_from_uniforms,
     pairs_from_uniforms,
@@ -102,6 +104,22 @@ class TestEntropy:
         p = Pmf(normalized(weights))
         val = entropy(p)
         assert -1e-12 <= val <= math.log2(p.size) + 1e-9
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(st.floats(0.0, 2.0), max_size=600)
+           | st.lists(st.floats(1e-3, 1.0), max_size=600)
+           | st.lists(st.sampled_from([0.0, math.nan]) | st.floats(0.0, 1.0), max_size=600),
+           rows=st.integers(1, 3))
+    @example(cells=[0.25] * 400, rows=2)
+    @example(cells=[0.5, 0.0] * 200, rows=1)
+    @example(cells=[0.5, math.nan, 0.25, 0.0] * 100, rows=4)
+    def test_equals_the_sum_over_the_positive_cells_bit_for_bit(self, cells, rows):
+        # with and without zeros, with NaN, and past the 128-term leaves of
+        # numpy's pairwise sum
+        p = np.array(cells[:len(cells) // rows * rows], dtype=float).reshape(rows, -1)
+        pos = p[p > 0]
+        want = max(float(-np.sum(pos * np.log2(pos))), 0.0)
+        assert struct.pack("<d", entropy_bits(p)) == struct.pack("<d", want)
 
 
 class TestMutualInformation:

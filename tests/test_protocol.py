@@ -844,8 +844,9 @@ class TestExactAnalyzer:
     ], ids=["identity", "bsc"])
     def test_blocks_reproduce_the_dense_analysis_bit_for_bit(self, monkeypatch, block,
                                                              source, aux, eps):
-        # 2**11 symbols cut the n = 8 pair law into 32 blocks of 8 x rows and
-        # its decode table into blocks of a few sequences
+        # a block of 2**11 cuts the n = 8 pair law into 128 blocks of 2 x
+        # rows (a quarter of the block each) and its decode table into
+        # blocks of a few sequences
         if block is not None:
             monkeypatch.setattr(protocol, "_EXACT_BLOCK", block)
         for n, theta in itertools.product(range(2, 11), (0.0, 0.03)):
@@ -870,6 +871,38 @@ class TestExactAnalyzer:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
+
+    @pytest.mark.parametrize("aux, mu, n1, mib", [
+        (TERNARY_AUX, 0.45, 14790, 48), (BSC_AUX, 0.3, 2211, 5)], ids=["ternary", "bsc"])
+    def test_traced_peak_does_not_grow_with_n1(self, aux, mu, n1, mib):
+        # an (N1 + 1) x 2**10 decode table took these to 110.2 and 14.3 MiB
+        cfg = ProtocolConfig(n=10, mu=mu, theta=0.01, eps_typ=0.6, aux=aux,
+                             source=dsbs(0.1), seed=2, allow_degenerate_rate=True)
+        assert cfg.n1 == n1
+        tracemalloc.start()
+        try:
+            exact_analyze(cfg, include_joint=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
+
+    @pytest.mark.parametrize("aux", [
+        AuxiliaryChannel.from_matrix(np.array([[0.7, 0.3], [0.3, 0.7]])), TERNARY_AUX],
+        ids=["bsc", "ternary"])
+    def test_a_few_sent_rows_of_thousands_match_the_dense_reference(self, aux):
+        # only the rows the encoder sends are decoded and kept; every row
+        # is still counted into the class counts of the index channel's errors
+        cfg = ProtocolConfig(n=8, mu=0.5, theta=0.03, eps_typ=0.6, aux=aux, source=dsbs(0.1),
+                             seed=4, allow_degenerate_rate=True)
+        cb = build_codebook(cfg)
+        found = protocol._encode_batch(
+            cb, np.array(list(itertools.product(range(2), repeat=cfg.n)), dtype=np.int8))
+        sent = np.unique(np.where(found >= 0, found // cfg.n2, cfg.n1))
+        assert cfg.n1 > 4000 and 1 < sent.size < 16
+        got = exact_analyze(cfg)
+        assert got.entropy_k_bits > 0.0 and got.entropy_l_bits > 0.0
+        assert_same_bits(got, dense_exact_analyze(cfg))
 
 
 class TestMonteCarlo:

@@ -31,7 +31,10 @@ at gap 0. The oracle scores one grid matrix per U-relabelling orbit
 (relabelling U moves neither I(U;X) nor the gap), though ORACLE_GUARD
 counts the full grid it walks. It keeps each grid chunk's hull, with the
 hull kept so far as a floor: a chunk with no point near or above it keeps
-nothing, any other keeps its whole hull. The oracle is the arbiter; the
+nothing, any other keeps its whole hull. A chunk is scored one kernel
+block at a time and thinned as it goes to the points near a chain of its
+own points, so what the oracle holds scales with the kernel block and the
+hull, not with the chunk or the grid. The oracle is the arbiter; the
 solver is validated against it, never trusted alone.
 """
 from __future__ import annotations
@@ -64,6 +67,8 @@ _CLIMB_STEPS = 200
 # survivors)
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
+# rounds of `_chain`, the oracle's thinning chain: more only tighten it
+_CHAIN_ROUNDS = 16
 # _objectives sets gaps and values at or below this to exactly 0:
 # rounding leaves a few ulp on maps whose true gap or value is 0, the
 # constant map among them (the gap never exceeds the value, so the gap of a
@@ -76,7 +81,8 @@ _ORACLE_DRAWS = 2048
 # one channel into proportional columns), which one a chunk keeps can hang on
 # its other vertices, so another size can move the oracle's goldens
 _ORACLE_CHUNK = 200_000
-# grid matrices per kernel call, so its temporaries stay in cache (no bit moves)
+# grid matrices per kernel call, so its temporaries stay in cache, and per
+# thinning step of `_grid_hull`, so it also sets the oracle's memory (no bit moves)
 _KERNEL_BLOCK = 8192
 
 
@@ -170,16 +176,22 @@ class UcrSolution:
                 f"solution violates the rate constraint by {-self.constraint_slack:.3e}")
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over every axis but the last, with 0 log 0 = 0: one
-    masked log pass, then the rows added in row-major order, elementwise."""
-    p = p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
-    terms = np.zeros_like(p)
-    np.log2(p, out=terms, where=p > 0.0)
-    terms *= p
-    for row in terms[1:]:
-        terms[0] += row
-    return -terms[0]
+def _entropies(rows, count: int) -> np.ndarray:
+    """-sum p log2 p over rows of `count` probabilities each, with 0 log 0 =
+    0: each row's masked p log2 p goes into one accumulator, the rows added
+    in the order given, elementwise."""
+    total, term = np.empty((2, count))
+    for k, p in enumerate(rows):
+        # a cell with p <= 0 takes log2 1 = 0
+        np.copyto(term, p)
+        np.copyto(term, 1.0, where=p <= 0.0)
+        np.log2(term, out=term)
+        if k == 0:
+            np.multiply(term, p, out=total)
+        else:
+            term *= p
+            total += term
+    return np.negative(total, out=total)
 
 
 def _source_terms(pxy: np.ndarray):
@@ -193,20 +205,33 @@ def _objectives(w: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
 
     Each matrix gets the same bits in any batch (alone, in a grid chunk, in
     a permuted or strided stack): every reduction over the small x, u and y
-    axes is an explicit loop in one fixed order, elementwise over M. Gaps and
-    values at or below _GAP_SNAP are set to exactly 0. terms comes from
-    `_source_terms`.
+    axes is an explicit loop in one fixed order, elementwise over M. The
+    joint laws P(u, x), P(u) and P(y, u) are formed one M-long row at a
+    time, in row-major order, and each row goes straight into its entropy,
+    so no (x, u, M) temporary is held. Gaps and values at or below
+    _GAP_SNAP are set to exactly 0. terms comes from `_source_terms`.
     """
     px, pxy, h_x, h_y = terms
-    pux = w * px[:, None, None]
-    pu = pux[0].copy()  # (u, M)
-    puy = pxy[0][:, None, None] * w[0]  # (y, u, M)
-    for x in range(1, w.shape[0]):
-        pu += pux[x]
-        puy += pxy[x][:, None, None] * w[x]
-    h_u = _entropies(pu)
-    h_ux = _entropies(pux)
-    h_uy = _entropies(puy)
+    x_card, u_card, count = w.shape
+    row, part = np.empty((2, count))
+
+    def pux():
+        for x in range(x_card):
+            for u in range(u_card):
+                yield np.multiply(w[x, u], px[x], out=row)
+
+    def mixed(weights):
+        # rows (k, u) of sum_x weights[x, k] P(u|x), added in x order
+        for k in range(weights.shape[1]):
+            for u in range(u_card):
+                np.multiply(w[0, u], weights[0, k], out=row)
+                for x in range(1, x_card):
+                    np.add(row, np.multiply(w[x, u], weights[x, k], out=part), out=row)
+                yield row
+
+    h_u = _entropies(mixed(px[:, None]), count)
+    h_ux = _entropies(pux(), count)
+    h_uy = _entropies(mixed(pxy), count)
     i_ux = h_u + h_x - h_ux
     gap = i_ux - (h_u + h_y - h_uy)
     gap[gap <= _GAP_SNAP] = 0.0
@@ -215,34 +240,31 @@ def _objectives(w: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simplex_grid(m: int, k: int) -> np.ndarray:
-    """All compositions of m into k nonnegative parts, divided by m."""
-    out = []
-    comp = [0] * k
-
-    def rec(pos: int, left: int):
-        if pos == k - 1:
-            comp[pos] = left
-            out.append(comp.copy())
-            return
-        for v in range(left + 1):
-            comp[pos] = v
-            rec(pos + 1, left - v)
-
-    rec(0, m)
-    return np.array(out, dtype=float) / m
+    """All compositions of m into k nonnegative parts, in increasing
+    lexicographic order, divided by m."""
+    heads = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m])
+    for _ in range(k - 1):
+        # each head grows by every part 0..left in turn
+        count = left + 1
+        parent = np.repeat(np.arange(left.size), count)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count)
+        heads = np.column_stack([heads[parent], part])
+        left = left[parent] - part
+    return np.column_stack([heads, left]) / m
 
 
-def _grid_block(row_pts: np.ndarray, x_card: int, flat: np.ndarray) -> np.ndarray:
-    """Grid channels with the given flat indices, shaped (x, u, M).
+def _grid_block(row_pts: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Grid channels with the given flat indices, written into out, shaped
+    (x, u, flat.size), and returned.
 
     A channel is one grid row per input symbol; the last input symbol is the
     least significant digit of the flat index.
     """
-    w = np.empty((x_card, row_pts.shape[1], flat.size))
-    for x in range(x_card - 1, -1, -1):
+    for x in range(out.shape[0] - 1, -1, -1):
         flat, digit = np.divmod(flat, row_pts.shape[0])
-        np.take(row_pts.T, digit, axis=1, out=w[x], mode="clip")
-    return w
+        np.take(row_pts.T, digit, axis=1, out=out[x], mode="clip")
+    return out
 
 
 def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
@@ -272,6 +294,12 @@ def _hull_scan(gaps: np.ndarray, values: np.ndarray) -> list[int]:
     return [idx for idx, _, _ in hull]
 
 
+def _above(gaps: np.ndarray, values: np.ndarray, chain) -> np.ndarray:
+    """Which points lie within 1e-12 of or above the chain (gaps, values),
+    or outside its gap range."""
+    return values >= np.interp(gaps, *chain, left=-np.inf, right=-np.inf) - 1e-12
+
+
 def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     """Indices of the upper concave hull of the cloud, sorted by gap.
 
@@ -287,13 +315,10 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     it, or outside its gap range, go through the scan, whose own sort and
     dedup settle equal gaps.
     """
-    def above(chain):
-        return values >= np.interp(gaps, *chain, left=-np.inf, right=-np.inf) - 1e-12
-
     n = gaps.size
     seeds = np.zeros(n, dtype=bool)
     if floor is not None:
-        seeds = above(floor)
+        seeds = _above(gaps, values, floor)
         if not seeds.any():
             return []
     if n < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
@@ -309,22 +334,49 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     seeds[first[first < n]] = True
     sub = np.flatnonzero(seeds)
     sub = sub[_upper_hull(gaps[sub], values[sub])]
-    live = np.flatnonzero(above((gaps[sub], values[sub])))
+    live = np.flatnonzero(_above(gaps, values, (gaps[sub], values[sub])))
     return live[_hull_scan(gaps[live], values[live])].tolist()
 
 
-def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
-    """Flat indices in [start, stop) of one grid channel per U-relabelling orbit.
+def _chain(gaps: np.ndarray, values: np.ndarray):
+    """(gaps, values) of a chain through points of a finite cloud, sorted by
+    gap: the highest point at each distinct gap, then _CHAIN_ROUNDS rounds
+    at most, each dropping every vertex at which the slope does not fall.
+    Its vertices are cloud points, so it never lies above the cloud's upper
+    hull; the rounds only bring it closer."""
+    order = np.argsort(gaps)
+    g, v = gaps[order], values[order]
+    first = np.flatnonzero(np.diff(g, prepend=-np.inf))
+    g, v = g[first], np.maximum.reduceat(v, first)
+    for _ in range(_CHAIN_ROUNDS):
+        slope = (v[1:] - v[:-1]) / (g[1:] - g[:-1])
+        keep = np.ones(g.size, dtype=bool)
+        np.less(slope[1:], slope[:-1], out=keep[1:-1])
+        if keep.all():
+            break
+        g, v = g[keep], v[keep]
+    return g, v
+
+
+def _orbit_blocks(row_pts: np.ndarray, x_card: int, start: int, stop: int):
+    """Yield the flat indices in [start, stop) of one grid channel per
+    U-relabelling orbit, increasing, in blocks of at most _KERNEL_BLOCK;
+    int32 where the grid's indices fit.
 
     A channel is kept when its U-columns are in non-decreasing lexicographic
     order, x = 0 the most significant key. As `_simplex_grid` numbers rows in
     increasing lexicographic order, that is the orbit's lowest flat index.
     Each pair of neighbouring columns reads how a row's two entries compare
     (-1, 0 or 1) off a table, at each row digit: the first nonzero, from
-    x = 0, orders the pair. The leading digits are folded once per run of
-    channels that share them; the last digit is then broadcast over the run.
+    x = 0, orders the pair. The leading digits are folded once into one such
+    state per run of channels that share them; each of the (at most
+    3^(|U| - 1)) distinct states keeps one fixed list of last-digit rows,
+    from which each block gathers its indices.
     """
+    if stop <= start:
+        return
     n = row_pts.shape[0]
+    dtype = np.int32 if n ** x_card <= np.iinfo(np.int32).max else np.int64
     rises = np.sign(np.diff(row_pts, axis=1)).astype(np.int8).T  # (pair, row)
     first = start // n
     lead = np.arange(first, -(-stop // n))
@@ -333,24 +385,82 @@ def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> n
         lead, digit = np.divmod(lead, n)
         step = rises[:, digit]
         order = np.where(step != 0, step, order)
-    order = order[:, :, None]
-    keep = ((order > 0) | ((order == 0) & (rises[:, None, :] >= 0))).all(axis=0).ravel()
-    return start + np.flatnonzero(keep[start - first * n:stop - first * n])
+    code = 3 ** np.arange(rises.shape[0]) @ (order + 1).astype(np.int64)
+    _, pick, state = np.unique(code, return_index=True, return_inverse=True)
+    states = order[:, pick, None]
+    keep = ((states > 0) | ((states == 0) & (rises[:, None, :] >= 0))).all(axis=0)
+    rows = [np.flatnonzero(k) for k in keep]
+    sizes = np.array([r.size for r in rows])
+    # run r keeps cat[lo[r]:hi[r]]; start and stop cut the first and the last run
+    cat = np.concatenate(rows).astype(dtype)
+    offset = (np.cumsum(sizes) - sizes)[state]
+    lo, hi = offset.copy(), offset + sizes[state]
+    lo[0] += np.searchsorted(rows[state[0]], start - first * n)
+    hi[-1] = offset[-1] + np.searchsorted(rows[state[-1]], stop - (first + state.size - 1) * n)
+    bounds = np.concatenate([[0], np.cumsum(hi - lo)])
+    shift = lo - bounds[:-1]
+    base = ((first + np.arange(state.size)) * n).astype(dtype)
+    for p in range(0, int(bounds[-1]), _KERNEL_BLOCK):
+        q = min(p + _KERNEL_BLOCK, int(bounds[-1]))
+        r0, r1 = np.searchsorted(bounds, p, side="right") - 1, np.searchsorted(bounds, q)
+        count = np.minimum(bounds[r0 + 1:r1 + 1], q) - np.maximum(bounds[r0:r1], p)
+        pos = np.arange(p, q) + np.repeat(shift[r0:r1], count)
+        yield cat[pos] + np.repeat(base[r0:r1], count)
 
 
-def _grid_hull(row_pts: np.ndarray, x_card: int, flat: np.ndarray, terms, floor=None):
-    """`_upper_hull` of the grid channels with the given flat indices as
-    (gaps, values, mats), mats shaped (x, u, M) and built for those alone,
-    _KERNEL_BLOCK at a time; with a floor, channels wholly below it keep
-    nothing. The oracle's grid chunks pass one index per U-relabelling orbit
-    (`_orbit_indices`); the maps X -> U, which the solver and the oracle
-    both start from, pass every index."""
-    values, gaps = np.empty((2, flat.size))
-    for lo in range(0, flat.size, _KERNEL_BLOCK):
-        block = slice(lo, lo + _KERNEL_BLOCK)
-        values[block], gaps[block] = _objectives(_grid_block(row_pts, x_card, flat[block]), terms)
-    keep = np.array(_upper_hull(gaps, values, floor), dtype=np.int64)
-    return gaps[keep], values[keep], _grid_block(row_pts, x_card, flat[keep])
+def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
+    """All the flat indices `_orbit_blocks` yields for [start, stop), in one array."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *_orbit_blocks(row_pts, x_card, start, stop)])
+
+
+def _grid_hull(row_pts: np.ndarray, x_card: int, blocks, terms, floor=None):
+    """`_upper_hull` of the grid channels whose flat indices the blocks hold,
+    as (gaps, values, mats), mats shaped (x, u, M) and built for the hull
+    alone; with a floor, channels wholly below it keep nothing.
+
+    Each block holds at most _KERNEL_BLOCK indices, increasing and above
+    those of the blocks before it, and is scored into one reused buffer. It
+    passes the floor by the elementwise test of `_upper_hull`, and the
+    channels pass if any block does. Its points more than 1e-12 below the
+    chain are dropped and the rest join the survivors, in index order. When
+    the survivors reach their limit, the chain is rebuilt from them and its
+    old vertices (`_chain`), the survivors are cut to the points within
+    1e-12 of it or above it, and the limit becomes the larger of
+    _PREFILTER_MIN and twice what is left. The chain runs through the
+    channels' own points, so it never lies above their hull: no point it
+    cuts is a hull vertex or settles a tie in the scan, and the survivors'
+    hull is the hull of every channel.
+    """
+    out = np.empty((x_card, row_pts.shape[1], _KERNEL_BLOCK))
+    flat = np.empty(0, dtype=np.int64)
+    gaps = values = cg = cv = np.empty(0)
+    limit = _PREFILTER_MIN
+    passed = floor is None
+    for block in blocks:
+        v, g = _objectives(_grid_block(row_pts, block, out[:, :, :block.size]), terms)
+        passed = passed or bool(_above(g, v, floor).any())
+        if cg.size:
+            near = _above(g, v, (cg, cv))
+            block, g, v = block[near], g[near], v[near]
+        flat, gaps, values = (np.concatenate(pair) for pair in
+                              zip((flat, gaps, values), (block, g, v)))
+        if gaps.size >= limit:
+            cg, cv = _chain(np.concatenate([cg, gaps]), np.concatenate([cv, values]))
+            near = _above(gaps, values, (cg, cv))
+            flat, gaps, values = flat[near], gaps[near], values[near]
+            limit = max(_PREFILTER_MIN, 2 * gaps.size)
+    keep = np.array(_upper_hull(gaps, values) if passed else [], dtype=np.int64)
+    mats = np.empty((x_card, row_pts.shape[1], keep.size))
+    return gaps[keep], values[keep], _grid_block(row_pts, flat[keep], mats)
+
+
+def _map_hull(x_card: int, u_card: int, terms):
+    """`_grid_hull` of every map X -> U, the step-1 grid: (gaps, values, mats)."""
+    total = u_card ** x_card
+    blocks = (np.arange(lo, min(lo + _KERNEL_BLOCK, total))
+              for lo in range(0, total, _KERNEL_BLOCK))
+    return _grid_hull(np.eye(u_card), x_card, blocks, terms)
 
 
 def _stack(parts):
@@ -414,15 +524,18 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     time-sharing between enumerated achievers) at c_bits. Relabelling U
     moves neither I(U;X) nor the gap, so of each orbit of relabelled grid
     matrices only the lowest flat index, the one with its U-columns in
-    lexicographic order, is scored (`_orbit_indices`); ORACLE_GUARD still
+    lexicographic order, is scored (`_orbit_blocks`); ORACLE_GUARD still
     counts every matrix of the grid, which the filter walks. The grid is
     scored in the kernel's (x, u, M) layout, and each flat-index range of
     _ORACLE_CHUNK keeps its upper-hull vertices: `_upper_hull` with the
     running hull of all points kept so far as its floor, so a chunk wholly
-    below that hull keeps nothing and any other keeps its whole hull. The
-    kernel gives a matrix the same bits in any batch and snaps gaps and
-    values at or below 1e-12 to exactly 0, so the grid's constant map
-    anchors the hull at gap 0. grid_step must be the reciprocal of an
+    below that hull keeps nothing and any other keeps its whole hull. A
+    chunk is never held whole: `_grid_hull` scores it _KERNEL_BLOCK
+    matrices at a time and keeps only the points near a chain of its own
+    points, which holds every hull vertex, so every output bit is the whole
+    chunk's. The kernel gives a matrix the same bits in any batch and snaps
+    gaps and values at or below 1e-12 to exactly 0, so the grid's constant
+    map anchors the hull at gap 0. grid_step must be the reciprocal of an
     integer to within 1e-9.
     """
     x_card, u_card = _common_inputs(source, c_bits, u_card)
@@ -443,7 +556,7 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     terms = _source_terms(source.probs)
     # the running hull starts from the maps (grid points with the same bits) and the
     # draws' hull; the draws still join the cloud last, as ties go to the lower index
-    maps = _grid_hull(np.eye(u_card), x_card, np.arange(u_card ** x_card), terms)
+    maps = _map_hull(x_card, u_card, terms)
     mats = as_rng(seed).dirichlet(np.ones(u_card), size=(_ORACLE_DRAWS, x_card))
     mats = mats.transpose(1, 2, 0)
     values, gaps = _objectives(mats, terms)
@@ -454,8 +567,8 @@ def ucr_capacity_oracle(source: JointPmf, c_bits: float, u_card: int | None = No
     for start in range(0, total, _ORACLE_CHUNK):
         top = _upper_hull(gaps, values)
         floor = gaps[top], values[top]
-        flat = _orbit_indices(row_pts, x_card, start, min(start + _ORACLE_CHUNK, total))
-        parts.append(_grid_hull(row_pts, x_card, flat, terms, floor))
+        blocks = _orbit_blocks(row_pts, x_card, start, min(start + _ORACLE_CHUNK, total))
+        parts.append(_grid_hull(row_pts, x_card, blocks, terms, floor))
         gaps, values = (np.concatenate(pair) for pair in zip(floor, parts[-1]))
     return _evaluate_envelope(_stack(parts + [draws]), c_bits, "oracle")
 
@@ -527,7 +640,7 @@ def _collect_points(source: JointPmf, u_card: int):
         raise GuardError(
             f"the solver's skeleton would hold all {total} maps X -> U "
             f"(> {_MAP_GUARD}); use a smaller u_card")
-    cloud = _grid_hull(np.eye(u_card), x_card, np.arange(total), terms)
+    cloud = _map_hull(x_card, u_card, terms)
     for _ in range(_POLISH_ROUNDS):
         gaps, values, mats = cloud
         hull = np.array(_upper_hull(gaps, values))

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import (
@@ -27,8 +28,11 @@ from ucrlab.ucrcap import (
     AuxiliaryChannel,
     TimeSharedAux,
     _evaluate_envelope,
+    _grid_block,
+    _grid_hull,
     _hull_scan,
     _objectives,
+    _orbit_blocks,
     _orbit_indices,
     _simplex_grid,
     _source_terms,
@@ -219,6 +223,30 @@ def solution_bytes(sol) -> tuple:
             tuple(e.cond.rows.tobytes() for e in ends))
 
 
+def sparse_source(rng, nx: int) -> JointPmf:
+    """A random nx x nx source with about 30% zero cells and one heavier cell."""
+    probs = random_joint(rng, nx, nx).probs.copy()
+    probs[rng.random(probs.shape) < 0.3] = 0.0
+    probs.flat[int(rng.integers(0, probs.size))] += 0.1
+    return JointPmf(probs / probs.sum())
+
+
+def traced_oracle_peak(probs, u_card: int, grid_step: float) -> int:
+    """Traced peak of one oracle call at C = 0.2 bits, in bytes; a call on a
+    coarse grid first does the lazy imports outside the trace."""
+    src = JointPmf(np.array(probs))
+    ucr_capacity_oracle(src, 0.2, u_card, grid_step=0.5)
+    tracemalloc.start()
+    try:
+        ucr_capacity_oracle(src, 0.2, u_card, grid_step=grid_step)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+TERNARY_SOURCE = [[0.2, 0.05, 0.05], [0.05, 0.25, 0.05], [0.05, 0.05, 0.25]]
+
+
 def assert_layout_invariant(probs: np.ndarray, u_card: int, m: int, rng) -> None:
     """Every deterministic map and some random points of the step-1/m grid
     get bit-identical (value, gap) alone, inside a grid chunk, in a permuted
@@ -335,6 +363,50 @@ class TestOrbits:
         row_pts = _simplex_grid(50, u_card)
         assert row_pts.shape[0] ** nx == total
         assert _orbit_indices(row_pts, nx, 0, total).size == orbits
+
+
+class TestGridHull:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 3, 25), (3, 2, 30), (2, 2, 150)]),
+           st.integers(1024, 4096), st.sampled_from(["no floor", "no block", "one block"]))
+    @settings(max_examples=30, deadline=None)
+    def test_thinned_blocks_keep_the_whole_chunk_hull(self, seed, shape, block, floor_case):
+        # a range of several kernel blocks, each thinned as it is scored,
+        # against `_upper_hull` of the whole range scored at once
+        nx, u_card, m = shape
+        rng = as_rng(seed)
+        terms = _source_terms(sparse_source(rng, nx).probs)
+        row_pts = _simplex_grid(m, u_card)
+        orbits = _orbit_indices(row_pts, nx, 0, row_pts.shape[0] ** nx)
+        count = min(orbits.size, 5 * block)
+        first = int(rng.integers(0, orbits.size - count + 1))
+        start, stop = int(orbits[first]), int(orbits[first + count - 1]) + 1
+        flat = _orbit_indices(row_pts, nx, start, stop)
+        mats = _grid_block(row_pts, flat, np.empty((nx, u_card, flat.size)))
+        values, gaps = _objectives(mats, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
+            blocks = list(_orbit_blocks(row_pts, nx, start, stop))
+        assert len(blocks) >= 2
+        ends = np.cumsum([b.size for b in blocks])
+        floor = None
+        if floor_case != "no floor":
+            # the hull lifted by 1e-9, of every point or of all but the block
+            # holding the greatest gap, which then passes by lying outside it
+            rest = np.ones(flat.size, dtype=bool)
+            if floor_case == "one block":
+                own = int(np.searchsorted(ends, int(np.argmax(gaps)), side="right"))
+                rest[ends[own] - blocks[own].size:ends[own]] = False
+            hull = np.flatnonzero(rest)[_hull_scan(gaps[rest], values[rest])]
+            floor = gaps[hull], values[hull] + 1e-9
+            near = values >= np.interp(gaps, *floor, left=-np.inf, right=-np.inf) - 1e-12
+            passes = [part.any() for part in np.split(near, ends[:-1])]
+            assume(sum(passes) == (floor_case == "one block"))
+        keep = np.array(_upper_hull(gaps, values, floor), dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
+            got = _grid_hull(row_pts, nx, iter(blocks), terms, floor)
+        want = gaps[keep], values[keep], mats[:, :, keep]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestObjective:
@@ -545,6 +617,39 @@ class TestOracle:
         want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, ucrcap._ORACLE_DRAWS,
                           canonical=False)
         assert abs(got.value_bits - want.value_bits) <= 1e-14
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2, 2, 200), (2, 3, 25), (3, 2, 30), (3, 3, 8)]),
+           st.integers(1024, 8192), st.integers(2, 4), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_running_hull_keeps_every_output_bit_in_thinned_blocks(
+            self, seed, shape, block, blocks_per_chunk, zero_budget):
+        # kernel blocks large enough to be thinned as they are scored, a few
+        # to a chunk, against every chunk's one-per-orbit matrices at once
+        nx, u_card, m = shape
+        rng = as_rng(seed)
+        src = sparse_source(rng, nx)
+        c_bits = 0.0 if zero_budget else float(rng.uniform(0.0, 1.2)) * \
+            conditional_entropy_x_given_y(src)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ucrcap, "_ORACLE_CHUNK", blocks_per_chunk * block * math.factorial(u_card))
+            mp.setattr(ucrcap, "_KERNEL_BLOCK", block)
+            got = ucr_capacity_oracle(src, c_bits, u_card, grid_step=1.0 / m, seed=seed)
+            want = ref_oracle(src, c_bits, u_card, 1.0 / m, seed, ucrcap._ORACLE_DRAWS,
+                              canonical=True)
+        assert solution_bytes(got) == solution_bytes(want)
+
+    @pytest.mark.parametrize("probs, u_card, step", [
+        (dsbs(0.1).probs, 3, 0.02), (dsbs(0.1).probs, 2, 0.001),
+        (TERNARY_SOURCE, 2, 0.02), (TERNARY_SOURCE, 2, 0.01)],
+        ids=["dsbs-u3-0.02", "dsbs-u2-0.001", "ternary-u2-0.02", "ternary-u2-0.01"])
+    def test_traced_peak_is_a_few_kernel_blocks(self, probs, u_card, step):
+        # scoring each grid chunk whole peaked at 4.26, 8.67, 3.44 and 7.38 MiB
+        assert traced_oracle_peak(probs, u_card, step) <= 2.5 * 2 ** 20
+
+    def test_traced_peak_does_not_grow_with_the_grid(self):
+        coarse, fine = (traced_oracle_peak(TERNARY_SOURCE, 2, step) for step in (0.02, 0.01))
+        assert abs(fine - coarse) <= 0.5 * 2 ** 20
 
     def test_grid_guard(self, monkeypatch):
         def built(*args):

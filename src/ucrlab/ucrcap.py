@@ -64,10 +64,10 @@ _POLISH_ROUNDS = 6
 _CLIMB_STEPS = 200
 # _upper_hull thins clouds of at least this many points with a sub-hull
 # through the highest point of each of this many gap bins (and any floor's
-# survivors)
+# survivors); _grid_hull first thins its survivors when they number this many
 _PREFILTER_MIN = 1024
 _PREFILTER_BINS = 256
-# rounds of `_chain`, the oracle's thinning chain: more only tighten it
+# rounds of _grid_hull's thinning chain (`_chain`): more only tighten it
 _CHAIN_ROUNDS = 16
 # _objectives sets gaps and values at or below this to exactly 0:
 # rounding leaves a few ulp on maps whose true gap or value is 0, the

@@ -644,7 +644,7 @@ class TestOracle:
         (TERNARY_SOURCE, 2, 0.02), (TERNARY_SOURCE, 2, 0.01)],
         ids=["dsbs-u3-0.02", "dsbs-u2-0.001", "ternary-u2-0.02", "ternary-u2-0.01"])
     def test_traced_peak_is_a_few_kernel_blocks(self, probs, u_card, step):
-        # scoring each grid chunk whole peaked at 4.26, 8.67, 3.44 and 7.38 MiB
+        # scoring each grid chunk whole peaked at 4.26, 8.62, 3.44 and 7.38 MiB
         assert traced_oracle_peak(probs, u_card, step) <= 2.5 * 2 ** 20
 
     def test_traced_peak_does_not_grow_with_the_grid(self):

@@ -375,12 +375,8 @@ def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndar
     first typical word's position where exactly one value is typical, else
     -1 for the fallback (no typical word, or two values); distinct is the
     count of typical values capped at 2, found by comparing each typical
-    word's class with the first's. With one word per row, that word leads
-    exactly where it is typical.
+    word's class with the first's.
     """
-    if mask.shape[-1] == 1:
-        typical = mask[..., 0]
-        return np.where(typical, np.intp(0), np.intp(-1)), typical.astype(np.intp)
     first = mask.argmax(axis=-1)
     cls = np.broadcast_to(cls, mask.shape)
     other = mask & (cls != np.take_along_axis(cls, first[..., None], axis=-1))

@@ -62,12 +62,10 @@ _MAP_GUARD = 2 ** 20
 # the solver's polish: rounds over the hull, and fixed-point steps per climb
 _POLISH_ROUNDS = 6
 _CLIMB_STEPS = 200
-# _upper_hull thins clouds of at least this many points with a sub-hull
-# through the highest point of each of this many gap bins (and any floor's
-# survivors); _grid_hull first thins its survivors when they number this many
+# _upper_hull thins clouds of at least this many points against a `_chain`;
+# _grid_hull first thins its survivors when they number this many
 _PREFILTER_MIN = 1024
-_PREFILTER_BINS = 256
-# rounds of _grid_hull's thinning chain (`_chain`): more only tighten it
+# rounds of `_chain`: more only tighten it
 _CHAIN_ROUNDS = 16
 # _objectives sets gaps and values at or below this to exactly 0:
 # rounding leaves a few ulp on maps whose true gap or value is 0, the
@@ -176,21 +174,20 @@ class UcrSolution:
                 f"solution violates the rate constraint by {-self.constraint_slack:.3e}")
 
 
-def _entropies(rows, count: int) -> np.ndarray:
-    """-sum p log2 p over rows of `count` probabilities each, with 0 log 0 =
-    0: each row's masked p log2 p goes into one accumulator, the rows added
-    in the order given, elementwise."""
-    total, term = np.empty((2, count))
-    for k, p in enumerate(rows):
-        # a cell with p <= 0 takes log2 1 = 0
-        np.copyto(term, p)
-        np.copyto(term, 1.0, where=p <= 0.0)
-        np.log2(term, out=term)
-        if k == 0:
-            np.multiply(term, p, out=total)
-        else:
-            term *= p
-            total += term
+def _entropies(slabs, term: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the rows of (rows, M) slabs shaped like term, the
+    buffer it works in, with 0 log 0 = 0: one masked log pass per slab, then
+    its rows added into one accumulator in the order given, elementwise."""
+    total = None
+    for p in slabs:
+        term.fill(0.0)
+        np.log2(p, out=term, where=p > 0.0)
+        term *= p
+        for row in term:
+            if total is None:
+                total = row.copy()
+            else:
+                total += row
     return np.negative(total, out=total)
 
 
@@ -206,32 +203,29 @@ def _objectives(w: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     Each matrix gets the same bits in any batch (alone, in a grid chunk, in
     a permuted or strided stack): every reduction over the small x, u and y
     axes is an explicit loop in one fixed order, elementwise over M. The
-    joint laws P(u, x), P(u) and P(y, u) are formed one M-long row at a
-    time, in row-major order, and each row goes straight into its entropy,
-    so no (x, u, M) temporary is held. Gaps and values at or below
-    _GAP_SNAP are set to exactly 0. terms comes from `_source_terms`.
+    joint laws P(u, x), P(u) and P(y, u) are formed one (u, M) slab at a
+    time, x or y leading, and each slab goes straight into its entropy, so
+    no (x, u, M) temporary is held. Gaps and values at or below _GAP_SNAP
+    are set to exactly 0. terms comes from `_source_terms`.
     """
     px, pxy, h_x, h_y = terms
-    x_card, u_card, count = w.shape
-    row, part = np.empty((2, count))
+    slab, part, term = np.empty((3,) + w.shape[1:])
 
     def pux():
-        for x in range(x_card):
-            for u in range(u_card):
-                yield np.multiply(w[x, u], px[x], out=row)
+        for x, p in enumerate(px):
+            yield np.multiply(w[x], p, out=slab)
 
     def mixed(weights):
-        # rows (k, u) of sum_x weights[x, k] P(u|x), added in x order
+        # slab k: sum_x weights[x, k] P(u|x) over (u, M), added in x order
         for k in range(weights.shape[1]):
-            for u in range(u_card):
-                np.multiply(w[0, u], weights[0, k], out=row)
-                for x in range(1, x_card):
-                    np.add(row, np.multiply(w[x, u], weights[x, k], out=part), out=row)
-                yield row
+            np.multiply(w[0], weights[0, k], out=slab)
+            for x in range(1, w.shape[0]):
+                np.add(slab, np.multiply(w[x], weights[x, k], out=part), out=slab)
+            yield slab
 
-    h_u = _entropies(mixed(px[:, None]), count)
-    h_ux = _entropies(pux(), count)
-    h_uy = _entropies(mixed(pxy), count)
+    h_u = _entropies(mixed(px[:, None]), term)
+    h_ux = _entropies(pux(), term)
+    h_uy = _entropies(mixed(pxy), term)
     i_ux = h_u + h_x - h_ux
     gap = i_ux - (h_u + h_y - h_uy)
     gap[gap <= _GAP_SNAP] = 0.0
@@ -308,33 +302,15 @@ def _upper_hull(gaps: np.ndarray, values: np.ndarray, floor=None) -> list[int]:
     values) of points of a larger cloud that this one joins, as the oracle's
     running hull is, so it never lies above that cloud's hull: a cloud
     wholly below it adds no vertex there. A large finite cloud is thinned in
-    numpy first: the points that pass the floor and the highest point of
-    each of _PREFILTER_BINS gap bins (the lowest index on ties) span a
-    sub-hull of cloud points. It never lies above the true hull, so a point
-    more than 1e-12 below it is no hull vertex. Only the points on or above
-    it, or outside its gap range, go through the scan, whose own sort and
-    dedup settle equal gaps.
+    numpy first: a point more than 1e-12 below its `_chain` is no hull
+    vertex. Only the points on or above the chain, or outside its gap
+    range, go through the scan, whose own sort and dedup settle equal gaps.
     """
-    n = gaps.size
-    seeds = np.zeros(n, dtype=bool)
-    if floor is not None:
-        seeds = _above(gaps, values, floor)
-        if not seeds.any():
-            return []
-    if n < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
+    if floor is not None and not _above(gaps, values, floor).any():
+        return []
+    if gaps.size < _PREFILTER_MIN or not (np.isfinite(gaps).all() and np.isfinite(values).all()):
         return _hull_scan(gaps, values)
-    lo, hi = gaps.min(), gaps.max()
-    scale = _PREFILTER_BINS / (hi - lo) if hi > lo else 0.0
-    bins = np.minimum(((gaps - lo) * scale).astype(np.int32), _PREFILTER_BINS - 1)
-    top = np.full(_PREFILTER_BINS, -np.inf)
-    np.maximum.at(top, bins, values)
-    ties = np.flatnonzero(values == top[bins])
-    first = np.full(_PREFILTER_BINS, n)
-    np.minimum.at(first, bins[ties], ties)
-    seeds[first[first < n]] = True
-    sub = np.flatnonzero(seeds)
-    sub = sub[_upper_hull(gaps[sub], values[sub])]
-    live = np.flatnonzero(_above(gaps, values, (gaps[sub], values[sub])))
+    live = np.flatnonzero(_above(gaps, values, _chain(gaps, values)))
     return live[_hull_scan(gaps[live], values[live])].tolist()
 
 
@@ -408,12 +384,6 @@ def _orbit_blocks(row_pts: np.ndarray, x_card: int, start: int, stop: int):
         yield cat[pos] + np.repeat(base[r0:r1], count)
 
 
-def _orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
-    """All the flat indices `_orbit_blocks` yields for [start, stop), in one array."""
-    return np.concatenate([np.empty(0, dtype=np.int64),
-                           *_orbit_blocks(row_pts, x_card, start, stop)])
-
-
 def _grid_hull(row_pts: np.ndarray, x_card: int, blocks, terms, floor=None):
     """`_upper_hull` of the grid channels whose flat indices the blocks hold,
     as (gaps, values, mats), mats shaped (x, u, M) and built for the hull
@@ -424,30 +394,31 @@ def _grid_hull(row_pts: np.ndarray, x_card: int, blocks, terms, floor=None):
     passes the floor by the elementwise test of `_upper_hull`, and the
     channels pass if any block does. Its points more than 1e-12 below the
     chain are dropped and the rest join the survivors, in index order. When
-    the survivors reach their limit, the chain is rebuilt from them and its
-    old vertices (`_chain`), the survivors are cut to the points within
-    1e-12 of it or above it, and the limit becomes the larger of
-    _PREFILTER_MIN and twice what is left. The chain runs through the
-    channels' own points, so it never lies above their hull: no point it
-    cuts is a hull vertex or settles a tie in the scan, and the survivors'
-    hull is the hull of every channel.
+    the survivors reach their limit, the chain is rebuilt from them
+    (`_chain`), the survivors are cut to the points within 1e-12 of it or
+    above it, and the limit becomes the larger of _PREFILTER_MIN and twice
+    what is left. The chain runs through the channels' own points, so it
+    never lies above their hull: no point it cuts is a hull vertex or
+    settles a tie in the scan, and the survivors' hull is the hull of every
+    channel.
     """
     out = np.empty((x_card, row_pts.shape[1], _KERNEL_BLOCK))
     flat = np.empty(0, dtype=np.int64)
-    gaps = values = cg = cv = np.empty(0)
+    gaps = values = np.empty(0)
+    chain = None
     limit = _PREFILTER_MIN
     passed = floor is None
     for block in blocks:
         v, g = _objectives(_grid_block(row_pts, block, out[:, :, :block.size]), terms)
         passed = passed or bool(_above(g, v, floor).any())
-        if cg.size:
-            near = _above(g, v, (cg, cv))
+        if chain is not None:
+            near = _above(g, v, chain)
             block, g, v = block[near], g[near], v[near]
         flat, gaps, values = (np.concatenate(pair) for pair in
                               zip((flat, gaps, values), (block, g, v)))
         if gaps.size >= limit:
-            cg, cv = _chain(np.concatenate([cg, gaps]), np.concatenate([cv, values]))
-            near = _above(gaps, values, (cg, cv))
+            chain = _chain(gaps, values)
+            near = _above(gaps, values, chain)
             flat, gaps, values = flat[near], gaps[near], values[near]
             limit = max(_PREFILTER_MIN, 2 * gaps.size)
     keep = np.array(_upper_hull(gaps, values) if passed else [], dtype=np.int64)

@@ -18,7 +18,7 @@ from ucrlab.probspace import (JointPmf, TriplePmf, compose_aux, entropy_bits,
                               mutual_information, subseed)
 from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
                              _uniform_int, build_codebook)
-from ucrlab.ucrcap import FEAS_TOL
+from ucrlab.ucrcap import FEAS_TOL, _orbit_blocks
 
 
 def h2(p: float) -> float:
@@ -148,6 +148,12 @@ def climb_reference(slope_vec: np.ndarray, starts: np.ndarray, terms, steps: int
         cur = np.exp2(logit - logit.max(axis=1, keepdims=True))
         cur /= cur.sum(axis=1, keepdims=True)
     return cur
+
+
+def orbit_indices(row_pts: np.ndarray, x_card: int, start: int, stop: int) -> np.ndarray:
+    """Every flat index `_orbit_blocks` yields for [start, stop), in one array."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *_orbit_blocks(row_pts, x_card, start, stop)])
 
 
 def draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, int]:

@@ -17,6 +17,7 @@ from support import (
     dsbs,
     h2,
     independent_source,
+    orbit_indices,
     random_joint,
     ucr_objective,
 )
@@ -33,7 +34,6 @@ from ucrlab.ucrcap import (
     _hull_scan,
     _objectives,
     _orbit_blocks,
-    _orbit_indices,
     _simplex_grid,
     _source_terms,
     _stack,
@@ -348,7 +348,7 @@ class TestOrbits:
         mats = grid_chunk(row_pts, nx, 0, total)
         # flat ranges split anywhere, as the oracle's chunks split the grid
         bounds = sorted({0, total} | {int(c * total) for c in cuts})
-        kept = np.concatenate([_orbit_indices(row_pts, nx, a, b)
+        kept = np.concatenate([orbit_indices(row_pts, nx, a, b)
                                for a, b in zip(bounds, bounds[1:])])
         assert kept.tolist() == np.unique(orbit_minima(row_pts, mats)).tolist()
         # Burnside: the orbits number the mean count of matrices each
@@ -362,7 +362,7 @@ class TestOrbits:
     def test_benchmark_grids_score_one_matrix_per_orbit(self, nx, u_card, total, orbits):
         row_pts = _simplex_grid(50, u_card)
         assert row_pts.shape[0] ** nx == total
-        assert _orbit_indices(row_pts, nx, 0, total).size == orbits
+        assert orbit_indices(row_pts, nx, 0, total).size == orbits
 
 
 class TestGridHull:
@@ -376,11 +376,11 @@ class TestGridHull:
         rng = as_rng(seed)
         terms = _source_terms(sparse_source(rng, nx).probs)
         row_pts = _simplex_grid(m, u_card)
-        orbits = _orbit_indices(row_pts, nx, 0, row_pts.shape[0] ** nx)
+        orbits = orbit_indices(row_pts, nx, 0, row_pts.shape[0] ** nx)
         count = min(orbits.size, 5 * block)
         first = int(rng.integers(0, orbits.size - count + 1))
         start, stop = int(orbits[first]), int(orbits[first + count - 1]) + 1
-        flat = _orbit_indices(row_pts, nx, start, stop)
+        flat = orbit_indices(row_pts, nx, start, stop)
         mats = _grid_block(row_pts, flat, np.empty((nx, u_card, flat.size)))
         values, gaps = _objectives(mats, terms)
         with pytest.MonkeyPatch.context() as mp:

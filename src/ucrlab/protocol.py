@@ -23,10 +23,11 @@ in exactly the regimes that need this engine.
 Both engines run trials in batches of max(1, 2**18 // n) and return
 them as columns. One typicality rule, _count_bounds, serves every test,
 through the (u, x) and (u, y) tables ProtocolConfig computes once:
-_typical_mask applies them to words scanned against sequences,
-_types_typical to the joint types of a deterministic map's words, and
-_overlap_range to the joint types a word of a binary codebook's one type
-can form with a block of given symbol counts. Typicality depends on the
+_typical_mask applies them to words scanned against sequences, counting
+joint types as popcounts of symbol bitsets, _types_typical to the joint
+types of a deterministic map's words, and _overlap_range to the joint
+types a word of a binary codebook's one type can form with a block of
+given symbol counts. Typicality depends on the
 joint type alone, so a block no such type fits is typical with no word:
 for a binary U the encoder's and decoder's scans and exact_analyze's
 decode table pass only the blocks Codebook.admits to _typical_mask, and
@@ -84,6 +85,7 @@ MEMORY_GUARD = 10 ** 9          # codebook symbols
 INDEX_BITS_GUARD = 14284
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
+EXACT_CLASS_GUARD = 2 ** 23     # value classes x sequences cells of the class counts
 TRIAL_LIMIT = 2 ** 32           # substreams below 2**33 start >= 2**93 draws apart
 # Fewest words per row the statistical engine accepts. Against the
 # materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
@@ -288,7 +290,8 @@ class Codebook:
     typicality tables ux_bounds and uy_bounds (see _count_bounds).
 
     value_index says which words share a value, for the encoder, the
-    decoder and the exact analyzer alike. word_type is the type every word
+    decoder and the exact analyzer alike, and bits holds the words' symbol
+    bitsets for the typicality kernel. word_type is the type every word
     has, read off the words; admits tells from a block's symbol counts
     whether any word of that type can be typical with it, so the scans
     skip the blocks it refuses. It refuses blocks only for a binary U
@@ -318,13 +321,20 @@ class Codebook:
         return self.det_map is None
 
     @cached_property
-    def blocks(self) -> np.ndarray:
-        """Indicator blocks of the whole codebook, built on first use.
-
-        Only the scanning encoder and the exact analyzer read them; the
-        decoder builds blocks of the rows it receives.
+    def bits(self) -> np.ndarray:
+        """The words' _bitsets over every symbol but the last, (W, u_card - 1,
+        n_k), built on first use. A scanning encoder scans them, its decoder
+        gathers the rows it receives, and exact_analyze decodes against all.
         """
-        return _indicator_blocks(self.words.reshape(self.n1 * self.n2, self.n), self.u_card)
+        return _bitsets(self.words.reshape(self.n1 * self.n2, self.n), self.u_card - 1)
+
+    def _row_bits(self, rows: np.ndarray) -> np.ndarray:
+        """The bitsets (R, n2, u_card - 1, n_k) of rows, 0-based: gathered from
+        bits if the codebook scans, else packed, so that a lookup never
+        builds bits."""
+        if self.scans:
+            return self.bits.reshape(self.n1, self.n2, *self.bits.shape[1:])[rows]
+        return _bitsets(self.words[rows], self.u_card - 1)
 
     @cached_property
     def value_index(self) -> _ValueIndex:
@@ -384,27 +394,25 @@ def _decode_rule(mask: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(distinct == 1, first, -1), distinct
 
 
-_F32_EXACT = 2 ** 24            # float32 holds every integer count below this
 _SCAN_CELLS = 2 ** 16           # word x sequence cells per kernel step
 _ENCODE_CHUNK = 65536           # codebook words per encoder scan step
 _TRIAL_BATCH_SYMBOLS = 2 ** 18  # source symbols per Monte Carlo batch
+_DRAW_BLOCK = 2 ** 15           # uniforms per fill of a Monte Carlo batch
 _EXACT_BLOCK = 2 ** 16          # cells or pairs per block of exact_analyze
 
 
-def _indicator_blocks(words: np.ndarray, u_card: int) -> np.ndarray:
-    """0/1 float32 blocks (..., u_card - 1, n, W) of words (..., W, n): block a
-    marks symbol a in each word.
-
-    The last symbol needs no block, since its counts are the complement of
-    the others.
-    """
-    symbols = np.arange(u_card - 1, dtype=words.dtype)[:, None, None]
-    return (np.swapaxes(words, -1, -2)[..., None, :, :] == symbols).astype(
-        np.float32, order="C")
+def _bitsets(seqs: np.ndarray, symbols: int) -> np.ndarray:
+    """uint64 bitsets (..., symbols, n_k) of seqs (..., n), n_k = ceil(n / 64):
+    bit i % 64 of word i // 64 of set a marks seqs[..., i] == a."""
+    n = seqs.shape[-1]
+    packed = np.zeros(seqs.shape[:-1] + (symbols, -(-n // 64) * 8), dtype=np.uint8)
+    for a in range(symbols):
+        packed[..., a, :-(-n // 8)] = np.packbits(seqs == a, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
-    """float32 (2, u_card, n_b): cell (a, b) of the pair law ref is robustly
+    """int64 (2, u_card, n_b): cell (a, b) of the pair law ref is robustly
     typical at block length n exactly for the counts c in
     [lo, hi] = bounds[:, a, b]. Read-only.
 
@@ -420,7 +428,7 @@ def _count_bounds(ref: np.ndarray, eps: float, n: int) -> np.ndarray:
     hi = np.where(passes, n - table[:, :, ::-1].argmax(axis=2), -1)
     if not np.array_equal(table.sum(axis=2), np.maximum(hi - lo + 1, 0)):
         raise InternalInvariantError("the typical counts of a cell do not form an interval")
-    bounds = np.stack([lo, hi]).astype(np.float32)
+    bounds = np.stack([lo, hi])
     bounds.flags.writeable = False
     return bounds
 
@@ -447,66 +455,69 @@ def _overlap_range(t0: int, bounds: np.ndarray,
     return np.maximum(c_lo, t0 - (hi_sum - c_hi)), np.minimum(c_hi, t0 - (lo_sum - c_lo))
 
 
-def _typical_mask(blocks: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+def _typical_mask(bits: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Robust joint typicality of every word against every sequence.
 
-    blocks holds the words' _indicator_blocks, (n_a, n, W), and seqs is
-    (S, n) over the columns of bounds, the _count_bounds of a pair law at
-    block length n; the result is bool (S, W). With a leading batch axis
-    on both, (B, n_a, n, W) and (B, S, n), entry t tests seqs[t] against
-    its own words blocks[t] and the result is (B, S, W). The joint counts
-    #(u=a, x=b) are one matmul of 0/1 float32 indicators, exact for
-    n < 2**24; the last symbol's count is #(x=b) minus the others. A word
-    is typical when every count lies in its cell's bounds.
+    bits holds the words' _bitsets over every symbol but the last, (W, n_a,
+    n_k), and seqs is (S, n) over the columns of bounds, the _count_bounds
+    of a pair law at block length n; the result is bool (S, W). With a
+    leading batch axis on both, (B, W, n_a, n_k) and (B, S, n), entry t
+    tests seqs[t] against its own words bits[t] and the result is (B, S, W).
+    A count #(u=a, x=b) is the popcount of the AND of two bitsets, exact at
+    any n. The last symbol's count is #(x=b) less the others', so its
+    bounds become one interval per sequence on their sum; for a binary U
+    the sum is the one count, whose own bounds fold into that interval. A
+    word is typical when every count lies in its cell's bounds.
     """
-    batched = blocks.ndim == 4
+    batched = bits.ndim == 4
     if not batched:
-        blocks, seqs = blocks[None], seqs[None]
+        bits, seqs = bits[None], seqs[None]
     n_t, n_s, n = seqs.shape
-    if n >= _F32_EXACT:
-        raise GuardError(f"block length {n} is too long to count joint types exactly")
-    n_a, n_w = blocks.shape[1], blocks.shape[3]
+    n_w, n_a = bits.shape[1], bits.shape[2]
     lo, hi = bounds
-    n_b = lo.shape[1]
+    dtype = np.min_scalar_type(n + 1)
     out = np.empty((n_t, n_s, n_w), dtype=bool)
     s_step = max(1, _SCAN_CELLS // max(n_w, 1))
     t_step = max(1, _SCAN_CELLS // max(n_w * n_s, 1))
     for t0 in range(0, n_t, t_step):
+        words = bits[t0:t0 + t_step, None]                              # (t, 1, W, n_a, n_k)
         for s0 in range(0, n_s, s_step):
-            part = seqs[t0:t0 + t_step, s0:s0 + s_step]
-            t, s = part.shape[:2]
-            ind = (part[:, None] == np.arange(n_b)[:, None, None]).astype(np.float32)
-            counts = np.matmul(ind.reshape(t, 1, n_b * s, n), blocks[t0:t0 + t])
-            counts = counts.reshape(t, n_a, n_b, s, n_w)
-            totals = ind.sum(axis=3)[..., None]                 # #(x=b)
-            ok = out[t0:t0 + t, s0:s0 + s]
+            marks = _bitsets(seqs[t0:t0 + t_step, s0:s0 + s_step], lo.shape[1])[:, :, None]
+            totals = np.bitwise_count(marks).sum(axis=-1, dtype=np.int64)  # #(x=b)
+            ok = out[t0:t0 + t_step, s0:s0 + s_step]
             ok[...] = True
-            test = np.empty_like(ok)
-            for b in range(n_b):
-                cells = [counts[:, a, b] for a in range(n_a)]
-                last = totals[:, b]
-                for c in cells:
-                    last = last - c
-                for a, c in enumerate(cells + [last]):
-                    ok &= np.greater_equal(c, lo[a, b], out=test)
-                    ok &= np.less_equal(c, hi[a, b], out=test)
+            pair = np.empty(ok.shape + marks.shape[-1:], dtype=np.uint64)
+            for b in range(lo.shape[1]):
+                run = np.zeros((), dtype=dtype)
+                for a in range(n_a):
+                    np.bitwise_and(words[..., a, :], marks[..., b, :], out=pair)
+                    count = np.bitwise_count(pair)
+                    count = count[..., 0] if n <= 64 else count.sum(axis=-1, dtype=dtype)
+                    if n_a > 1:
+                        _within(ok, count, lo[a, b], hi[a, b], n)
+                    run = count if a == 0 else np.add(run, count, out=run)
+                lo_b, hi_b = totals[..., b] - hi[-1, b], totals[..., b] - lo[-1, b]
+                if n_a == 1:
+                    lo_b, hi_b = np.maximum(lo_b, lo[0, b]), np.minimum(hi_b, hi[0, b])
+                _within(ok, run, lo_b, hi_b, n)
     return out if batched else out[0]
+
+
+def _within(ok: np.ndarray, counts: np.ndarray, lo, hi, n: int) -> None:
+    """ok &= lo <= counts <= hi for counts 0..n, compared in counts' unsigned
+    dtype, which holds n + 1: the bounds are clamped to 0..n first."""
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, n)
+    lo = np.where(hi < lo, n + 1, lo).astype(counts.dtype)   # an empty interval passes none
+    ok &= lo <= counts
+    ok &= counts <= np.maximum(hi, 0).astype(counts.dtype)
 
 
 def _joint_types(x: np.ndarray, z: np.ndarray, nx: int, nz: int) -> np.ndarray:
     """int64 (B, nx, nz): the joint type of each pair of blocks x[t], z[t],
-    (B, n) each over 0..nx-1 and 0..nz-1.
-
-    The flat cell x * nz + z is formed in the smallest signed dtype that
-    holds nx * nz, and each cell's count is one row-wise sum of its mask:
-    nx * nz passes over small ints, with no intp copy of the blocks."""
-    cell = x.astype(_cell_dtype(nx * nz))
-    cell *= nz
-    cell += z
-    types = np.empty((x.shape[0], nx * nz), dtype=np.int64)
-    for k in range(nx * nz):
-        np.sum(cell == k, axis=1, out=types[:, k])
-    return types.reshape(-1, nx, nz)
+    (B, n) each over 0..nx-1 and 0..nz-1, as popcounts of the ANDs of
+    their _bitsets."""
+    pairs = _bitsets(x, nx)[:, :, None] & _bitsets(z, nz)[:, None]
+    return np.bitwise_count(pairs).sum(axis=-1, dtype=np.int64)
 
 
 def _types_typical(types: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -546,10 +557,10 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     The materialized engine and exact_analyze encode through here. xs is
     (B, n). A lookup codebook tests every det_map[x] against its x from
     x's symbol counts (_lookup_typical) and finds the typical ones in its
-    value index. A scanning codebook runs the kernel over the blocks it
-    admits, at most _SCAN_CELLS // _ENCODE_CHUNK at a time, each against
-    _ENCODE_CHUNK words at a time while some of its sequences lack a
-    typical word, and keeps each sequence's first.
+    value index, with no bitsets. A scanning codebook runs the kernel on its
+    bits over the blocks it admits, at most _SCAN_CELLS // _ENCODE_CHUNK at
+    a time, each against _ENCODE_CHUNK words at a time while some of its
+    sequences lack a typical word, and keeps each sequence's first.
     """
     found = np.full(xs.shape[0], -1, dtype=np.intp)
     if not cb.scans:
@@ -563,7 +574,7 @@ def _encode_batch(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     for lo in range(0, admitted.size, step):
         pending = admitted[lo:lo + step]
         for start in range(0, n_words, _ENCODE_CHUNK):
-            mask = _typical_mask(cb.blocks[:, :, start:start + _ENCODE_CHUNK], xs[pending],
+            mask = _typical_mask(cb.bits[start:start + _ENCODE_CHUNK], xs[pending],
                                  cb.ux_bounds)
             hit = mask.any(axis=1)
             found[pending[hit]] = start + mask[hit].argmax(axis=1)
@@ -601,8 +612,7 @@ def _decode_batch(cb: Codebook, ys: np.ndarray,
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
     for lo in range(0, sent.size, step):
         part = sent[lo:lo + step]
-        mask = _typical_mask(_indicator_blocks(cb.words[rows[part]], cb.u_card),
-                             ys[part, None, :], cb.uy_bounds)[:, 0]
+        mask = _typical_mask(cb._row_bits(rows[part]), ys[part, None, :], cb.uy_bounds)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
 
@@ -719,28 +729,37 @@ def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
     Trial t draws from substream 2t of the run's stream: n + 1 doubles,
     its block's uniforms and then the index channel's flip, and, only when
     the flip sends it (flip < theta), the alternative index in 1..N1 by
-    _uniform_int. Neither depends on the index sent. One pass fills every
-    trial's n + 1 doubles with one call each, moving from one trial's
-    substream to the next by one advance of two jumps less n + 1 draws. A
-    second pass draws the alternatives, which integers or bytes draw in a
-    varying number of words: each sets its trial's substream absolutely
-    and advances it past the n + 1 doubles.
+    _uniform_int. Neither depends on the index sent. One pass fills the
+    trials' n + 1 doubles with one call each, about _DRAW_BLOCK doubles of
+    trials at a time, whose blocks and flips it writes into the batch's
+    columns; it moves from one trial's substream to the next by one advance
+    of two jumps less n + 1 draws. A second pass draws the alternatives,
+    which integers or bytes draw in a varying number of words: each sets
+    its trial's substream absolutely and advances it past the n + 1 doubles.
     """
     n = cfg.n
-    draws = np.empty((len(ts), n + 1))
+    x = np.empty((len(ts), n), dtype=_cell_dtype(cfg.source.probs.size))
+    y = np.empty_like(x)
+    flips = np.empty(len(ts))
     alts = np.zeros(len(ts), dtype=_index_dtype(cfg))
     skip = (2 * _PCG64_JUMP - (n + 1)) & _M128
+    per = max(1, _DRAW_BLOCK // (n + 1))
+    draws = np.empty((min(per, len(ts)), n + 1))
     rng = stream(2 * ts.start)
-    for k in range(len(ts)):
-        if k:
-            rng.bit_generator.advance(skip)
-        rng.random(out=draws[k])
-    flips = draws[:, n].copy()  # a column of its own, so that draws can go
+    advance, fill = rng.bit_generator.advance, rng.random
+    for k0 in range(0, len(ts), per):
+        part = draws[:len(ts) - k0]
+        for k, row in enumerate(part, k0):
+            if k:
+                advance(skip)
+            fill(out=row)
+        flips[k0:k0 + len(part)] = part[:, n]
+        x[k0:k0 + len(part)], y[k0:k0 + len(part)] = pairs_from_uniforms(cfg.source,
+                                                                          part[:, :n])
     for k in np.flatnonzero(flips < cfg.theta).tolist():
         rng = stream(2 * ts[k])
         rng.bit_generator.advance(n + 1)
         alts[k] = _uniform_int(rng, cfg.n1)
-    x, y = pairs_from_uniforms(cfg.source, draws[:, :n])
     return x, y, flips, alts
 
 
@@ -1044,10 +1063,12 @@ def _pairwise(totals: list) -> float:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 2-D a and b: the same products a[i, j] * b[k, l], from one
-    broadcast multiply, without kron's general-rank bookkeeping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """np.kron of 2-D a and b: the same products a[i, j] * b[k, l], one
+    multiply of a per entry of b, without kron's general-rank bookkeeping."""
+    out = np.empty((a.shape[0], b.shape[0], a.shape[1], b.shape[1]))
+    for k, l in itertools.product(range(b.shape[0]), range(b.shape[1])):
+        np.multiply(a, b[k, l], out=out[:, k, :, l])
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
@@ -1061,6 +1082,9 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     other rows with weight theta / N1.
 
     No table has a row for every codebook row, and none exists twice. The
+    class counts, classes x 2**n, may hold at most EXACT_CLASS_GUARD cells,
+    the classes bounded by the words and by the values of their one type;
+    past that the config is refused before the codebook is drawn. The
     encoder bounds its own scans. The decoder runs over blocks of the
     sequences the codebook admits under the (u, y) table, at most
     _EXACT_BLOCK word x sequence cells each. Each block's decoded class in
@@ -1069,12 +1093,15 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     min(N1, 2**n) + 1 of them; a refused sequence decodes to the fallback
     class in every row. Both tables take _cell_dtype's smallest integer
     dtype. The (x^n, y^n) law runs over blocks of 2**n_low x rows,
-    _EXACT_BLOCK // 4 pairs each, whose temporaries live for one block.
-    The K-Y joint is kept over the classes K takes, and spread to every
-    class only for include_joint. H(K, Y)'s p log2 p terms are formed in
-    the joint's own buffer, and the joint is dropped before the tail: the
+    _EXACT_BLOCK // 4 pairs each, whose temporaries live for one block,
+    twice. The first pass sums everything but the K-Y joint; the decode
+    table is dropped after it, and the class counts after the tail: the
     float product of cnt_all with the weighted y law, which stays one
     dense product because multiplying its rows in parts gives other bits.
+    The second pass builds the K-Y joint over the classes K takes, so it
+    never shares memory with the class counts; it is spread to every class
+    only for include_joint. H(K, Y)'s p log2 p terms are formed in the
+    joint's own buffer.
 
     Every number has the bits of the dense computation. Integer counts are
     exact in any order. Each block of the pair law is the same
@@ -1099,6 +1126,11 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     if n_words * n_x > EXACT_SCAN_GUARD:
         raise GuardError(
             f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; lower n")
+    values = math.factorial(n) // math.prod(math.factorial(int(c)) for c in cfg.u_type)
+    if (min(n_words, values) + 1) * n_x > EXACT_CLASS_GUARD:
+        raise GuardError(
+            f"exact analysis would count up to {min(n_words, values) + 1} value classes x "
+            f"{n_x} sequences, more than {EXACT_CLASS_GUARD} cells; lower n or mu")
     cb = build_codebook(cfg)
     xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
 
@@ -1125,7 +1157,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     admitted = np.flatnonzero(admitted)
     for s in range(0, admitted.size, step):
         part = admitted[s:s + step]
-        t_uy = _typical_mask(cb.blocks, xs[part], cb.uy_bounds).reshape(-1, n1, n2)
+        t_uy = _typical_mask(cb.bits, xs[part], cb.uy_bounds).reshape(-1, n1, n2)
         lead, _ = _decode_rule(t_uy, row_cls)
         l_part = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls)
         cnt_all[:, part] += np.bincount(
@@ -1138,16 +1170,19 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     n_low = min(n, max(1, _EXACT_BLOCK // 4 // n_x).bit_length() - 1)
     rows = 2 ** n_low
     head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
-    k_seen, k_row = np.unique(k_cls, return_inverse=True)
+
+    def pair_law():
+        """Each block's x rows and its pair law, in x order."""
+        for b in range(head.shape[0]):
+            yield (slice(b * rows, (b + 1) * rows),
+                   reduce(_kron, [cfg.source.probs] * n_low, head[b:b + 1]))
+
     p_x = np.empty(n_x)
     p_y = np.zeros((0, n_x))
     agree_totals = []
-    joint_seen = np.zeros((k_seen.size, n_x))
     l_kept = np.zeros(n_cls)
     l_moved = np.zeros(n_cls)
-    for b in range(head.shape[0]):
-        x = slice(b * rows, (b + 1) * rows)
-        p_joint = reduce(_kron, [cfg.source.probs] * n_low, head[b:b + 1])
+    for x, p_joint in pair_law():
         p_x[x] = p_joint.sum(axis=1)
         p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
         l_at_star = l_sent[star[x]]
@@ -1159,14 +1194,26 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         agree += (1.0 - theta) * eq_star
         agree *= p_joint
         agree_totals.append(agree.sum())
-        for k, p_row in zip(k_row[x], p_joint):
-            joint_seen[k] += p_row
         # eq_star's buffer holds the two add.at weights in turn
         for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
             np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
+    del l_sent, star, l_at_star, eq_star, agree
     p_y = p_y[0]
     p_disagree = min(max(float(1.0 - _pairwise(agree_totals)), 0.0), 1.0)
 
+    p_l = l_kept + cnt_all.astype(float) @ (p_y * w_other) - l_moved
+    if abs(p_l.sum() - 1.0) > 1e-9:
+        raise InternalInvariantError(f"output law sums to {p_l.sum()}")
+    h_l = entropy_bits(np.clip(p_l, 0.0, None))
+    del cnt_all
+
+    # the K-Y joint, in a second pass over the same pair law, once the
+    # class counts are gone
+    k_seen, k_row = np.unique(k_cls, return_inverse=True)
+    joint_seen = np.zeros((k_seen.size, n_x))
+    for x, p_joint in pair_law():
+        for k, p_row in zip(k_row[x], p_joint):
+            joint_seen[k] += p_row
     p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
     h_k = entropy_bits(p_k)
     h_y = entropy_bits(p_y)
@@ -1182,12 +1229,6 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         terms[lo:lo + _EXACT_BLOCK] *= np.log2(terms[lo:lo + _EXACT_BLOCK])
     h_ky = max(float(-terms.sum()), 0.0)
     h_k_given_y = max(h_ky - h_y, 0.0)
-    del joint_seen, terms
-
-    p_l = l_kept + cnt_all.astype(float) @ (p_y * w_other) - l_moved
-    if abs(p_l.sum() - 1.0) > 1e-9:
-        raise InternalInvariantError(f"output law sums to {p_l.sum()}")
-    h_l = entropy_bits(np.clip(p_l, 0.0, None))
 
     return ExactResult(
         p_disagree=p_disagree,

@@ -16,8 +16,8 @@ from ucrlab.errors import InternalInvariantError, UndefinedDensityError
 from ucrlab.converselab import _cmi
 from ucrlab.probspace import (JointPmf, TriplePmf, compose_aux, entropy_bits,
                               mutual_information, subseed)
-from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _typical_mask,
-                             _uniform_int, build_codebook)
+from ucrlab.protocol import (ExactResult, _decode_rule, _encode_batch, _uniform_int,
+                             build_codebook)
 from ucrlab.ucrcap import FEAS_TOL, _orbit_blocks
 
 
@@ -165,11 +165,37 @@ def draw_index(rng: np.random.Generator, n1: int, theta: float) -> tuple[float, 
     return flip, (_uniform_int(rng, n1) if flip < theta else 0)
 
 
+def matmul_typical_mask(words: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """bool (S, W): robust joint typicality of each word of words (W, n)
+    against each sequence of seqs (S, n) under bounds, a `_count_bounds`
+    table, by a kernel of its own: the counts #(u=a, x=b) of every symbol
+    but the last are one float32 matmul of 0/1 indicators, 64 sequences at
+    a time, and the last symbol's count is #(x=b) less the others'. Exact
+    for n < 2**24, far past the block lengths tested."""
+    lo, hi = bounds
+    u_card, n_b = lo.shape
+    blocks = (words.T == np.arange(u_card - 1)[:, None, None]).astype(np.float32)
+    out = np.ones((seqs.shape[0], words.shape[0]), dtype=bool)
+    for s0 in range(0, seqs.shape[0], 64):
+        ind = (seqs[s0:s0 + 64, None] == np.arange(n_b)[:, None]).astype(np.float32)
+        s = ind.shape[0]
+        counts = np.matmul(ind.reshape(s * n_b, -1), blocks)
+        counts = counts.reshape(u_card - 1, s, n_b, words.shape[0])
+        totals = ind.sum(axis=2)
+        for b in range(n_b):
+            cells = list(counts[:, :, b])
+            cells.append(totals[:, b, None] - sum(cells, np.zeros((s, 1), np.float32)))
+            for a, c in enumerate(cells):
+                out[s0:s0 + s] &= (lo[a, b] <= c) & (c <= hi[a, b])
+    return out
+
+
 def dense_exact_analyze(cfg, include_joint: bool = True):
     """`protocol.exact_analyze` as one dense pass over the whole pair space:
     every (x^n, y^n) table built at once, the sums taken by numpy over each
-    whole table. An independent reference for the blocked analyzer, which
-    must return the same bits."""
+    whole table, the decode table by `matmul_typical_mask`. An independent
+    reference for the blocked analyzer and its kernel, which must return
+    the same bits."""
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     n_x = 2 ** n
     cb = build_codebook(cfg)
@@ -183,7 +209,8 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
     k_cls = np.where(found >= 0, index.cls[found], u0_cls)
     i_star = np.where(found >= 0, found // n2 + 1, n1 + 1)
 
-    t_uy = _typical_mask(cb.blocks, xs, cb.uy_bounds).reshape(n_x, n1, n2)
+    t_uy = matmul_typical_mask(cb.words.reshape(n1 * n2, n), xs, cb.uy_bounds)
+    t_uy = t_uy.reshape(n_x, n1, n2)
     row_cls = index.cls.reshape(n1, n2)
     lead, _ = _decode_rule(t_uy, row_cls)
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)

@@ -309,7 +309,26 @@ class TestSimulateCommand:
         assert code == EXIT_GUARD
         assert "word/sequence cells" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])
+    def test_exact_class_guard_exits_3_without_drawing_a_codebook(
+            self, tmp_path, monkeypatch, capsys):
+        # a 4-symbol auxiliary at n = 10: 17,277 words pass the scan guard,
+        # but up to 17,278 value classes x 2**10 sequences pass the class guard
+        def no_codebook(cfg):
+            raise AssertionError("build_codebook called")
+        monkeypatch.setattr(protocol, "build_codebook", no_codebook)
+        desc = read_json(CONFIGS / "protocol_small.json")
+        desc.update(n=10, mu=0.45, eps_typ=0.5, aux={
+            "kind": "matrix", "rows": [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]})
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(desc), encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["simulate", str(path), "--exact", "--out-dir", str(out)])
+        assert code == EXIT_GUARD
+        assert "17278 value classes x 1024 sequences" in capsys.readouterr().err
+        assert not (out / "simulate.json").exists()
+        assert 17277 * 2 ** 10 <= protocol.EXACT_SCAN_GUARD
+
+    @pytest.mark.parametrize("seed",["-1", str(2 ** 64), str(2 ** 64 + 1)])
     def test_seed_flag_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exit_info:

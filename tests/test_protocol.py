@@ -4,8 +4,10 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, pairs_from_uni
 from ucrlab.protocol import (
     Codebook,
     ExactResult,
+    _bitsets,
     _count_bounds,
-    _indicator_blocks,
     _joint_types,
     _typical_mask,
     ProtocolConfig,
@@ -37,6 +39,7 @@ from ucrlab.protocol import (
 from ucrlab.channelcap import bsc
 from ucrlab.ucrcap import AuxiliaryChannel
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 IDENTITY_AUX = AuxiliaryChannel.identity(2)
 TERNARY_AUX = AuxiliaryChannel.from_matrix(
     np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
@@ -372,10 +375,11 @@ class TestEncodeDecode:
 
 
 class TestTypeCountKernel:
-    """The matmul type-count kernel decides exactly as the reference loops."""
+    """The popcount type-count kernel decides exactly as the reference loops."""
 
     @settings(max_examples=200)
-    @given(u_card=st.integers(1, 3), n_b=st.integers(2, 3), n=st.integers(1, 24),
+    @given(u_card=st.integers(1, 3), n_b=st.integers(2, 3),
+           n=st.one_of(st.integers(1, 24), st.sampled_from([63, 64, 65, 130])),
            n_words=st.integers(1, 30), n_seqs=st.integers(1, 5),
            cells=st.lists(DYADIC, min_size=9, max_size=9), eps=EPS,
            seed=st.integers(0, 2 ** 32 - 1))
@@ -388,14 +392,34 @@ class TestTypeCountKernel:
         bounds = _count_bounds(ref, eps, n)
         words = rng.integers(0, u_card, size=(n_words, n)).astype(np.int8)
         seqs = rng.integers(0, n_b, size=(n_seqs, n))
-        got = _typical_mask(_indicator_blocks(words, u_card), seqs, bounds)
+        got = _typical_mask(_bitsets(words, u_card - 1), seqs, bounds)
         want = np.stack([ref_batch_pair_typical(words, s, ref, eps) for s in seqs])
         assert np.array_equal(got, want)
         # batch axis: entry t tests seqs[t] against words of its own
         own = rng.integers(0, u_card, size=(n_seqs, n_words, n)).astype(np.int8)
-        got = _typical_mask(_indicator_blocks(own, u_card), seqs[:, None, :], bounds)
+        got = _typical_mask(_bitsets(own, u_card - 1), seqs[:, None, :], bounds)
         want = np.stack([ref_batch_pair_typical(w, s, ref, eps) for w, s in zip(own, seqs)])
         assert np.array_equal(got[:, 0], want)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("u_card, n_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_masks_match_the_reference_on_one_and_several_words(self, n, u_card, n_b):
+        # n = 63, 64 fill one uint64 word, 65 and 130 spill into a second and
+        # a third; the law is the joint type of words[0] with seqs[0], which
+        # is typical at any tolerance, so both verdicts occur
+        rng = np.random.default_rng([n, u_card, n_b])
+        words = rng.integers(0, u_card, size=(40, n)).astype(np.int8)
+        seqs = rng.integers(0, n_b, size=(6, n))
+        words[1:20, :n // 2] = words[0, :n // 2]
+        ref = ref_pair_counts(words[:1], seqs[0], u_card, n_b).reshape(u_card, n_b) / n
+        bounds = _count_bounds(ref, 0.3, n)
+        got = _typical_mask(_bitsets(words, u_card - 1), seqs, bounds)
+        want = np.stack([ref_batch_pair_typical(words, s, ref, 0.3) for s in seqs])
+        assert np.array_equal(got, want) and want.any() and not want.all()
+        own = np.stack([words, words[::-1]] * 3)
+        got = _typical_mask(_bitsets(own, u_card - 1), seqs[:, None, :], bounds)[:, 0]
+        want = np.stack([ref_batch_pair_typical(w, s, ref, 0.3) for w, s in zip(own, seqs)])
+        assert np.array_equal(got, want) and want.any() and not want.all()
 
     @settings(max_examples=120)
     @given(nx=st.integers(1, 5), nz=st.integers(1, 7), b=st.integers(1, 6),
@@ -432,7 +456,7 @@ class TestTypeCountKernel:
         counts = ref_pair_counts(words, seq, 2, 2)
         assert (counts == 1).any() and (counts == 3).any()
         want = ref_batch_pair_typical(words, seq, ref, 0.5)
-        got = _typical_mask(_indicator_blocks(words, 2), seq[None, :],
+        got = _typical_mask(_bitsets(words, 1), seq[None, :],
                             _count_bounds(ref, 0.5, 8))[0]
         assert np.array_equal(got, want) and want.any() and not want.all()
 
@@ -442,7 +466,7 @@ class TestTypeCountKernel:
         word = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int8)
         seq = np.array([0, 1, 1, 1, 0, 0, 1, 1])
         for eps in (0.01, 0.2, 0.9):
-            assert _typical_mask(_indicator_blocks(word[None, :], 2), seq[None, :],
+            assert _typical_mask(_bitsets(word[None, :], 1), seq[None, :],
                                  _count_bounds(ref, eps, 8))[0, 0]
 
     @settings(max_examples=50)
@@ -451,8 +475,8 @@ class TestTypeCountKernel:
         # a block that passes at some eps passes at every larger eps
         source = dsbs(0.1)
         x, y = pairs_from_uniforms(source, np.random.default_rng(seed).random((64, 400)))
-        blocks = _indicator_blocks(x[:, None, :].astype(np.int8), 2)
-        masks = [_typical_mask(blocks, y[:, None, :], _count_bounds(source.probs, eps, 400))
+        bits = _bitsets(x[:, None, :].astype(np.int8), 1)
+        masks = [_typical_mask(bits, y[:, None, :], _count_bounds(source.probs, eps, 400))
                  for eps in (0.05, 0.1, 0.2, 0.4, 0.8)]
         for tight, loose in zip(masks, masks[1:]):
             assert not (tight & ~loose).any()
@@ -541,7 +565,7 @@ class TestTypeCountKernel:
         flat = cb.words.reshape(-1, n)
         xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
         for ref, bounds in zip(pair_laws(cfg), (cb.ux_bounds, cb.uy_bounds)):
-            got = _typical_mask(cb.blocks, xs, bounds).T
+            got = _typical_mask(cb.bits, xs, bounds).T
             assert np.array_equal(got, ref_typical_matrix(flat, xs, ref, eps, n))
 
     def test_scanning_encoder_bounds_its_mask_by_blocks_of_sequences(self, monkeypatch):
@@ -578,17 +602,11 @@ class TestTypeCountKernel:
         outs, _ = protocol._materialized_batch(cb, cfg, protocol._trial_stream(cfg.seed),
                                                range(200))
         assert len(outs) == 200 and (outs.k_row != 0).any()
-        assert "blocks" not in vars(cb)
+        assert "bits" not in vars(cb)
         scanning = build_codebook(ternary_config())
-        assert scanning.scans and "blocks" not in vars(scanning)
+        assert scanning.scans and "bits" not in vars(scanning)
         protocol._encode_batch(scanning, np.zeros((1, 8), dtype=np.int64))
-        assert vars(scanning)["blocks"].shape == (2, 8, scanning.n1 * scanning.n2)
-
-    def test_block_length_past_float32_counts_is_refused(self):
-        seqs = np.zeros((1, 2 ** 24), dtype=np.int8)
-        blocks = np.zeros((1, 2 ** 24, 0), dtype=np.float32)
-        with pytest.raises(GuardError):
-            _typical_mask(blocks, seqs, np.zeros((2, 1, 2), dtype=np.float32))
+        assert vars(scanning)["bits"].shape == (scanning.n1 * scanning.n2, 2, 1)
 
 
 def ref_overlaps(t0: int, bounds: np.ndarray, counts) -> list:
@@ -617,11 +635,11 @@ def spy_on_the_kernel(monkeypatch, cb: Codebook) -> list:
     fits the bounds it is tested under; the list of those records."""
     seen = []
 
-    def recorded(blocks, seqs, bounds):
+    def recorded(bits, seqs, bounds):
         for seq in seqs.reshape(-1, seqs.shape[-1]):
             counts = np.bincount(seq, minlength=bounds.shape[2])
             seen.append(bool(ref_overlaps(int(cb.word_type[0]), bounds, counts)))
-        return _typical_mask(blocks, seqs, bounds)
+        return _typical_mask(bits, seqs, bounds)
     monkeypatch.setattr(protocol, "_typical_mask", recorded)
     return seen
 
@@ -860,8 +878,10 @@ class TestExactAnalyzer:
                 else:
                     assert (type(a), repr(a)) == (type(b), repr(b)), (n, theta, field.name)
 
-    def test_analysis_at_n10_stays_under_16_mib(self):
-        # the benchmark's exact10 jobs; the dense pair tables peaked near 58 MiB
+    def test_analysis_at_n10_stays_under_3_25_mib(self):
+        # the benchmark's exact10 jobs; the dense pair tables peaked near 58
+        # MiB, and the K-Y joint beside the class counts near 3.8 MiB. The
+        # traced peak is 2.87 MiB: the class counts and their float copy
         cfg = ProtocolConfig(n=10, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
                              source=dsbs(0.1), seed=0)
         tracemalloc.start()
@@ -870,7 +890,7 @@ class TestExactAnalyzer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 3.25 * 2 ** 20
 
     @pytest.mark.parametrize("aux, mu, n1, mib", [
         (TERNARY_AUX, 0.45, 14790, 48), (BSC_AUX, 0.3, 2211, 5)], ids=["ternary", "bsc"])
@@ -1156,6 +1176,46 @@ class TestMonteCarlo:
         # alternatives inside each call, so later trials of the call start
         # from an absolute substream
         assert sum(drew[:-1]) >= 5 and not all(drew)
+
+    @pytest.mark.parametrize("cfg", [
+        ProtocolConfig(n=8, mu=0.3, theta=0.3, eps_typ=0.15, aux=IDENTITY_AUX,
+                       source=dsbs(0.1), seed=5, allow_degenerate_rate=True),
+        ProtocolConfig(n=1000, mu=0.02, theta=0.3, eps_typ=0.4, aux=IDENTITY_AUX,
+                       source=dsbs(0.05), seed=11),
+    ], ids=["n8", "n1000"])
+    def test_trial_blocks_do_not_depend_on_the_fill_size(self, cfg, monkeypatch):
+        # fills of 1 trial, 7 trials and the default, which holds all 40
+        # trials at n = 8 and 32 of them at n = 1000
+        def drawn():
+            x, y, flips, alts = protocol._trial_blocks(cfg, protocol._trial_stream(cfg.seed),
+                                                       range(3, 43))
+            return x.dtype, x.tobytes(), y.tobytes(), flips.tobytes(), alts.tolist()
+        want = drawn()
+        assert 0 < np.count_nonzero(want[-1]) < 40
+        for trials in (1, 7):
+            monkeypatch.setattr(protocol, "_DRAW_BLOCK", trials * (cfg.n + 1))
+            assert drawn() == want
+
+    def test_a_desk_batch_stays_under_1_1_mib(self):
+        # the batch's uniforms, 262 x 1001 doubles, took 2 MiB when drawn at
+        # once, for a traced peak of 3.1 MiB; filled 2**15 doubles at a time
+        # it is 0.93 MiB
+        desc = json.loads((CONFIGS / "protocol_desk.json").read_text(encoding="utf-8"))
+        cfg = ProtocolConfig(n=desc["n"], mu=desc["mu"], theta=desc["theta"],
+                             eps_typ=desc["eps_typ"], aux=IDENTITY_AUX,
+                             source=JointPmf(np.reshape(desc["source"]["probs"], (2, 2))),
+                             seed=desc["seed"])
+        engine = protocol._StatisticalEngine(cfg)
+        stream = protocol._trial_stream(cfg.seed)
+        step = protocol._TRIAL_BATCH_SYMBOLS // cfg.n
+        engine.batch(stream, range(step))   # the engine's caches fill on a first batch
+        tracemalloc.start()
+        try:
+            engine.batch(stream, range(step, 2 * step))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 ** 20
 
     def test_outcome_records_compare_every_column(self):
         cfg = ProtocolConfig(n=12, mu=0.05, theta=0.3, eps_typ=0.2, aux=IDENTITY_AUX,

@@ -256,17 +256,12 @@ class ProtocolConfig:
 
 def _value_keys(words: np.ndarray, u_card: int) -> np.ndarray:
     """Keys (W,) of words (W, n) over 0..u_card-1, equal exactly where the
-    words are. A key is k big-endian uint64 columns, each packing 64 // b
-    consecutive symbols of b bits, held as one opaque item; keys therefore
-    sort as their columns do, lexicographically."""
-    bits = max(1, (u_card - 1).bit_length())
-    per = 64 // bits
-    cols = np.zeros((words.shape[0], -(-words.shape[1] // per)), dtype=np.uint64)
-    for i in range(words.shape[1]):
-        col = cols[:, i // per]
-        col <<= np.uint64(bits)
-        np.bitwise_or(col, words[:, i], out=col, dtype=np.uint64, casting="unsafe")
-    return cols.astype(">u8").view(f"V{8 * cols.shape[1]}")[:, 0]
+    words are: their _bitsets over every symbol but the last (over the one
+    symbol when u_card = 1) as big-endian uint64 columns, held as one opaque
+    item; keys therefore sort as their columns do, lexicographically."""
+    cols = _bitsets(words, max(u_card - 1, 1))
+    cols = cols.reshape(len(cols), cols.shape[1] * cols.shape[2]).astype(">u8")
+    return cols.view(f"V{8 * cols.shape[1]}")[:, 0]
 
 
 class _ValueIndex(NamedTuple):
@@ -327,14 +322,6 @@ class Codebook:
         gathers the rows it receives, and exact_analyze decodes against all.
         """
         return _bitsets(self.words.reshape(self.n1 * self.n2, self.n), self.u_card - 1)
-
-    def _row_bits(self, rows: np.ndarray) -> np.ndarray:
-        """The bitsets (R, n2, u_card - 1, n_k) of rows, 0-based: gathered from
-        bits if the codebook scans, else packed, so that a lookup never
-        builds bits."""
-        if self.scans:
-            return self.bits.reshape(self.n1, self.n2, *self.bits.shape[1:])[rows]
-        return _bitsets(self.words[rows], self.u_card - 1)
 
     @cached_property
     def value_index(self) -> _ValueIndex:
@@ -488,28 +475,22 @@ def _typical_mask(bits: np.ndarray, seqs: np.ndarray, bounds: np.ndarray) -> np.
             ok[...] = True
             pair = np.empty(ok.shape + marks.shape[-1:], dtype=np.uint64)
             for b in range(lo.shape[1]):
-                run = np.zeros((), dtype=dtype)
+                checks, run = [], np.zeros((), dtype=dtype)
                 for a in range(n_a):
                     np.bitwise_and(words[..., a, :], marks[..., b, :], out=pair)
                     count = np.bitwise_count(pair)
                     count = count[..., 0] if n <= 64 else count.sum(axis=-1, dtype=dtype)
-                    if n_a > 1:
-                        _within(ok, count, lo[a, b], hi[a, b], n)
-                    run = count if a == 0 else np.add(run, count, out=run)
+                    checks += [(count, lo[a, b], hi[a, b])] if n_a > 1 else []
+                    run = count if a == 0 else run + count
+                # the last symbol's count is #(x=b) less the others': their sum's interval
                 lo_b, hi_b = totals[..., b] - hi[-1, b], totals[..., b] - lo[-1, b]
                 if n_a == 1:
                     lo_b, hi_b = np.maximum(lo_b, lo[0, b]), np.minimum(hi_b, hi[0, b])
-                _within(ok, run, lo_b, hi_b, n)
+                # in counts' unsigned dtype: lo <= c < hi + 1, both clamped to 0..n + 1
+                for count, c_lo, c_hi in checks + [(run, lo_b, hi_b)]:
+                    ok &= np.clip(c_lo, 0, n + 1).astype(dtype) <= count
+                    ok &= count < np.clip(c_hi + 1, 0, n + 1).astype(dtype)
     return out if batched else out[0]
-
-
-def _within(ok: np.ndarray, counts: np.ndarray, lo, hi, n: int) -> None:
-    """ok &= lo <= counts <= hi for counts 0..n, compared in counts' unsigned
-    dtype, which holds n + 1: the bounds are clamped to 0..n first."""
-    lo, hi = np.maximum(lo, 0), np.minimum(hi, n)
-    lo = np.where(hi < lo, n + 1, lo).astype(counts.dtype)   # an empty interval passes none
-    ok &= lo <= counts
-    ok &= counts <= np.maximum(hi, 0).astype(counts.dtype)
 
 
 def _joint_types(x: np.ndarray, z: np.ndarray, nx: int, nz: int) -> np.ndarray:
@@ -612,7 +593,10 @@ def _decode_batch(cb: Codebook, ys: np.ndarray,
     step = max(1, _SCAN_CELLS // (cb.n2 * cb.n))
     for lo in range(0, sent.size, step):
         part = sent[lo:lo + step]
-        mask = _typical_mask(cb._row_bits(rows[part]), ys[part, None, :], cb.uy_bounds)[:, 0]
+        # a lookup codebook packs the rows it receives and never builds bits
+        bits = (cb.bits.reshape(cb.n1, cb.n2, *cb.bits.shape[1:])[rows[part]] if cb.scans
+                else _bitsets(cb.words[rows[part]], cb.u_card - 1))
+        mask = _typical_mask(bits, ys[part, None, :], cb.uy_bounds)[:, 0]
         columns[part], distinct[part] = _decode_rule(mask, row_cls[rows[part]])
     return columns, distinct
 
@@ -746,16 +730,15 @@ def _trial_blocks(cfg: ProtocolConfig, stream: _Stream, ts: range):
     per = max(1, _DRAW_BLOCK // (n + 1))
     draws = np.empty((min(per, len(ts)), n + 1))
     rng = stream(2 * ts.start)
-    advance, fill = rng.bit_generator.advance, rng.random
     for k0 in range(0, len(ts), per):
         part = draws[:len(ts) - k0]
         for k, row in enumerate(part, k0):
             if k:
-                advance(skip)
-            fill(out=row)
-        flips[k0:k0 + len(part)] = part[:, n]
-        x[k0:k0 + len(part)], y[k0:k0 + len(part)] = pairs_from_uniforms(cfg.source,
-                                                                          part[:, :n])
+                rng.bit_generator.advance(skip)
+            rng.random(out=row)
+        rows = slice(k0, k0 + len(part))
+        flips[rows] = part[:, n]
+        x[rows], y[rows] = pairs_from_uniforms(cfg.source, part[:, :n])
     for k in np.flatnonzero(flips < cfg.theta).tolist():
         rng = stream(2 * ts[k])
         rng.bit_generator.advance(n + 1)
@@ -1126,11 +1109,11 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     if n_words * n_x > EXACT_SCAN_GUARD:
         raise GuardError(
             f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; lower n")
-    values = math.factorial(n) // math.prod(math.factorial(int(c)) for c in cfg.u_type)
+    values = math.factorial(n) // math.prod(map(math.factorial, cfg.u_type.tolist()))
     if (min(n_words, values) + 1) * n_x > EXACT_CLASS_GUARD:
-        raise GuardError(
-            f"exact analysis would count up to {min(n_words, values) + 1} value classes x "
-            f"{n_x} sequences, more than {EXACT_CLASS_GUARD} cells; lower n or mu")
+        raise GuardError(f"exact analysis would count up to {min(n_words, values) + 1} value "
+                         f"classes x {n_x} sequences, past {EXACT_CLASS_GUARD} cells; "
+                         "lower n or mu")
     cb = build_codebook(cfg)
     xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
 
@@ -1170,19 +1153,15 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     n_low = min(n, max(1, _EXACT_BLOCK // 4 // n_x).bit_length() - 1)
     rows = 2 ** n_low
     head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
-
-    def pair_law():
-        """Each block's x rows and its pair law, in x order."""
-        for b in range(head.shape[0]):
-            yield (slice(b * rows, (b + 1) * rows),
-                   reduce(_kron, [cfg.source.probs] * n_low, head[b:b + 1]))
-
+    block_law = partial(reduce, _kron, [cfg.source.probs] * n_low)  # of a row of head
     p_x = np.empty(n_x)
     p_y = np.zeros((0, n_x))
     agree_totals = []
     l_kept = np.zeros(n_cls)
     l_moved = np.zeros(n_cls)
-    for x, p_joint in pair_law():
+    for b in range(head.shape[0]):
+        x = slice(b * rows, (b + 1) * rows)
+        p_joint = block_law(head[b:b + 1])
         p_x[x] = p_joint.sum(axis=1)
         p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
         l_at_star = l_sent[star[x]]
@@ -1197,7 +1176,7 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
         # eq_star's buffer holds the two add.at weights in turn
         for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
             np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
-    del l_sent, star, l_at_star, eq_star, agree
+    del l_sent, star, l_at_star, eq_star, agree, p_joint
     p_y = p_y[0]
     p_disagree = min(max(float(1.0 - _pairwise(agree_totals)), 0.0), 1.0)
 
@@ -1211,8 +1190,8 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     # class counts are gone
     k_seen, k_row = np.unique(k_cls, return_inverse=True)
     joint_seen = np.zeros((k_seen.size, n_x))
-    for x, p_joint in pair_law():
-        for k, p_row in zip(k_row[x], p_joint):
+    for b in range(head.shape[0]):
+        for k, p_row in zip(k_row[b * rows:(b + 1) * rows], block_law(head[b:b + 1])):
             joint_seen[k] += p_row
     p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
     h_k = entropy_bits(p_k)

@@ -51,11 +51,10 @@ its classes. Both work on batches of blocks.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +84,7 @@ MEMORY_GUARD = 10 ** 9          # codebook symbols
 INDEX_BITS_GUARD = 14284
 EXACT_PAIR_GUARD = 2 ** 20      # enumerated (x^n, y^n) pairs
 EXACT_SCAN_GUARD = 2 * 10 ** 7  # words x sequences typicality cells
-EXACT_CLASS_GUARD = 2 ** 23     # value classes x sequences cells of the class counts
+EXACT_CLASS_GUARD = 2 ** 23     # value classes x sequences small-int class counts
 TRIAL_LIMIT = 2 ** 32           # substreams below 2**33 start >= 2**93 draws apart
 # Fewest words per row the statistical engine accepts. Against the
 # materialized engine at 4000 trials, DSBS(0.25), identity auxiliary,
@@ -1034,93 +1033,83 @@ class ExactResult:
     joint_ky: np.ndarray | None
 
 
-def _pairwise(totals: list) -> float:
-    """Sum 2**k partial sums as a balanced tree: adjacent pairs, then pairs
-    of pairs. This is numpy's pairwise summation above its 128-element
-    leaves, so the totals of aligned power-of-two blocks of at least 128
-    elements of one contiguous array add up to that array's .sum() bit for
-    bit."""
-    while len(totals) > 1:
-        totals = [a + b for a, b in zip(totals[::2], totals[1::2])]
-    return totals[0]
+def _pairwise(pieces: Iterator[np.ndarray], size: int, budget: int, leaf=np.sum,
+              rest: list | None = None) -> float:
+    """numpy's pairwise sum, bit for bit, of the size elements that pieces
+    yields in order, or of leaf's terms of them: the tree splits a node at
+    half its size rounded down to a multiple of 8, and each node of at most
+    max(budget, 128) elements is gathered, summed by leaf and dropped. rest
+    carries the unread part of a piece from one node to the next."""
+    rest = rest or [np.empty(0)]
+    if size > max(budget, 128):
+        half = size // 2 - size // 2 % 8
+        return (_pairwise(pieces, half, budget, leaf, rest)
+                + _pairwise(pieces, size - half, budget, leaf, rest))
+    got = []
+    while size:
+        rest[0] = rest[0] if rest[0].size else next(pieces)
+        got.append(rest[0][:size])
+        rest[0], size = rest[0][size:].copy(), size - got[-1].size  # holds no spent piece
+    return float(leaf(got[0] if len(got) == 1 else np.concatenate(got)))
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 2-D a and b: the same products a[i, j] * b[k, l], one
-    multiply of a per entry of b, without kron's general-rank bookkeeping."""
-    out = np.empty((a.shape[0], b.shape[0], a.shape[1], b.shape[1]))
-    for k, l in itertools.product(range(b.shape[0]), range(b.shape[1])):
-        np.multiply(a, b[k, l], out=out[:, k, :, l])
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+def _pair_law(law: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Pair-law rows: each row of law times factors[:, j, y], its x's
+    probs[x_j, y] for one more symbol j at a time, as y's fastest column:
+    the left-to-right products np.kron forms."""
+    for j in range(factors.shape[1]):
+        out = np.empty((law.shape[0], law.shape[1], 2))
+        for y in range(2):
+            np.multiply(law, factors[:, j, y], out=out[:, :, y])
+        law = out.reshape(law.shape[0], -1)
+    return law
 
 
 def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResult:
     """Exact protocol law by enumerating every (x^n, y^n) pair.
 
-    Binary source alphabets only; the codebook is materialized with the
-    same seed child as run_monte_carlo, so both modes study one codebook,
-    encoded by its encoder, _encode_batch, and decoded by its rule,
-    _decode_rule. The index channel is averaged in closed form: the
-    received index is correct with weight 1 - theta and uniform over the
-    other rows with weight theta / N1.
+    Binary source alphabets only. The codebook is materialized with the
+    same seed child as run_monte_carlo, encoded by _encode_batch and
+    decoded by _decode_rule; the index channel is averaged in closed form:
+    correct with weight 1 - theta, else uniform over the other N1 rows.
 
-    No table has a row for every codebook row, and none exists twice. The
-    class counts, classes x 2**n, may hold at most EXACT_CLASS_GUARD cells,
-    the classes bounded by the words and by the values of their one type;
-    past that the config is refused before the codebook is drawn. The
-    encoder bounds its own scans. The decoder runs over blocks of the
-    sequences the codebook admits under the (u, y) table, at most
-    _EXACT_BLOCK word x sequence cells each. Each block's decoded class in
-    every row is counted into cnt_all, classes x 2**n, and kept in the
-    decode table l_sent only for the rows the encoder sends, at most
-    min(N1, 2**n) + 1 of them; a refused sequence decodes to the fallback
-    class in every row. Both tables take _cell_dtype's smallest integer
-    dtype. The (x^n, y^n) law runs over blocks of 2**n_low x rows,
-    _EXACT_BLOCK // 4 pairs each, whose temporaries live for one block,
-    twice. The first pass sums everything but the K-Y joint; the decode
-    table is dropped after it, and the class counts after the tail: the
-    float product of cnt_all with the weighted y law, which stays one
-    dense product because multiplying its rows in parts gives other bits.
-    The second pass builds the K-Y joint over the classes K takes, so it
-    never shares memory with the class counts; it is spread to every class
-    only for include_joint. H(K, Y)'s p log2 p terms are formed in the
-    joint's own buffer.
+    The class counts cnt_all, classes x 2**n in _cell_dtype's smallest
+    integer dtype, are refused past EXACT_CLASS_GUARD cells before the
+    codebook is drawn. The decoder runs over blocks of at most _EXACT_BLOCK
+    word x sequence cells of the sequences the codebook admits, counts each
+    decoded class into cnt_all and keeps it in l_sent only for the rows the
+    encoder sends. Every other buffer holds at most _EXACT_BLOCK // 4 cells:
+    a block of the pair law, of the tail's class counts, or of H(K, Y)'s
+    terms, formed one K-Y joint row (one class) at a time; joint_ky,
+    classes x 2**n, is built only for include_joint.
 
-    Every number has the bits of the dense computation. Integer counts are
-    exact in any order. Each block of the pair law is the same
-    left-to-right Kronecker product, from the head table's row b, built by
-    _kron. Row sums (p_x) are per row; the column sums (p_y) carry one
-    running row through add.reduce, which sums rows in order; the K-Y
-    joint adds x rows in order and np.add.at scatters the L law in the
-    order the dense bincounts did; integer counts turn to floats exactly;
-    the agreement totals of the aligned power-of-two blocks combine as a
-    balanced tree, as numpy's pairwise sum of the whole array does; and
-    H(K, Y)'s terms are the ones entropy_bits forms, summed over one array.
+    Every number has the bits of the dense computation: _pair_law forms
+    np.kron's products, p_y and each joint row add x rows in order, np.add.at
+    scatters the L law in the dense bincounts' order, and _pairwise rebuilds
+    numpy's pairwise sums. The tail sums each class's row pairwise, so its
+    bits depend on neither the block height nor BLAS threads.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
     pairs = (cfg.source.nx * cfg.source.ny) ** cfg.n
     if pairs > EXACT_PAIR_GUARD:
-        raise GuardError(
-            f"exact analysis would enumerate {pairs:.3e} sequence pairs; lower n")
+        raise GuardError(f"exact analysis would enumerate {pairs:.3e} sequence pairs; lower n")
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
-    n_words = n1 * n2
-    n_x = 2 ** n
+    n_words, n_x = n1 * n2, 2 ** n
     if n_words * n_x > EXACT_SCAN_GUARD:
-        raise GuardError(
-            f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; lower n")
+        raise GuardError(f"exact analysis would scan {n_words * n_x:.3e} word/sequence cells; "
+                         "lower n")
     values = math.factorial(n) // math.prod(map(math.factorial, cfg.u_type.tolist()))
     if (min(n_words, values) + 1) * n_x > EXACT_CLASS_GUARD:
         raise GuardError(f"exact analysis would count up to {min(n_words, values) + 1} value "
                          f"classes x {n_x} sequences, past {EXACT_CLASS_GUARD} cells; "
                          "lower n or mu")
     cb = build_codebook(cfg)
-    xs = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int8)
+    xs = (np.arange(n_x)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.int8)
 
     # value classes in first-occurrence order; the reserved word is the last
     index = cb.value_index
-    u0_cls = index.first.size
-    n_cls = u0_cls + 1
+    u0_cls, n_cls = index.first.size, index.first.size + 1
     row_cls = index.cls.reshape(n1, n2)
 
     # each sequence's encoded word, by the encoder Monte Carlo runs, the rows
@@ -1148,67 +1137,78 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
             minlength=n_cls * part.size).reshape(n_cls, part.size)
         l_sent[:scanned.size, part] = l_part[:, scanned].T
 
-    theta = cfg.theta
-    w_other = theta / float(n1)
-    n_low = min(n, max(1, _EXACT_BLOCK // 4 // n_x).bit_length() - 1)
-    rows = 2 ** n_low
-    head = reduce(_kron, [cfg.source.probs] * (n - n_low), np.ones((1, 1)))
-    block_law = partial(reduce, _kron, [cfg.source.probs] * n_low)  # of a row of head
-    p_x = np.empty(n_x)
-    p_y = np.zeros((0, n_x))
-    agree_totals = []
-    l_kept = np.zeros(n_cls)
-    l_moved = np.zeros(n_cls)
-    for b in range(head.shape[0]):
-        x = slice(b * rows, (b + 1) * rows)
-        p_joint = block_law(head[b:b + 1])
-        p_x[x] = p_joint.sum(axis=1)
-        p_y = np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True)
-        l_at_star = l_sent[star[x]]
-        eq_star = (l_at_star == k_cls[x, None]).astype(float)
-        # (1 - theta) * eq_star + w_other * (cnt - eq_star), times p_joint, in place
-        agree = cnt_all[k_cls[x]].astype(float)
-        agree -= eq_star
-        agree *= w_other
-        agree += (1.0 - theta) * eq_star
-        agree *= p_joint
-        agree_totals.append(agree.sum())
-        # eq_star's buffer holds the two add.at weights in turn
-        for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
-            np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
-    del l_sent, star, l_at_star, eq_star, agree, p_joint
-    p_y = p_y[0]
-    p_disagree = min(max(float(1.0 - _pairwise(agree_totals)), 0.0), 1.0)
+    theta, probs, w_other = cfg.theta, cfg.source.probs, cfg.theta / float(n1)
+    rows = 2 ** min(n, max(1, _EXACT_BLOCK // 4 // n_x).bit_length() - 1)
+    # the law of the first n_head symbols, a square of at most _EXACT_BLOCK
+    # // 4 cells, and each x's probs columns for the others
+    n_head = min(n, ((_EXACT_BLOCK // 4).bit_length() - 1) // 2)
+    head = _pair_law(np.ones((2 ** n_head, 1)), probs[xs[::2 ** (n - n_head), :n_head], :, None])
+    factors = probs[xs[:, n_head:], :, None]
+    p_x, p_y = np.empty(n_x), np.zeros((1, n_x))
+    l_kept, l_moved = np.zeros(n_cls), np.zeros(n_cls)
 
-    p_l = l_kept + cnt_all.astype(float) @ (p_y * w_other) - l_moved
+    def agree_blocks():
+        for lo in range(0, n_x, rows):
+            x = slice(lo, lo + rows)
+            p_joint = _pair_law(head[np.arange(lo, lo + rows) >> n - n_head], factors[x])
+            p_x[x] = p_joint.sum(axis=1)
+            np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True, out=p_y)
+            l_at_star = l_sent[star[x]]
+            eq_star = (l_at_star == k_cls[x, None]).astype(float)
+            # (1 - theta) * eq_star + w_other * (cnt - eq_star), times p_joint, in place
+            agree = cnt_all[k_cls[x]].astype(float)
+            agree -= eq_star
+            agree *= w_other
+            eq_star *= 1.0 - theta
+            agree += eq_star
+            agree *= p_joint
+            # eq_star's buffer holds the two add.at weights in turn
+            for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
+                np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
+            yield agree.ravel()
+            del p_joint, l_at_star, eq_star, agree
+
+    p_disagree = min(max(1.0 - _pairwise(agree_blocks(), n_x * n_x, rows * n_x), 0.0), 1.0)
+    del l_sent, star
+    p_y = p_y[0]
+
+    # the tail: per class, a pairwise sum of its counts times the weighted y law
+    w_y, step = p_y * w_other, max(1, _EXACT_BLOCK // 4 // n_x)
+    tail = np.concatenate([(cnt_all[lo:lo + step] * w_y).sum(axis=1)
+                           for lo in range(0, n_cls, step)])
+    del cnt_all
+    p_l = l_kept + tail - l_moved
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
     h_l = entropy_bits(np.clip(p_l, 0.0, None))
-    del cnt_all
-
-    # the K-Y joint, in a second pass over the same pair law, once the
-    # class counts are gone
-    k_seen, k_row = np.unique(k_cls, return_inverse=True)
-    joint_seen = np.zeros((k_seen.size, n_x))
-    for b in range(head.shape[0]):
-        for k, p_row in zip(k_row[b * rows:(b + 1) * rows], block_law(head[b:b + 1])):
-            joint_seen[k] += p_row
-    p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
-    h_k = entropy_bits(p_k)
+    h_k = entropy_bits(np.bincount(k_cls, weights=p_x, minlength=n_cls))
     h_y = entropy_bits(p_y)
-    joint_ky = None
-    if include_joint:
-        joint_ky = np.zeros((n_cls, n_x))
-        joint_ky[k_seen] = joint_seen
-    # entropy_bits(joint_seen) bit for bit, its p log2 p terms formed in place
-    terms = joint_seen.reshape(-1)
-    if not (terms > 0.0).all():
-        terms = terms[terms > 0.0]
-    for lo in range(0, terms.size, _EXACT_BLOCK):
-        terms[lo:lo + _EXACT_BLOCK] *= np.log2(terms[lo:lo + _EXACT_BLOCK])
-    h_ky = max(float(-terms.sum()), 0.0)
-    h_k_given_y = max(h_ky - h_y, 0.0)
 
+    # H(K, Y) over the K-Y joint's rows for the classes K takes, ascending.
+    # Only n smallest source cells can underflow to a zero pair-law cell;
+    # then the positive cells are kept, and a first sweep counts them
+    by_class = np.argsort(k_cls, kind="stable")
+    last = np.diff(k_cls[by_class], append=-1) != 0   # a class's last x
+    compact = math.prod([float(probs.min())] * n) == 0.0
+    joint_ky = np.zeros((n_cls, n_x)) if include_joint else None
+
+    def class_rows():
+        row = np.zeros(n_x)
+        for lo in range(0, n_x, rows):
+            x = by_class[lo:lo + rows]
+            for k, end, p_row in zip(k_cls[x].tolist(), last[lo:lo + rows].tolist(),
+                                     _pair_law(head[x >> n - n_head], factors[x])):
+                row += p_row
+                if end:
+                    if include_joint:
+                        joint_ky[k] = row
+                    yield row[row > 0.0] if compact else row
+                    row = np.zeros(n_x)
+
+    size = sum(r.size for r in class_rows()) if compact else int(last.sum()) * n_x
+    h_ky = max(-_pairwise(class_rows(), size, _EXACT_BLOCK // 4,
+                          lambda p: np.sum(p * np.log2(p))), 0.0)
+    h_k_given_y = max(h_ky - h_y, 0.0)
     return ExactResult(
         p_disagree=p_disagree,
         entropy_k_bits=h_k,

@@ -240,7 +240,7 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
 
     p_l = np.bincount(l_at_star.ravel(), weights=(p_joint * (1.0 - theta)).ravel(),
                       minlength=n_cls)
-    p_l += cnt_all @ (p_y * (theta / float(n1)))
+    p_l += (cnt_all * (p_y * (theta / float(n1)))).sum(axis=1)  # a pairwise sum per row
     p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
                        minlength=n_cls)
     if abs(p_l.sum() - 1.0) > 1e-9:

@@ -230,7 +230,7 @@ class TestSimulateCommand:
           "n": 8, "mu": 0.1, "theta": 0.02, "seed": 5,
           "index_channel": {"kind": "bsc", "payload": {"p": 0.01}}, "mu_prime": 0.05,
           "conditions": {"alpha": 0.3, "beta": 1.1, "epsilon": 0.2}}, ["--exact"],
-         {"simulate.json": "2a56991479b800ece4bea3938bb33cace131ef1f5270be6f07a80dac7098741c"}),
+         {"simulate.json": "945a72e53a87be3b63397ec1411c30fc854faa1b72022afc8ede0deba416586b"}),
         ({"source": {"alphabet_x": 2, "alphabet_y": 2, "probs": [0.45, 0.05, 0.05, 0.45]},
           "n": 8, "mu": 0.3, "theta": 0.05, "seed": 3,
           "index_channel": {"kind": "bec", "payload": {"e": 0.1}},

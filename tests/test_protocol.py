@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from support import dense_exact_analyze, diagonal_source, draw_index, dsbs, h2
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
-from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, pairs_from_uniforms,
-                              sample_iid, subseed, type_counts)
+from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, entropy_bits,
+                              pairs_from_uniforms, sample_iid, subseed, type_counts)
 from ucrlab.protocol import (
     Codebook,
     ExactResult,
@@ -852,9 +852,11 @@ class TestExactAnalyzer:
         assert res.joint_ky.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(res.joint_ky >= 0.0)
 
-    @pytest.mark.parametrize("block", [None, 2 ** 11], ids=["batch", "small-blocks"])
-    @pytest.mark.parametrize("source", [dsbs(0.1), JointPmf(np.array([[0.5, 0.1], [0.05, 0.35]]))],
-                             ids=["dsbs", "asymmetric"])
+    @pytest.mark.parametrize("block", [None, 2 ** 11, 2 ** 9],
+                             ids=["batch", "small-blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("source", [dsbs(0.1), JointPmf(np.array([[0.5, 0.1], [0.05, 0.35]])),
+                                        JointPmf(np.array([[0.5, 0.0], [0.1, 0.4]]))],
+                             ids=["dsbs", "asymmetric", "zero-cell"])
     @pytest.mark.parametrize("aux, eps", [
         (IDENTITY_AUX, 0.3),
         # BSC(0.1) words were typical with no x at n <= 10 (eps 0.3 to 0.8)
@@ -864,7 +866,10 @@ class TestExactAnalyzer:
                                                              source, aux, eps):
         # a block of 2**11 cuts the n = 8 pair law into 128 blocks of 2 x
         # rows (a quarter of the block each) and its decode table into
-        # blocks of a few sequences
+        # blocks of a few sequences; one of 2**9 builds the K-Y joint's
+        # rows one x at a time, so the fallback class's x rows span many
+        # chunks, and sums H(K, Y) in nodes of 128 terms. A zero source
+        # cell leaves zero joint cells, whose terms are compacted out
         if block is not None:
             monkeypatch.setattr(protocol, "_EXACT_BLOCK", block)
         for n, theta in itertools.product(range(2, 11), (0.0, 0.03)):
@@ -878,10 +883,11 @@ class TestExactAnalyzer:
                 else:
                     assert (type(a), repr(a)) == (type(b), repr(b)), (n, theta, field.name)
 
-    def test_analysis_at_n10_stays_under_3_25_mib(self):
+    def test_analysis_at_n10_stays_under_1_6_mib(self):
         # the benchmark's exact10 jobs; the dense pair tables peaked near 58
-        # MiB, and the K-Y joint beside the class counts near 3.8 MiB. The
-        # traced peak is 2.87 MiB: the class counts and their float copy
+        # MiB, and a float copy of the class counts or the K-Y joint near
+        # 2.9 MiB. The traced peak is 1.42 MiB: the small-int class counts
+        # and decode table, the head table and one block of the pair law
         cfg = ProtocolConfig(n=10, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
                              source=dsbs(0.1), seed=0)
         tracemalloc.start()
@@ -890,12 +896,14 @@ class TestExactAnalyzer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * 2 ** 20
+        assert peak <= 1.6 * 2 ** 20
 
     @pytest.mark.parametrize("aux, mu, n1, mib", [
-        (TERNARY_AUX, 0.45, 14790, 48), (BSC_AUX, 0.3, 2211, 5)], ids=["ternary", "bsc"])
+        (TERNARY_AUX, 0.45, 14790, 12.9), (BSC_AUX, 0.3, 2211, 5)], ids=["ternary", "bsc"])
     def test_traced_peak_does_not_grow_with_n1(self, aux, mu, n1, mib):
-        # an (N1 + 1) x 2**10 decode table took these to 110.2 and 14.3 MiB
+        # an (N1 + 1) x 2**10 decode table took these to 110.2 and 14.3 MiB,
+        # and a float copy of the ternary config's 4,078 x 2**10 class counts
+        # to 41.7 MiB; its traced peak is 11.3 MiB
         cfg = ProtocolConfig(n=10, mu=mu, theta=0.01, eps_typ=0.6, aux=aux,
                              source=dsbs(0.1), seed=2, allow_degenerate_rate=True)
         assert cfg.n1 == n1
@@ -906,6 +914,40 @@ class TestExactAnalyzer:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
+
+    @pytest.mark.parametrize("budget", [128, 129, 1000, 2 ** 12, 2 ** 16])
+    def test_pairwise_sums_match_numpy_bit_for_bit(self, budget):
+        # numpy's pairwise tree, rebuilt over pieces cut at random points
+        # (some empty) and summed one node of at most budget elements at a
+        # time, against ndarray.sum() of the whole array
+        rng = np.random.default_rng(budget)
+        for size in [*range(1, 301), 1024, 1001, 4097, 65537, 259072]:
+            a = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+            pieces = np.split(a, np.sort(rng.integers(0, size + 1, rng.integers(0, 12))))
+            got = protocol._pairwise(iter(pieces), size, budget)
+            assert np.float64(got).tobytes() == a.sum().tobytes(), (size, budget)
+        # a leaf that forms entropy terms, as H(K, Y) sums them
+        p = rng.random(259072)
+        got = protocol._pairwise(iter(np.split(p, [5, 1000, 70000])), p.size, budget,
+                                 lambda t: np.sum(t * np.log2(t)))
+        assert np.float64(-got).tobytes() == np.float64(entropy_bits(p)).tobytes()
+
+    def test_the_output_law_does_not_depend_on_the_tail_blocks(self, monkeypatch):
+        # the tail sums the class counts times the weighted y law per class,
+        # in blocks of 1, 7 and all rows; a matrix-vector product in blocks
+        # of rows gives some rows other bits as the block height changes
+        cfg = ProtocolConfig(n=8, mu=0.5, theta=0.03, eps_typ=0.6, aux=TERNARY_AUX,
+                             source=dsbs(0.1), seed=4, allow_degenerate_rate=True)
+        laws = {}
+        for rows in (1, 7, 2 ** 12):
+            seen = []
+            monkeypatch.setattr(protocol, "entropy_bits",
+                                lambda p, seen=seen: seen.append(p.copy()) or entropy_bits(p))
+            monkeypatch.setattr(protocol, "_EXACT_BLOCK", 4 * 2 ** cfg.n * rows)
+            exact_analyze(cfg, include_joint=False)
+            laws[rows] = seen[0]   # the clipped output law, the first entropy taken
+        assert 7 < laws[1].size < 2 ** 12 and laws[1].size % 7 != 0
+        assert laws[1].tobytes() == laws[7].tobytes() == laws[2 ** 12].tobytes()
 
     @pytest.mark.parametrize("aux", [
         AuxiliaryChannel.from_matrix(np.array([[0.7, 0.3], [0.3, 0.7]])), TERNARY_AUX],

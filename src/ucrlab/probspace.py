@@ -168,12 +168,12 @@ def entropy_bits(probs: np.ndarray) -> float:
     """Shannon entropy in bits of a raw nonnegative array; 0 log 0 = 0.
 
     The p log2 p terms of the positive cells are formed in one temporary;
-    the positive cells are compressed out only when some cell is not."""
+    zero cells, if any, are compressed out; a point mass yields +0.0."""
     p = np.asarray(probs, dtype=float).ravel()
     pos = p if (p > 0.0).all() else p[p > 0.0]
     terms = np.log2(pos)
     terms *= pos
-    return max(float(-terms.sum()), 0.0)
+    return max(0.0 - float(terms.sum()), 0.0)
 
 
 def entropy(p: Pmf | np.ndarray) -> float:

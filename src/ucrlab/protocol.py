@@ -9,7 +9,9 @@ fall back to the reserved value that index N1 + 1 sends when nothing (or
 too much) matches.
 The two outputs form the common-randomness pair (K, L) whose agreement,
 cardinality, and uniformity this module measures, by Monte Carlo for
-large blocks and by exact enumeration for small binary ones.
+large blocks and by one exact walk of the pair law for small binary
+ones: each of its sums runs along one row or over one entry per block
+or per class, so the sums keep their bits at any block size.
 
 Two evaluation engines back run_monte_carlo. The materialized engine
 draws the full codebook and scans it. The statistical engine serves
@@ -667,8 +669,7 @@ class MonteCarloResult:
 
 def _entropy_estimates(counter: dict, trials: int) -> tuple[float, float, int]:
     counts = np.array(list(counter.values()), dtype=float)
-    p = counts / trials
-    plugin = float(-(p * np.log2(p)).sum())
+    plugin = entropy_bits(counts / trials)
     mm = plugin + (len(counts) - 1) / (2.0 * trials * _LN2)
     return mm, plugin, len(counts)
 
@@ -1033,26 +1034,6 @@ class ExactResult:
     joint_ky: np.ndarray | None
 
 
-def _pairwise(pieces: Iterator[np.ndarray], size: int, budget: int, leaf=np.sum,
-              rest: list | None = None) -> float:
-    """numpy's pairwise sum, bit for bit, of the size elements that pieces
-    yields in order, or of leaf's terms of them: the tree splits a node at
-    half its size rounded down to a multiple of 8, and each node of at most
-    max(budget, 128) elements is gathered, summed by leaf and dropped. rest
-    carries the unread part of a piece from one node to the next."""
-    rest = rest or [np.empty(0)]
-    if size > max(budget, 128):
-        half = size // 2 - size // 2 % 8
-        return (_pairwise(pieces, half, budget, leaf, rest)
-                + _pairwise(pieces, size - half, budget, leaf, rest))
-    got = []
-    while size:
-        rest[0] = rest[0] if rest[0].size else next(pieces)
-        got.append(rest[0][:size])
-        rest[0], size = rest[0][size:].copy(), size - got[-1].size  # holds no spent piece
-    return float(leaf(got[0] if len(got) == 1 else np.concatenate(got)))
-
-
 def _pair_law(law: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Pair-law rows: each row of law times factors[:, j, y], its x's
     probs[x_j, y] for one more symbol j at a time, as y's fastest column:
@@ -1078,16 +1059,20 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     codebook is drawn. The decoder runs over blocks of at most _EXACT_BLOCK
     word x sequence cells of the sequences the codebook admits, counts each
     decoded class into cnt_all and keeps it in l_sent only for the rows the
-    encoder sends. Every other buffer holds at most _EXACT_BLOCK // 4 cells:
-    a block of the pair law, of the tail's class counts, or of H(K, Y)'s
-    terms, formed one K-Y joint row (one class) at a time; joint_ky,
-    classes x 2**n, is built only for include_joint.
+    encoder sends. Then one walk of the pair law, x rows in class order,
+    forms each block of at most _EXACT_BLOCK // 4 cells once and takes from
+    it each x's mass and agreement, the L law of the sent rows, and each
+    class's K-Y joint row and that row's entropy; joint_ky, classes x 2**n,
+    is built only for include_joint. The tail reads the class counts in
+    blocks of as many cells.
 
-    Every number has the bits of the dense computation: _pair_law forms
-    np.kron's products, p_y and each joint row add x rows in order, np.add.at
-    scatters the L law in the dense bincounts' order, and _pairwise rebuilds
-    numpy's pairwise sums. The tail sums each class's row pairwise, so its
-    bits depend on neither the block height nor BLAS threads.
+    Every sum runs along one whole row, an x's or a class's, or over one
+    entry per x or per class, so its bits depend on no block size or BLAS
+    thread count, and a dense computation of the same formulas has them:
+    _pair_law forms np.kron's products, a joint row adds its x rows in
+    order, np.add.at scatters the L law in a bincount's order, and p_y is
+    the n-fold product of the Y marginal. H(L) is taken of the output law
+    clipped at 0 and renormalised, so a law on one class has entropy +0.0.
     """
     if cfg.source.nx != 2 or cfg.source.ny != 2:
         raise GuardError("exact analysis enumerates binary source alphabets only")
@@ -1144,71 +1129,55 @@ def exact_analyze(cfg: ProtocolConfig, include_joint: bool = True) -> ExactResul
     n_head = min(n, ((_EXACT_BLOCK // 4).bit_length() - 1) // 2)
     head = _pair_law(np.ones((2 ** n_head, 1)), probs[xs[::2 ** (n - n_head), :n_head], :, None])
     factors = probs[xs[:, n_head:], :, None]
-    p_x, p_y = np.empty(n_x), np.zeros((1, n_x))
-    l_kept, l_moved = np.zeros(n_cls), np.zeros(n_cls)
 
-    def agree_blocks():
-        for lo in range(0, n_x, rows):
-            x = slice(lo, lo + rows)
-            p_joint = _pair_law(head[np.arange(lo, lo + rows) >> n - n_head], factors[x])
-            p_x[x] = p_joint.sum(axis=1)
-            np.add.reduce(np.vstack([p_y, p_joint]), axis=0, keepdims=True, out=p_y)
-            l_at_star = l_sent[star[x]]
-            eq_star = (l_at_star == k_cls[x, None]).astype(float)
-            # (1 - theta) * eq_star + w_other * (cnt - eq_star), times p_joint, in place
-            agree = cnt_all[k_cls[x]].astype(float)
-            agree -= eq_star
-            agree *= w_other
-            eq_star *= 1.0 - theta
-            agree += eq_star
-            agree *= p_joint
-            # eq_star's buffer holds the two add.at weights in turn
-            for law, weight in ((l_kept, 1.0 - theta), (l_moved, w_other)):
-                np.add.at(law, l_at_star.ravel(), np.multiply(p_joint, weight, out=eq_star).ravel())
-            yield agree.ravel()
-            del p_joint, l_at_star, eq_star, agree
-
-    p_disagree = min(max(1.0 - _pairwise(agree_blocks(), n_x * n_x, rows * n_x), 0.0), 1.0)
-    del l_sent, star
-    p_y = p_y[0]
+    # one walk of the pair law, x rows in class order: per x its mass and
+    # agreement, the L law scattered by np.add.at, and per class K takes
+    # its K-Y joint row, summed in x order, and that row's entropy
+    by_class = np.argsort(k_cls, kind="stable")
+    last = np.diff(k_cls[by_class], append=-1) != 0   # a class's last x
+    p_x, agree_x, h_rows, l_law = np.empty(n_x), np.empty(n_x), np.zeros(n_cls), np.zeros(n_cls)
+    joint_ky = np.zeros((n_cls, n_x)) if include_joint else None
+    row = np.zeros(n_x)
+    for lo in range(0, n_x, rows):
+        x = by_class[lo:lo + rows]
+        p_joint = _pair_law(head[x >> n - n_head], factors[x])
+        p_x[x] = p_joint.sum(axis=1)
+        l_at_star = l_sent[star[x]]
+        eq_star = l_at_star == k_cls[x, None]
+        # w_other * (cnt - eq_star) + (1 - theta) * eq_star, times p_joint, in place
+        agree = np.subtract(cnt_all[k_cls[x]], eq_star, dtype=float)
+        agree *= w_other
+        np.add(agree, 1.0 - theta, out=agree, where=eq_star)
+        agree *= p_joint
+        agree_x[x] = agree.sum(axis=1)
+        # the L law of the sent row, less the index channel's share of it
+        # that the tail adds back, in agree's buffer
+        np.add.at(l_law, l_at_star.ravel(),
+                  np.multiply(p_joint, 1.0 - theta - w_other, out=agree).ravel())
+        for k, end, p_row in zip(k_cls[x].tolist(), last[lo:lo + rows].tolist(), p_joint):
+            row += p_row
+            if end:
+                h_rows[k] = entropy_bits(row)
+                if include_joint:
+                    joint_ky[k] = row
+                row.fill(0.0)
+        del p_joint, p_row, l_at_star, eq_star, agree
+    p_disagree = min(max(1.0 - float(agree_x.sum()), 0.0), 1.0)
+    del l_sent, star, row
 
     # the tail: per class, a pairwise sum of its counts times the weighted y law
+    p_y = _pair_law(np.ones((1, 1)), np.tile(probs.sum(axis=0)[:, None], (1, n, 1, 1)))[0]
     w_y, step = p_y * w_other, max(1, _EXACT_BLOCK // 4 // n_x)
     tail = np.concatenate([(cnt_all[lo:lo + step] * w_y).sum(axis=1)
                            for lo in range(0, n_cls, step)])
     del cnt_all
-    p_l = l_kept + tail - l_moved
+    p_l = l_law + tail
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
-    h_l = entropy_bits(np.clip(p_l, 0.0, None))
+    p_l = np.clip(p_l, 0.0, None)
+    h_l = entropy_bits(p_l / p_l.sum())
     h_k = entropy_bits(np.bincount(k_cls, weights=p_x, minlength=n_cls))
-    h_y = entropy_bits(p_y)
-
-    # H(K, Y) over the K-Y joint's rows for the classes K takes, ascending.
-    # Only n smallest source cells can underflow to a zero pair-law cell;
-    # then the positive cells are kept, and a first sweep counts them
-    by_class = np.argsort(k_cls, kind="stable")
-    last = np.diff(k_cls[by_class], append=-1) != 0   # a class's last x
-    compact = math.prod([float(probs.min())] * n) == 0.0
-    joint_ky = np.zeros((n_cls, n_x)) if include_joint else None
-
-    def class_rows():
-        row = np.zeros(n_x)
-        for lo in range(0, n_x, rows):
-            x = by_class[lo:lo + rows]
-            for k, end, p_row in zip(k_cls[x].tolist(), last[lo:lo + rows].tolist(),
-                                     _pair_law(head[x >> n - n_head], factors[x])):
-                row += p_row
-                if end:
-                    if include_joint:
-                        joint_ky[k] = row
-                    yield row[row > 0.0] if compact else row
-                    row = np.zeros(n_x)
-
-    size = sum(r.size for r in class_rows()) if compact else int(last.sum()) * n_x
-    h_ky = max(-_pairwise(class_rows(), size, _EXACT_BLOCK // 4,
-                          lambda p: np.sum(p * np.log2(p))), 0.0)
-    h_k_given_y = max(h_ky - h_y, 0.0)
+    h_k_given_y = max(float(h_rows.sum()) - entropy_bits(p_y), 0.0)
     return ExactResult(
         p_disagree=p_disagree,
         entropy_k_bits=h_k,

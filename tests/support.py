@@ -190,12 +190,11 @@ def matmul_typical_mask(words: np.ndarray, seqs: np.ndarray, bounds: np.ndarray)
     return out
 
 
-def dense_exact_analyze(cfg, include_joint: bool = True):
-    """`protocol.exact_analyze` as one dense pass over the whole pair space:
-    every (x^n, y^n) table built at once, the sums taken by numpy over each
-    whole table, the decode table by `matmul_typical_mask`. An independent
-    reference for the blocked analyzer and its kernel, which must return
-    the same bits."""
+def _dense_tables(cfg):
+    """The dense references' tables: the class count, each x's class K,
+    the class each (x, y) decodes to in x's sent row, the class counts
+    classes x 2**n over all N1 + 1 rows, from a decode table by
+    `matmul_typical_mask`, and the pair law, x rows."""
     n, n1, n2 = cfg.n, cfg.n1, cfg.n2
     n_x = 2 ** n
     cb = build_codebook(cfg)
@@ -216,36 +215,50 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
     l_tab = np.full((n1 + 1, n_x), u0_cls, dtype=np.int64)
     l_tab[:n1] = np.where(lead >= 0, row_cls[np.arange(n1), lead], u0_cls).T
 
-    p_joint = reduce(np.kron, [cfg.source.probs] * n, np.ones((1, 1)))  # (n_x, n_x), x rows
-    p_x = p_joint.sum(axis=1)
-    p_y = p_joint.sum(axis=0)
-
-    theta = cfg.theta
-    l_at_star = l_tab[i_star - 1]
-    eq_star = (l_at_star == k_cls[:, None]).astype(float)
     cnt_all = np.bincount((l_tab * n_x + np.arange(n_x)).ravel(),
-                          minlength=n_cls * n_x).reshape(n_cls, n_x).astype(float)
+                          minlength=n_cls * n_x).reshape(n_cls, n_x)
+    p_joint = reduce(np.kron, [cfg.source.probs] * n, np.ones((1, 1)))  # (n_x, n_x), x rows
+    return n_cls, k_cls, l_tab[i_star - 1], cnt_all, p_joint
+
+
+def dense_exact_analyze(cfg, include_joint: bool = True):
+    """`protocol.exact_analyze` as one dense pass over the whole pair space:
+    every (x^n, y^n) table built at once, each sum taken by numpy along
+    whole rows or over one entry per x or per class. An independent
+    reference for the blocked analyzer and its kernel, which must return
+    the same bits."""
+    n, n1 = cfg.n, cfg.n1
+    n_x = 2 ** n
+    n_cls, k_cls, l_at_star, cnt_all, p_joint = _dense_tables(cfg)
+    cnt_all = cnt_all.astype(float)
+    p_x = p_joint.sum(axis=1)
+    p_y = reduce(np.kron, [cfg.source.probs.sum(axis=0)] * n, np.ones(1))
+
+    theta, w_other = cfg.theta, cfg.theta / float(n1)
+    eq_star = (l_at_star == k_cls[:, None]).astype(float)
     eq_elsewhere = cnt_all[k_cls, :] - eq_star
-    p_agree_xy = (1.0 - theta) * eq_star + (theta / float(n1)) * eq_elsewhere
-    p_disagree = min(max(float(1.0 - (p_joint * p_agree_xy).sum()), 0.0), 1.0)
+    p_agree_xy = (1.0 - theta) * eq_star + w_other * eq_elsewhere
+    p_disagree = min(max(float(1.0 - (p_joint * p_agree_xy).sum(axis=1).sum()), 0.0), 1.0)
 
     p_k = np.bincount(k_cls, weights=p_x, minlength=n_cls)
     joint_ky = np.bincount((k_cls[:, None] * n_x + np.arange(n_x)).ravel(),
                            weights=p_joint.ravel(),
                            minlength=n_cls * n_x).reshape(n_cls, n_x)
     h_k = entropy_bits(p_k)
-    h_ky = entropy_bits(joint_ky.ravel())
-    h_y = entropy_bits(p_y)
-    h_k_given_y = max(h_ky - h_y, 0.0)
+    h_ky = float(np.array([entropy_bits(row) for row in joint_ky]).sum())
+    h_k_given_y = max(h_ky - entropy_bits(p_y), 0.0)
 
-    p_l = np.bincount(l_at_star.ravel(), weights=(p_joint * (1.0 - theta)).ravel(),
+    # the sent row's L law less the index channel's share of it, x rows in
+    # class order, plus the index channel's errors: a pairwise sum per class
+    by_class = np.argsort(k_cls, kind="stable")
+    p_l = np.bincount(l_at_star[by_class].ravel(),
+                      weights=(p_joint[by_class] * (1.0 - theta - w_other)).ravel(),
                       minlength=n_cls)
-    p_l += (cnt_all * (p_y * (theta / float(n1)))).sum(axis=1)  # a pairwise sum per row
-    p_l -= np.bincount(l_at_star.ravel(), weights=(p_joint * (theta / float(n1))).ravel(),
-                       minlength=n_cls)
+    p_l += (cnt_all * (p_y * w_other)).sum(axis=1)
     if abs(p_l.sum() - 1.0) > 1e-9:
         raise InternalInvariantError(f"output law sums to {p_l.sum()}")
-    h_l = entropy_bits(np.clip(p_l, 0.0, None))
+    p_l = np.clip(p_l, 0.0, None)
+    h_l = entropy_bits(p_l / p_l.sum())
 
     log2_card = math.log2(cfg.k_cardinality)
     return ExactResult(
@@ -257,6 +270,26 @@ def dense_exact_analyze(cfg, include_joint: bool = True):
         claim_rate_bits=h_k_given_y / n,
         joint_ky=joint_ky if include_joint else None,
     )
+
+
+def exactly_rounded_entropy_l_bits(cfg) -> float:
+    """H(L) of the exact protocol law with each class's mass added by
+    math.fsum from its rounded terms: (1 - theta) p(x, y) and -theta/N1
+    p(x, y) for each pair whose sent row decodes y to it, and theta/N1 times
+    its decode count at y times p(y), for each y, with p(y) the fsum of its
+    column. The entropy's terms are added by math.fsum as well."""
+    n_cls, _, l_at_star, cnt_all, p_joint = _dense_tables(cfg)
+    theta, w_other = cfg.theta, cfg.theta / float(cfg.n1)
+    p_y = np.array([math.fsum(col) for col in p_joint.T])
+    l_star = l_at_star.ravel()
+    order = np.argsort(l_star, kind="stable")
+    cuts = np.searchsorted(l_star[order], np.arange(n_cls + 1))
+    sent = p_joint.ravel()[order]
+    p_l = np.array([math.fsum([*(sent[lo:hi] * (1.0 - theta)), *(sent[lo:hi] * -w_other),
+                               *(cnt_all[c] * p_y * w_other)])
+                    for c, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))])
+    p_l = p_l[p_l > 0.0]
+    return -math.fsum(p_l * np.log2(p_l))
 
 
 def telescoping_rhs_reference(inst) -> float:

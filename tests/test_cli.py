@@ -80,6 +80,19 @@ class TestUcrCommand:
         assert curve.startswith(b"c_bits,value_bits,constraint_slack,method\r\n")
         assert len(curve.strip().splitlines()) == 4
 
+    def test_a_point_mass_source_writes_positive_zero(self, tmp_path):
+        # H(X) of a point mass is +0.0; a -0.0 was written as "-0.0"
+        src = tmp_path / "point.json"
+        src.write_text(json.dumps({"alphabet_x": 2, "alphabet_y": 2, "probs": [1, 0, 0, 0]}),
+                       encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["ucr", str(src), "--C", "0.5", "--grid", "0.1,0.3", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        doc = (out / "ucr.json").read_text(encoding="utf-8")
+        assert '"value_bits": 0.0' in doc and "-0.0" not in doc
+        curve = (out / "ucr_curve.csv").read_text(encoding="utf-8")
+        assert [row.split(",")[1] for row in curve.splitlines()[1:]] == ["0.0", "0.0"]
+
     def test_budget_and_curve_share_one_search(self, tmp_path, monkeypatch):
         calls = []
         collect = ucrcap._collect_points
@@ -211,7 +224,7 @@ class TestSimulateCommand:
          {"trials.csv": "102086f412a49630f54839abddcd6237d17a7ab79eef1e2fca0d704736cd7da4",
           "simulate.json": "9b24f92d47e84f651534d02b4d9e2187cd7971dc876ce9c053978dec14496f55"}),
         ("protocol_small.json", ["--exact"],
-         {"simulate.json": "7621f5c1cafabdd27dfed0ac4440f30d05247da11ca75236c6841e3b0516614b"}),
+         {"simulate.json": "5c5cbd85fb8b003049562a747ecbf2ed9dd449a54ae24087220f1df81613ff28"}),
     ], ids=["materialized", "statistical", "exact"])
     def test_monte_carlo_output_bytes_are_pinned(self, tmp_path, config, mode, hashes):
         # the outputs of the trial-substream engines and of the exact
@@ -230,7 +243,7 @@ class TestSimulateCommand:
           "n": 8, "mu": 0.1, "theta": 0.02, "seed": 5,
           "index_channel": {"kind": "bsc", "payload": {"p": 0.01}}, "mu_prime": 0.05,
           "conditions": {"alpha": 0.3, "beta": 1.1, "epsilon": 0.2}}, ["--exact"],
-         {"simulate.json": "945a72e53a87be3b63397ec1411c30fc854faa1b72022afc8ede0deba416586b"}),
+         {"simulate.json": "b877c5f02a61d9bcab20ae25a75b512440dda92f335eedce42f254f682e916c9"}),
         ({"source": {"alphabet_x": 2, "alphabet_y": 2, "probs": [0.45, 0.05, 0.05, 0.45]},
           "n": 8, "mu": 0.3, "theta": 0.05, "seed": 3,
           "index_channel": {"kind": "bec", "payload": {"e": 0.1}},

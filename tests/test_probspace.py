@@ -115,11 +115,15 @@ class TestEntropy:
     @example(cells=[0.5, math.nan, 0.25, 0.0] * 100, rows=4)
     def test_equals_the_sum_over_the_positive_cells_bit_for_bit(self, cells, rows):
         # with and without zeros, with NaN, and past the 128-term leaves of
-        # numpy's pairwise sum
+        # numpy's pairwise sum; a zero entropy is +0.0
         p = np.array(cells[:len(cells) // rows * rows], dtype=float).reshape(rows, -1)
         pos = p[p > 0]
-        want = max(float(-np.sum(pos * np.log2(pos))), 0.0)
+        want = max(float(-np.sum(pos * np.log2(pos))), 0.0) + 0.0
         assert struct.pack("<d", entropy_bits(p)) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("cells", [[1.0], [0.0, 1.0, 0.0], []])
+    def test_a_point_mass_has_positive_zero_entropy(self, cells):
+        assert math.copysign(1.0, entropy_bits(np.array(cells))) == 1.0
 
 
 class TestMutualInformation:

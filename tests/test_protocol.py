@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import dense_exact_analyze, diagonal_source, draw_index, dsbs, h2
+from support import (dense_exact_analyze, diagonal_source, draw_index, dsbs,
+                     exactly_rounded_entropy_l_bits, h2)
 from ucrlab import protocol
 from ucrlab.errors import GuardError, ValidationError
 from ucrlab.probspace import (JointPmf, Pmf, as_rng, compose_aux, entropy_bits,
@@ -56,6 +57,12 @@ def ternary_config(seed: int = 2) -> ProtocolConfig:
     return ProtocolConfig(n=8, mu=0.3, theta=0.0, eps_typ=0.6,
                           aux=TERNARY_AUX, source=dsbs(0.1), seed=seed,
                           allow_degenerate_rate=True)
+
+
+def ambiguous_config(aux, p: float, n: int, eps: float) -> ProtocolConfig:
+    """A config whose rows hold several words (n2 > 1) at mu 0.05."""
+    return ProtocolConfig(n=n, mu=0.05, theta=0.05, eps_typ=eps, aux=aux,
+                          source=dsbs(p), seed=4, allow_degenerate_rate=True)
 
 
 def trial_reference(cfg: ProtocolConfig, k: int) -> np.random.Generator:
@@ -821,21 +828,31 @@ class TestExactAnalyzer:
         (IDENTITY_AUX, 0.2, 8, 0.6, (0.23752863911599964, 2.487229437503953,
                                      1.881576508731218, 0.5266140101545941),
          "c2315bc6f30ebb6ab8e520f440651862b70e99a01417286447f4f743dbbf298f"),
-        (BSC_AUX, 0.1, 9, 0.8, (0.0041992187499995115, 0.0, 0.0, 0.05808566793597205),
+        (BSC_AUX, 0.1, 9, 0.8, (0.0041992187499995115, 0.0, 0.0, 0.05808566793280322),
          "07d8347f722324c27da511b946dc8368a26feebd98e3f7ddc8d20aa3848a3113"),
     ], ids=["identity", "bsc"])
     def test_rows_with_ambiguous_decodes_reference_run(self, aux, p, n, eps, values,
                                                        joint_sha256):
         # n2 > 1, so some rows hold two typical words of different values; the
-        # joint law's bytes pin the value classes' order as well as the sums
-        cfg = ProtocolConfig(n=n, mu=0.05, theta=0.05, eps_typ=eps, aux=aux,
-                             source=dsbs(p), seed=4, allow_degenerate_rate=True)
+        # joint law's bytes pin the value classes' order as well as the sums.
+        # H(L)'s independent bound is the exactly rounded law's, below
+        cfg = ambiguous_config(aux, p, n, eps)
         res = exact_analyze(cfg)
         assert cfg.n2 > 1
         got = (res.p_disagree, res.entropy_k_bits, res.entropy_k_given_y_bits,
                res.entropy_l_bits)
         assert got == pytest.approx(values, abs=1e-12)
         assert hashlib.sha256(res.joint_ky.tobytes()).hexdigest() == joint_sha256
+
+    @pytest.mark.parametrize("aux, p, n, eps", [
+        (IDENTITY_AUX, 0.2, 8, 0.6), (BSC_AUX, 0.1, 9, 0.8)], ids=["identity", "bsc"])
+    def test_output_entropy_is_near_the_exactly_rounded_law(self, aux, p, n, eps):
+        # the reference adds each class's terms by math.fsum; the analyzer
+        # reads 8.8e-14 and 5.3e-15 off it, and 2.6e-13 and 1.6e-13 off
+        # when H(L) is taken of the output law not renormalised
+        cfg = ambiguous_config(aux, p, n, eps)
+        got = exact_analyze(cfg, include_joint=False).entropy_l_bits
+        assert abs(got - exactly_rounded_entropy_l_bits(cfg)) <= 2e-13
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_scan_guard_fires_before_the_codebook_is_drawn(self, monkeypatch, mu):
@@ -866,10 +883,11 @@ class TestExactAnalyzer:
                                                              source, aux, eps):
         # a block of 2**11 cuts the n = 8 pair law into 128 blocks of 2 x
         # rows (a quarter of the block each) and its decode table into
-        # blocks of a few sequences; one of 2**9 builds the K-Y joint's
-        # rows one x at a time, so the fallback class's x rows span many
-        # chunks, and sums H(K, Y) in nodes of 128 terms. A zero source
-        # cell leaves zero joint cells, whose terms are compacted out
+        # blocks of a few sequences; one of 2**9 walks the pair law one x
+        # at a time, so the fallback class's x rows span many blocks. Each
+        # sum runs along one whole row or over one entry per x or per
+        # class, so no block size moves a bit. A zero source cell leaves
+        # zero joint cells, which take no entropy term
         if block is not None:
             monkeypatch.setattr(protocol, "_EXACT_BLOCK", block)
         for n, theta in itertools.product(range(2, 11), (0.0, 0.03)):
@@ -915,22 +933,38 @@ class TestExactAnalyzer:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
 
-    @pytest.mark.parametrize("budget", [128, 129, 1000, 2 ** 12, 2 ** 16])
-    def test_pairwise_sums_match_numpy_bit_for_bit(self, budget):
-        # numpy's pairwise tree, rebuilt over pieces cut at random points
-        # (some empty) and summed one node of at most budget elements at a
-        # time, against ndarray.sum() of the whole array
-        rng = np.random.default_rng(budget)
-        for size in [*range(1, 301), 1024, 1001, 4097, 65537, 259072]:
-            a = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
-            pieces = np.split(a, np.sort(rng.integers(0, size + 1, rng.integers(0, 12))))
-            got = protocol._pairwise(iter(pieces), size, budget)
-            assert np.float64(got).tobytes() == a.sum().tobytes(), (size, budget)
-        # a leaf that forms entropy terms, as H(K, Y) sums them
-        p = rng.random(259072)
-        got = protocol._pairwise(iter(np.split(p, [5, 1000, 70000])), p.size, budget,
-                                 lambda t: np.sum(t * np.log2(t)))
-        assert np.float64(-got).tobytes() == np.float64(entropy_bits(p)).tobytes()
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_the_pair_law_is_walked_once(self, monkeypatch, n):
+        # the rows _pair_law extends from the head table's rows, which have
+        # more than one cell, where the head table and p_y start from one:
+        # each x's pair-law row is formed once
+        extended = []
+
+        def spy(law, factors):
+            if law.shape[1] > 1:
+                extended.append(law.shape[0])
+            return pair_law(law, factors)
+        pair_law = protocol._pair_law
+        monkeypatch.setattr(protocol, "_pair_law", spy)
+        cfg = ProtocolConfig(n=n, mu=0.1, theta=0.02, eps_typ=0.15, aux=IDENTITY_AUX,
+                             source=dsbs(0.1), seed=0)
+        exact_analyze(cfg, include_joint=False)
+        assert sum(extended) == 2 ** n
+
+    @pytest.mark.parametrize("cfg", [
+        small_exact_config(),
+        # the seed-2 benchmark's g0-exact10 input, whose index channel is noisy
+        ProtocolConfig(n=10, mu=0.1, theta=0.03427020870312052, eps_typ=0.15,
+                       aux=IDENTITY_AUX, seed=817091732, source=JointPmf(np.array(
+                           [[0.44755359147457235, 0.05244640852542763],
+                            [0.05244640852542763, 0.44755359147457235]])))],
+        ids=["criterion-07", "bench-exact10"])
+    def test_a_decoder_that_refuses_every_y_leaves_l_no_entropy(self, cfg):
+        # L is the reserved value whatever is sent, so its law is a point
+        # mass: its entropy is +0.0, not the -p log2 p of a mass rounded
+        # below 1 (3.3e-12 on the benchmark input)
+        res = exact_analyze(cfg, include_joint=False)
+        assert res.entropy_l_bits == 0.0 and math.copysign(1.0, res.entropy_l_bits) == 1.0
 
     def test_the_output_law_does_not_depend_on_the_tail_blocks(self, monkeypatch):
         # the tail sums the class counts times the weighted y law per class,
@@ -945,7 +979,9 @@ class TestExactAnalyzer:
                                 lambda p, seen=seen: seen.append(p.copy()) or entropy_bits(p))
             monkeypatch.setattr(protocol, "_EXACT_BLOCK", 4 * 2 ** cfg.n * rows)
             exact_analyze(cfg, include_joint=False)
-            laws[rows] = seen[0]   # the clipped output law, the first entropy taken
+            # the normalised output law, the first entropy taken of a law on
+            # the classes; the K-Y joint's rows have 2**n cells
+            laws[rows] = next(p for p in seen if p.size != 2 ** cfg.n)
         assert 7 < laws[1].size < 2 ** 12 and laws[1].size % 7 != 0
         assert laws[1].tobytes() == laws[7].tobytes() == laws[2 ** 12].tobytes()
 

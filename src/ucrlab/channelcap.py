@@ -6,14 +6,14 @@ channel). Capacity of a DMC comes from safeguarded Newton steps on the
 Kuhn-Tucker conditions (Gallager 1968, Thm 4.5.1), each checked against
 one alternating-maximization step, with the certified bracket
 [I(r; W), max_x D(W_x || rW)]. The spectral side draws per-block
-information densities under an i.i.d. input and estimates the left edge of
-the limiting spectrum, which is the rate the mixture channel supports.
+information densities under an i.i.d. input, each from the block's joint
+type rather than its symbols, and estimates the left edge of the limiting
+spectrum, which is the rate the mixture channel supports.
 
 Blocks are integer arrays: any other dtype is refused, not cast. Each
-block is validated once, where it enters, and keeps its own dtype, so the
-int8 blocks the spectrum draws are never copied to int64. A DMC scores a
-block through its flat cells t * n_out + z, held in a small-int dtype:
-one gather from the flattened log2 W per symbol, and no intp copy.
+block is validated once, where it enters, and keeps its own dtype. A DMC
+scores a block through its flat cells t * n_out + z, held in a small-int
+dtype: one gather from the flattened log2 W per symbol, and no intp copy.
 """
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ from .probspace import (ConditionalPmf, Pmf, _cell_dtype, as_rng, categorical_fr
                         subseed)
 
 _SPECTRUM_KEY = 11
-_SPECTRUM_BATCH_SYMBOLS = 2 ** 16
+# spectrum_samples refuses a longer block, and holds at most this many
+# type cells per batch
+_SPECTRUM_MAX_N = _SPECTRUM_BATCH_CELLS = 2 ** 16
 # dmc_capacity forms at most this many points before it raises GuardError
 CAPACITY_STEP_LIMIT = 200_000
 # inf_info_rate_estimate's rate grid, and the left-tail mass it lets through
@@ -83,7 +85,7 @@ def _check_block(seq, alphabet: int, what: str) -> np.ndarray:
     of symbols in 0..alphabet-1, in an integer dtype, which it keeps. A
     float, bool, str or object block is refused rather than cast, so no
     value is truncated or parsed into a symbol. The range test is one
-    min and one max, cheap on the int8 blocks the spectrum draws."""
+    min and one max."""
     seq = np.asarray(seq)
     if seq.ndim not in (1, 2) or seq.size == 0:
         raise DimensionError(f"{what} block must be a nonempty 1-D block or 2-D batch")
@@ -118,10 +120,8 @@ class DmcProduct(ChannelKernel):
     gathers log2 W at the cells and log2 P(z^n) gathers log2 q at z, each
     into a C-contiguous float64 array summed along the block, the values
     and the sum of 2-D indexing, so the bits are the same. Indexing with a
-    small-int array casts it in buffered chunks. An intp cell, or np.take,
-    which copies its indices to intp, would add a fresh 8-byte-per-symbol
-    array per call; on the spectrum's 2**16-symbol batches its new pages
-    cost more than the gather itself.
+    small-int array casts it in buffered chunks, where an intp cell, or
+    np.take, would add a fresh 8-byte-per-symbol array per call.
     """
 
     kernel: ConditionalPmf
@@ -433,8 +433,9 @@ class SpectrumEstimate:
         return float(self.values_bits[idx])
 
     def mass_below(self, r: float) -> float:
-        """Empirical P[density <= r]; right-continuous in r."""
-        return float(np.count_nonzero(self.values_bits <= r) / self.num_samples)
+        """Empirical P[density <= r]; right-continuous in r. A search of the
+        sorted sample, so the count of values <= r."""
+        return float(np.searchsorted(self.values_bits, r, side="right") / self.num_samples)
 
     def mean(self) -> float:
         return float(self.values_bits.mean())
@@ -443,37 +444,76 @@ class SpectrumEstimate:
         return float(self.values_bits.std(ddof=1)) if self.num_samples > 1 else 0.0
 
 
+def _branches(kernel: ChannelKernel, weight: float = 1.0) -> list[tuple[float, np.ndarray]]:
+    """(weight, W) of each DMC branch of a DmcProduct or a mixture of them."""
+    if isinstance(kernel, DmcProduct):
+        return [(weight, kernel.kernel.rows)]
+    if isinstance(kernel, MixedChannel):
+        return [b for w, k in kernel.components for b in _branches(k, weight * w)]
+    raise ValidationError(f"no joint type to draw for a {type(kernel).__name__}")
+
+
+def _log2_type_probs(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """(K, B): log2 of each branch's probability of one sequence with each
+    column of the cell-major (C, B) counts, sum c * log2 p over the cells of
+    the (K, C) probs, as elementwise products summed along the leading cell
+    axis. A cell of mass 0 gives -inf where its count is positive and
+    nothing where it is 0: 0 * -inf is never formed."""
+    counts, probs = counts[:, None, :], probs.T[:, :, None]
+    out = (counts * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=0)
+    out[((counts > 0) & (probs == 0.0)).any(axis=0)] = -np.inf
+    return out
+
+
 def spectrum_samples(kernel: ChannelKernel, input_pmf: Pmf, n: int,
                      num_samples: int, seed: int) -> SpectrumEstimate:
     """Monte Carlo spectrum of the normalized information density.
 
-    Blocks are drawn in batches of B = max(1, 2**16 // n), the last batch
-    holding the remainder. Batch b owns the named sub-seed
-    (seed, _SPECTRUM_KEY, n, b): it draws its inputs as one (B, n) array,
-    then the channel outputs through kernel.sample_output. The result
-    therefore depends only on (seed, n, num_samples), and per-batch arrays
-    stay small: a block longer than one batch is refused (GuardError).
-    Inputs and outputs stay in the inverse cdf's small-int dtype (int8 up
-    to 128 symbols); sample_output and information_density each check
-    their blocks once with a min and a max, and the scoring under them
-    checks nothing again.
+    Under branch k of a DmcProduct or a mixture of them, a block's density
+    is a function of its joint type c[t, z], whose law is Multinomial(n,
+    P_T x W_k) (the method of types). So each block draws its type, not its
+    n symbols, with the per-symbol draw's law, and scores the counts:
+    ll = log2 sum_j w_j 2^(sum c log2 W_j), lo = log2 sum_j w_j 2^(sum_z
+    c_z log2 q_j) with q_j = P_T W_j, density (ll - lo) / n. A branch of
+    weight 0 is neither drawn nor scored.
+
+    Layout: batches of B = max(1, 2**16 // (K |T| |Z|)) blocks for the K
+    branches of positive weight (the last holds the remainder), so batch
+    temporaries hold at most 2**16 cells. Batch b owns the named sub-seed
+    (seed, _SPECTRUM_KEY, n, b): it draws its branch counts ~ Multinomial(B,
+    weights), then, branch by branch, that many types over the branch's
+    cells of positive mass, each law normalised by its sum. The result
+    depends only on (seed, n, num_samples). A block longer than 2**16
+    symbols is refused (GuardError).
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
-    if n > _SPECTRUM_BATCH_SYMBOLS:
-        raise GuardError(
-            f"block length {n} exceeds a batch of {_SPECTRUM_BATCH_SYMBOLS} symbols")
+    if n > _SPECTRUM_MAX_N:
+        raise GuardError(f"block length {n} exceeds {_SPECTRUM_MAX_N} symbols, the longest "
+                         f"block a spectrum batch draws")
     _check_input_pmf(kernel, input_pmf)
-    per_batch = max(1, _SPECTRUM_BATCH_SYMBOLS // n)
+    weights, rows = zip(*[b for b in _branches(kernel) if b[0] > 0.0])
+    joint = input_pmf.probs[:, None] * np.array(rows)
+    w_cells, q = np.array(rows).reshape(len(rows), -1), joint.sum(axis=1)
+    laws = [(law > 0.0, law[law > 0.0] / law[law > 0.0].sum())
+            for law in joint.reshape(w_cells.shape)]
+    per_batch = max(1, _SPECTRUM_BATCH_CELLS // joint.size)
+    log2_w = np.log2(weights)[:, None]
     values = []
     for b, start in enumerate(range(0, num_samples, per_batch)):
         rng = np.random.default_rng(subseed(seed, _SPECTRUM_KEY, n, b))
-        size = min(per_batch, num_samples - start)
-        t = categorical_from_uniforms(input_pmf.probs, rng.random((size, n)))
-        z = kernel.sample_output(t, rng)
-        values.append(information_density(kernel, input_pmf, t, z))
+        sizes = rng.multinomial(min(per_batch, num_samples - start), weights / np.sum(weights))
+        counts = np.zeros((w_cells.shape[1], sizes.sum()), dtype=np.int64)
+        for (support, pvals), size, end in zip(laws, sizes, np.cumsum(sizes)):
+            counts[support, end - size:end] = rng.multinomial(n, pvals, size=size).T
+        ll = np.logaddexp2.reduce(log2_w + _log2_type_probs(counts, w_cells), axis=0)
+        c_z = counts.reshape(*joint.shape[1:], -1).sum(axis=0)
+        lo = np.logaddexp2.reduce(log2_w + _log2_type_probs(c_z, q), axis=0)
+        if np.any(ll == -np.inf) or np.any(lo == -np.inf):
+            raise UndefinedDensityError("zero likelihood or output mass at a drawn block")
+        values.append((ll - lo) / n)
     return SpectrumEstimate(np.concatenate(values), n)
 
 

@@ -411,9 +411,11 @@ def ref_sample_output(kernel, t, rng):
 
 
 def ref_spectrum_samples(kernel, input_pmf, n: int, num_samples: int, seed: int) -> np.ndarray:
-    """The unsorted densities of the documented batch layout: batches of
+    """The unsorted densities of blocks drawn symbol by symbol, the path
+    independent of spectrum_samples' joint-type draw: batches of
     max(1, 2**16 // n) blocks, batch b seeded by subseed(seed, 11, n, b),
-    inputs drawn first, then the outputs."""
+    inputs drawn first, then the outputs, each block scored by the
+    per-symbol references."""
     per_batch = max(1, 2 ** 16 // n)
     values = []
     for b, start in enumerate(range(0, num_samples, per_batch)):
@@ -423,3 +425,61 @@ def ref_spectrum_samples(kernel, input_pmf, n: int, num_samples: int, seed: int)
         z = ref_sample_output(kernel, t, rng)
         values.append(ref_information_density(kernel, input_pmf, t, z))
     return np.concatenate(values)
+
+
+def dkw_bound(num_samples: int, delta: float) -> float:
+    """The DKW bound: sup_r |F_N(r) - F(r)| exceeds it with probability at
+    most delta (Massart's constant 2)."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * num_samples))
+
+
+def two_sample_dkw_bound(n: int, m: int, delta: float) -> float:
+    """The two-sample DKW bound sqrt(ln(2/delta) (n + m) / 2nm) on the
+    distance between two empirical cdfs of one law. With the constant 2 it
+    holds for n = m >= 458 (Wei and Dudley, "Two-sample Dvoretzky-Kiefer-
+    Wolfowitz inequalities", Statist. Probab. Lett. 2012)."""
+    if n != m or n < 458:
+        raise ValueError("the two-sample bound is used at n = m >= 458 only")
+    return math.sqrt(math.log(2.0 / delta) * (n + m) / (2.0 * n * m))
+
+
+def kolmogorov_between_atoms(values, atoms, masses, tol: float = 1e-9) -> float:
+    """sup |F_N - F| between the empirical cdf of values and the law with
+    these atoms and masses, read between atoms, not at them: atoms closer
+    than tol merge, and both cdfs are read at the midpoints of the gaps
+    between the merged atoms. A sample value that rounding moved off its
+    atom still counts on the atom's side, and since both cdfs step only at
+    the atoms, reading between them misses no gap."""
+    order = np.argsort(atoms, kind="stable")
+    atoms = np.asarray(atoms, dtype=float)[order]
+    cdf = np.cumsum(np.asarray(masses, dtype=float)[order])
+    gaps = np.flatnonzero(np.diff(atoms) > tol)
+    points = 0.5 * (atoms[gaps] + atoms[gaps + 1])
+    empirical = np.searchsorted(np.sort(values), points, side="right") / np.size(values)
+    return float(np.max(np.abs(empirical - cdf[gaps]), initial=0.0))
+
+
+def two_sample_distance(a, b, tol: float = 1e-9) -> float:
+    """sup |F_a - F_b| between two empirical cdfs, read between atoms: b's
+    empirical law as the law of kolmogorov_between_atoms."""
+    return kolmogorov_between_atoms(a, b, np.full(np.size(b), 1.0 / np.size(b)), tol)
+
+
+def _xlog2(k: np.ndarray, p: float) -> np.ndarray:
+    """k log2 p, read as 0 where k = 0, so a p of 0 counts only where k > 0."""
+    return k * math.log2(p) if p > 0.0 else np.where(k > 0, -np.inf, 0.0)
+
+
+def bsc_mixture_spectrum(n: int, components) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the density of a mixture of BSCs [(w, p), ...] under
+    the uniform input: at each flip count d, the atom
+    1 + (1/n) log2 sum_j w_j p_j^d (1 - p_j)^(n - d), with mass C(n, d)
+    times that sum. Masses are formed in the log domain, from math.lgamma,
+    so nothing underflows."""
+    d = np.arange(n + 1)
+    log2_choose = np.array([(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+                            / math.log(2.0) for k in d])
+    with np.errstate(divide="ignore"):
+        log2_seq = np.logaddexp2.reduce([math.log2(w) + _xlog2(d, p) + _xlog2(n - d, 1.0 - p)
+                                         for w, p in components if w > 0.0])
+    return 1.0 + log2_seq / n, np.exp2(log2_choose + log2_seq)

@@ -17,12 +17,15 @@ from conftest import record_acceptance
 from support import (
     bsc_family,
     bsc_family_curve,
+    bsc_mixture_spectrum,
     diagonal_source,
     dsbs,
     erasure_family,
     erasure_family_curve,
+    dkw_bound,
     h2,
     independent_source,
+    kolmogorov_between_atoms,
     random_joint,
 )
 from ucrlab.channelcap import (
@@ -234,9 +237,23 @@ def test_criterion_09_spectrum_properties():
     assert 0.4 <= mass <= 0.6
     rate = inf_info_rate_estimate([mp250, mp500]).value_bits
     assert rate <= 0.05
+    # Kolmogorov distance of each sample to its exact law, a binomial flip
+    # count, within the DKW bound at delta = 1e-6
+    bound = dkw_bound(10**4, 1e-6)
+    dists = [kolmogorov_between_atoms(sp.values_bits, *bsc_mixture_spectrum(sp.n, law))
+             for sp, law in ((sp250, [(1.0, 0.1)]), (sp1000, [(1.0, 0.1)]),
+                             (mp500, [(0.5, 0.0), (0.5, 0.5)]))]
+    assert max(dists) <= bound
+    # power: blocks that flip at 0.102, scored as BSC(0.1), fail the check
+    flips = np.random.default_rng(2026).binomial(1000, 0.102, size=10**4)
+    off = 1.0 + (flips * math.log2(0.1) + (1000 - flips) * math.log2(0.9)) / 1000
+    power = kolmogorov_between_atoms(off, *bsc_mixture_spectrum(1000, [(1.0, 0.1)]))
+    assert power > bound
     return (f"mean err {mean_err:.4f} <= 0.01, std ratio {ratio:.3f} in "
             f"[0.35, 0.65]; mixed mass {mass:.3f} in [0.4, 0.6], "
-            f"rate estimate {rate:.3f} <= 0.05")
+            f"rate estimate {rate:.3f} <= 0.05; exact-law distances "
+            f"{', '.join(f'{d:.4f}' for d in dists)} <= DKW {bound:.4f}, "
+            f"flip-0.102 sample {power:.3f} > {bound:.4f}")
 
 
 @criterion(10, budget_s=None)

@@ -1,6 +1,7 @@
 """Capacity iteration, information density, and spectrum estimation."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -9,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
+    dkw_bound,
     h2,
+    kolmogorov_between_atoms,
     ref_information_density,
     ref_log2_likelihood,
     ref_log2_output_prob,
     ref_sample_output,
     ref_spectrum_samples,
+    two_sample_distance,
+    two_sample_dkw_bound,
 )
 from ucrlab.channelcap import (
     DmcProduct,
@@ -319,21 +324,100 @@ class TestFlatCellScoring:
         same_outcome(lambda: information_density(kernel, pmf, t, drawn),
                      lambda: ref_information_density(kernel, pmf, t, want))
 
-        n, num_samples = shape[-1], int(rng.integers(1, 40))
-        same_outcome(lambda: spectrum_samples(kernel, pmf, n, num_samples, seed).values_bits,
-                     lambda: np.sort(ref_spectrum_samples(kernel, pmf, n, num_samples, seed)))
 
-    @pytest.mark.parametrize("kernel, pmf", [
-        (DmcProduct(bsc(0.12)), UNIFORM2),
-        (DmcProduct(ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
-                                             [0.25, 0.25, 0.5]]))), Pmf(np.full(3, 1 / 3))),
-        (MixedChannel(((0.4, DmcProduct(bsc(0.0))), (0.6, DmcProduct(bsc(0.5))))), UNIFORM2),
-    ], ids=["bsc", "dmc3", "mixture"])
-    def test_spectrum_matches_the_reference_across_batches(self, kernel, pmf):
-        # at n = 2**14 + 1 a batch holds 3 blocks: 7 samples span three batches
-        n = 2 ** 14 + 1
-        est = spectrum_samples(kernel, pmf, n, 7, seed=5)
-        assert np.array_equal(est.values_bits, np.sort(ref_spectrum_samples(kernel, pmf, n, 7, 5)))
+DMC3 = DmcProduct(ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
+                                           [0.25, 0.25, 0.5]])))
+UNIFORM3 = Pmf(np.full(3, 1 / 3))
+SPECTRUM_KERNELS = [
+    (DmcProduct(bsc(0.12)), UNIFORM2),
+    (DMC3, UNIFORM3),
+    (MixedChannel(((0.4, DmcProduct(bsc(0.0))), (0.6, DmcProduct(bsc(0.5))))), UNIFORM2),
+]
+
+
+def exact_spectrum(kernel, pmf, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and masses of the density's law, by enumerating every (t, z)
+    block of positive probability and scoring it with the per-symbol
+    references."""
+    cells = np.array(list(itertools.product(range(kernel.n_in * kernel.n_out), repeat=n)))
+    t, z = cells // kernel.n_out, cells % kernel.n_out
+    branches = kernel.components if isinstance(kernel, MixedChannel) else ((1.0, kernel),)
+    probs = sum(w * np.prod(pmf.probs[t] * k.kernel.rows[t, z], axis=1) for w, k in branches)
+    seen = probs > 0.0
+    return ref_information_density(kernel, pmf, t[seen], z[seen]), probs[seen]
+
+
+class TestSpectrumLaw:
+    """spectrum_samples draws each block's joint type; its samples follow
+    the law of blocks drawn symbol by symbol, to within DKW bounds at
+    delta = 1e-6, compared between atoms."""
+
+    @pytest.mark.parametrize("kernel, pmf", SPECTRUM_KERNELS, ids=["bsc", "dmc3", "mixture"])
+    def test_spectrum_matches_the_per_symbol_draw(self, kernel, pmf):
+        # at n = 64 the reference spans 10 batches of 1,024 blocks
+        got = spectrum_samples(kernel, pmf, 64, 10**4, seed=5).values_bits
+        want = ref_spectrum_samples(kernel, pmf, 64, 10**4, 5)
+        assert two_sample_distance(got, want) <= two_sample_dkw_bound(10**4, 10**4, 1e-6)
+
+    def test_dmc3_at_n8_matches_its_exact_law(self):
+        # all C(16, 8) = 12,870 joint types of 9 cells, by their counts
+        types = np.array([np.diff([-1, *bars, 16]) - 1
+                          for bars in itertools.combinations(range(16), 8)])
+        assert types.shape == (12870, 9) and np.all(types.sum(axis=1) == 8)
+        cells = np.repeat(np.tile(np.arange(9), len(types)), types.ravel()).reshape(-1, 8)
+        joint = (UNIFORM3.probs[:, None] * DMC3.kernel.rows).ravel()
+        log_mass = (math.lgamma(9) - np.vectorize(math.lgamma)(types + 1).sum(axis=1)
+                    + (types * np.log(joint)).sum(axis=1))
+        atoms = ref_information_density(DMC3, UNIFORM3, cells // 3, cells % 3)
+        assert math.isclose(np.exp(log_mass).sum(), 1.0, rel_tol=1e-12)
+        est = spectrum_samples(DMC3, UNIFORM3, 8, 10**4, seed=2026)
+        assert (kolmogorov_between_atoms(est.values_bits, atoms, np.exp(log_mass))
+                <= dkw_bound(10**4, 1e-6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_in=st.integers(1, 3), n_out=st.integers(1, 3), zeros=st.floats(0.0, 0.6),
+           mixed=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_in=3, n_out=3, zeros=0.5, mixed=3, n=3, seed=1)
+    def test_sparse_kernels_match_the_exact_law_of_short_blocks(self, n_in, n_out, zeros,
+                                                                mixed, n, seed):
+        # zero cells in W, the input pmf and the weights; no drawn block
+        # may have an undefined density
+        rng = np.random.default_rng(seed)
+        weights = sparse_pmfs(rng, 1, mixed, zeros)[0]
+        kernel = MixedChannel(tuple(
+            (float(w), DmcProduct(ConditionalPmf(sparse_pmfs(rng, n_in, n_out, zeros))))
+            for w in weights))
+        pmf = Pmf(sparse_pmfs(rng, 1, n_in, zeros)[0])
+        est = spectrum_samples(kernel, pmf, n, 2000, seed)
+        assert (kolmogorov_between_atoms(est.values_bits, *exact_spectrum(kernel, pmf, n))
+                <= dkw_bound(2000, 1e-6))
+
+    @pytest.mark.parametrize("kernel, pmf", SPECTRUM_KERNELS, ids=["bsc", "dmc3", "mixture"])
+    def test_repeats_are_byte_identical_across_batches(self, kernel, pmf):
+        # a batch holds 2**16 // (branches x cells) blocks: 16,384 for the
+        # BSC, 7,281 for dmc3, 8,192 for the mixture; 4 x 7,281 samples
+        # span three batches or more on each
+        a = spectrum_samples(kernel, pmf, 200, 4 * 7281, seed=21)
+        b = spectrum_samples(kernel, pmf, 200, 4 * 7281, seed=21)
+        c = spectrum_samples(kernel, pmf, 200, 4 * 7281, seed=22)
+        assert a.values_bits.tobytes() == b.values_bits.tobytes()
+        assert not np.array_equal(a.values_bits, c.values_bits)
+
+    def test_a_zero_weight_component_changes_no_bit(self):
+        mixed = MixedChannel(((0.0, DmcProduct(bsc(0.3))), (1.0, DmcProduct(bsc(0.1)))))
+        a = spectrum_samples(mixed, UNIFORM2, 50, 500, seed=3)
+        b = spectrum_samples(DmcProduct(bsc(0.1)), UNIFORM2, 50, 500, seed=3)
+        assert a.values_bits.tobytes() == b.values_bits.tobytes()
+
+    def test_an_unused_input_draws_the_blocks_of_the_smaller_channel(self):
+        # the third input has mass 0: the types fall on the same cells of
+        # positive mass, so the draws are those of the 2 x 3 channel and
+        # only the order of the score's sums differs
+        rows = DMC3.kernel.rows
+        a = spectrum_samples(DMC3, Pmf(np.array([0.3, 0.7, 0.0])), 50, 500, seed=3)
+        b = spectrum_samples(DmcProduct(ConditionalPmf(rows[:2])), Pmf(np.array([0.3, 0.7])),
+                             50, 500, seed=3)
+        assert np.allclose(a.values_bits, b.values_bits, rtol=0.0, atol=1e-12)
 
 
 class TestInformationDensity:
@@ -392,11 +476,12 @@ class TestSpectrum:
         assert np.all(est.values_bits == 1.0)
 
     def test_seed_determinism_across_batches(self):
-        # at n = 2**14 a batch holds 4 blocks: 6 samples span two batches
+        # a batch holds 2**16 // 4 = 16,384 BSC blocks: 16,390 samples span
+        # two batches
         k = DmcProduct(bsc(0.15))
-        a = spectrum_samples(k, UNIFORM2, 2 ** 14, 6, seed=21)
-        b = spectrum_samples(k, UNIFORM2, 2 ** 14, 6, seed=21)
-        assert a.num_samples == 6 and a.n == 2 ** 14
+        a = spectrum_samples(k, UNIFORM2, 2 ** 14, 16390, seed=21)
+        b = spectrum_samples(k, UNIFORM2, 2 ** 14, 16390, seed=21)
+        assert a.num_samples == 16390 and a.n == 2 ** 14
         assert np.array_equal(a.values_bits, b.values_bits)
 
     def test_sample_count_validation(self):
@@ -426,14 +511,20 @@ class TestSpectrum:
         assert all(a <= b + 1e-12 for a, b in zip(ms, ms[1:]))
         assert ms[0] == 0.0 and ms[-1] == 1.0
 
-    @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40))
-    @settings(max_examples=40)
+    @given(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0) | st.floats(-5.0, 5.0),
+                    min_size=1, max_size=40))
+    @settings(max_examples=60)
     def test_mass_below_is_a_cdf_on_any_sample(self, values):
         est = SpectrumEstimate(np.array(values), n=4)
-        lo, hi = est.values_bits[0], est.values_bits[-1]
+        v = est.values_bits
+        lo, hi = v[0], v[-1]
         assert est.mass_below(lo - 1.0) == 0.0
         assert est.mass_below(hi) == 1.0
         assert 0.0 <= est.mass_below(0.5 * (lo + hi)) <= 1.0
+        # the count of values <= r, at, between and beyond the values, ties included
+        for r in [*v, *(0.5 * (v[1:] + v[:-1])), lo - 1.0, hi + 1.0,
+                  np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]:
+            assert est.mass_below(r) == np.count_nonzero(v <= r) / v.size
 
 
 class TestInfRateEstimate:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from support import (diagonal_source, dsbs, h2, independent_source, markov_defect,
                      random_joint)
-from ucrlab.channelcap import DmcProduct, spectrum_samples
+from ucrlab.channelcap import DmcProduct
 from ucrlab.errors import DimensionError, GuardError, ValidationError
 from ucrlab.probspace import (
     ConditionalPmf,
@@ -226,19 +226,6 @@ class TestSampling:
         t = np.random.default_rng(seed).integers(0, len(table), size=u.size)
         z = DmcProduct(ConditionalPmf(table)).sample_output(t, PresetUniforms(u))
         assert np.array_equal(z, ref_cells(table, t, u))
-        # spectrum_samples draws its one block's inputs from the same uniforms
-        seen = []
-
-        class Recording(DmcProduct):
-            def sample_output(self, t, seed):
-                seen.append(t)
-                return super().sample_output(t, seed)
-
-        flat = Recording(ConditionalPmf(np.full((table.shape[1], 2), 0.5)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.random, "default_rng", lambda seed: PresetUniforms(u))
-            spectrum_samples(flat, Pmf(table[0]), u.size, 1, 0)
-        assert np.array_equal(seen[0][0], ref_cells(table, first, u))
 
     @settings(max_examples=120)
     @given(nx=st.integers(1, 16), ny=st.integers(1, 16), zeros=st.floats(0.0, 0.5),

@@ -479,7 +479,6 @@ def bsc_mixture_spectrum(n: int, components) -> tuple[np.ndarray, np.ndarray]:
     d = np.arange(n + 1)
     log2_choose = np.array([(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
                             / math.log(2.0) for k in d])
-    with np.errstate(divide="ignore"):
-        log2_seq = np.logaddexp2.reduce([math.log2(w) + _xlog2(d, p) + _xlog2(n - d, 1.0 - p)
-                                         for w, p in components if w > 0.0])
+    log2_seq = np.logaddexp2.reduce([math.log2(w) + _xlog2(d, p) + _xlog2(n - d, 1.0 - p)
+                                     for w, p in components if w > 0.0])
     return 1.0 + log2_seq / n, np.exp2(log2_choose + log2_seq)

@@ -335,14 +335,14 @@ SPECTRUM_KERNELS = [
 ]
 
 
-def exact_spectrum(kernel, pmf, n: int) -> tuple[np.ndarray, np.ndarray]:
+def exact_spectrum(kernel: MixedChannel, pmf, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and masses of the density's law, by enumerating every (t, z)
     block of positive probability and scoring it with the per-symbol
     references."""
     cells = np.array(list(itertools.product(range(kernel.n_in * kernel.n_out), repeat=n)))
     t, z = cells // kernel.n_out, cells % kernel.n_out
-    branches = kernel.components if isinstance(kernel, MixedChannel) else ((1.0, kernel),)
-    probs = sum(w * np.prod(pmf.probs[t] * k.kernel.rows[t, z], axis=1) for w, k in branches)
+    probs = sum(w * np.prod(pmf.probs[t] * k.kernel.rows[t, z], axis=1)
+                for w, k in kernel.components)
     seen = probs > 0.0
     return ref_information_density(kernel, pmf, t[seen], z[seen]), probs[seen]
 
